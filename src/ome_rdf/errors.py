@@ -1,7 +1,7 @@
 """Exception types raised across the package.
 
-Keeping them in one module makes the CLI's exit-code mapping trivial and
-avoids circular imports between the parsing and mapping layers.
+Keeping them in one module avoids circular imports between the parsing and
+mapping layers.
 """
 
 
@@ -212,16 +212,6 @@ class IdPatternMismatchError(LinkRegistryError):
         self.curie = curie
         self.pattern = pattern
         super().__init__(f"{curie!r} does not match id pattern {pattern!r}")
-
-
-# -------------------------------------------------------------------- ingest
-
-class IngestError(OmeRdfError):
-    code = "IngestError"
-
-
-class DirNotFoundError(IngestError):
-    code = "DirNotFound"
 
 
 # ------------------------------------------------------------------ ontology

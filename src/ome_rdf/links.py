@@ -114,11 +114,6 @@ class LinkRegistry:
             fh.write(self.dumps())
 
 
-def resolve(registry: LinkRegistry, curie: str) -> Iri:
-    """Free-function form of :meth:`LinkRegistry.resolve`."""
-    return registry.resolve(curie)
-
-
 @dataclass(frozen=True)
 class LinkCheckResult:
     iri: Iri
@@ -136,7 +131,7 @@ Fetcher = Callable[[str], int]
 
 
 def urllib_fetcher(timeout: float = DEFAULT_TIMEOUT_S) -> Fetcher:
-    """HEAD-request fetcher used by the CLI when not offline."""
+    """HEAD-request fetcher over ``urllib``, for :func:`check_links`."""
 
     def fetch(iri: str) -> int:
         req = urllib.request.Request(iri, method="HEAD")

@@ -14,6 +14,8 @@ per recorded observation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
+from operator import attrgetter
 from typing import Optional
 from urllib.parse import quote
 
@@ -25,37 +27,53 @@ from .errors import (
     UnknownClassInRegistryError,
     UnresolvableStrainError,
 )
-from .namespaces import (
-    DEFAULT_INSTANCE_BASE,
-    RDF_TYPE,
-    XSD_DATETIME,
-    XSD_DECIMAL,
-    XSD_INTEGER,
-    XSD_NS,
-)
+from .namespaces import DEFAULT_INSTANCE_BASE, RDF_TYPE, XSD_NS
 from .ome_xml import EmAnnotation, InstrumentKind, OmeDocument, OmeImage, join_annotations
-from .ontology import OntologyClass, OntologyRegistry
+from .ontology import OntologyClass, OntologyRegistry, PropertyDef
 from .rdf import Graph, Iri, Literal, Triple
+
+_TYPE = Iri(RDF_TYPE)
+
+# One table per node shape: (property label, getter) rows.  A row whose
+# getter returns None emits nothing; the literal's datatype is always the
+# property's range in the registry.
+_IMAGE = (
+    ("name", attrgetter("name")),
+    ("sizeX", attrgetter("pixels.size_x")),
+    ("sizeY", attrgetter("pixels.size_y")),
+    ("sizeZ", attrgetter("pixels.size_z")),
+    ("sizeC", attrgetter("pixels.size_c")),
+    ("sizeT", attrgetter("pixels.size_t")),
+    ("physicalSizeX", attrgetter("pixels.physical_size_x")),
+    ("physicalSizeY", attrgetter("pixels.physical_size_y")),
+    ("acquisitionDate", attrgetter("acquisition_date")),
+)
+_EXPERIMENTER = (("fullName", attrgetter("name")), ("email", attrgetter("email")))
+_INSTRUMENT = (("model", attrgetter("model")),)
+_PREPARATION = (("stainingMethod", attrgetter("staining_method")),)
+_CONDITION = (
+    ("accelerationVoltage", attrgetter("acceleration_voltage_kv")),
+    ("electronGunType", attrgetter("electron_gun_type")),
+    ("electronWavelength", attrgetter("electron_wavelength_pm")),
+)
+_PHENOTYPE = (("description", str),)
 
 
 @dataclass(frozen=True)
 class MintingPolicy:
-    """Where and how instance IRIs are minted.
+    """Where instance IRIs are minted.
 
-    ``skolemize`` is fixed true: this toolkit never emits blank nodes of
-    its own, which is what keeps batch output canonical.
+    There is no blank-node option: this toolkit never emits blank nodes
+    of its own, which is what keeps batch output canonical.
     """
 
     instance_base: Iri = Iri(DEFAULT_INSTANCE_BASE)
-    skolemize: bool = True
 
     def __post_init__(self):
         if isinstance(self.instance_base, str):
             object.__setattr__(self, "instance_base", Iri(self.instance_base))
         if not self.instance_base.value.endswith(("/", "#")):
             raise ValueError("instance base must end with '/' or '#'")
-        if not self.skolemize:
-            raise ValueError("blank-node minting is not supported")
 
 
 def mint_iri(policy: MintingPolicy, cls: OntologyClass, local_id: str) -> Iri:
@@ -70,12 +88,7 @@ def mint_iri(policy: MintingPolicy, cls: OntologyClass, local_id: str) -> Iri:
 class MappedRecord:
     image_iri: Iri
     graph: Graph
-    triple_count: int
     external_links: tuple
-
-    def __post_init__(self):
-        if self.triple_count != len(self.graph):
-            raise ValueError("triple_count out of sync with graph size")
 
 
 def _class(registry: OntologyRegistry, label: str) -> OntologyClass:
@@ -85,11 +98,11 @@ def _class(registry: OntologyRegistry, label: str) -> OntologyClass:
     return cls
 
 
-def _prop(registry: OntologyRegistry, label: str) -> Iri:
+def _prop(registry: OntologyRegistry, label: str) -> PropertyDef:
     p = registry.property_by_label(label)
     if p is None:
         raise UnknownClassInRegistryError(f"registry has no {label!r} property")
-    return p.iri
+    return p
 
 
 def map_pair(
@@ -108,114 +121,69 @@ def map_pair(
     """
     if ann is not None and ann.image_id != img.id:
         raise ValueError(f"annotation {ann.image_id!r} does not belong to image {img.id!r}")
+    triples = []
 
-    rdf_type = Iri(RDF_TYPE)
-    int_dt = Iri(XSD_INTEGER)
-    dec_dt = Iri(XSD_DECIMAL)
+    def node(label, local_id, type_label=None):
+        iri = mint_iri(policy, _class(registry, label), local_id)
+        triples.append(Triple(iri, _TYPE, _class(registry, type_label or label).iri))
+        return iri
 
-    image_cls = _class(registry, "Image")
-    image_iri = mint_iri(policy, image_cls, img.id)
-    triples = [
-        Triple(image_iri, rdf_type, image_cls.iri),
-        Triple(image_iri, _prop(registry, "name"), Literal(img.name)),
-        Triple(image_iri, _prop(registry, "sizeX"), Literal(str(img.pixels.size_x), int_dt)),
-        Triple(image_iri, _prop(registry, "sizeY"), Literal(str(img.pixels.size_y), int_dt)),
-        Triple(image_iri, _prop(registry, "sizeZ"), Literal(str(img.pixels.size_z), int_dt)),
-        Triple(image_iri, _prop(registry, "sizeC"), Literal(str(img.pixels.size_c), int_dt)),
-        Triple(image_iri, _prop(registry, "sizeT"), Literal(str(img.pixels.size_t), int_dt)),
-    ]
-    if img.pixels.physical_size_x is not None:
-        triples.append(Triple(image_iri, _prop(registry, "physicalSizeX"),
-                              Literal(str(img.pixels.physical_size_x), dec_dt)))
-    if img.pixels.physical_size_y is not None:
-        triples.append(Triple(image_iri, _prop(registry, "physicalSizeY"),
-                              Literal(str(img.pixels.physical_size_y), dec_dt)))
-    if img.acquisition_date is not None:
-        triples.append(Triple(image_iri, _prop(registry, "acquisitionDate"),
-                              Literal(img.acquisition_date, Iri(XSD_DATETIME))))
+    def link(subject, label, obj):
+        triples.append(Triple(subject, _prop(registry, label).iri, obj))
+
+    def literals(subject, table, record):
+        for label, get in table:
+            value = get(record)
+            if value is not None:
+                p = _prop(registry, label)
+                lexical = format(value, "f") if isinstance(value, Decimal) else str(value)
+                triples.append(Triple(subject, p.iri, Literal(lexical, p.range)))
+
+    image_iri = node("Image", img.id)
+    literals(image_iri, _IMAGE, img)
 
     if img.experimenter is not None:
-        exp_iri = mint_iri(policy, _class(registry, "Experimenter"), img.experimenter.id)
-        triples.append(Triple(image_iri, _prop(registry, "acquiredBy"), exp_iri))
-        triples.append(Triple(exp_iri, rdf_type, _class(registry, "Experimenter").iri))
-        triples.append(Triple(exp_iri, _prop(registry, "fullName"),
-                              Literal(img.experimenter.name)))
-        if img.experimenter.email is not None:
-            triples.append(Triple(exp_iri, _prop(registry, "email"),
-                                  Literal(img.experimenter.email)))
+        exp_iri = node("Experimenter", img.experimenter.id)
+        link(image_iri, "acquiredBy", exp_iri)
+        literals(exp_iri, _EXPERIMENTER, img.experimenter)
 
     if img.instrument is not None:
         # minted under the generic instrument path so the IRI is computable
         # from the ref alone; the type triple carries the specific class
-        instr_iri = mint_iri(policy, _class(registry, "Instrument"), img.instrument.id)
-        instr_cls = _class(
-            registry,
-            "ElectronMicroscope" if img.instrument.kind is InstrumentKind.ELECTRON
-            else "Instrument",
-        )
-        triples.append(Triple(image_iri, _prop(registry, "acquiredWith"), instr_iri))
-        triples.append(Triple(instr_iri, rdf_type, instr_cls.iri))
-        if img.instrument.model is not None:
-            triples.append(Triple(instr_iri, _prop(registry, "model"),
-                                  Literal(img.instrument.model)))
+        electron = img.instrument.kind is InstrumentKind.ELECTRON
+        instr_iri = node("Instrument", img.instrument.id,
+                         "ElectronMicroscope" if electron else None)
+        link(image_iri, "acquiredWith", instr_iri)
+        literals(instr_iri, _INSTRUMENT, img.instrument)
 
-    external = []
+    external = ()
     if ann is not None:
-        sample_iri = mint_iri(policy, _class(registry, "BioSample"), ann.sample_id)
-        triples.append(Triple(sample_iri, rdf_type, _class(registry, "BioSample").iri))
-        triples.append(Triple(image_iri, _prop(registry, "depicts"), sample_iri))
-
+        sample_iri = node("BioSample", ann.sample_id)
+        link(image_iri, "depicts", sample_iri)
         if ann.container_id is not None:
-            cont_iri = mint_iri(policy, _class(registry, "SampleContainer"), ann.container_id)
-            triples.append(Triple(cont_iri, rdf_type,
-                                  _class(registry, "SampleContainer").iri))
-            triples.append(Triple(sample_iri, _prop(registry, "containedIn"), cont_iri))
-
+            link(sample_iri, "containedIn", node("SampleContainer", ann.container_id))
         if ann.strain_id is not None:
             try:
                 strain_iri = links.resolve(ann.strain_id)
             except LinkRegistryError as e:
                 raise UnresolvableStrainError(ann.strain_id, str(e)) from e
-            triples.append(Triple(sample_iri, _prop(registry, "derivedFrom"), strain_iri))
-            external.append(strain_iri)
-
+            link(sample_iri, "derivedFrom", strain_iri)
+            external = (strain_iri,)
         if ann.staining_method is not None:
-            prep_iri = mint_iri(policy, _class(registry, "SamplePreparation"), img.id)
-            triples.append(Triple(prep_iri, rdf_type,
-                                  _class(registry, "SamplePreparation").iri))
-            triples.append(Triple(sample_iri, _prop(registry, "preparedBy"), prep_iri))
-            triples.append(Triple(prep_iri, _prop(registry, "stainingMethod"),
-                                  Literal(ann.staining_method)))
-
-        if (ann.acceleration_voltage_kv is not None
-                or ann.electron_gun_type is not None
-                or ann.electron_wavelength_pm is not None):
-            cond_iri = mint_iri(policy, _class(registry, "ImagingCondition"), img.id)
-            triples.append(Triple(cond_iri, rdf_type,
-                                  _class(registry, "ImagingCondition").iri))
-            triples.append(Triple(image_iri, _prop(registry, "hasImagingCondition"),
-                                  cond_iri))
-            if ann.acceleration_voltage_kv is not None:
-                triples.append(Triple(cond_iri, _prop(registry, "accelerationVoltage"),
-                                      Literal(str(ann.acceleration_voltage_kv), dec_dt)))
-            if ann.electron_gun_type is not None:
-                triples.append(Triple(cond_iri, _prop(registry, "electronGunType"),
-                                      Literal(ann.electron_gun_type)))
-            if ann.electron_wavelength_pm is not None:
-                triples.append(Triple(cond_iri, _prop(registry, "electronWavelength"),
-                                      Literal(str(ann.electron_wavelength_pm), dec_dt)))
-
-        pheno_cls = _class(registry, "PhenotypeData")
-        has_obs = _prop(registry, "hasObservation")
-        desc = _prop(registry, "description")
+            prep_iri = node("SamplePreparation", img.id)
+            link(sample_iri, "preparedBy", prep_iri)
+            literals(prep_iri, _PREPARATION, ann)
+        if any(get(ann) is not None for _, get in _CONDITION):
+            cond_iri = node("ImagingCondition", img.id)
+            link(image_iri, "hasImagingCondition", cond_iri)
+            literals(cond_iri, _CONDITION, ann)
         for i, observation in enumerate(ann.phenotype_observations):
-            pheno_iri = mint_iri(policy, pheno_cls, f"{img.id}-p{i}")
-            triples.append(Triple(pheno_iri, rdf_type, pheno_cls.iri))
-            triples.append(Triple(image_iri, has_obs, pheno_iri))
-            triples.append(Triple(pheno_iri, desc, Literal(observation)))
+            pheno_iri = node("PhenotypeData", f"{img.id}-p{i}")
+            link(image_iri, "hasObservation", pheno_iri)
+            literals(pheno_iri, _PHENOTYPE, observation)
 
     graph = Graph(triples, _instance_prefixes(registry, policy))
-    return MappedRecord(image_iri, graph, len(graph), tuple(external))
+    return MappedRecord(image_iri, graph, external)
 
 
 def _instance_prefixes(registry: OntologyRegistry, policy: MintingPolicy) -> dict:

@@ -41,6 +41,6 @@ NUMERIC_DATATYPES = frozenset({
 })
 
 # Defaults for the toolkit's own vocabulary and minted instances.  Both are
-# overridable everywhere they are used (flags, config file, function args).
+# overridable through the arguments of every function that uses them.
 DEFAULT_ONTOLOGY_NS = "http://ome-rdf.org/schema#"
 DEFAULT_INSTANCE_BASE = "http://ome-rdf.org/resource/"

@@ -2,7 +2,7 @@
 
 The OME-XML subset covers Image/Pixels/Instrument/Experimenter elements and
 their reference attributes; references are resolved during parsing, so an
-:class:`OmeImage` carries both the raw ref ids and the resolved records.
+:class:`OmeImage` carries the resolved instrument and experimenter records.
 Sidecars are strict TSV files with a fixed header (see SIDECAR_COLUMNS);
 one row annotates one image with biosample and imaging-condition details.
 
@@ -44,6 +44,10 @@ _CURIE_RE = re.compile(r"^[a-z][a-z0-9_]*:\S+$")
 
 VOLTAGE_MAX_KV = Decimal("1000")
 
+# Decimals are written out in full (no exponent), so an exponent must stay
+# small: "1E+999999999" would expand to a gigabyte of digits.
+DECIMAL_EXPONENT_MAX = 100
+
 
 class InstrumentKind(enum.Enum):
     OPTICAL = "opticalMicroscope"
@@ -81,8 +85,6 @@ class OmeImage:
     name: str
     pixels: OmePixels
     acquisition_date: Optional[str] = None  # ISO-8601 with timezone
-    instrument_ref: Optional[str] = None
-    experimenter_ref: Optional[str] = None
     instrument: Optional[OmeInstrument] = None
     experimenter: Optional[OmeExperimenter] = None
 
@@ -137,6 +139,12 @@ def _positive_decimal(el, attr, path):
     except InvalidOperation:
         raise InvalidDimensionError(f"{path}@{attr}",
                                     f"{path}@{attr}: {raw!r} is not a decimal") from None
+    if not value.is_finite():
+        raise InvalidDimensionError(f"{path}@{attr}",
+                                    f"{path}@{attr}: {raw!r} is not finite")
+    if abs(value.adjusted()) > DECIMAL_EXPONENT_MAX:
+        raise InvalidDimensionError(f"{path}@{attr}",
+                                    f"{path}@{attr}: {raw!r} exponent out of range")
     if value <= 0:
         raise InvalidDimensionError(f"{path}@{attr}",
                                     f"{path}@{attr}: physical size must be > 0")
@@ -244,7 +252,6 @@ def parse_ome_document(text: str) -> OmeDocument:
             raise DanglingReferenceError(experimenter_ref)
         images.append(OmeImage(
             id=iid, name=name, pixels=pixels, acquisition_date=acq_date,
-            instrument_ref=instrument_ref, experimenter_ref=experimenter_ref,
             instrument=instruments.get(instrument_ref),
             experimenter=experimenters.get(experimenter_ref),
         ))
@@ -260,18 +267,24 @@ def _decimal_cell(raw, row, column):
     if raw == "":
         return None
     try:
-        return Decimal(raw)
+        value = Decimal(raw)
     except InvalidOperation:
         raise BadValueError(row, column, f"{raw!r} is not a number") from None
+    if not value.is_finite():
+        raise BadValueError(row, column, f"{raw!r} is not a finite number")
+    if abs(value.adjusted()) > DECIMAL_EXPONENT_MAX:
+        raise BadValueError(row, column, f"{raw!r} exponent out of range")
+    return value
 
 
 def parse_sidecar(text: str, strict: bool = True) -> list:
     """Parse a TSV sidecar into :class:`EmAnnotation` records.
 
-    The header must match SIDECAR_COLUMNS exactly.  With ``strict`` (the
-    default) out-of-range voltages and wavelengths are rejected here; with
-    ``strict=False`` they parse and are left for the graph validator to
-    flag.
+    The header must match SIDECAR_COLUMNS exactly.  Non-numeric and
+    non-finite voltages and wavelengths, and those whose leading digit's
+    exponent exceeds DECIMAL_EXPONENT_MAX in size, are always rejected.  With
+    ``strict`` (the default) out-of-range values are rejected too; with
+    ``strict=False`` they are kept as given and nothing checks them.
     """
     lines = text.lstrip("﻿").splitlines()
     if not lines:

@@ -167,11 +167,6 @@ class OntologyRegistry:
         return tuple(c for c in self.classes if c.superclass is None)
 
 
-def lookup_class(registry: OntologyRegistry, iri: Iri) -> OntologyClass:
-    """Free-function form of :meth:`OntologyRegistry.lookup_class`."""
-    return registry.lookup_class(iri)
-
-
 _TRANSLATED = [
     # label, category
     ("Image", Category.IMAGE),

@@ -9,10 +9,9 @@ from .model import (
     Triple,
     graph_insert,
     graph_merge,
-    make_iri,
     term_sort_key,
 )
-from .isomorphism import brute_force_isomorphic, graph_isomorphic
+from .isomorphism import graph_isomorphic
 from .parse import parse, parse_ntriples, parse_turtle
 from .serialize import serialize, serialize_ntriples, serialize_turtle, term_to_ntriples
 
@@ -23,11 +22,9 @@ __all__ = [
     "Literal",
     "Term",
     "Triple",
-    "brute_force_isomorphic",
     "graph_insert",
     "graph_isomorphic",
     "graph_merge",
-    "make_iri",
     "parse",
     "parse_ntriples",
     "parse_turtle",

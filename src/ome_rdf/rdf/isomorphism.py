@@ -1,19 +1,13 @@
 """Blank-node-aware graph equality.
 
-Two routes to the same answer:
-
-* :func:`graph_isomorphic` first compares ground triples, then runs colour
-  refinement over blank nodes and finishes with an exact backtracking
-  search (up to ``brute_force_bound`` blanks).  Above the bound it only
-  answers when refinement pins every blank down to a singleton class,
-  otherwise it raises :class:`TooLargeForExactCheckError`.
-* :func:`brute_force_isomorphic` tries every blank-node bijection outright
-  and exists as an independent oracle for tests.
+:func:`graph_isomorphic` first compares ground triples, then runs colour
+refinement over blank nodes and finishes with an exact backtracking search
+(up to ``brute_force_bound`` blanks).  Above the bound it only answers when
+refinement pins every blank down to a singleton class, otherwise it raises
+:class:`TooLargeForExactCheckError`.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 from ..errors import TooLargeForExactCheckError
 from .model import BlankNode, Graph, Triple
@@ -188,28 +182,3 @@ def graph_isomorphic(a: Graph, b: Graph, brute_force_bound: int = BRUTE_FORCE_BO
         f"({brute_force_bound}) and refinement is inconclusive"
     )
 
-
-def brute_force_isomorphic(a: Graph, b: Graph, max_blanks: int = 8) -> bool:
-    """Try all blank-node bijections.  Test oracle; factorial cost."""
-    if len(a) != len(b):
-        return False
-    ground_a, blankful_a = _split(a)
-    ground_b, blankful_b = _split(b)
-    if ground_a != ground_b:
-        return False
-    labels_a = sorted(a.blank_labels())
-    labels_b = sorted(b.blank_labels())
-    if len(labels_a) != len(labels_b):
-        return False
-    if len(labels_a) > max_blanks:
-        raise TooLargeForExactCheckError(
-            f"{len(labels_a)} blank nodes exceed the oracle bound ({max_blanks})"
-        )
-    if not labels_a:
-        return True
-    target = set(blankful_b)
-    for perm in permutations(labels_b):
-        mapping = dict(zip(labels_a, perm))
-        if _substitute(blankful_a, mapping) == target:
-            return True
-    return False

@@ -64,16 +64,6 @@ class Iri:
         return self.value
 
 
-def make_iri(s: str) -> Iri:
-    """Validate ``s`` and return it as an :class:`Iri`.
-
-    Raises :class:`InvalidIriError` for empty strings, strings without a
-    scheme, or strings containing whitespace or angle-bracket/quote
-    characters.
-    """
-    return Iri(s)
-
-
 @dataclass(frozen=True, slots=True)
 class BlankNode:
     """A graph-local node.  Labels match ``[A-Za-z][A-Za-z0-9]*``."""

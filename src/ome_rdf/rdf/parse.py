@@ -91,8 +91,12 @@ class _Scanner:
         hexes = self.text[self.pos:self.pos + width]
         if len(hexes) < width or not all(c in "0123456789abcdefABCDEF" for c in hexes):
             self.error(f"bad \\{kind} escape")
+        code = int(hexes, 16)
+        if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+            # surrogates and out-of-range values cannot be written as UTF-8
+            self.error(f"\\{kind}{hexes} is not a Unicode scalar value")
         self.advance(width)
-        return chr(int(hexes, 16))
+        return chr(code)
 
     def read_iriref(self) -> Iri:
         start_line, start_col = self.line, self.col

@@ -58,7 +58,8 @@ def serialize_ntriples(g: Graph) -> str:
         f"{term_to_ntriples(t.object)} .\n"
         for t in g
     ]
-    lines.sort(key=lambda s: s.encode("utf-8"))
+    # code-point order is UTF-8 byte order, so no encoded copy is needed
+    lines.sort()
     return "".join(lines)
 
 
@@ -100,26 +101,21 @@ def serialize_turtle(g: Graph) -> str:
 
     by_subject: dict = {}
     for t in g:
-        by_subject.setdefault(t.subject, {}).setdefault(t.predicate.value, []).append(
-            t.object
-        )
+        by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
     if by_subject and out:
         out.append("\n")
 
-    def pred_key(p: str):
-        return "" if p == RDF_TYPE else p
+    def pred_key(p: Iri):
+        return "" if p.value == RDF_TYPE else p.value
 
     for subject in sorted(by_subject, key=term_sort_key):
         preds = by_subject[subject]
         lines = []
-        for pv in sorted(preds, key=pred_key):
-            if pv == RDF_TYPE:
-                verb = "a"
-            else:
-                verb = _term_to_turtle(Iri(pv), namespaces)
+        for p in sorted(preds, key=pred_key):
+            verb = "a" if p.value == RDF_TYPE else _term_to_turtle(p, namespaces)
             objs = ", ".join(
                 _term_to_turtle(o, namespaces)
-                for o in sorted(preds[pv], key=term_sort_key)
+                for o in sorted(preds[p], key=term_sort_key)
             )
             lines.append((verb, objs))
         subj = _term_to_turtle(subject, namespaces)

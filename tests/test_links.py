@@ -11,7 +11,6 @@ from ome_rdf.links import (
     LinkEntry,
     LinkRegistry,
     check_links,
-    resolve,
 )
 from ome_rdf.rdf import Iri
 
@@ -23,25 +22,25 @@ def registry():
 
 class TestResolve:
     def test_riken_mouse_strain(self, registry):
-        iri = resolve(registry, "rikenbrc_mouse:RBRC00001")
+        iri = registry.resolve("rikenbrc_mouse:RBRC00001")
         assert iri.value == "http://metadb.riken.jp/metadb/db/rikenbrc_mouse/RBRC00001"
 
     def test_unknown_prefix(self, registry):
         with pytest.raises(UnknownPrefixError):
-            resolve(registry, "nosuch:X1")
+            registry.resolve("nosuch:X1")
 
     def test_pattern_mismatch_on_whitespace(self, registry):
         with pytest.raises(IdPatternMismatchError):
-            resolve(registry, "rikenbrc_mouse:bad id")
+            registry.resolve("rikenbrc_mouse:bad id")
 
     @pytest.mark.parametrize("curie", ["noseparator", ":x", "p:", ""])
     def test_malformed(self, registry, curie):
         with pytest.raises(MalformedCurieError):
-            resolve(registry, curie)
+            registry.resolve(curie)
 
     def test_injective_per_prefix(self, registry):
         ids = [f"RBRC{i:05d}" for i in range(50)]
-        iris = {resolve(registry, f"rikenbrc_mouse:{i}").value for i in ids}
+        iris = {registry.resolve(f"rikenbrc_mouse:{i}").value for i in ids}
         assert len(iris) == len(ids)
 
 

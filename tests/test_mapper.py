@@ -1,4 +1,5 @@
-from decimal import Decimal
+import random
+import re
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,14 @@ from ome_rdf.mapper import (
     mint_iri,
 )
 from ome_rdf.namespaces import RDF_TYPE
-from ome_rdf.ome_xml import EmAnnotation, parse_ome_document, parse_sidecar
+from ome_rdf.ome_xml import (
+    SIDECAR_COLUMNS,
+    EmAnnotation,
+    parse_ome_document,
+    parse_sidecar,
+)
 from ome_rdf.ontology import build_core_ontology
-from ome_rdf.rdf import Graph, Iri, graph_merge, serialize
+from ome_rdf.rdf import BlankNode, Graph, Iri, Literal, graph_merge, serialize
 
 DATA = Path(__file__).parent / "data"
 BASE = "http://ex.org/i/"
@@ -59,6 +65,54 @@ def types_of(graph, subject):
             if t.subject == subject and t.predicate.value == RDF_TYPE}
 
 
+def golden_with(field, raw):
+    """The golden document and sidecar with one OME attribute or sidecar
+    cell replaced by ``raw``."""
+    xml = (DATA / "golden.ome.xml").read_text()
+    header, row = (DATA / "golden.ann.tsv").read_text().splitlines()
+    if field in SIDECAR_COLUMNS:
+        cells = row.split("\t")
+        cells[SIDECAR_COLUMNS.index(field)] = raw
+        row = "\t".join(cells)
+    else:
+        xml, n = re.subn(f'{field}="[^"]*"', f'{field}="{raw}"', xml)
+        assert n == 1
+    return parse_ome_document(xml), parse_sidecar(f"{header}\n{row}\n")
+
+
+def generated_document(seed, n_images=12):
+    """A small seeded OME-XML document and sidecar that switch every
+    optional field on and off."""
+    rng = random.Random(seed)
+    maybe = lambda text: text if rng.random() < 0.5 else ""
+    parts = ['<OME xmlns="http://www.openmicroscopy.org/Schemas/OME/2015-01">']
+    for i in range(2):
+        parts.append(f'<Experimenter ID="E{i}" Name="person {i}"'
+                     + maybe(f' Email="p{i}@lab.example"') + "/>")
+        parts.append(f'<Instrument ID="I{i}" Kind="{("Optical", "Electron")[i]}"'
+                     + maybe(f' Model="M-{i}"') + "/>")
+    rows = ["\t".join(SIDECAR_COLUMNS)]
+    for i in range(n_images):
+        parts.append(
+            f'<Image ID="IMG{i}" Name="image {i}">'
+            + maybe("<AcquisitionDate>2020-02-0{0}T10:00:00Z</AcquisitionDate>".format(i % 9 + 1))
+            + maybe(f'<ExperimenterRef ID="E{rng.randrange(2)}"/>')
+            + maybe(f'<InstrumentRef ID="I{rng.randrange(2)}"/>')
+            + f'<Pixels SizeX="{rng.randrange(1, 4096)}" SizeY="64" SizeZ="1" SizeC="3"'
+            + f' SizeT="{rng.randrange(1, 9)}"'
+            + maybe(f' PhysicalSizeX="0.{rng.randrange(1, 999)}"')
+            + maybe(' PhysicalSizeY="2.5"') + "/></Image>")
+        if rng.random() < 0.8:
+            rows.append("\t".join([
+                f"IMG{i}", f"S{rng.randrange(4)}", maybe(f"C{rng.randrange(3)}"),
+                maybe(f"rikenbrc_mouse:RBRC{rng.randrange(100):05d}"), maybe("osmium"),
+                maybe(f"{rng.randrange(1, 300)}.5"), maybe("field emission"),
+                maybe("1E+1"), maybe("liver cells;nucleus"),
+            ]))
+    parts.append("</OME>")
+    return parse_ome_document("".join(parts)), parse_sidecar("\n".join(rows) + "\n")
+
+
 class TestMintIri:
     def test_concatenation_rule(self, registry, policy):
         image_cls = registry.class_by_label("Image")
@@ -76,17 +130,12 @@ class TestMintIri:
         with pytest.raises(ValueError):
             MintingPolicy(Iri("http://ex.org/noslash"))
 
-    def test_skolemization_is_fixed(self):
-        with pytest.raises(ValueError):
-            MintingPolicy(Iri(BASE), skolemize=False)
-
 
 class TestMapPair:
     def test_minimal_image_emits_exactly_seven_triples(
             self, minimal_image, registry, policy, links):
         # by-hand enumeration: 1 type + 5 sizes + 1 name
         record = map_pair(minimal_image, None, registry, policy, links)
-        assert record.triple_count == 7
         assert len(record.graph) == 7
         preds = sorted(t.predicate.value.rsplit("#", 1)[-1] for t in record.graph)
         assert preds == ["name", "sizeC", "sizeT", "sizeX", "sizeY", "sizeZ", "type"]
@@ -164,6 +213,26 @@ class TestMapPair:
                  if t.predicate == registry.property_by_label("accelerationVoltage").iri]
         assert volts == ["5.0"]
 
+    @pytest.mark.parametrize("field, label", [
+        ("PhysicalSizeX", "physicalSizeX"),
+        ("PhysicalSizeY", "physicalSizeY"),
+        ("voltage_kv", "accelerationVoltage"),
+        ("wavelength_pm", "electronWavelength"),
+    ])
+    @pytest.mark.parametrize("raw, lexical", [
+        ("1E+2", "100"),
+        ("1E-7", "0.0000001"),
+        ("5.0", "5.0"),
+        ("1E-100", "0." + "0" * 99 + "1"),
+    ])
+    def test_decimal_lexical_form_is_canonical(
+            self, field, label, raw, lexical, registry, policy, links):
+        doc, (ann,) = golden_with(field, raw)
+        g = map_pair(doc.images[0], ann, registry, policy, links).graph
+        prop = registry.property_by_label(label)
+        (obj,) = [t.object for t in g if t.predicate == prop.iri]
+        assert (obj.lexical, obj.datatype) == (lexical, prop.range)
+
 
 class TestMapAll:
     def _image(self, image_id):
@@ -188,7 +257,7 @@ class TestMapAll:
     def test_disjoint_records_sizes_add(self, registry, policy, links):
         pairs = [(self._image(f"D{i}"), None) for i in range(3)]
         result = map_all(pairs, registry, policy, links)
-        assert len(result.graph) == sum(r.triple_count for r in result.records)
+        assert len(result.graph) == sum(len(r.graph) for r in result.records)
 
     def test_equals_graph_merge_fold(self, registry, policy, links):
         pairs = [
@@ -229,6 +298,30 @@ class TestMapDocument:
         assert len(result.records) == 1
         # instrument + experimenter nodes live in the per-record graph
         assert types_of(result.graph, Iri(BASE + "experimenter/E1"))
+
+    def test_golden_document_has_no_blank_nodes(self, registry, policy, links):
+        doc = parse_ome_document((DATA / "golden.ome.xml").read_text())
+        anns = parse_sidecar((DATA / "golden.ann.tsv").read_text())
+        g = map_document(doc, anns, registry, policy, links).graph
+        assert len(g) > 0
+        assert not any(isinstance(term, BlankNode)
+                       for t in g for term in (t.subject, t.predicate, t.object))
+
+    @pytest.mark.parametrize("source", ["golden", "generated-1", "generated-2"])
+    def test_every_literal_datatype_is_the_property_range(
+            self, source, registry, policy, links):
+        if source == "golden":
+            doc = parse_ome_document((DATA / "golden.ome.xml").read_text())
+            anns = parse_sidecar((DATA / "golden.ann.tsv").read_text())
+        else:
+            doc, anns = generated_document(int(source.rsplit("-", 1)[1]))
+        g = map_document(doc, anns, registry, policy, links).graph
+        literal_triples = [t for t in g if isinstance(t.object, Literal)]
+        assert literal_triples
+        for t in literal_triples:
+            prop = registry.lookup_property(t.predicate)
+            assert prop is not None, t.predicate
+            assert t.object.datatype == prop.range, t
 
     def test_orphans_skipped_in_lenient_mode(self, registry, policy, links):
         doc = parse_ome_document((DATA / "minimal.ome.xml").read_text())

@@ -40,6 +40,12 @@ IMG = (
     "</Image>"
 )
 
+NON_FINITE = ["NaN", "sNaN", "Infinity", "-Infinity"]
+# exponents beyond DECIMAL_EXPONENT_MAX: written out in full, each takes
+# 100 bytes to gigabytes, or fails with MemoryError
+HUGE_EXPONENT = ["1E+999999999", "1E-999999999", "0E-999999999",
+                 "1E+999999999999999999", "1E+101", "1E-101"]
+
 
 class TestParseOmeDocument:
     def test_minimal_document(self):
@@ -68,6 +74,18 @@ class TestParseOmeDocument:
     def test_non_integer_dimension_rejected(self):
         with pytest.raises(InvalidDimensionError):
             parse_ome_document(doc(IMG.format(id="I", z="abc")))
+
+    @pytest.mark.parametrize("attr", ["PhysicalSizeX", "PhysicalSizeY"])
+    @pytest.mark.parametrize("raw", NON_FINITE + HUGE_EXPONENT)
+    def test_non_finite_or_huge_physical_size_rejected(self, attr, raw):
+        body = (
+            '<Image ID="I" Name="n">'
+            f'<Pixels SizeX="1" SizeY="1" SizeZ="1" SizeC="1" SizeT="1" {attr}="{raw}"/>'
+            "</Image>"
+        )
+        with pytest.raises(InvalidDimensionError) as err:
+            parse_ome_document(doc(body))
+        assert err.value.path.endswith(f"@{attr}")
 
     def test_dangling_instrument_reference(self):
         body = (
@@ -183,6 +201,16 @@ class TestParseSidecar:
             parse_sidecar(HEADER + "\n" + row)
         (ann,) = parse_sidecar(HEADER + "\n" + row, strict=False)
         assert ann.acceleration_voltage_kv == Decimal("1500")
+
+    @pytest.mark.parametrize("column", ["voltage_kv", "wavelength_pm"])
+    @pytest.mark.parametrize("raw", NON_FINITE + HUGE_EXPONENT)
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_non_finite_or_huge_decimal_rejected(self, column, raw, strict):
+        cells = ["IMG1", "S1"] + [""] * (len(SIDECAR_COLUMNS) - 2)
+        cells[SIDECAR_COLUMNS.index(column)] = raw
+        with pytest.raises(BadValueError) as err:
+            parse_sidecar(HEADER + "\n" + "\t".join(cells) + "\n", strict=strict)
+        assert err.value.column == column
 
     def test_bad_strain_curie(self):
         row = "IMG1\tS1\t\tNotACurie\t\t\t\t\t"

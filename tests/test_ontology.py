@@ -11,7 +11,6 @@ from ome_rdf.ontology import (
     PropertyDef,
     annotation_iri,
     build_core_ontology,
-    lookup_class,
     registry_to_graph,
 )
 from ome_rdf.rdf import Iri, Literal, parse, serialize
@@ -109,15 +108,15 @@ class TestCoreRoster:
 
 class TestLookup:
     def test_image_is_translated_image_category(self, core):
-        cls = lookup_class(core, Iri(NS + "Image"))
+        cls = core.lookup_class(Iri(NS + "Image"))
         assert cls.category is Category.IMAGE and cls.origin is Origin.TRANSLATED
 
     def test_biosample_is_extended(self, core):
-        assert lookup_class(core, Iri(NS + "BioSample")).origin is Origin.EXTENDED
+        assert core.lookup_class(Iri(NS + "BioSample")).origin is Origin.EXTENDED
 
     def test_unregistered_not_found(self, core):
         with pytest.raises(ClassNotFoundError):
-            lookup_class(core, Iri(NS + "Banana"))
+            core.lookup_class(Iri(NS + "Banana"))
 
 
 class TestRegistryToGraph:

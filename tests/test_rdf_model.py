@@ -20,7 +20,6 @@ from ome_rdf.rdf import (
     graph_insert,
     graph_isomorphic,
     graph_merge,
-    make_iri,
     parse,
     serialize,
 )
@@ -34,25 +33,30 @@ def t(s, p, o):
     return Triple(Iri(EX + s), Iri(EX + p), Iri(EX + o))
 
 
-class TestMakeIri:
+class TestIri:
     def test_wellformed(self):
-        assert make_iri("http://example.org/a").value == "http://example.org/a"
+        assert Iri("http://example.org/a").value == "http://example.org/a"
 
     def test_no_scheme_and_whitespace(self):
         with pytest.raises(InvalidIriError):
-            make_iri("no scheme here")
+            Iri("no scheme here")
 
     def test_paper_strain_database_url(self):
-        iri = make_iri("http://metadb.riken.jp/metadb/db/rikenbrc_mouse")
+        iri = Iri("http://metadb.riken.jp/metadb/db/rikenbrc_mouse")
         assert iri.value.endswith("rikenbrc_mouse")
 
-    @pytest.mark.parametrize("bad", ["", "nocolon", "http://a<b", 'http://a"b', "http://a>b", "ht tp://x"])
+    @pytest.mark.parametrize("bad", [
+        "", "nocolon", "http://a<b", 'http://a"b', "http://a>b", "ht tp://x",
+        # Unicode whitespace that str.isspace() rejects
+        "http://a\x85b", "http://a\xa0b", "http://a\u2000b", "http://a\u2028b",
+        "http://a\u3000b",
+    ])
     def test_rejects(self, bad):
         with pytest.raises(InvalidIriError):
-            make_iri(bad)
+            Iri(bad)
 
     def test_urn_scheme_ok(self):
-        assert make_iri("urn:x:1").value == "urn:x:1"
+        assert Iri("urn:x:1").value == "urn:x:1"
 
 
 class TestLiteral:

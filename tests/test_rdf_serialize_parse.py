@@ -12,12 +12,12 @@ from ome_rdf.rdf import (
     Iri,
     Literal,
     Triple,
-    brute_force_isomorphic,
     parse,
     serialize,
 )
 
 from genutil import random_graph
+from oracle import brute_force_isomorphic
 
 EX = "http://ex.org/"
 
@@ -37,11 +37,16 @@ class TestNtriplesSerialize:
         assert lines[0] == f"<{EX}s> <{EX}p> <{EX}o> ."
 
     def test_lines_sorted_bytewise_no_trailing_blank(self):
-        g = Graph([t("z", "p", "o"), t("a", "p", "o"), t("m", "p", "o")])
+        # literals take one character from each UTF-8 length class and from
+        # both sides of the surrogate gap
+        chars = ["z", "\xe9", "\u07ff", "\u0800", "\ud7ff", "\ue000", "\uffff", "\U00010000"]
+        g = Graph([t("z", "p", "o"), t("a", "p", "o"), t("m", "p", "o")]
+                  + [Triple(Iri(EX + "s"), Iri(EX + "p"), Literal(c)) for c in chars])
         text = serialize(g, "ntriples")
         lines = text.split("\n")
         assert lines[-1] == ""  # final LF, nothing after it
         body = lines[:-1]
+        assert len(body) == 3 + len(chars)
         assert body == sorted(body, key=lambda s: s.encode("utf-8"))
 
     def test_random_ground_graph_roundtrip_sorted_lines(self):
@@ -112,6 +117,15 @@ class TestParseNtriples:
         g = parse(f'<{EX}s> <{EX}p> "\\u00e9\\U0001F600" .\n', "ntriples")
         (triple,) = g
         assert triple.object.lexical == "é\U0001F600"
+
+    @pytest.mark.parametrize("escape", ["\\uD800", "\\uDFFF", "\\U0000DC00", "\\U00110000"])
+    @pytest.mark.parametrize("where", ["literal", "iri"])
+    @pytest.mark.parametrize("fmt", ["ntriples", "turtle"])
+    def test_escape_outside_unicode_scalars_rejected(self, escape, where, fmt):
+        obj = f'"a{escape}"' if where == "literal" else f"<{EX}o{escape}>"
+        with pytest.raises(RdfSyntaxError) as err:
+            parse(f"<{EX}s> <{EX}p> {obj} .\n", fmt)
+        assert err.value.line == 1
 
 
 class TestParseTurtle:
