@@ -9,8 +9,6 @@ runs through an injected fetch callable so everything here works offline.
 from __future__ import annotations
 
 import re
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -27,7 +25,6 @@ from .rdf import Iri
 _PREFIX_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 DEFAULT_PARALLELISM = 8
-DEFAULT_TIMEOUT_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -128,20 +125,6 @@ class LinkCheckResult:
 
 
 Fetcher = Callable[[str], int]
-
-
-def urllib_fetcher(timeout: float = DEFAULT_TIMEOUT_S) -> Fetcher:
-    """HEAD-request fetcher over ``urllib``, for :func:`check_links`."""
-
-    def fetch(iri: str) -> int:
-        req = urllib.request.Request(iri, method="HEAD")
-        try:
-            with urllib.request.urlopen(req, timeout=timeout) as resp:
-                return resp.status
-        except urllib.error.HTTPError as e:
-            return e.code
-
-    return fetch
 
 
 def check_links(iris, fetcher: Optional[Fetcher] = None,

@@ -33,6 +33,7 @@ from .ontology import OntologyClass, OntologyRegistry, PropertyDef
 from .rdf import Graph, Iri, Literal, Triple
 
 _TYPE = Iri(RDF_TYPE)
+_XSD = Iri(XSD_NS)
 
 # One table per node shape: (property label, getter) rows.  A row whose
 # getter returns None emits nothing; the literal's datatype is always the
@@ -188,9 +189,9 @@ def map_pair(
 
 def _instance_prefixes(registry: OntologyRegistry, policy: MintingPolicy) -> dict:
     return {
-        "mo": registry.namespace.value,
-        "res": policy.instance_base.value,
-        "xsd": XSD_NS,
+        "mo": registry.namespace,
+        "res": policy.instance_base,
+        "xsd": _XSD,
     }
 
 

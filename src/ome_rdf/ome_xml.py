@@ -41,6 +41,7 @@ SIDECAR_COLUMNS = (
 )
 
 _CURIE_RE = re.compile(r"^[a-z][a-z0-9_]*:\S+$")
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
 VOLTAGE_MAX_KV = Decimal("1000")
 
@@ -177,7 +178,8 @@ def parse_ome_document(text: str) -> OmeDocument:
     """
     try:
         root = ET.fromstring(text)
-    except ET.ParseError as e:
+    except (ET.ParseError, UnicodeEncodeError) as e:
+        # the encode error comes from a str holding a lone surrogate
         raise MalformedXmlError(f"not well-formed XML: {e}") from e
     if _local(root.tag) != "OME":
         raise MalformedXmlError(f"root element is {_local(root.tag)!r}, expected OME")
@@ -280,7 +282,8 @@ def _decimal_cell(raw, row, column):
 def parse_sidecar(text: str, strict: bool = True) -> list:
     """Parse a TSV sidecar into :class:`EmAnnotation` records.
 
-    The header must match SIDECAR_COLUMNS exactly.  Non-numeric and
+    The header must match SIDECAR_COLUMNS exactly, and no cell may hold a
+    lone surrogate, which UTF-8 cannot encode.  Non-numeric and
     non-finite voltages and wavelengths, and those whose leading digit's
     exponent exceeds DECIMAL_EXPONENT_MAX in size, are always rejected.  With
     ``strict`` (the default) out-of-range values are rejected too; with
@@ -306,6 +309,10 @@ def parse_sidecar(text: str, strict: bool = True) -> list:
         if len(cells) != len(SIDECAR_COLUMNS):
             raise BadValueError(lineno, "row",
                                 f"expected {len(SIDECAR_COLUMNS)} cells, found {len(cells)}")
+        bad = _SURROGATE_RE.search(line)
+        if bad:
+            column = SIDECAR_COLUMNS[line.count("\t", 0, bad.start())]
+            raise BadValueError(lineno, column, f"lone surrogate {bad.group()!r}")
         row = dict(zip(SIDECAR_COLUMNS, cells))
         image_id = row["image_id"]
         if not image_id:

@@ -24,9 +24,11 @@ from ..namespaces import NUMERIC_DATATYPES, RDF_LANGSTRING, XSD_STRING
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 # Characters an IRI may never contain if it is to survive <...> quoting in
-# N-Triples: angle brackets, quotes, braces, pipes, carets, backquotes,
-# backslashes and anything at or below U+0020.
-_IRI_FORBIDDEN = set('<>"{}|^`\\')
+# N-Triples: whitespace, angle brackets, quotes, braces, pipes, carets,
+# backquotes, backslashes, anything at or below U+0020, and lone surrogates,
+# which UTF-8 cannot encode.
+_IRI_FORBIDDEN_RE = re.compile(r'[\s<>"{}|^`\\\x00-\x20\ud800-\udfff]')
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
 _BLANK_LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 _LANG_TAG_RE = re.compile(r"^[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*$")
@@ -56,9 +58,9 @@ class Iri:
             raise InvalidIriError("empty IRI")
         if not _SCHEME_RE.match(v):
             raise InvalidIriError(f"missing scheme in {v!r}")
-        for ch in v:
-            if ch.isspace() or ch in _IRI_FORBIDDEN or ord(ch) <= 0x20:
-                raise InvalidIriError(f"forbidden character {ch!r} in {v!r}")
+        bad = _IRI_FORBIDDEN_RE.search(v)
+        if bad:
+            raise InvalidIriError(f"forbidden character {bad.group()!r} in {v!r}")
 
     def __str__(self):
         return self.value
@@ -107,6 +109,11 @@ class Literal:
     language: Optional[str] = None
 
     def __post_init__(self):
+        bad = _SURROGATE_RE.search(self.lexical)
+        if bad:
+            raise InvalidLiteralError(
+                f"lone surrogate {bad.group()!r} in lexical form {self.lexical!r}"
+            )
         if self.language is not None:
             if not _LANG_TAG_RE.match(self.language):
                 raise InvalidLiteralError(f"bad language tag {self.language!r}")
@@ -154,13 +161,6 @@ class Triple:
         if not isinstance(self.object, (Iri, BlankNode, Literal)):
             raise TypeError(f"bad object {self.object!r}")
 
-    def sort_key(self):
-        return (
-            term_sort_key(self.subject),
-            self.predicate.value,
-            term_sort_key(self.object),
-        )
-
 
 class Graph:
     """An immutable set of triples plus a prefix map.
@@ -181,7 +181,8 @@ class Graph:
         for name, ns in (prefixes or {}).items():
             if not _PREFIX_NAME_RE.match(name):
                 raise ValueError(f"bad prefix name {name!r}")
-            pfx[name] = Iri(ns).value if isinstance(ns, str) else Iri(ns.value).value
+            # an Iri was validated when it was built; a str is validated here
+            pfx[name] = ns.value if isinstance(ns, Iri) else Iri(ns).value
         self._prefixes = pfx
 
     @property
@@ -211,9 +212,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({len(self._triples)} triples, {len(self._prefixes)} prefixes)"
-
-    def sorted_triples(self) -> list:
-        return sorted(self._triples, key=Triple.sort_key)
 
     def blank_labels(self) -> frozenset:
         labels = set()

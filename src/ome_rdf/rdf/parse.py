@@ -7,6 +7,11 @@ in the Turtle grammar (collections, anonymous blanks, ``@base``, numeric
 and boolean shorthand, triple quoting) raises
 :class:`UnsupportedConstructError`; malformed input raises
 :class:`RdfSyntaxError` with line and column.
+
+Both parsers share one cursor over the text.  Each token (whitespace and
+comments, names, the runs of IRI and string bodies between escapes) is
+consumed by one compiled regex; line and column are counted from the
+text only when an error is raised.
 """
 
 from __future__ import annotations
@@ -25,19 +30,29 @@ _PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.-]*)?:([A-Za-z0-9_][A-Za-z0-9_.%-]
 _BLANK_RE = re.compile(r"_:([A-Za-z][A-Za-z0-9]*)")
 _LANGTAG_RE = re.compile(r"@([A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*)")
 _KEYWORD_RE = re.compile(r"[A-Za-z@]+")
+_BOOLEAN_RE = re.compile(r"(?:true|false)[.,;]*(?!\S)")
+_HEX_RE = re.compile(r"[0-9A-Fa-f]*")
+# whitespace and comments; the second form stops at a newline
+_SKIP_RE = re.compile(r"(?:\s+|#[^\n]*)*")
+_SKIP_INLINE_RE = re.compile(r"(?:[^\S\n]+|#[^\n]*)*")
+# the runs between escapes and terminators
+_IRI_BODY_RE = re.compile(r"[^>\\]*")
+_STRING_BODY_RE = re.compile(r'[^"\\\n]*')
 
 
 class _Scanner:
-    """Character scanner with line/column tracking."""
+    """A cursor over the text; positions are worked out only for errors."""
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
+
+    def position(self, at: int) -> tuple:
+        """The 1-based (line, column) of offset ``at``."""
+        return self.text.count("\n", 0, at) + 1, at - self.text.rfind("\n", 0, at)
 
     def error(self, message: str, cls=RdfSyntaxError):
-        raise cls(message, self.line, self.col)
+        raise cls(message, *self.position(self.pos))
 
     def unsupported(self, construct: str):
         self.error(f"unsupported construct: {construct}", UnsupportedConstructError)
@@ -48,82 +63,59 @@ class _Scanner:
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def advance(self, n: int = 1):
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
     def skip_ws_and_comments(self, newlines: bool = True):
-        while not self.eof():
-            ch = self.peek()
-            if ch == "#":
-                while not self.eof() and self.peek() != "\n":
-                    self.advance()
-            elif ch == "\n" and not newlines:
-                return
-            elif ch.isspace():
-                self.advance()
-            else:
-                return
+        self.match_re(_SKIP_RE if newlines else _SKIP_INLINE_RE)
 
     def match_re(self, pattern: re.Pattern):
         m = pattern.match(self.text, self.pos)
         if m:
-            self.advance(len(m.group(0)))
+            self.pos = m.end()
         return m
 
     def expect(self, literal: str):
         if self.text.startswith(literal, self.pos):
-            self.advance(len(literal))
+            self.pos += len(literal)
         else:
             self.error(f"expected {literal!r}")
 
     def read_uchar(self) -> str:
-        # positioned after the backslash
+        # positioned after the backslash, on "u", "U" or the end of the text
         kind = self.peek()
         width = 4 if kind == "u" else 8
-        self.advance()
+        self.pos += len(kind)
         hexes = self.text[self.pos:self.pos + width]
-        if len(hexes) < width or not all(c in "0123456789abcdefABCDEF" for c in hexes):
+        if len(hexes) < width or not _HEX_RE.fullmatch(hexes):
             self.error(f"bad \\{kind} escape")
         code = int(hexes, 16)
         if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
             # surrogates and out-of-range values cannot be written as UTF-8
             self.error(f"\\{kind}{hexes} is not a Unicode scalar value")
-        self.advance(width)
+        self.pos += width
         return chr(code)
 
     def read_iriref(self) -> Iri:
-        start_line, start_col = self.line, self.col
+        start = self.pos
         self.expect("<")
         if self.peek() == "<":
             self.unsupported("quoted triple")
         chars = []
         while True:
-            if self.eof():
-                self.error("unterminated IRI")
+            chars.append(self.match_re(_IRI_BODY_RE).group())
             ch = self.peek()
             if ch == ">":
-                self.advance()
+                self.pos += 1
                 break
-            if ch == "\\":
-                self.advance()
-                if self.peek() in "uU":
-                    chars.append(self.read_uchar())
-                else:
-                    self.error("only \\u / \\U escapes allowed in IRIs")
+            if ch == "":
+                self.error("unterminated IRI")
+            self.pos += 1  # the backslash
+            if self.peek() in "uU":
+                chars.append(self.read_uchar())
             else:
-                self.advance()
-                chars.append(ch)
+                self.error("only \\u / \\U escapes allowed in IRIs")
         try:
             return Iri("".join(chars))
         except InvalidIriError as e:
-            raise RdfSyntaxError(str(e), start_line, start_col) from e
+            raise RdfSyntaxError(str(e), *self.position(start)) from e
 
     def read_string(self) -> str:
         self.expect('"')
@@ -133,31 +125,28 @@ class _Scanner:
                 self.unsupported("triple-quoted string")
         chars = []
         while True:
-            if self.eof():
-                self.error("unterminated string")
+            chars.append(self.match_re(_STRING_BODY_RE).group())
             ch = self.peek()
             if ch == '"':
-                self.advance()
+                self.pos += 1
                 return "".join(chars)
+            if ch == "":
+                self.error("unterminated string")
             if ch == "\n":
                 self.error("newline in single-quoted string")
-            if ch == "\\":
-                self.advance()
-                esc = self.peek()
-                if esc in "uU":
-                    chars.append(self.read_uchar())
-                elif esc in _ECHAR:
-                    chars.append(_ECHAR[esc])
-                    self.advance()
-                else:
-                    self.error(f"bad escape \\{esc}")
+            self.pos += 1  # the backslash
+            esc = self.peek()
+            if esc in "uU":
+                chars.append(self.read_uchar())
+            elif esc in _ECHAR:
+                chars.append(_ECHAR[esc])
+                self.pos += 1
             else:
-                chars.append(ch)
-                self.advance()
+                self.error(f"bad escape \\{esc}")
 
 
 def _read_literal(sc: _Scanner, resolve_pname) -> Literal:
-    line, col = sc.line, sc.col
+    start = sc.pos
     lexical = sc.read_string()
     language = None
     datatype = None
@@ -167,7 +156,7 @@ def _read_literal(sc: _Scanner, resolve_pname) -> Literal:
             sc.error("bad language tag")
         language = m.group(1)
     elif sc.text.startswith("^^", sc.pos):
-        sc.advance(2)
+        sc.pos += 2
         if sc.peek() == "<":
             datatype = sc.read_iriref()
         else:
@@ -175,7 +164,7 @@ def _read_literal(sc: _Scanner, resolve_pname) -> Literal:
     try:
         return Literal(lexical, datatype, language)
     except InvalidLiteralError as e:
-        raise RdfSyntaxError(str(e), line, col) from e
+        raise RdfSyntaxError(str(e), *sc.position(start)) from e
 
 
 # --------------------------------------------------------------- N-Triples
@@ -239,18 +228,16 @@ def parse_turtle(text: str) -> Graph:
         if not m:
             _sc.error("expected prefixed name")
         prefix = m.group(1) or ""
-        local = m.group(2) or ""
-        while local.endswith("."):
-            # statement-terminating dot(s) glued to the local name
-            _sc.pos -= 1
-            _sc.col -= 1
-            local = local[:-1]
+        glued = m.group(2) or ""
+        # statement-terminating dot(s) glued to the local name
+        local = glued.rstrip(".")
+        _sc.pos -= len(glued) - len(local)
         if prefix not in prefixes:
             _sc.error(f"undeclared prefix {prefix!r}")
         try:
             return Iri(prefixes[prefix] + local)
         except InvalidIriError as e:
-            raise RdfSyntaxError(str(e), _sc.line, _sc.col) from e
+            raise RdfSyntaxError(str(e), *_sc.position(_sc.pos)) from e
 
     def read_term(position: str):
         ch = sc.peek()
@@ -270,10 +257,8 @@ def parse_turtle(text: str) -> Graph:
                 sc.unsupported("single-quoted string")
             if ch.isdigit() or ch in "+-.":
                 sc.unsupported("numeric literal shorthand")
-            if sc.text.startswith("true", sc.pos) or sc.text.startswith("false", sc.pos):
-                after = sc.text[sc.pos:].split(None, 1)[0].rstrip(".,;")
-                if after in ("true", "false"):
-                    sc.unsupported("boolean literal shorthand")
+            if _BOOLEAN_RE.match(sc.text, sc.pos):
+                sc.unsupported("boolean literal shorthand")
         m = _PNAME_RE.match(sc.text, sc.pos)
         if m and ":" in m.group(0):
             return resolve_pname(sc)
@@ -285,7 +270,7 @@ def parse_turtle(text: str) -> Graph:
         if sc.peek() == "a":
             nxt = sc.text[sc.pos + 1: sc.pos + 2]
             if nxt == "" or nxt.isspace() or nxt in "<#":
-                sc.advance()
+                sc.pos += 1
                 return Iri(RDF_TYPE)
         term = read_term("predicate")
         if not isinstance(term, Iri):
@@ -305,13 +290,15 @@ def parse_turtle(text: str) -> Graph:
         if not pm or pm.group(2):
             sc.error("expected prefix declaration name ending in ':'")
         name = pm.group(1) or ""
+        if name.endswith("."):
+            sc.error(f"prefix name {name!r} ends with '.'")
         sc.skip_ws_and_comments()
         ns = sc.read_iriref()
         sc.skip_ws_and_comments()
         if lowered == "@prefix":
             sc.expect(".")
         elif sc.peek() == ".":  # tolerate SPARQL PREFIX with trailing dot
-            sc.advance()
+            sc.pos += 1
         prefixes[name] = ns.value
 
     while True:
@@ -337,11 +324,11 @@ def parse_turtle(text: str) -> Graph:
                 triples.append(Triple(subject, predicate, obj))
                 sc.skip_ws_and_comments()
                 if sc.peek() == ",":
-                    sc.advance()
+                    sc.pos += 1
                     continue
                 break
             if sc.peek() == ";":
-                sc.advance()
+                sc.pos += 1
                 sc.skip_ws_and_comments()
                 if sc.peek() == ".":  # trailing semicolon
                     break

@@ -18,22 +18,11 @@ _FORMATS = ("turtle", "ntriples")
 # Conservative Turtle local-name subset: anything outside it is written in
 # full <...> form rather than risking an unparseable prefixed name.
 _SAFE_LOCAL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$|^$")
+_STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
 
 
 def _escape_string(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_STRING_ESCAPES)
 
 
 def term_to_ntriples(term: Term) -> str:

@@ -130,6 +130,15 @@ class TestParseOmeDocument:
         with pytest.raises(MalformedXmlError):
             parse_ome_document("<OME><Image></OME>")
 
+    @pytest.mark.parametrize("body", [
+        IMG.replace('Name="n"', 'Name="n\ud800"').format(id="I", z="1"),
+        '<Experimenter ID="E1" Name="\udfff"/>',
+        "<!-- \ud800 -->",
+    ])
+    def test_lone_surrogate_is_malformed_xml(self, body):
+        with pytest.raises(MalformedXmlError):
+            parse_ome_document(doc(body))
+
     def test_fixture_corpus_never_crashes(self):
         # totality over the fixture corpus: typed outcome for every file
         for path in sorted(DATA.glob("*.xml")):
@@ -211,6 +220,18 @@ class TestParseSidecar:
         with pytest.raises(BadValueError) as err:
             parse_sidecar(HEADER + "\n" + "\t".join(cells) + "\n", strict=strict)
         assert err.value.column == column
+
+    @pytest.mark.parametrize("column", SIDECAR_COLUMNS)
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_lone_surrogate_rejected(self, column, strict):
+        good = ["IMG2", "S1", "C1", "rikenbrc_mouse:RBRC001", "osmium", "5.0",
+                "field emission", "17.3", "liver cells"]
+        bad = ["IMG3"] + good[1:]
+        bad[SIDECAR_COLUMNS.index(column)] += "\ud800"
+        text = HEADER + "\n" + "\t".join(good) + "\n" + "\t".join(bad) + "\n"
+        with pytest.raises(BadValueError, match="lone surrogate") as err:
+            parse_sidecar(text, strict=strict)
+        assert (err.value.row, err.value.column) == (3, column)
 
     def test_bad_strain_curie(self):
         row = "IMG1\tS1\t\tNotACurie\t\t\t\t\t"

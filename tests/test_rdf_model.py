@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -50,10 +51,19 @@ class TestIri:
         # Unicode whitespace that str.isspace() rejects
         "http://a\x85b", "http://a\xa0b", "http://a\u2000b", "http://a\u2028b",
         "http://a\u3000b",
+        # lone surrogates, which UTF-8 cannot encode
+        "http://a\ud800b", "http://a\udfff",
     ])
     def test_rejects(self, bad):
         with pytest.raises(InvalidIriError):
             Iri(bad)
+
+    @pytest.mark.parametrize("value, first", [
+        ("http://a b<c", " "), ("http://a<b c", "<"), ("http://a\ud800 b", "\ud800"),
+    ])
+    def test_error_names_first_forbidden_character(self, value, first):
+        with pytest.raises(InvalidIriError, match=re.escape(f"character {first!r} in")):
+            Iri(value)
 
     def test_urn_scheme_ok(self):
         assert Iri("urn:x:1").value == "urn:x:1"
@@ -74,6 +84,14 @@ class TestLiteral:
     def test_langstring_requires_tag(self):
         with pytest.raises(InvalidLiteralError):
             Literal("x", Iri(RDF_LANGSTRING))
+
+    @pytest.mark.parametrize("lexical", ["\ud800", "a\udbffb", "x\udc00"])
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"language": "en"}, {"datatype": Iri("http://ex.org/dt")},
+    ])
+    def test_lone_surrogate_rejected(self, lexical, kwargs):
+        with pytest.raises(InvalidLiteralError, match="lone surrogate"):
+            Literal(lexical, **kwargs)
 
     def test_numeric_lexical_enforced(self):
         Literal("42", Iri(XSD_INTEGER))
@@ -187,3 +205,9 @@ class TestGraphValue:
     def test_bad_prefix_name_rejected(self):
         with pytest.raises(ValueError):
             Graph([], {"1bad": EX})
+
+    def test_prefix_namespace_as_str_or_iri(self):
+        g = Graph([], {"ex": EX, "iri": Iri(EX + "ns#")})
+        assert dict(g.prefixes) == {"ex": EX, "iri": EX + "ns#"}
+        with pytest.raises(InvalidIriError):
+            Graph([], {"ex": "not an iri"})

@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from ome_rdf.errors import RdfSyntaxError, UnsupportedConstructError
+from ome_rdf.errors import OmeRdfError, RdfSyntaxError, UnsupportedConstructError
 from ome_rdf.namespaces import XSD_INTEGER
 from ome_rdf.rdf import (
     BlankNode,
@@ -13,6 +13,8 @@ from ome_rdf.rdf import (
     Literal,
     Triple,
     parse,
+    parse_ntriples,
+    parse_turtle,
     serialize,
 )
 
@@ -127,6 +129,17 @@ class TestParseNtriples:
             parse(f"<{EX}s> <{EX}p> {obj} .\n", fmt)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("obj", [
+        '"a\ud800"', '"\udfff"@en', f'"x\udbff"^^<{EX}dt>', f"<{EX}o\ud800>",
+    ])
+    @pytest.mark.parametrize("fmt", ["ntriples", "turtle"])
+    def test_raw_lone_surrogate_rejected(self, obj, fmt):
+        # reported at the term's opening quote or angle bracket
+        head = f"<{EX}s> <{EX}p> "
+        with pytest.raises(RdfSyntaxError) as err:
+            parse(f"{head}<{EX}o> .\n{head}{obj} .\n", fmt)
+        assert (err.value.line, err.value.column) == (2, len(head) + 1)
+
 
 class TestParseTurtle:
     def test_prefix_and_three_statements(self):
@@ -168,6 +181,8 @@ class TestParseTurtle:
             "@prefix ex: <http://ex.org/> .\nex:s ex:p [] .",
             "@prefix ex: <http://ex.org/> .\nex:s ex:p 42 .",
             "@prefix ex: <http://ex.org/> .\nex:s ex:p true .",
+            "@prefix ex: <http://ex.org/> .\nex:s ex:p false.",
+            "@prefix ex: <http://ex.org/> .\nex:s ex:p true;, ex:q ex:o .",
             '@prefix ex: <http://ex.org/> .\nex:s ex:p """long""" .',
         ],
     )
@@ -181,6 +196,16 @@ class TestParseTurtle:
             "turtle",
         )
         assert g.blank_labels() == {"a", "b"}
+
+    def test_boolean_lookalike_prefix_is_a_prefixed_name(self):
+        g = parse("@prefix true: <http://ex.org/> .\ntrue:s true:p true:o .", "turtle")
+        (triple,) = g
+        assert triple.object.value == "http://ex.org/o"
+
+    def test_prefix_name_ending_in_dot_rejected(self):
+        with pytest.raises(RdfSyntaxError) as err:
+            parse("@prefix ex: <http://ex.org/> .\n@prefix ex.: <http://ex.org/> .", "turtle")
+        assert (err.value.line, err.value.column) == (2, 13)
 
     def test_digit_leading_local_name(self):
         g = parse("@prefix ex: <http://ex.org/> .\nex:s ex:p ex:0a .", "turtle")
@@ -207,3 +232,110 @@ class TestRoundTrip:
         h = Graph(triples, dict(g.prefixes))
         assert serialize(h, "ntriples") == serialize(g, "ntriples")
         assert serialize(h, "turtle") == serialize(g, "turtle")
+
+
+_S = "<http://a.example/s>"
+_P = "<http://a.example/p>"
+_NT = f"{_S} {_P} {_S} .\n"
+_TTL = (
+    "@prefix ex: <http://a.example/> .\n"
+    "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+    "ex:s ex:p ex:o .\n"
+)
+_XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
+
+
+class TestErrorPositions:
+    """Class, message, line and column of errors in multi-line documents."""
+
+    @pytest.mark.parametrize("fmt, doc, cls, message, line, column", [
+        ("ntriples", _NT + f"{_S} {_P} <http://a.example/o\\",
+         RdfSyntaxError, "bad \\ escape", 2, 63),
+        ("ntriples", _NT + f'{_S} {_P} "abc\\',
+         RdfSyntaxError, "bad \\ escape", 2, 48),
+        ("ntriples", _NT + f"{_S} {_P} <http://a.example/o\\q> .\n",
+         RdfSyntaxError, "only \\u / \\U escapes allowed in IRIs", 2, 63),
+        ("ntriples", _NT + f"{_S} {_P} <http://a.example/o\\u12> .\n",
+         RdfSyntaxError, "bad \\u escape", 2, 64),
+        ("ntriples", _NT + f"{_S} {_P} <http://a.example/o b> .\n",
+         RdfSyntaxError, "forbidden character ' ' in 'http://a.example/o b'", 2, 43),
+        ("ntriples", _NT + _NT + f'{_S} {_P} "abc"^^<{_XSD_INT}> .\n',
+         RdfSyntaxError, f"lexical form 'abc' does not parse as {_XSD_INT}", 3, 43),
+        ("ntriples", _NT + f'{_S} {_P} "ab\ncd" .\n',
+         RdfSyntaxError, "newline in single-quoted string", 2, 46),
+        ("ntriples", _NT + f"{_S} {_P} <http://a.example/o",
+         RdfSyntaxError, "unterminated IRI", 2, 62),
+        ("ntriples", _NT + f'{_S} {_P} "abc',
+         RdfSyntaxError, "unterminated string", 2, 47),
+        ("ntriples", _NT + f'{_S} {_P} "a\\qb" .\n',
+         RdfSyntaxError, "bad escape \\q", 2, 46),
+        ("ntriples", _NT + f"# comment\n  {_S} {_P} {_S}\n",
+         RdfSyntaxError, "expected '.'", 3, 65),
+        ("turtle", _TTL + "ex:s ex:p <http://a.example/o\\",
+         RdfSyntaxError, "bad \\ escape", 4, 31),
+        ("turtle", _TTL + 'ex:s ex:p "abc\\',
+         RdfSyntaxError, "bad \\ escape", 4, 16),
+        ("turtle", _TTL + "ex:s ex:p <http://a.example/o\\q> .\n",
+         RdfSyntaxError, "only \\u / \\U escapes allowed in IRIs", 4, 31),
+        ("turtle", _TTL + "ex:s ex:p ex:o, <http://a.example/o b> .\n",
+         RdfSyntaxError, "forbidden character ' ' in 'http://a.example/o b'", 4, 17),
+        ("turtle", _TTL + 'ex:s ex:p "1", "abc"^^xsd:integer .\n',
+         RdfSyntaxError, f"lexical form 'abc' does not parse as {_XSD_INT}", 4, 16),
+        ("turtle", _TTL + 'ex:s ex:p "ab\ncd" .\n',
+         RdfSyntaxError, "newline in single-quoted string", 4, 14),
+        ("turtle", _TTL + "ex:s ex:p <http://a.example/o",
+         RdfSyntaxError, "unterminated IRI", 4, 30),
+        ("turtle", _TTL + 'ex:s ex:p "abc',
+         RdfSyntaxError, "unterminated string", 4, 15),
+        ("turtle", _TTL + "ex:s ex:p zz:o.\n",
+         RdfSyntaxError, "undeclared prefix 'zz'", 4, 15),
+        ("turtle", _TTL + "ex:s ex:p ex:o ;\n    ex:q true.\n",
+         UnsupportedConstructError, "unsupported construct: boolean literal shorthand", 5, 10),
+        ("turtle", _TTL + 'ex:s ex:p """x""" .\n',
+         UnsupportedConstructError, "unsupported construct: triple-quoted string", 4, 12),
+    ])
+    def test_error_position(self, fmt, doc, cls, message, line, column):
+        with pytest.raises(RdfSyntaxError) as err:
+            parse(doc, fmt)
+        assert type(err.value) is cls
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+        assert (err.value.line, err.value.column) == (line, column)
+
+
+# Tokens that open, close or escape a term, plus a raw lone surrogate.
+_MUTATION_TOKENS = [
+    "\\", '"', "<", ">", "\n", "#", "^^", "@", "_:", "\\u", "\\uD800", "\ud800",
+    ".", ":", ";", ",", " ", "a", "true", "@prefix", "'", "[", "\\U0001F600",
+]
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(text))
+        op = rng.choice(["insert", "delete", "truncate"])
+        if op == "insert":
+            text = text[:at] + rng.choice(_MUTATION_TOKENS) + text[at:]
+        elif op == "delete":
+            text = text[:at] + text[at + rng.randint(1, 8):]
+        else:
+            text = text[:at]
+    return text
+
+
+class TestParserTotality:
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_mutated_documents_parse_or_raise_coded_errors(self, rng):
+        g = random_graph(rng, max_triples=6, with_prefixes=True)
+        for fmt in ("ntriples", "turtle"):
+            serialized = serialize(g, fmt)
+            for _ in range(15):
+                text = _mutate(serialized, rng)
+                note(repr(text))
+                for parser in (parse_ntriples, parse_turtle):
+                    try:
+                        parsed = parser(text)
+                    except OmeRdfError:
+                        continue
+                    for out in ("ntriples", "turtle"):
+                        serialize(parsed, out).encode("utf-8")
