@@ -21,6 +21,7 @@ from urllib.parse import quote
 
 from .errors import (
     EmptyLocalIdError,
+    InvalidIriError,
     LinkRegistryError,
     MappingFailedError,
     OrphanAnnotationError,
@@ -81,8 +82,11 @@ def mint_iri(policy: MintingPolicy, cls: OntologyClass, local_id: str) -> Iri:
     """``instanceBase + lowercased class label + "/" + percent-encoded id``."""
     if local_id == "":
         raise EmptyLocalIdError("cannot mint an IRI from an empty local id")
-    return Iri(policy.instance_base.value + cls.label.lower() + "/"
-               + quote(local_id, safe=""))
+    try:
+        local = quote(local_id, safe="")
+    except UnicodeEncodeError as e:  # a lone surrogate has no UTF-8 form
+        raise InvalidIriError(f"cannot percent-encode local id {local_id!r}") from e
+    return Iri(policy.instance_base.value + cls.label.lower() + "/" + local)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,11 @@ _ECHAR = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
     '"': '"', "'": "'", "\\": "\\",
 }
-_PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.-]*)?:([A-Za-z0-9_][A-Za-z0-9_.%-]*)?")
+# a local name may hold "%" only before two hex digits
+_PNAME_RE = re.compile(
+    r"([A-Za-z][A-Za-z0-9_.-]*)?:"
+    r"([A-Za-z0-9_][A-Za-z0-9_.-]*(?:%[0-9A-Fa-f]{2}[A-Za-z0-9_.-]*)*)?"
+)
 _BLANK_RE = re.compile(r"_:([A-Za-z][A-Za-z0-9]*)")
 _LANGTAG_RE = re.compile(r"@([A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*)")
 _KEYWORD_RE = re.compile(r"[A-Za-z@]+")
@@ -35,6 +39,8 @@ _HEX_RE = re.compile(r"[0-9A-Fa-f]*")
 # whitespace and comments; the second form stops at a newline
 _SKIP_RE = re.compile(r"(?:\s+|#[^\n]*)*")
 _SKIP_INLINE_RE = re.compile(r"(?:[^\S\n]+|#[^\n]*)*")
+# what may follow an N-Triples statement on its line
+_LINE_END_RE = re.compile(r"[^\S\r\n]*(?:#[^\n]*)?")
 # the runs between escapes and terminators
 _IRI_BODY_RE = re.compile(r"[^>\\]*")
 _STRING_BODY_RE = re.compile(r'[^"\\\n]*')
@@ -206,6 +212,9 @@ def parse_ntriples(text: str) -> Graph:
             sc.error(f"expected term, found {ch!r}")
         sc.skip_ws_and_comments(newlines=False)
         sc.expect(".")
+        sc.match_re(_LINE_END_RE)
+        if sc.peek() not in ("", "\r", "\n"):
+            sc.error("expected end of line after '.'")
         triples.append(Triple(subject, predicate, obj))
     return Graph(triples)
 

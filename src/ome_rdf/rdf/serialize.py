@@ -2,16 +2,22 @@
 
 Output is byte-stable for a given triple set regardless of construction
 order or thread schedule: N-Triples lines are sorted bytewise, Turtle
-statements are grouped by subject and sorted at every level.
+statements are grouped by subject and sorted at every level, with
+``rdf:type`` written first as ``a``.  The Turtle writer writes an IRI as a
+prefixed name under the longest namespace that leaves a safe local name,
+and in full ``<...>`` form when none does; it works out each distinct
+IRI's text once per call.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import groupby
+from operator import attrgetter
 
 from ..errors import OmeRdfError
 from ..namespaces import RDF_TYPE, XSD_STRING
-from .model import BlankNode, Graph, Iri, Literal, Term, term_sort_key
+from .model import BlankNode, Graph, Iri, Literal, Term, Triple, term_sort_key
 
 _FORMATS = ("turtle", "ntriples")
 
@@ -62,10 +68,10 @@ def _shorten(iri_value: str, namespaces: list) -> str | None:
     return None
 
 
-def _term_to_turtle(term: Term, namespaces: list) -> str:
+def _term_to_turtle(term: Term, iri) -> str:
+    """Render one term in Turtle; ``iri`` maps an IRI value to its text."""
     if isinstance(term, Iri):
-        short = _shorten(term.value, namespaces)
-        return short if short is not None else f"<{term.value}>"
+        return iri(term.value)
     if isinstance(term, BlankNode):
         return f"_:{term.label}"
     body = f'"{_escape_string(term.lexical)}"'
@@ -73,45 +79,60 @@ def _term_to_turtle(term: Term, namespaces: list) -> str:
         return f"{body}@{term.language}"
     if term.datatype.value == XSD_STRING:
         return body
-    dt = _shorten(term.datatype.value, namespaces)
-    return f"{body}^^{dt}" if dt is not None else f"{body}^^<{term.datatype.value}>"
+    return f"{body}^^{iri(term.datatype.value)}"
+
+
+def _subject_key(t: Triple) -> str:
+    # term_sort_key's order on subjects: IRIs by value, then blank nodes by
+    # label; an IRI value starts with a letter, and letters sort before "~"
+    s = t.subject
+    return s.value if s.__class__ is Iri else "~" + s.label
+
+
+def _verb_order(value: str) -> str:
+    return "" if value == RDF_TYPE else value
 
 
 def serialize_turtle(g: Graph) -> str:
-    prefixes = dict(g.prefixes)
+    prefixes = g.prefixes
     # longest namespace wins; prefix name breaks ties deterministically
     namespaces = sorted(
         ((ns, p) for p, ns in prefixes.items()),
         key=lambda item: (-len(item[0]), item[1]),
     )
-    out = []
-    for name in sorted(prefixes):
-        out.append(f"@prefix {name}: <{prefixes[name]}> .\n")
+    out = [f"@prefix {name}: <{prefixes[name]}> .\n" for name in sorted(prefixes)]
 
-    by_subject: dict = {}
-    for t in g:
-        by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
-    if by_subject and out:
+    # each distinct IRI is shortened once per call: predicates, classes and
+    # datatypes recur on every subject
+    iri_text: dict = {}
+
+    def iri(value: str) -> str:
+        text = iri_text.get(value)
+        if text is None:
+            text = iri_text[value] = _shorten(value, namespaces) or f"<{value}>"
+        return text
+
+    # sorted, not grouped into a list per subject: tens of thousands of live
+    # lists would set off a full garbage collection of all the caller holds
+    triples = sorted(g, key=_subject_key)
+    if triples and out:
         out.append("\n")
 
-    def pred_key(p: Iri):
-        return "" if p.value == RDF_TYPE else p.value
-
-    for subject in sorted(by_subject, key=term_sort_key):
-        preds = by_subject[subject]
+    for subject, group in groupby(triples, key=attrgetter("subject")):
+        by_predicate: dict = {}
+        for t in group:
+            by_predicate.setdefault(t.predicate.value, []).append(t.object)
         lines = []
-        for p in sorted(preds, key=pred_key):
-            verb = "a" if p.value == RDF_TYPE else _term_to_turtle(p, namespaces)
-            objs = ", ".join(
-                _term_to_turtle(o, namespaces)
-                for o in sorted(preds[p], key=term_sort_key)
-            )
-            lines.append((verb, objs))
-        subj = _term_to_turtle(subject, namespaces)
-        for i, (verb, objs) in enumerate(lines):
-            head = subj if i == 0 else "    "
-            tail = " ." if i == len(lines) - 1 else " ;"
-            out.append(f"{head} {verb} {objs}{tail}\n")
+        for p in sorted(by_predicate, key=_verb_order):
+            objs = by_predicate[p]
+            if len(objs) == 1:
+                text = _term_to_turtle(objs[0], iri)
+            else:
+                objs.sort(key=term_sort_key)
+                text = ", ".join([_term_to_turtle(o, iri) for o in objs])
+            # "a" is only a verb: rdf:type elsewhere is written as an IRI
+            lines.append(f"{'a' if p == RDF_TYPE else iri(p)} {text}")
+        out.append(f"{_term_to_turtle(subject, iri)} " + " ;\n     ".join(lines) + " .\n")
     return "".join(out)
 
 

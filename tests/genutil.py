@@ -2,10 +2,13 @@
 
 import random
 
-from ome_rdf.namespaces import XSD_DECIMAL, XSD_INTEGER, XSD_STRING
+from ome_rdf.namespaces import RDF_NS, RDF_TYPE, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
 from ome_rdf.rdf import BlankNode, Graph, Iri, Literal, Triple
 
-_IRI_TOKENS = ["a", "b", "c", "node1", "node2", "pred", "p2", "x-y", "café"]
+# "café", "9z" and "a.b" are not safe Turtle local names; "" is written as "ex:"
+_IRI_TOKENS = ["a", "b", "c", "node1", "node2", "pred", "p2", "x-y", "café", "", "9z", "a.b"]
+# the second base lies inside the first, so the longest namespace must win
+_IRI_BASES = ["http://t.example/", "http://t.example/sub/", "http://x.example/ns#", "urn:demo:"]
 _LEXICALS = [
     "",
     "plain text",
@@ -20,8 +23,9 @@ _LANGS = ["en", "en-GB", "ja"]
 
 
 def random_iri(rng: random.Random) -> Iri:
-    base = rng.choice(["http://t.example/", "http://x.example/ns#", "urn:demo:"])
-    return Iri(base + rng.choice(_IRI_TOKENS))
+    if rng.random() < 0.05:
+        return Iri(RDF_TYPE)
+    return Iri(rng.choice(_IRI_BASES) + rng.choice(_IRI_TOKENS))
 
 
 def random_blank(rng: random.Random, max_blanks: int) -> BlankNode:
@@ -43,7 +47,7 @@ def random_literal(rng: random.Random) -> Literal:
 
 def random_term(rng: random.Random, position: str, max_blanks: int):
     if position == "predicate":
-        return random_iri(rng)
+        return Iri(RDF_TYPE) if rng.random() < 0.2 else random_iri(rng)
     roll = rng.random()
     if position == "subject":
         return random_blank(rng, max_blanks) if roll < 0.3 and max_blanks else random_iri(rng)
@@ -61,14 +65,14 @@ def random_graph(
     with_prefixes: bool = False,
 ) -> Graph:
     n = rng.randrange(max_triples + 1)
-    triples = [
-        Triple(
-            random_term(rng, "subject", max_blanks),
-            random_term(rng, "predicate", max_blanks),
-            random_term(rng, "object", max_blanks),
-        )
-        for _ in range(n)
-    ]
+    triples = []
+    while len(triples) < n:
+        # some subject-predicate pairs get several objects
+        subject = random_term(rng, "subject", max_blanks)
+        predicate = random_term(rng, "predicate", max_blanks)
+        for _ in range(rng.choice((1, 1, 1, 2, 3))):
+            triples.append(Triple(subject, predicate, random_term(rng, "object", max_blanks)))
+    del triples[n:]
     prefixes = {}
     if with_prefixes and rng.random() < 0.7:
         prefixes["ex"] = "http://t.example/"
@@ -76,6 +80,15 @@ def random_graph(
             prefixes["x"] = "http://x.example/ns#"
         if rng.random() < 0.3:
             prefixes["xsd"] = "http://www.w3.org/2001/XMLSchema#"
+        if rng.random() < 0.3:
+            prefixes["sub"] = "http://t.example/sub/"
+        if rng.random() < 0.3:
+            # "ex:pred" and "p:red" are both safe: the longest namespace must win
+            prefixes["p"] = "http://t.example/p"
+        if rng.random() < 0.2:
+            prefixes["ex2"] = "http://t.example/"  # same namespace: "ex" wins by name
+        if rng.random() < 0.3:
+            prefixes["rdf"] = RDF_NS
     return Graph(triples, prefixes)
 
 

@@ -1,10 +1,19 @@
-"""Brute-force graph isomorphism: an independent oracle for the library's
-refined search.  It shares no code with :mod:`ome_rdf.rdf.isomorphism`."""
+"""Reference implementations that tests compare the library against.
+
+``brute_force_isomorphic`` is an independent oracle for the library's
+refined search; it shares no code with :mod:`ome_rdf.rdf.isomorphism`.
+``reference_serialize_turtle`` is the straightforward Turtle writer that
+shortens an IRI every time it writes one; the library's writer must give
+the same text.
+"""
 
 from itertools import permutations
 
 from ome_rdf.errors import TooLargeForExactCheckError
-from ome_rdf.rdf import BlankNode, Graph, Triple
+from ome_rdf.namespaces import RDF_TYPE, XSD_STRING
+from ome_rdf.rdf import BlankNode, Graph, Iri, Triple
+from ome_rdf.rdf.model import Term, term_sort_key
+from ome_rdf.rdf.serialize import _escape_string, _shorten
 
 
 def _split(g: Graph):
@@ -48,3 +57,56 @@ def brute_force_isomorphic(a: Graph, b: Graph, max_blanks: int = 8) -> bool:
         _substitute(blankful_a, dict(zip(labels_a, perm))) == target
         for perm in permutations(labels_b)
     )
+
+
+def _term_to_turtle(term: Term, namespaces: list) -> str:
+    if isinstance(term, Iri):
+        short = _shorten(term.value, namespaces)
+        return short if short is not None else f"<{term.value}>"
+    if isinstance(term, BlankNode):
+        return f"_:{term.label}"
+    body = f'"{_escape_string(term.lexical)}"'
+    if term.language is not None:
+        return f"{body}@{term.language}"
+    if term.datatype.value == XSD_STRING:
+        return body
+    dt = _shorten(term.datatype.value, namespaces)
+    return f"{body}^^{dt}" if dt is not None else f"{body}^^<{term.datatype.value}>"
+
+
+def reference_serialize_turtle(g: Graph) -> str:
+    prefixes = dict(g.prefixes)
+    # longest namespace wins; prefix name breaks ties deterministically
+    namespaces = sorted(
+        ((ns, p) for p, ns in prefixes.items()),
+        key=lambda item: (-len(item[0]), item[1]),
+    )
+    out = []
+    for name in sorted(prefixes):
+        out.append(f"@prefix {name}: <{prefixes[name]}> .\n")
+
+    by_subject: dict = {}
+    for t in g:
+        by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
+    if by_subject and out:
+        out.append("\n")
+
+    def pred_key(p: Iri):
+        return "" if p.value == RDF_TYPE else p.value
+
+    for subject in sorted(by_subject, key=term_sort_key):
+        preds = by_subject[subject]
+        lines = []
+        for p in sorted(preds, key=pred_key):
+            verb = "a" if p.value == RDF_TYPE else _term_to_turtle(p, namespaces)
+            objs = ", ".join(
+                _term_to_turtle(o, namespaces)
+                for o in sorted(preds[p], key=term_sort_key)
+            )
+            lines.append((verb, objs))
+        subj = _term_to_turtle(subject, namespaces)
+        for i, (verb, objs) in enumerate(lines):
+            head = subj if i == 0 else "    "
+            tail = " ." if i == len(lines) - 1 else " ;"
+            out.append(f"{head} {verb} {objs}{tail}\n")
+    return "".join(out)

@@ -6,6 +6,7 @@ import pytest
 
 from ome_rdf.errors import (
     EmptyLocalIdError,
+    InvalidIriError,
     MappingFailedError,
     UnknownClassInRegistryError,
     UnresolvableStrainError,
@@ -28,6 +29,8 @@ from ome_rdf.ome_xml import (
 )
 from ome_rdf.ontology import build_core_ontology
 from ome_rdf.rdf import BlankNode, Graph, Iri, Literal, graph_merge, serialize
+
+from oracle import reference_serialize_turtle
 
 DATA = Path(__file__).parent / "data"
 BASE = "http://ex.org/i/"
@@ -125,6 +128,10 @@ class TestMintIri:
     def test_empty_local_id(self, registry, policy):
         with pytest.raises(EmptyLocalIdError):
             mint_iri(policy, registry.class_by_label("Image"), "")
+
+    def test_lone_surrogate_is_invalid_iri(self, registry, policy):
+        with pytest.raises(InvalidIriError):
+            mint_iri(policy, registry.class_by_label("BioSample"), "a\ud800")
 
     def test_policy_requires_separator_suffix(self):
         with pytest.raises(ValueError):
@@ -288,6 +295,12 @@ class TestMapAll:
         assert result.skipped[0].image_id == "A"
         assert result.skipped[0].code == "UnresolvableStrain"
 
+    def test_lone_surrogate_local_id_skipped_as_invalid_iri(self, registry, policy, links):
+        pairs = [(self._image("A"), EmAnnotation(image_id="A", sample_id="S\ud800"))]
+        result = map_all(pairs, registry, policy, links, skip_errors=True)
+        assert result.records == ()
+        assert [(s.image_id, s.code) for s in result.skipped] == [("A", "InvalidIri")]
+
 
 class TestMapDocument:
     def test_golden_document(self, registry, policy, links):
@@ -298,6 +311,19 @@ class TestMapDocument:
         assert len(result.records) == 1
         # instrument + experimenter nodes live in the per-record graph
         assert types_of(result.graph, Iri(BASE + "experimenter/E1"))
+
+    @pytest.mark.parametrize("fmt, name", [("ntriples", "golden.nt"), ("turtle", "golden.ttl")])
+    def test_golden_output_bytes(self, fmt, name, registry, policy, links):
+        doc = parse_ome_document((DATA / "golden.ome.xml").read_text())
+        anns = parse_sidecar((DATA / "golden.ann.tsv").read_text())
+        g = map_document(doc, anns, registry, policy, links).graph
+        assert serialize(g, fmt).encode("utf-8") == (DATA / name).read_bytes()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_turtle_same_as_reference_writer(self, seed, registry, policy, links):
+        doc, anns = generated_document(seed)
+        g = map_document(doc, anns, registry, policy, links).graph
+        assert serialize(g, "turtle") == reference_serialize_turtle(g)
 
     def test_golden_document_has_no_blank_nodes(self, registry, policy, links):
         doc = parse_ome_document((DATA / "golden.ome.xml").read_text())

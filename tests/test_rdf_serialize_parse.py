@@ -1,11 +1,12 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from ome_rdf.errors import OmeRdfError, RdfSyntaxError, UnsupportedConstructError
-from ome_rdf.namespaces import XSD_INTEGER
+from ome_rdf.namespaces import RDF_TYPE, XSD_INTEGER
 from ome_rdf.rdf import (
     BlankNode,
     Graph,
@@ -19,7 +20,7 @@ from ome_rdf.rdf import (
 )
 
 from genutil import random_graph
-from oracle import brute_force_isomorphic
+from oracle import brute_force_isomorphic, reference_serialize_turtle
 
 EX = "http://ex.org/"
 
@@ -115,6 +116,12 @@ class TestParseNtriples:
         with pytest.raises(RdfSyntaxError):
             parse(f'<{EX}s> <{EX}p> "abc"^^<{XSD_INTEGER}> .\n', "ntriples")
 
+    @pytest.mark.parametrize("end", [" . # comment\r\n", " .\r", " .\t\n"])
+    def test_statement_ends_at_line_end(self, end):
+        # the second statement ends at the end of the text
+        text = f"<{EX}s> <{EX}p> <{EX}o>{end}<{EX}s> <{EX}p> <{EX}o2> ."
+        assert parse(text, "ntriples") == Graph([t("s", "p", "o"), t("s", "p", "o2")])
+
     def test_uchar_escapes(self):
         g = parse(f'<{EX}s> <{EX}p> "\\u00e9\\U0001F600" .\n', "ntriples")
         (triple,) = g
@@ -207,6 +214,11 @@ class TestParseTurtle:
             parse("@prefix ex: <http://ex.org/> .\n@prefix ex.: <http://ex.org/> .", "turtle")
         assert (err.value.line, err.value.column) == (2, 13)
 
+    def test_percent_escape_in_local_name(self):
+        g = parse("@prefix ex: <http://ex.org/> .\nex:s ex:p ex:o%41 .", "turtle")
+        (triple,) = g
+        assert triple.object.value == "http://ex.org/o%41"
+
     def test_digit_leading_local_name(self):
         g = parse("@prefix ex: <http://ex.org/> .\nex:s ex:p ex:0a .", "turtle")
         (triple,) = g
@@ -232,6 +244,73 @@ class TestRoundTrip:
         h = Graph(triples, dict(g.prefixes))
         assert serialize(h, "ntriples") == serialize(g, "ntriples")
         assert serialize(h, "turtle") == serialize(g, "turtle")
+
+
+def _writer_cases(g: Graph) -> set:
+    """The cases the Turtle writer must get right that ``g`` holds."""
+    rdf_type = Iri(RDF_TYPE)
+    pairs = [(x.subject, x.predicate) for x in g]
+    cases = {"several objects"} if len(pairs) > len(set(pairs)) else set()
+    if {"http://t.example/", "http://t.example/p"} <= set(g.prefixes.values()) and any(
+            x.predicate.value == "http://t.example/pred" for x in g):
+        cases.add("nested namespaces")
+    for x in g:
+        if x.predicate == rdf_type:
+            cases.add("rdf:type verb")
+        if x.object == rdf_type:
+            cases.add("rdf:type object")
+        if isinstance(x.subject, BlankNode):
+            cases.add("blank subject")
+        if isinstance(x.object, BlankNode):
+            cases.add("blank object")
+        if isinstance(x.object, Literal) and x.object.language:
+            cases.add("language")
+        if isinstance(x.object, Literal) and x.object.datatype.value.endswith("customType"):
+            cases.add("custom datatype")
+        for term in (x.subject, x.predicate, x.object):
+            local = re.split("[/#:]", term.value)[-1] if isinstance(term, Iri) else None
+            if local in ("x-y", "café", "9z", ""):
+                cases.add(f"local {local!r}")
+    return cases
+
+
+class TestTurtleWriter:
+    """The writer against the reference writer in tests/oracle.py."""
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_same_text_as_reference(self, rng):
+        g = random_graph(rng, max_triples=30, with_prefixes=True)
+        assert serialize(g, "turtle") == reference_serialize_turtle(g)
+
+    def test_generator_covers_writer_cases(self):
+        cases = set()
+        for seed in range(100):
+            cases |= _writer_cases(random_graph(random.Random(seed), with_prefixes=True))
+        assert cases == {
+            "several objects", "nested namespaces", "rdf:type verb", "rdf:type object",
+            "blank subject", "blank object", "language", "custom datatype",
+            "local 'x-y'", "local 'café'", "local '9z'", "local ''",
+        }
+
+    def test_rdf_type_is_a_only_as_verb(self):
+        rdf_type = Iri(RDF_TYPE)
+        s = Iri(EX + "s")
+        g = Graph([Triple(s, rdf_type, rdf_type), Triple(rdf_type, Iri(EX + "p"), s)],
+                  {"ex": EX})
+        text = serialize(g, "turtle")
+        assert text == (
+            "@prefix ex: <http://ex.org/> .\n\n"
+            f"ex:s a <{RDF_TYPE}> .\n"
+            f"<{RDF_TYPE}> ex:p ex:s .\n"
+        )
+        assert text == reference_serialize_turtle(g)
+
+    def test_longest_namespace_then_prefix_name_wins(self):
+        g = Graph([t("s", "sub", "o")], {"ex": EX, "b": EX, "s": EX + "s"})
+        text = serialize(g, "turtle")
+        assert text.endswith("\ns: s:ub b:o .\n")
+        assert text == reference_serialize_turtle(g)
 
 
 _S = "<http://a.example/s>"
@@ -271,6 +350,8 @@ class TestErrorPositions:
          RdfSyntaxError, "bad escape \\q", 2, 46),
         ("ntriples", _NT + f"# comment\n  {_S} {_P} {_S}\n",
          RdfSyntaxError, "expected '.'", 3, 65),
+        ("ntriples", _NT + f"{_S} {_P} {_S} . {_S} {_P} {_S} .\n",
+         RdfSyntaxError, "expected end of line after '.'", 2, 66),
         ("turtle", _TTL + "ex:s ex:p <http://a.example/o\\",
          RdfSyntaxError, "bad \\ escape", 4, 31),
         ("turtle", _TTL + 'ex:s ex:p "abc\\',
@@ -287,6 +368,8 @@ class TestErrorPositions:
          RdfSyntaxError, "unterminated IRI", 4, 30),
         ("turtle", _TTL + 'ex:s ex:p "abc',
          RdfSyntaxError, "unterminated string", 4, 15),
+        ("turtle", _TTL + "ex:s ex:p ex:o%zz .\n",
+         RdfSyntaxError, "expected '.'", 4, 15),
         ("turtle", _TTL + "ex:s ex:p zz:o.\n",
          RdfSyntaxError, "undeclared prefix 'zz'", 4, 15),
         ("turtle", _TTL + "ex:s ex:p ex:o ;\n    ex:q true.\n",
