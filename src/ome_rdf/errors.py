@@ -26,10 +26,6 @@ class InvalidBlankNodeError(OmeRdfError, ValueError):
     code = "InvalidBlankNode"
 
 
-class BlankNodeCollisionError(OmeRdfError):
-    code = "BlankNodeCollision"
-
-
 class TooLargeForExactCheckError(OmeRdfError):
     """Isomorphism could not be decided exactly within the configured bounds."""
 

@@ -2,17 +2,14 @@
 
 The registry is a plain-text TSV config, one ``prefix<TAB>baseIri<TAB>
 idPattern`` line per partner database; the default ships with the RIKEN
-BioResource mouse-strain catalogue.  Liveness checking is optional and
-runs through an injected fetch callable so everything here works offline.
+BioResource mouse-strain catalogue.
 """
 
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Optional
 
 from .errors import (
     IdPatternMismatchError,
@@ -23,8 +20,6 @@ from .errors import (
 from .rdf import Iri
 
 _PREFIX_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-
-DEFAULT_PARALLELISM = 8
 
 
 @dataclass(frozen=True)
@@ -109,44 +104,3 @@ class LinkRegistry:
     def save(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.dumps())
-
-
-@dataclass(frozen=True)
-class LinkCheckResult:
-    iri: Iri
-    status: str  # ok | unreachable | notChecked
-    http_status: Optional[int] = None
-
-    def __post_init__(self):
-        if self.status not in ("ok", "unreachable", "notChecked"):
-            raise ValueError(f"bad status {self.status!r}")
-        if self.status == "notChecked" and self.http_status is not None:
-            raise ValueError("notChecked results carry no HTTP status")
-
-
-Fetcher = Callable[[str], int]
-
-
-def check_links(iris, fetcher: Optional[Fetcher] = None,
-                parallelism: int = DEFAULT_PARALLELISM) -> list:
-    """Probe each IRI through ``fetcher``; order follows the input.
-
-    ``fetcher=None`` means offline: every result is ``notChecked``.
-    Fetch exceptions become ``unreachable`` results, never raise.
-    """
-    iris = list(iris)
-    if fetcher is None:
-        return [LinkCheckResult(iri, "notChecked") for iri in iris]
-
-    def probe(iri: Iri) -> LinkCheckResult:
-        try:
-            status = fetcher(iri.value)
-        except Exception:
-            return LinkCheckResult(iri, "unreachable")
-        ok = 200 <= status < 400
-        return LinkCheckResult(iri, "ok" if ok else "unreachable", status)
-
-    if len(iris) <= 1 or parallelism <= 1:
-        return [probe(iri) for iri in iris]
-    with ThreadPoolExecutor(max_workers=min(parallelism, len(iris))) as pool:
-        return list(pool.map(probe, iris))

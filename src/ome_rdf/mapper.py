@@ -222,8 +222,8 @@ def map_all(
 ) -> MapResult:
     """Map many (image, annotation) pairs and merge their graphs.
 
-    The merged graph equals a graph_merge fold of the per-record graphs
-    (all nodes are skolem IRIs, so merging is plain set union).  Record
+    The merged graph is the set union of the per-record graphs (all nodes
+    are skolem IRIs, so no blank node needs relabelling).  Record
     order follows the input.  Without ``skip_errors`` the first failure
     raises :class:`MappingFailedError`; with it, failures become
     :class:`SkippedRecord` entries.

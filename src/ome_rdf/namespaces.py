@@ -21,24 +21,7 @@ XSD_INTEGER = XSD_NS + "integer"
 XSD_DECIMAL = XSD_NS + "decimal"
 XSD_DOUBLE = XSD_NS + "double"
 XSD_FLOAT = XSD_NS + "float"
-XSD_BOOLEAN = XSD_NS + "boolean"
 XSD_DATETIME = XSD_NS + "dateTime"
-
-# Datatypes whose lexical forms must parse as numbers.
-NUMERIC_DATATYPES = frozenset({
-    XSD_INTEGER,
-    XSD_DECIMAL,
-    XSD_DOUBLE,
-    XSD_FLOAT,
-    XSD_NS + "int",
-    XSD_NS + "long",
-    XSD_NS + "short",
-    XSD_NS + "byte",
-    XSD_NS + "nonNegativeInteger",
-    XSD_NS + "positiveInteger",
-    XSD_NS + "unsignedInt",
-    XSD_NS + "unsignedLong",
-})
 
 # Defaults for the toolkit's own vocabulary and minted instances.  Both are
 # overridable through the arguments of every function that uses them.

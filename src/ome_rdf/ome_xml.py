@@ -6,8 +6,9 @@ their reference attributes; references are resolved during parsing, so an
 Sidecars are strict TSV files with a fixed header (see SIDECAR_COLUMNS);
 one row annotates one image with biosample and imaging-condition details.
 
-Timestamps must be ISO-8601 with an explicit timezone and are kept as the
-original lexical strings so downstream RDF output stays byte-stable.
+Timestamps must be in the ``xsd:dateTime`` lexical form with a timezone
+and are kept as the original lexical strings so downstream RDF output
+stays byte-stable.
 Decimal-valued fields use :class:`decimal.Decimal` for the same reason.
 """
 
@@ -42,6 +43,11 @@ SIDECAR_COLUMNS = (
 
 _CURIE_RE = re.compile(r"^[a-z][a-z0-9_]*:\S+$")
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+# the xsd:dateTime lexical form, with its timezone (at most 14:00) required
+_TIMESTAMP_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?"
+    r"(Z|[+-]((0[0-9]|1[0-3]):[0-5][0-9]|14:00))"
+)
 
 VOLTAGE_MAX_KV = Decimal("1000")
 
@@ -153,13 +159,14 @@ def _positive_decimal(el, attr, path):
 
 
 def _check_timestamp(raw, path):
-    text = raw.replace("Z", "+00:00") if raw.endswith("Z") else raw
+    if not _TIMESTAMP_RE.fullmatch(raw):
+        raise InvalidValueError(
+            path, f"{raw!r} is not YYYY-MM-DDThh:mm:ss[.s] with Z or a +hh:mm/-hh:mm timezone")
     try:
-        parsed = datetime.fromisoformat(text)
+        # the calendar check: month lengths, leap years, hours below 24
+        datetime.fromisoformat(raw[:-1] + "+00:00" if raw.endswith("Z") else raw)
     except ValueError:
-        raise InvalidValueError(path, f"{raw!r} is not an ISO-8601 timestamp") from None
-    if parsed.tzinfo is None:
-        raise InvalidValueError(path, f"timestamp {raw!r} lacks a timezone")
+        raise InvalidValueError(path, f"{raw!r} is not a valid date and time") from None
     return raw
 
 
@@ -282,16 +289,19 @@ def _decimal_cell(raw, row, column):
 def parse_sidecar(text: str, strict: bool = True) -> list:
     """Parse a TSV sidecar into :class:`EmAnnotation` records.
 
-    The header must match SIDECAR_COLUMNS exactly, and no cell may hold a
-    lone surrogate, which UTF-8 cannot encode.  Non-numeric and
+    Rows end at CRLF, CR or LF; any other character, such as U+0085 or
+    U+2028, is part of its cell.  The header must match SIDECAR_COLUMNS
+    exactly, and no cell may hold a lone surrogate, which UTF-8 cannot
+    encode.  Non-numeric and
     non-finite voltages and wavelengths, and those whose leading digit's
     exponent exceeds DECIMAL_EXPONENT_MAX in size, are always rejected.  With
     ``strict`` (the default) out-of-range values are rejected too; with
     ``strict=False`` they are kept as given and nothing checks them.
     """
-    lines = text.lstrip("﻿").splitlines()
-    if not lines:
+    text = text.lstrip("\ufeff")
+    if not text:
         raise BadHeaderError("empty sidecar, expected a header row")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     header = lines[0].split("\t")
     for name in header:
         if name not in SIDECAR_COLUMNS:

@@ -7,8 +7,6 @@ from .model import (
     Literal,
     Term,
     Triple,
-    graph_insert,
-    graph_merge,
     term_sort_key,
 )
 from .isomorphism import graph_isomorphic
@@ -22,9 +20,7 @@ __all__ = [
     "Literal",
     "Term",
     "Triple",
-    "graph_insert",
     "graph_isomorphic",
-    "graph_merge",
     "parse",
     "parse_ntriples",
     "parse_turtle",

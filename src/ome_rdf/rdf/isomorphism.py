@@ -2,7 +2,7 @@
 
 :func:`graph_isomorphic` first compares ground triples, then runs colour
 refinement over blank nodes and finishes with an exact backtracking search
-(up to ``brute_force_bound`` blanks).  Above the bound it only answers when
+(up to ``BRUTE_FORCE_BOUND`` blanks).  Above the bound it only answers when
 refinement pins every blank down to a singleton class, otherwise it raises
 :class:`TooLargeForExactCheckError`.
 """
@@ -137,12 +137,12 @@ def _backtrack(blankful_a, blankful_b, candidates):
     return place(0)
 
 
-def graph_isomorphic(a: Graph, b: Graph, brute_force_bound: int = BRUTE_FORCE_BOUND) -> bool:
+def graph_isomorphic(a: Graph, b: Graph) -> bool:
     """True iff some blank-node bijection makes the triple sets equal.
 
     Ground (blank-free) triples must match exactly.  Raises
     :class:`TooLargeForExactCheckError` when there are more than
-    ``brute_force_bound`` blank nodes and refinement is inconclusive.
+    ``BRUTE_FORCE_BOUND`` blank nodes and refinement is inconclusive.
     """
     if len(a) != len(b):
         return False
@@ -168,7 +168,7 @@ def graph_isomorphic(a: Graph, b: Graph, brute_force_bound: int = BRUTE_FORCE_BO
         return False
 
     n_blanks = len(adj_a)
-    if n_blanks <= brute_force_bound:
+    if n_blanks <= BRUTE_FORCE_BOUND:
         return _backtrack(blankful_a, blankful_b, candidates)
 
     if all(len(c) == 1 for c in candidates.values()):
@@ -179,6 +179,6 @@ def graph_isomorphic(a: Graph, b: Graph, brute_force_bound: int = BRUTE_FORCE_BO
 
     raise TooLargeForExactCheckError(
         f"{n_blanks} blank nodes exceed the exact-search bound "
-        f"({brute_force_bound}) and refinement is inconclusive"
+        f"({BRUTE_FORCE_BOUND}) and refinement is inconclusive"
     )
 

@@ -1,10 +1,10 @@
 """Core RDF data model: terms, triples, and immutable graphs.
 
-Graphs are value objects: every operation returns a new graph and never
-mutates its inputs, so graph values can be shared freely across threads.
-Canonical text output is handled by :mod:`ome_rdf.rdf.serialize`; note that
-plain iteration over a graph is *not* deterministic across interpreter runs
-(string hash randomisation), which is why all serializers sort.
+Graphs are immutable value objects, so they can be shared freely across
+threads.  Canonical text output is handled by :mod:`ome_rdf.rdf.serialize`;
+note that plain iteration over a graph is *not* deterministic across
+interpreter runs (string hash randomisation), which is why all serializers
+sort.
 """
 
 from __future__ import annotations
@@ -14,13 +14,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from ..errors import (
-    BlankNodeCollisionError,
-    InvalidBlankNodeError,
-    InvalidIriError,
-    InvalidLiteralError,
-)
-from ..namespaces import NUMERIC_DATATYPES, RDF_LANGSTRING, XSD_STRING
+from ..errors import InvalidBlankNodeError, InvalidIriError, InvalidLiteralError
+from ..namespaces import RDF_LANGSTRING, XSD_DECIMAL, XSD_DOUBLE, XSD_FLOAT, XSD_NS, XSD_STRING
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 # Characters an IRI may never contain if it is to survive <...> quoting in
@@ -34,15 +29,20 @@ _BLANK_LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 _LANG_TAG_RE = re.compile(r"^[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*$")
 _PREFIX_NAME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_.-]*[A-Za-z0-9_-]|[A-Za-z])?$")
 
-_INTEGER_LEXICAL_RE = re.compile(r"^[+-]?[0-9]+$")
-_DECIMAL_LEXICAL_RE = re.compile(r"^[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)$")
+_INTEGER_LEXICAL_RE = re.compile(r"[+-]?[0-9]+")
 _FLOAT_LEXICAL_RE = re.compile(
-    r"^([+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?|[+-]?INF|NaN)$"
+    r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?|[+-]?INF|NaN"
 )
 
-_INTEGER_FAMILY_LOCAL = {
-    "integer", "int", "long", "short", "byte",
-    "nonNegativeInteger", "positiveInteger", "unsignedInt", "unsignedLong",
+# The numeric datatypes and the lexical forms each accepts (matched whole).
+_NUMERIC_LEXICAL = {
+    **{XSD_NS + local: _INTEGER_LEXICAL_RE for local in (
+        "integer", "int", "long", "short", "byte",
+        "nonNegativeInteger", "positiveInteger", "unsignedInt", "unsignedLong",
+    )},
+    XSD_DECIMAL: re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)"),
+    XSD_FLOAT: _FLOAT_LEXICAL_RE,
+    XSD_DOUBLE: _FLOAT_LEXICAL_RE,
 }
 
 
@@ -80,20 +80,6 @@ class BlankNode:
         return "_:" + self.label
 
 
-def _check_numeric_lexical(lexical: str, datatype: Iri):
-    local = datatype.value.rsplit("#", 1)[-1]
-    if local in _INTEGER_FAMILY_LOCAL:
-        ok = bool(_INTEGER_LEXICAL_RE.match(lexical))
-    elif local == "decimal":
-        ok = bool(_DECIMAL_LEXICAL_RE.match(lexical))
-    else:  # float, double
-        ok = bool(_FLOAT_LEXICAL_RE.match(lexical))
-    if not ok:
-        raise InvalidLiteralError(
-            f"lexical form {lexical!r} does not parse as {datatype.value}"
-        )
-
-
 @dataclass(frozen=True, slots=True)
 class Literal:
     """An RDF literal: lexical form, datatype IRI, optional language tag.
@@ -127,8 +113,11 @@ class Literal:
             object.__setattr__(self, "datatype", Iri(XSD_STRING))
         elif self.datatype.value == RDF_LANGSTRING:
             raise InvalidLiteralError("rdf:langString requires a language tag")
-        if self.datatype.value in NUMERIC_DATATYPES:
-            _check_numeric_lexical(self.lexical, self.datatype)
+        lexical_re = _NUMERIC_LEXICAL.get(self.datatype.value)
+        if lexical_re is not None and not lexical_re.fullmatch(self.lexical):
+            raise InvalidLiteralError(
+                f"lexical form {self.lexical!r} does not parse as {self.datatype.value}"
+            )
 
 
 Term = Union[Iri, BlankNode, Literal]
@@ -212,83 +201,3 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({len(self._triples)} triples, {len(self._prefixes)} prefixes)"
-
-    def blank_labels(self) -> frozenset:
-        labels = set()
-        for t in self._triples:
-            if isinstance(t.subject, BlankNode):
-                labels.add(t.subject.label)
-            if isinstance(t.object, BlankNode):
-                labels.add(t.object.label)
-        return frozenset(labels)
-
-    def subjects(self) -> set:
-        return {t.subject for t in self._triples}
-
-    def with_prefixes(self, prefixes: Mapping[str, str]) -> "Graph":
-        merged = dict(self._prefixes)
-        merged.update(prefixes)
-        return Graph(self._triples, merged)
-
-
-def graph_insert(g: Graph, t: Triple) -> Graph:
-    """Return a graph containing ``t``; size grows by zero or one."""
-    if t in g:
-        return g
-    return Graph(g.triples | {t}, g._prefixes)
-
-
-def _fresh_labels(count: int, taken: set) -> list:
-    labels, i = [], 0
-    while len(labels) < count:
-        cand = f"b{i}"
-        if cand not in taken:
-            labels.append(cand)
-        i += 1
-    return labels
-
-
-def _relabel_blanks(g: Graph, mapping: Mapping[str, str]) -> frozenset:
-    def sub(term):
-        if isinstance(term, BlankNode) and term.label in mapping:
-            return BlankNode(mapping[term.label])
-        return term
-
-    return frozenset(
-        Triple(sub(t.subject), t.predicate, sub(t.object)) for t in g
-    )
-
-
-def graph_merge(a: Graph, b: Graph, relabel: bool = False) -> Graph:
-    """Union of two graphs.
-
-    Blank node labels must be disjoint unless ``relabel`` is set, in which
-    case ``b``'s blanks get fresh labels.  A prefix bound to two different
-    namespaces keeps ``a``'s binding and rebinds ``b``'s under the first
-    free numeric suffix (``ex`` becomes ``ex1``).
-    """
-    labels_a = a.blank_labels()
-    labels_b = b.blank_labels()
-    clash = labels_a & labels_b
-    b_triples = b.triples
-    if clash:
-        if not relabel:
-            raise BlankNodeCollisionError(
-                f"blank node labels overlap: {sorted(clash)[:5]}"
-            )
-        taken = set(labels_a | labels_b)
-        fresh = _fresh_labels(len(labels_b), taken)
-        mapping = dict(zip(sorted(labels_b), fresh))
-        b_triples = _relabel_blanks(b, mapping)
-
-    prefixes = dict(a.prefixes)
-    for name, ns in sorted(b.prefixes.items()):
-        if name not in prefixes:
-            prefixes[name] = ns
-        elif prefixes[name] != ns:
-            n = 1
-            while f"{name}{n}" in prefixes:
-                n += 1
-            prefixes[f"{name}{n}"] = ns
-
-    return Graph(a.triples | b_triples, prefixes)

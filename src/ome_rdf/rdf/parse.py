@@ -12,6 +12,11 @@ Both parsers share one cursor over the text.  Each token (whitespace and
 comments, names, the runs of IRI and string bodies between escapes) is
 consumed by one compiled regex; line and column are counted from the
 text only when an error is raised.
+
+Whitespace is what the grammars allow, not what ``str.isspace`` accepts:
+space and tab between the terms of an N-Triples statement; space, tab,
+CR and LF between N-Triples statements and anywhere in Turtle.  A line,
+and so a comment, ends at CR, LF or CRLF.
 """
 
 from __future__ import annotations
@@ -34,16 +39,16 @@ _PNAME_RE = re.compile(
 _BLANK_RE = re.compile(r"_:([A-Za-z][A-Za-z0-9]*)")
 _LANGTAG_RE = re.compile(r"@([A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*)")
 _KEYWORD_RE = re.compile(r"[A-Za-z@]+")
-_BOOLEAN_RE = re.compile(r"(?:true|false)[.,;]*(?!\S)")
+_BOOLEAN_RE = re.compile(r"(?:true|false)[.,;]*(?![^ \t\r\n])")
 _HEX_RE = re.compile(r"[0-9A-Fa-f]*")
-# whitespace and comments; the second form stops at a newline
-_SKIP_RE = re.compile(r"(?:\s+|#[^\n]*)*")
-_SKIP_INLINE_RE = re.compile(r"(?:[^\S\n]+|#[^\n]*)*")
+# whitespace and comments; the second form stops at a line end
+_SKIP_RE = re.compile(r"(?:[ \t\r\n]+|#[^\r\n]*)*")
+_SKIP_INLINE_RE = re.compile(r"(?:[ \t]+|#[^\r\n]*)*")
 # what may follow an N-Triples statement on its line
-_LINE_END_RE = re.compile(r"[^\S\r\n]*(?:#[^\n]*)?")
+_LINE_END_RE = re.compile(r"[ \t]*(?:#[^\r\n]*)?")
 # the runs between escapes and terminators
 _IRI_BODY_RE = re.compile(r"[^>\\]*")
-_STRING_BODY_RE = re.compile(r'[^"\\\n]*')
+_STRING_BODY_RE = re.compile(r'[^"\\\r\n]*')
 
 
 class _Scanner:
@@ -54,8 +59,10 @@ class _Scanner:
         self.pos = 0
 
     def position(self, at: int) -> tuple:
-        """The 1-based (line, column) of offset ``at``."""
-        return self.text.count("\n", 0, at) + 1, at - self.text.rfind("\n", 0, at)
+        """The 1-based (line, column) of offset ``at``; CRLF is one line end."""
+        text = self.text
+        line = text.count("\n", 0, at) + text.count("\r", 0, at) - text.count("\r\n", 0, at)
+        return line + 1, at - max(text.rfind("\n", 0, at), text.rfind("\r", 0, at))
 
     def error(self, message: str, cls=RdfSyntaxError):
         raise cls(message, *self.position(self.pos))
@@ -138,7 +145,7 @@ class _Scanner:
                 return "".join(chars)
             if ch == "":
                 self.error("unterminated string")
-            if ch == "\n":
+            if ch in "\r\n":
                 self.error("newline in single-quoted string")
             self.pos += 1  # the backslash
             esc = self.peek()
@@ -264,7 +271,7 @@ def parse_turtle(text: str) -> Graph:
                 return _read_literal(sc, resolve_pname)
             if ch == "'":
                 sc.unsupported("single-quoted string")
-            if ch.isdigit() or ch in "+-.":
+            if ch != "" and ch in "0123456789+-.":
                 sc.unsupported("numeric literal shorthand")
             if _BOOLEAN_RE.match(sc.text, sc.pos):
                 sc.unsupported("boolean literal shorthand")
@@ -278,7 +285,7 @@ def parse_turtle(text: str) -> Graph:
         # "a:x" or "abc:x" are prefixed names
         if sc.peek() == "a":
             nxt = sc.text[sc.pos + 1: sc.pos + 2]
-            if nxt == "" or nxt.isspace() or nxt in "<#":
+            if nxt == "" or nxt in " \t\r\n<#":
                 sc.pos += 1
                 return Iri(RDF_TYPE)
         term = read_term("predicate")

@@ -6,12 +6,7 @@ from ome_rdf.errors import (
     MalformedCurieError,
     UnknownPrefixError,
 )
-from ome_rdf.links import (
-    LinkCheckResult,
-    LinkEntry,
-    LinkRegistry,
-    check_links,
-)
+from ome_rdf.links import LinkEntry, LinkRegistry
 from ome_rdf.rdf import Iri
 
 
@@ -69,43 +64,3 @@ class TestRegistryFile:
         e = LinkEntry("p", Iri("http://x.example/"), ".*")
         with pytest.raises(LinkRegistryError):
             LinkRegistry([e, e])
-
-
-class TestCheckLinks:
-    IRIS = [Iri("http://a.example/1"), Iri("http://a.example/2"), Iri("http://a.example/3")]
-
-    def test_offline_all_not_checked(self):
-        results = check_links(self.IRIS, fetcher=None)
-        assert [r.status for r in results] == ["notChecked"] * 3
-        assert all(r.http_status is None for r in results)
-
-    def test_fake_fetcher_ok(self):
-        results = check_links(self.IRIS, fetcher=lambda iri: 200)
-        assert all(r.status == "ok" and r.http_status == 200 for r in results)
-
-    def test_timeout_maps_to_unreachable(self):
-        def fetch(iri):
-            raise TimeoutError("too slow")
-
-        results = check_links(self.IRIS, fetcher=fetch)
-        assert [r.status for r in results] == ["unreachable"] * 3
-
-    def test_http_404_unreachable_with_status(self):
-        results = check_links([self.IRIS[0]], fetcher=lambda iri: 404)
-        assert results[0].status == "unreachable"
-        assert results[0].http_status == 404
-
-    def test_order_preserved_under_parallelism(self):
-        import time
-
-        def fetch(iri):
-            # later inputs answer sooner
-            time.sleep(0.03 if iri.endswith("1") else 0.0)
-            return 200
-
-        results = check_links(self.IRIS, fetcher=fetch, parallelism=3)
-        assert [r.iri for r in results] == self.IRIS
-
-    def test_not_checked_forbids_status(self):
-        with pytest.raises(ValueError):
-            LinkCheckResult(self.IRIS[0], "notChecked", 200)

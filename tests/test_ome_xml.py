@@ -39,6 +39,11 @@ IMG = (
     '<Pixels SizeX="512" SizeY="512" SizeZ="{z}" SizeC="1" SizeT="1"/>'
     "</Image>"
 )
+# an image whose AcquisitionDate is the placeholder
+DATED = (
+    '<Image ID="I" Name="n"><AcquisitionDate>{}</AcquisitionDate>'
+    '<Pixels SizeX="1" SizeY="1" SizeZ="1" SizeC="1" SizeT="1"/></Image>'
+)
 
 NON_FINITE = ["NaN", "sNaN", "Infinity", "-Infinity"]
 # exponents beyond DECIMAL_EXPONENT_MAX: written out in full, each takes
@@ -111,12 +116,30 @@ class TestParseOmeDocument:
             parse_ome_document(doc(IMG.format(id="I", z="1") + IMG.format(id="I", z="1")))
 
     def test_timestamp_without_timezone_rejected(self):
-        body = (
-            '<Image ID="I" Name="n"><AcquisitionDate>2015-01-20T10:30:00</AcquisitionDate>'
-            '<Pixels SizeX="1" SizeY="1" SizeZ="1" SizeC="1" SizeT="1"/></Image>'
-        )
         with pytest.raises(InvalidValueError):
-            parse_ome_document(doc(body))
+            parse_ome_document(doc(DATED.format("2015-01-20T10:30:00")))
+
+    @pytest.mark.parametrize("stamp", [
+        "2020-01-01 00:00:00+00:00",  # space separator
+        "20200101T000000Z",  # basic format
+        "2020-W01-1T00:00:00Z",  # week date
+        "2020-01-01T00+00:00",  # no minutes or seconds
+        "2020-01-01T00:00+00:00",  # no seconds
+        "2020-01-01T00:00:00,5+00:00",  # comma before the fraction
+        "2020-01-01T00:00:00+15:00",  # offset beyond 14:00
+        "2020-02-30T00:00:00Z",  # no such day
+    ])
+    def test_timestamp_outside_xsd_datetime_rejected(self, stamp):
+        with pytest.raises(InvalidValueError):
+            parse_ome_document(doc(DATED.format(stamp)))
+
+    @pytest.mark.parametrize("stamp", [
+        "2020-01-01T00:00:00Z", "2020-01-01T09:30:00+09:00",
+        "2020-12-31T23:59:59-05:00", "2020-01-01T00:00:00.25+00:00",
+    ])
+    def test_xsd_datetime_timestamp_kept(self, stamp):
+        (image,) = parse_ome_document(doc(DATED.format(stamp))).images
+        assert image.acquisition_date == stamp
 
     def test_bad_instrument_kind(self):
         with pytest.raises(InvalidValueError):
@@ -232,6 +255,19 @@ class TestParseSidecar:
         with pytest.raises(BadValueError, match="lone surrogate") as err:
             parse_sidecar(text, strict=strict)
         assert (err.value.row, err.value.column) == (3, column)
+
+    @pytest.mark.parametrize("char", [
+        "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_rows_end_only_at_cr_or_lf(self, char):
+        good = f"IMG1\tS1\t\t\tst{char}ain\t\tgun{char}\t\tcells{char}x"
+        (ann,) = parse_sidecar(HEADER + "\n" + good + "\n")
+        assert ann.staining_method == f"st{char}ain"
+        assert ann.electron_gun_type == f"gun{char}"
+        # CRLF and CR end rows too; the blank row between counts, so this is row 4
+        bad = "IMG2\tS1\t\t\t\tfast\t\t\t"
+        with pytest.raises(BadValueError) as err:
+            parse_sidecar(HEADER + "\r\n" + good + "\r\r" + bad + "\r")
+        assert (err.value.row, err.value.column) == (4, "voltage_kv")
 
     def test_bad_strain_curie(self):
         row = "IMG1\tS1\t\tNotACurie\t\t\t\t\t"

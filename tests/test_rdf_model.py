@@ -1,12 +1,8 @@
-import random
 import re
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ome_rdf.errors import (
-    BlankNodeCollisionError,
     InvalidBlankNodeError,
     InvalidIriError,
     InvalidLiteralError,
@@ -18,14 +14,8 @@ from ome_rdf.rdf import (
     Iri,
     Literal,
     Triple,
-    graph_insert,
-    graph_isomorphic,
-    graph_merge,
-    parse,
-    serialize,
 )
-
-from genutil import random_graph
+from ome_rdf.rdf.model import _NUMERIC_LEXICAL
 
 EX = "http://ex.org/"
 
@@ -98,6 +88,29 @@ class TestLiteral:
         with pytest.raises(InvalidLiteralError):
             Literal("fortytwo", Iri(XSD_INTEGER))
 
+    # one valid and one invalid lexical form per numeric datatype local name
+    NUMERIC_FORMS = {
+        "integer": ("-42", "4.2"),
+        "int": ("+7", "7\n"),
+        "long": ("9007199254740993", "1e3"),
+        "short": ("0", " 1"),
+        "byte": ("-128", ""),
+        "nonNegativeInteger": ("00", "+"),
+        "positiveInteger": ("1", "0x1F"),
+        "unsignedInt": ("4294967295", "1_000"),
+        "unsignedLong": ("18446744073709551615", "\u0661"),
+        "decimal": ("-.5", "1e3"),
+        "float": ("-INF", "inf"),
+        "double": ("6.02E23", "1.0e"),
+    }
+
+    @pytest.mark.parametrize("datatype", sorted(_NUMERIC_LEXICAL))
+    def test_numeric_lexical_table(self, datatype):
+        valid, invalid = self.NUMERIC_FORMS[datatype.rsplit("#", 1)[1]]
+        assert Literal(valid, Iri(datatype)).lexical == valid
+        with pytest.raises(InvalidLiteralError, match="does not parse as"):
+            Literal(invalid, Iri(datatype))
+
     def test_bad_language_tag(self):
         with pytest.raises(InvalidLiteralError):
             Literal("x", language="english language tag")
@@ -119,77 +132,6 @@ class TestTriple:
     def test_non_iri_predicate_rejected(self):
         with pytest.raises(TypeError):
             Triple(Iri(EX + "s"), BlankNode("b"), Iri(EX + "o"))
-
-
-class TestGraphInsert:
-    def test_insert_into_empty(self):
-        g = graph_insert(Graph(), t("s", "p", "o"))
-        assert len(g) == 1
-
-    def test_insert_same_twice(self):
-        g = graph_insert(graph_insert(Graph(), t("s", "p", "o")), t("s", "p", "o"))
-        assert len(g) == 1
-
-    def test_insert_two_distinct(self):
-        g = graph_insert(graph_insert(Graph(), t("s", "p", "o")), t("s", "p", "o2"))
-        assert len(g) == 2
-
-    @given(st.integers(0, 2**32))
-    @settings(max_examples=30)
-    def test_idempotent(self, seed):
-        g = random_graph(random.Random(seed), max_triples=10)
-        for triple in list(g)[:3]:
-            assert graph_insert(g, triple) == g
-
-
-class TestGraphMerge:
-    def test_merge_with_empty_is_identity(self):
-        g = Graph([t("s", "p", "o"), t("s", "q", "o")])
-        assert graph_isomorphic(graph_merge(g, Graph()), g)
-        assert graph_isomorphic(graph_merge(Graph(), g), g)
-
-    def test_shared_triple_counts_once(self):
-        a = Graph([t("s", "p", "o"), t("a", "p", "b")])
-        b = Graph([t("s", "p", "o"), t("c", "p", "d")])
-        assert len(graph_merge(a, b)) == len(a) + len(b) - 1
-
-    def test_prefix_conflict_renamed_with_numeric_suffix(self):
-        a = Graph([t("s", "p", "o")], {"ex": "http://one.example/"})
-        b = Graph([t("x", "y", "z")], {"ex": "http://two.example/"})
-        merged = graph_merge(a, b)
-        assert merged.prefixes["ex"] == "http://one.example/"
-        assert merged.prefixes["ex1"] == "http://two.example/"
-        # derived check: the rename must not disturb the triple set when
-        # the merged graph goes through a serialize/parse cycle
-        reparsed = parse(serialize(merged, "turtle"), "turtle")
-        assert reparsed.triples == merged.triples
-
-    def test_suffix_skips_taken_names(self):
-        a = Graph([], {"ex": "http://one.example/", "ex1": "http://three.example/"})
-        b = Graph([], {"ex": "http://two.example/"})
-        assert graph_merge(a, b).prefixes["ex2"] == "http://two.example/"
-
-    def test_blank_collision_raises(self):
-        a = Graph([Triple(BlankNode("b"), Iri(EX + "p"), Iri(EX + "o"))])
-        b = Graph([Triple(BlankNode("b"), Iri(EX + "p"), Iri(EX + "o2"))])
-        with pytest.raises(BlankNodeCollisionError):
-            graph_merge(a, b)
-
-    def test_blank_collision_relabels_on_request(self):
-        a = Graph([Triple(BlankNode("b"), Iri(EX + "p"), Iri(EX + "o"))])
-        b = Graph([Triple(BlankNode("b"), Iri(EX + "p"), Iri(EX + "o2"))])
-        merged = graph_merge(a, b, relabel=True)
-        assert len(merged) == 2
-        assert len(merged.blank_labels()) == 2
-
-    @given(st.integers(0, 2**32), st.integers(0, 2**32))
-    @settings(max_examples=30)
-    def test_merge_size_bounded(self, s1, s2):
-        a = random_graph(random.Random(s1), max_blanks=0)
-        b = random_graph(random.Random(s2), max_blanks=0)
-        merged = graph_merge(a, b)
-        assert len(merged) <= len(a) + len(b)
-        assert a.triples <= merged.triples and b.triples <= merged.triples
 
 
 class TestGraphValue:

@@ -20,7 +20,7 @@ from ome_rdf.rdf import (
 )
 
 from genutil import random_graph
-from oracle import brute_force_isomorphic, reference_serialize_turtle
+from oracle import blank_labels, brute_force_isomorphic, reference_serialize_turtle
 
 EX = "http://ex.org/"
 
@@ -202,7 +202,7 @@ class TestParseTurtle:
             "@prefix ex: <http://ex.org/> .\n_:a ex:p _:b .\n_:b ex:p ex:o .",
             "turtle",
         )
-        assert g.blank_labels() == {"a", "b"}
+        assert blank_labels(g) == {"a", "b"}
 
     def test_boolean_lookalike_prefix_is_a_prefixed_name(self):
         g = parse("@prefix true: <http://ex.org/> .\ntrue:s true:p true:o .", "turtle")
@@ -383,6 +383,63 @@ class TestErrorPositions:
         assert type(err.value) is cls
         assert str(err.value) == f"line {line}, column {column}: {message}"
         assert (err.value.line, err.value.column) == (line, column)
+
+
+_O = "<http://a.example/o>"
+_O2 = "<http://a.example/o2>"
+# Unicode and control spaces that neither grammar counts as whitespace
+_NOT_WHITESPACE = ["\xa0", "\x85", "\u2003", "\u2028", "\x0b", "\x0c", "\x1c"]
+
+
+class TestLineEndsAndWhitespace:
+    """Only the grammars' own whitespace separates terms; CR, LF and CRLF end lines."""
+
+    def test_turtle_comment_ends_at_cr(self):
+        g = parse_turtle(f"# c\r{_S} {_P} {_O2} .\r")
+        assert g == parse_ntriples(f"{_S} {_P} {_O2} .\n")
+
+    def test_ntriples_comment_ends_at_cr(self):
+        g = parse_ntriples(f"{_S} {_P} {_O} . # c\r{_S} {_P} {_O2} .\r")
+        assert len(g) == 2
+
+    @pytest.mark.parametrize("ws", ["\r"] + _NOT_WHITESPACE)
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_ntriples_terms_separated_by_space_or_tab_only(self, ws, where):
+        gaps = [" ", " ", " "]
+        gaps[where] = ws
+        with pytest.raises(RdfSyntaxError):
+            parse_ntriples(f"{_S}{gaps[0]}{_P}{gaps[1]}{_O}{gaps[2]}.\n")
+
+    @pytest.mark.parametrize("ws", _NOT_WHITESPACE)
+    @pytest.mark.parametrize("doc", [
+        "{s}{ws}{p} {o} .", "{s} {p}{ws}{o} .", "{s} {p} {o}{ws}.", "{s} a{ws}{o} .",
+        "{ws}{s} {p} {o} .", "{s} {p} {o} .{ws}",
+    ])
+    def test_turtle_rejects_other_spaces(self, ws, doc):
+        with pytest.raises(RdfSyntaxError):
+            parse_turtle(doc.format(s=_S, p=_P, o=_O, ws=ws))
+
+    @pytest.mark.parametrize("ws", [" ", "\t", "\r", "\n", "\r\n"])
+    def test_turtle_whitespace_between_terms(self, ws):
+        g = parse_turtle(f"{_S}{ws}a{ws}{_O}{ws};{ws}{_P}{ws}{_O2}{ws}.")
+        assert g == parse_ntriples(f"{_S} <{RDF_TYPE}> {_O} .\n{_S} {_P} {_O2} .\n")
+
+    @pytest.mark.parametrize("fmt", ["ntriples", "turtle"])
+    def test_raw_cr_in_string_rejected(self, fmt):
+        with pytest.raises(RdfSyntaxError, match="newline in single-quoted string"):
+            parse(f'{_S} {_P} "ab\rcd" .\n', fmt)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r", "\r\n"])
+    def test_error_position_counts_each_line_end_once(self, eol):
+        with pytest.raises(RdfSyntaxError) as err:
+            parse_ntriples(_NT.replace("\n", eol) * 2 + f'{_S} {_P} "abc')
+        assert (err.value.line, err.value.column) == (3, 47)
+
+    def test_end_of_text_after_turtle_predicate(self):
+        with pytest.raises(RdfSyntaxError) as err:
+            parse_turtle(f"{_S} {_P} ")
+        assert type(err.value) is RdfSyntaxError
+        assert "expected object term" in str(err.value)
 
 
 # Tokens that open, close or escape a term, plus a raw lone surrogate.
