@@ -75,8 +75,13 @@ class LinkRegistry:
 
     @classmethod
     def loads(cls, text: str) -> "LinkRegistry":
+        # lines end at CRLF, CR or LF only; U+0085, U+2028 and the like stay
+        # in their cell
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if lines[-1] == "":
+            lines.pop()  # the final line end
         entries = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(lines, start=1):
             cells = line.split("\t")
             if len(cells) != 3:
                 raise LinkRegistryError(

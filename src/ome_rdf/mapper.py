@@ -2,18 +2,23 @@
 
 Every node is minted as a deterministic IRI derived from input ids
 (skolemization), so identical inputs always produce byte-identical
-canonical output and shared entities (a biosample appearing under several
-images) collapse by plain set semantics when graphs merge.  The emitted
-shape per image: the typed image node with its pixel dimensions, links to
-typed experimenter/instrument nodes, and, when annotated, the chain
-image -> biosample -> external strain IRI together with sample container,
-sample preparation, imaging condition, and one phenotype-observation node
-per recorded observation.
+canonical output.  The emitted shape per image: the typed image node with
+its pixel dimensions, links to typed experimenter/instrument nodes, and,
+when annotated, the chain image -> biosample -> external strain IRI
+together with sample container, sample preparation, imaging condition,
+and one phenotype-observation node per recorded observation.
+
+One call (:func:`map_pair` or :func:`map_all`) maps its records into one
+triple list.  Within a call each distinct IRI and literal is built once,
+and each shared subgraph (an experimenter or instrument node with its
+literals, a biosample or container type triple, a ``containedIn`` or
+``derivedFrom`` edge) is emitted by the first record that names it.  A
+record that raises takes back everything it emitted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from operator import attrgetter
 from typing import Optional
@@ -91,9 +96,26 @@ def mint_iri(policy: MintingPolicy, cls: OntologyClass, local_id: str) -> Iri:
 
 @dataclass(frozen=True)
 class MappedRecord:
+    """One mapped image and the triples it added to its call's output.
+
+    ``triples`` holds the triples this record added: the image's own, and
+    those of the shared nodes and edges (experimenter, instrument,
+    biosample, container, strain link) that no earlier record of the same
+    call emitted.  A :func:`map_pair` record therefore holds the image's
+    whole graph.  The records of one :func:`map_all` call repeat no triple
+    as long as each experimenter and instrument id stands for one set of
+    values, as in any parsed document.  ``graph`` builds a :class:`Graph`
+    of ``triples`` on each access.
+    """
+
     image_iri: Iri
-    graph: Graph
+    triples: tuple
     external_links: tuple
+    prefixes: dict = field(repr=False, compare=False)
+
+    @property
+    def graph(self) -> Graph:
+        return Graph(self.triples, self.prefixes)
 
 
 def _class(registry: OntologyRegistry, label: str) -> OntologyClass:
@@ -110,6 +132,147 @@ def _prop(registry: OntologyRegistry, label: str) -> PropertyDef:
     return p
 
 
+class _Emitter:
+    """Maps the records of one call into one triple list.
+
+    Its tables live as long as the call: minted IRIs by (class label,
+    local id), literals by (lexical, datatype), resolved strains by CURIE
+    (successes only), and the keys of the shared subgraphs already
+    emitted.  A key holds every value that its subgraph's triples come
+    from, never the node's IRI alone, so two rows that give one sample
+    different containers or strains emit both edges.
+    """
+
+    def __init__(self, registry: OntologyRegistry, policy: MintingPolicy, links):
+        self.registry = registry
+        self.policy = policy
+        self.links = links
+        self.prefixes = {"mo": registry.namespace, "res": policy.instance_base, "xsd": _XSD}
+        self.triples = []
+        self._iris = {}
+        self._literals = {}
+        self._strains = {}
+        self._emitted = set()
+        self._new_keys = []
+
+    def record(self, img: OmeImage, ann: Optional[EmAnnotation]) -> MappedRecord:
+        """Emit one record; one that raises takes back its triples and keys."""
+        if ann is not None and ann.image_id != img.id:
+            raise ValueError(f"annotation {ann.image_id!r} does not belong to image {img.id!r}")
+        mark = len(self.triples)
+        self._new_keys = []
+        try:
+            image_iri, external = self._emit(img, ann)
+        except BaseException:
+            del self.triples[mark:]
+            self._emitted.difference_update(self._new_keys)
+            raise
+        return MappedRecord(image_iri, tuple(self.triples[mark:]), external, self.prefixes)
+
+    def _first(self, key) -> bool:
+        """True the first time ``key`` is seen in this call."""
+        if key in self._emitted:
+            return False
+        self._emitted.add(key)
+        self._new_keys.append(key)
+        return True
+
+    def mint(self, label: str, local_id: str) -> Iri:
+        key = (label, local_id)
+        iri = self._iris.get(key)
+        if iri is None:
+            iri = self._iris[key] = mint_iri(self.policy, _class(self.registry, label), local_id)
+        return iri
+
+    def typed(self, iri: Iri, label: str):
+        self.triples.append(Triple(iri, _TYPE, _class(self.registry, label).iri))
+
+    def node(self, label: str, local_id: str) -> Iri:
+        iri = self.mint(label, local_id)
+        self.typed(iri, label)
+        return iri
+
+    def link(self, subject: Iri, label: str, obj: Iri):
+        self.triples.append(Triple(subject, _prop(self.registry, label).iri, obj))
+
+    def literals(self, subject: Iri, table, record):
+        for label, get in table:
+            value = get(record)
+            if value is not None:
+                p = _prop(self.registry, label)
+                lexical = format(value, "f") if isinstance(value, Decimal) else str(value)
+                key = (lexical, p.range)
+                literal = self._literals.get(key)
+                if literal is None:
+                    literal = self._literals[key] = Literal(lexical, p.range)
+                self.triples.append(Triple(subject, p.iri, literal))
+
+    def strain(self, curie: str) -> Iri:
+        iri = self._strains.get(curie)
+        if iri is None:
+            try:
+                iri = self.links.resolve(curie)
+            except LinkRegistryError as e:
+                raise UnresolvableStrainError(curie, str(e)) from e
+            self._strains[curie] = iri
+        return iri
+
+    def _emit(self, img: OmeImage, ann: Optional[EmAnnotation]):
+        image_iri = self.node("Image", img.id)
+        self.literals(image_iri, _IMAGE, img)
+
+        exp = img.experimenter
+        if exp is not None:
+            exp_iri = self.mint("Experimenter", exp.id)
+            self.link(image_iri, "acquiredBy", exp_iri)
+            if self._first(exp):
+                self.typed(exp_iri, "Experimenter")
+                self.literals(exp_iri, _EXPERIMENTER, exp)
+
+        instr = img.instrument
+        if instr is not None:
+            # minted under the generic instrument path so the IRI is computable
+            # from the ref alone; the type triple carries the specific class
+            instr_iri = self.mint("Instrument", instr.id)
+            self.link(image_iri, "acquiredWith", instr_iri)
+            if self._first(instr):
+                electron = instr.kind is InstrumentKind.ELECTRON
+                self.typed(instr_iri, "ElectronMicroscope" if electron else "Instrument")
+                self.literals(instr_iri, _INSTRUMENT, instr)
+
+        external = ()
+        if ann is not None:
+            sample = ann.sample_id
+            sample_iri = self.mint("BioSample", sample)
+            self.link(image_iri, "depicts", sample_iri)
+            if self._first(("BioSample", sample)):
+                self.typed(sample_iri, "BioSample")
+            if ann.container_id is not None:
+                container_iri = self.mint("SampleContainer", ann.container_id)
+                if self._first(("SampleContainer", ann.container_id)):
+                    self.typed(container_iri, "SampleContainer")
+                if self._first(("containedIn", sample, ann.container_id)):
+                    self.link(sample_iri, "containedIn", container_iri)
+            if ann.strain_id is not None:
+                strain_iri = self.strain(ann.strain_id)
+                if self._first(("derivedFrom", sample, strain_iri)):
+                    self.link(sample_iri, "derivedFrom", strain_iri)
+                external = (strain_iri,)
+            if ann.staining_method is not None:
+                prep_iri = self.node("SamplePreparation", img.id)
+                self.link(sample_iri, "preparedBy", prep_iri)
+                self.literals(prep_iri, _PREPARATION, ann)
+            if any(get(ann) is not None for _, get in _CONDITION):
+                cond_iri = self.node("ImagingCondition", img.id)
+                self.link(image_iri, "hasImagingCondition", cond_iri)
+                self.literals(cond_iri, _CONDITION, ann)
+            for i, observation in enumerate(ann.phenotype_observations):
+                pheno_iri = self.node("PhenotypeData", f"{img.id}-p{i}")
+                self.link(image_iri, "hasObservation", pheno_iri)
+                self.literals(pheno_iri, _PHENOTYPE, observation)
+        return image_iri, external
+
+
 def map_pair(
     img: OmeImage,
     ann: Optional[EmAnnotation],
@@ -124,79 +287,7 @@ def map_pair(
     ``external_links``; resolution failures raise
     :class:`UnresolvableStrainError`.
     """
-    if ann is not None and ann.image_id != img.id:
-        raise ValueError(f"annotation {ann.image_id!r} does not belong to image {img.id!r}")
-    triples = []
-
-    def node(label, local_id, type_label=None):
-        iri = mint_iri(policy, _class(registry, label), local_id)
-        triples.append(Triple(iri, _TYPE, _class(registry, type_label or label).iri))
-        return iri
-
-    def link(subject, label, obj):
-        triples.append(Triple(subject, _prop(registry, label).iri, obj))
-
-    def literals(subject, table, record):
-        for label, get in table:
-            value = get(record)
-            if value is not None:
-                p = _prop(registry, label)
-                lexical = format(value, "f") if isinstance(value, Decimal) else str(value)
-                triples.append(Triple(subject, p.iri, Literal(lexical, p.range)))
-
-    image_iri = node("Image", img.id)
-    literals(image_iri, _IMAGE, img)
-
-    if img.experimenter is not None:
-        exp_iri = node("Experimenter", img.experimenter.id)
-        link(image_iri, "acquiredBy", exp_iri)
-        literals(exp_iri, _EXPERIMENTER, img.experimenter)
-
-    if img.instrument is not None:
-        # minted under the generic instrument path so the IRI is computable
-        # from the ref alone; the type triple carries the specific class
-        electron = img.instrument.kind is InstrumentKind.ELECTRON
-        instr_iri = node("Instrument", img.instrument.id,
-                         "ElectronMicroscope" if electron else None)
-        link(image_iri, "acquiredWith", instr_iri)
-        literals(instr_iri, _INSTRUMENT, img.instrument)
-
-    external = ()
-    if ann is not None:
-        sample_iri = node("BioSample", ann.sample_id)
-        link(image_iri, "depicts", sample_iri)
-        if ann.container_id is not None:
-            link(sample_iri, "containedIn", node("SampleContainer", ann.container_id))
-        if ann.strain_id is not None:
-            try:
-                strain_iri = links.resolve(ann.strain_id)
-            except LinkRegistryError as e:
-                raise UnresolvableStrainError(ann.strain_id, str(e)) from e
-            link(sample_iri, "derivedFrom", strain_iri)
-            external = (strain_iri,)
-        if ann.staining_method is not None:
-            prep_iri = node("SamplePreparation", img.id)
-            link(sample_iri, "preparedBy", prep_iri)
-            literals(prep_iri, _PREPARATION, ann)
-        if any(get(ann) is not None for _, get in _CONDITION):
-            cond_iri = node("ImagingCondition", img.id)
-            link(image_iri, "hasImagingCondition", cond_iri)
-            literals(cond_iri, _CONDITION, ann)
-        for i, observation in enumerate(ann.phenotype_observations):
-            pheno_iri = node("PhenotypeData", f"{img.id}-p{i}")
-            link(image_iri, "hasObservation", pheno_iri)
-            literals(pheno_iri, _PHENOTYPE, observation)
-
-    graph = Graph(triples, _instance_prefixes(registry, policy))
-    return MappedRecord(image_iri, graph, external)
-
-
-def _instance_prefixes(registry: OntologyRegistry, policy: MintingPolicy) -> dict:
-    return {
-        "mo": registry.namespace,
-        "res": policy.instance_base,
-        "xsd": _XSD,
-    }
+    return _Emitter(registry, policy, links).record(img, ann)
 
 
 @dataclass(frozen=True)
@@ -220,29 +311,27 @@ def map_all(
     links,
     skip_errors: bool = False,
 ) -> MapResult:
-    """Map many (image, annotation) pairs and merge their graphs.
+    """Map many (image, annotation) pairs into one graph.
 
-    The merged graph is the set union of the per-record graphs (all nodes
-    are skolem IRIs, so no blank node needs relabelling).  Record
+    The graph equals the union of the :func:`map_pair` graphs of the
+    records that map (all nodes are skolem IRIs, so no blank node needs
+    relabelling), but each shared subgraph is emitted only once.  Record
     order follows the input.  Without ``skip_errors`` the first failure
     raises :class:`MappingFailedError`; with it, failures become
     :class:`SkippedRecord` entries.
     """
+    emitter = _Emitter(registry, policy, links)
     records = []
     skipped = []
-    triples = []
     for img, ann in pairs:
         try:
-            record = map_pair(img, ann, registry, policy, links)
+            records.append(emitter.record(img, ann))
         except Exception as e:
             if not skip_errors:
                 raise MappingFailedError(img.id, e) from e
             skipped.append(SkippedRecord(img.id, getattr(e, "code", "Error"), str(e)))
-            continue
-        records.append(record)
-        triples.extend(record.graph)
-    merged = Graph(triples, _instance_prefixes(registry, policy))
-    return MapResult(merged, tuple(records), tuple(skipped))
+    graph = Graph(emitter.triples, emitter.prefixes)
+    return MapResult(graph, tuple(records), tuple(skipped))
 
 
 def map_document(

@@ -290,7 +290,8 @@ def parse_sidecar(text: str, strict: bool = True) -> list:
     """Parse a TSV sidecar into :class:`EmAnnotation` records.
 
     Rows end at CRLF, CR or LF; any other character, such as U+0085 or
-    U+2028, is part of its cell.  The header must match SIDECAR_COLUMNS
+    U+2028, is part of its cell.  Phenotypes are split at ``;`` and
+    trimmed of spaces and tabs only.  The header must match SIDECAR_COLUMNS
     exactly, and no cell may hold a lone surrogate, which UTF-8 cannot
     encode.  Non-numeric and
     non-finite voltages and wavelengths, and those whose leading digit's
@@ -343,8 +344,10 @@ def parse_sidecar(text: str, strict: bool = True) -> list:
         wavelength = _decimal_cell(row["wavelength_pm"], lineno, "wavelength_pm")
         if strict and wavelength is not None and wavelength <= 0:
             raise BadValueError(lineno, "wavelength_pm", "must be > 0")
+        # only space and tab are trimmed: any other character is data, as in
+        # every other cell
         phenotypes = tuple(
-            p.strip() for p in row["phenotypes"].split(";") if p.strip()
+            p for p in (c.strip(" \t") for c in row["phenotypes"].split(";")) if p
         )
         records.append(EmAnnotation(
             image_id=image_id,

@@ -1,4 +1,10 @@
-"""Deterministic RDF core: terms, graphs, canonical Turtle/N-Triples."""
+"""Deterministic RDF core: terms, graphs, canonical Turtle/N-Triples.
+
+:func:`graph_isomorphic` compares graphs read back in; a conversion never
+calls it, so its module is imported on first use.
+"""
+
+from importlib import import_module
 
 from .model import (
     BlankNode,
@@ -9,9 +15,15 @@ from .model import (
     Triple,
     term_sort_key,
 )
-from .isomorphism import graph_isomorphic
 from .parse import parse, parse_ntriples, parse_turtle
 from .serialize import serialize, serialize_ntriples, serialize_turtle, term_to_ntriples
+
+
+def __getattr__(name):
+    if name != "graph_isomorphic":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return import_module(".isomorphism", __name__).graph_isomorphic
+
 
 __all__ = [
     "BlankNode",

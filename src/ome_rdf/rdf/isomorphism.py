@@ -1,10 +1,11 @@
 """Blank-node-aware graph equality.
 
-:func:`graph_isomorphic` first compares ground triples, then runs colour
-refinement over blank nodes and finishes with an exact backtracking search
-(up to ``BRUTE_FORCE_BOUND`` blanks).  Above the bound it only answers when
-refinement pins every blank down to a singleton class, otherwise it raises
-:class:`TooLargeForExactCheckError`.
+:func:`graph_isomorphic` compares the triple sets directly when the first
+graph has no blank node.  Otherwise it first compares ground triples, then
+runs colour refinement over blank nodes and finishes with an exact
+backtracking search (up to ``BRUTE_FORCE_BOUND`` blanks).  Above the bound
+it only answers when refinement pins every blank down to a singleton class,
+otherwise it raises :class:`TooLargeForExactCheckError`.
 """
 
 from __future__ import annotations
@@ -146,6 +147,8 @@ def graph_isomorphic(a: Graph, b: Graph) -> bool:
     """
     if len(a) != len(b):
         return False
+    if not any(isinstance(t.subject, BlankNode) or isinstance(t.object, BlankNode) for t in a):
+        return a == b  # no bijection to find: only equal sets match
     ground_a, blankful_a = _split(a)
     ground_b, blankful_b = _split(b)
     if ground_a != ground_b:

@@ -5,6 +5,10 @@ threads.  Canonical text output is handled by :mod:`ome_rdf.rdf.serialize`;
 note that plain iteration over a graph is *not* deterministic across
 interpreter runs (string hash randomisation), which is why all serializers
 sort.
+
+:class:`Iri`, :class:`Literal` and :class:`Triple` work out their hash once,
+when they are built, and keep it in a slot that equality ignores.  Pickling
+builds them again rather than copying that slot, for the same reason.
 """
 
 from __future__ import annotations
@@ -34,16 +38,33 @@ _FLOAT_LEXICAL_RE = re.compile(
     r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?|[+-]?INF|NaN"
 )
 
-# The numeric datatypes and the lexical forms each accepts (matched whole).
+# The numeric datatypes: the lexical forms each accepts (matched whole) and,
+# for the bounded integer types, the least and the greatest value.
 _NUMERIC_LEXICAL = {
-    **{XSD_NS + local: _INTEGER_LEXICAL_RE for local in (
-        "integer", "int", "long", "short", "byte",
-        "nonNegativeInteger", "positiveInteger", "unsignedInt", "unsignedLong",
-    )},
-    XSD_DECIMAL: re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)"),
-    XSD_FLOAT: _FLOAT_LEXICAL_RE,
-    XSD_DOUBLE: _FLOAT_LEXICAL_RE,
+    XSD_NS + "integer": (_INTEGER_LEXICAL_RE, None, None),
+    XSD_NS + "long": (_INTEGER_LEXICAL_RE, -2**63, 2**63 - 1),
+    XSD_NS + "int": (_INTEGER_LEXICAL_RE, -2**31, 2**31 - 1),
+    XSD_NS + "short": (_INTEGER_LEXICAL_RE, -2**15, 2**15 - 1),
+    XSD_NS + "byte": (_INTEGER_LEXICAL_RE, -2**7, 2**7 - 1),
+    XSD_NS + "nonNegativeInteger": (_INTEGER_LEXICAL_RE, 0, None),
+    XSD_NS + "positiveInteger": (_INTEGER_LEXICAL_RE, 1, None),
+    XSD_NS + "unsignedLong": (_INTEGER_LEXICAL_RE, 0, 2**64 - 1),
+    XSD_NS + "unsignedInt": (_INTEGER_LEXICAL_RE, 0, 2**32 - 1),
+    XSD_DECIMAL: (re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)"), None, None),
+    XSD_FLOAT: (_FLOAT_LEXICAL_RE, None, None),
+    XSD_DOUBLE: (_FLOAT_LEXICAL_RE, None, None),
 }
+# every finite bound above has at most this many digits
+_BOUND_DIGITS = 20
+
+
+def _integer_value(lexical: str):
+    """The value of an integer lexical form, or an infinity of its sign when
+    it has more digits than any bound (which also keeps ``int()`` under its
+    digit limit)."""
+    digits = lexical.lstrip("+-").lstrip("0")
+    value = int(digits or "0") if len(digits) <= _BOUND_DIGITS else float("inf")
+    return -value if lexical[0] == "-" else value
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,6 +72,7 @@ class Iri:
     """An absolute IRI.  Validated on construction."""
 
     value: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = self.value
@@ -61,9 +83,20 @@ class Iri:
         bad = _IRI_FORBIDDEN_RE.search(v)
         if bad:
             raise InvalidIriError(f"forbidden character {bad.group()!r} in {v!r}")
+        object.__setattr__(self, "_hash", hash((v,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Iri, (self.value,)
 
     def __str__(self):
         return self.value
+
+
+_XSD_STRING = Iri(XSD_STRING)
+_RDF_LANGSTRING = Iri(RDF_LANGSTRING)
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,13 +119,14 @@ class Literal:
 
     ``Literal("x")`` is an ``xsd:string``; ``Literal("x", language="en")``
     is an ``rdf:langString``.  A language tag together with any other
-    datatype is rejected, as are numeric datatypes with non-numeric
-    lexical forms.
+    datatype is rejected, as are numeric lexical forms that do not match
+    their datatype and integers outside their datatype's range.
     """
 
     lexical: str
     datatype: Iri = field(default=None)  # type: ignore[assignment]
     language: Optional[str] = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bad = _SURROGATE_RE.search(self.lexical)
@@ -104,20 +138,36 @@ class Literal:
             if not _LANG_TAG_RE.match(self.language):
                 raise InvalidLiteralError(f"bad language tag {self.language!r}")
             if self.datatype is None:
-                object.__setattr__(self, "datatype", Iri(RDF_LANGSTRING))
+                object.__setattr__(self, "datatype", _RDF_LANGSTRING)
             elif self.datatype.value != RDF_LANGSTRING:
                 raise InvalidLiteralError(
                     "language tag requires the rdf:langString datatype"
                 )
         elif self.datatype is None:
-            object.__setattr__(self, "datatype", Iri(XSD_STRING))
+            object.__setattr__(self, "datatype", _XSD_STRING)
         elif self.datatype.value == RDF_LANGSTRING:
             raise InvalidLiteralError("rdf:langString requires a language tag")
-        lexical_re = _NUMERIC_LEXICAL.get(self.datatype.value)
-        if lexical_re is not None and not lexical_re.fullmatch(self.lexical):
-            raise InvalidLiteralError(
-                f"lexical form {self.lexical!r} does not parse as {self.datatype.value}"
-            )
+        numeric = _NUMERIC_LEXICAL.get(self.datatype.value)
+        if numeric is not None:
+            lexical_re, least, greatest = numeric
+            if not lexical_re.fullmatch(self.lexical):
+                raise InvalidLiteralError(
+                    f"lexical form {self.lexical!r} does not parse as {self.datatype.value}"
+                )
+            if least is not None or greatest is not None:
+                value = _integer_value(self.lexical)
+                if (least is not None and value < least
+                        or greatest is not None and value > greatest):
+                    raise InvalidLiteralError(
+                        f"{self.lexical!r} is outside the value space of {self.datatype.value}"
+                    )
+        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype, self.language)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Literal, (self.lexical, self.datatype, self.language)
 
 
 Term = Union[Iri, BlankNode, Literal]
@@ -139,6 +189,7 @@ class Triple:
     subject: Term
     predicate: Iri
     object: Term
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.subject, Literal):
@@ -149,6 +200,13 @@ class Triple:
             raise TypeError("triple predicate must be an IRI")
         if not isinstance(self.object, (Iri, BlankNode, Literal)):
             raise TypeError(f"bad object {self.object!r}")
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Triple, (self.subject, self.predicate, self.object)
 
 
 class Graph:

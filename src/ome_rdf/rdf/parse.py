@@ -49,14 +49,21 @@ _LINE_END_RE = re.compile(r"[ \t]*(?:#[^\r\n]*)?")
 # the runs between escapes and terminators
 _IRI_BODY_RE = re.compile(r"[^>\\]*")
 _STRING_BODY_RE = re.compile(r'[^"\\\r\n]*')
+_RDF_TYPE = Iri(RDF_TYPE)
 
 
 class _Scanner:
-    """A cursor over the text; positions are worked out only for errors."""
+    """A cursor over the text; positions are worked out only for errors.
+
+    ``iris`` maps each valid IRI text seen in this call to its :class:`Iri`,
+    so a recurring IRI is built and hashed once.  Invalid IRIs never enter
+    it, so each one is reported where it occurs.
+    """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.iris = {}
 
     def position(self, at: int) -> tuple:
         """The 1-based (line, column) of offset ``at``; CRLF is one line end."""
@@ -90,6 +97,16 @@ class _Scanner:
             self.pos += len(literal)
         else:
             self.error(f"expected {literal!r}")
+
+    def iri(self, value: str, at: int) -> Iri:
+        """The :class:`Iri` of ``value``; an invalid one is an error at offset ``at``."""
+        iri = self.iris.get(value)
+        if iri is None:
+            try:
+                iri = self.iris[value] = Iri(value)
+            except InvalidIriError as e:
+                raise RdfSyntaxError(str(e), *self.position(at)) from e
+        return iri
 
     def read_uchar(self) -> str:
         # positioned after the backslash, on "u", "U" or the end of the text
@@ -125,10 +142,7 @@ class _Scanner:
                 chars.append(self.read_uchar())
             else:
                 self.error("only \\u / \\U escapes allowed in IRIs")
-        try:
-            return Iri("".join(chars))
-        except InvalidIriError as e:
-            raise RdfSyntaxError(str(e), *self.position(start)) from e
+        return self.iri("".join(chars), start)
 
     def read_string(self) -> str:
         self.expect('"')
@@ -250,10 +264,7 @@ def parse_turtle(text: str) -> Graph:
         _sc.pos -= len(glued) - len(local)
         if prefix not in prefixes:
             _sc.error(f"undeclared prefix {prefix!r}")
-        try:
-            return Iri(prefixes[prefix] + local)
-        except InvalidIriError as e:
-            raise RdfSyntaxError(str(e), *_sc.position(_sc.pos)) from e
+        return _sc.iri(prefixes[prefix] + local, _sc.pos)
 
     def read_term(position: str):
         ch = sc.peek()
@@ -287,7 +298,7 @@ def parse_turtle(text: str) -> Graph:
             nxt = sc.text[sc.pos + 1: sc.pos + 2]
             if nxt == "" or nxt in " \t\r\n<#":
                 sc.pos += 1
-                return Iri(RDF_TYPE)
+                return _RDF_TYPE
         term = read_term("predicate")
         if not isinstance(term, Iri):
             sc.error("predicate must be an IRI")

@@ -5,8 +5,9 @@ order or thread schedule: N-Triples lines are sorted bytewise, Turtle
 statements are grouped by subject and sorted at every level, with
 ``rdf:type`` written first as ``a``.  The Turtle writer writes an IRI as a
 prefixed name under the longest namespace that leaves a safe local name,
-and in full ``<...>`` form when none does; it works out each distinct
-IRI's text once per call.
+and in full ``<...>`` form when none does.  The Turtle writer works out
+each distinct IRI's text once per call, and the N-Triples writer each
+distinct literal's.
 """
 
 from __future__ import annotations
@@ -31,26 +32,47 @@ def _escape_string(s: str) -> str:
     return s.translate(_STRING_ESCAPES)
 
 
-def term_to_ntriples(term: Term) -> str:
-    """Render one term in N-Triples syntax (bare literal means xsd:string)."""
+def _term_text(term: Term, iri) -> str:
+    """Render one term; ``iri`` maps an IRI value to its text.  A literal of
+    type xsd:string is written bare."""
     if isinstance(term, Iri):
-        return f"<{term.value}>"
+        return iri(term.value)
     if isinstance(term, BlankNode):
         return f"_:{term.label}"
-    if isinstance(term, Literal):
-        body = f'"{_escape_string(term.lexical)}"'
-        if term.language is not None:
-            return f"{body}@{term.language}"
-        if term.datatype.value == XSD_STRING:
-            return body
-        return f"{body}^^<{term.datatype.value}>"
-    raise TypeError(f"not an RDF term: {term!r}")
+    body = f'"{_escape_string(term.lexical)}"'
+    if term.language is not None:
+        return f"{body}@{term.language}"
+    if term.datatype.value == XSD_STRING:
+        return body
+    return f"{body}^^{iri(term.datatype.value)}"
+
+
+_bracketed = "<{}>".format
+
+
+def term_to_ntriples(term: Term) -> str:
+    """Render one term in N-Triples syntax (bare literal means xsd:string)."""
+    if not isinstance(term, (Iri, BlankNode, Literal)):
+        raise TypeError(f"not an RDF term: {term!r}")
+    return _term_text(term, _bracketed)
+
+
+class _NTriplesText(dict):
+    """Term -> N-Triples text, rendered on first lookup."""
+
+    def __missing__(self, term: Term) -> str:
+        text = self[term] = term_to_ntriples(term)
+        return text
 
 
 def serialize_ntriples(g: Graph) -> str:
+    # each distinct literal and blank node is rendered once per call; an IRI
+    # is only put in <>, which costs less than looking it up
+    text = _NTriplesText()
     lines = [
-        f"{term_to_ntriples(t.subject)} {term_to_ntriples(t.predicate)} "
-        f"{term_to_ntriples(t.object)} .\n"
+        f"{'<' + t.subject.value + '>' if t.subject.__class__ is Iri else text[t.subject]}"
+        f" <{t.predicate.value}> "
+        f"{'<' + t.object.value + '>' if t.object.__class__ is Iri else text[t.object]} .\n"
         for t in g
     ]
     # code-point order is UTF-8 byte order, so no encoded copy is needed
@@ -66,20 +88,6 @@ def _shorten(iri_value: str, namespaces: list) -> str | None:
             if _SAFE_LOCAL_RE.match(local):
                 return f"{prefix}:{local}"
     return None
-
-
-def _term_to_turtle(term: Term, iri) -> str:
-    """Render one term in Turtle; ``iri`` maps an IRI value to its text."""
-    if isinstance(term, Iri):
-        return iri(term.value)
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    body = f'"{_escape_string(term.lexical)}"'
-    if term.language is not None:
-        return f"{body}@{term.language}"
-    if term.datatype.value == XSD_STRING:
-        return body
-    return f"{body}^^{iri(term.datatype.value)}"
 
 
 def _subject_key(t: Triple) -> str:
@@ -126,13 +134,13 @@ def serialize_turtle(g: Graph) -> str:
         for p in sorted(by_predicate, key=_verb_order):
             objs = by_predicate[p]
             if len(objs) == 1:
-                text = _term_to_turtle(objs[0], iri)
+                text = _term_text(objs[0], iri)
             else:
                 objs.sort(key=term_sort_key)
-                text = ", ".join([_term_to_turtle(o, iri) for o in objs])
+                text = ", ".join([_term_text(o, iri) for o in objs])
             # "a" is only a verb: rdf:type elsewhere is written as an IRI
             lines.append(f"{'a' if p == RDF_TYPE else iri(p)} {text}")
-        out.append(f"{_term_to_turtle(subject, iri)} " + " ;\n     ".join(lines) + " .\n")
+        out.append(f"{_term_text(subject, iri)} " + " ;\n     ".join(lines) + " .\n")
     return "".join(out)
 
 

@@ -56,6 +56,19 @@ class TestRegistryFile:
         with pytest.raises(LinkRegistryError):
             LinkRegistry.loads("justone\n")
 
+    def test_lines_end_only_at_cr_or_lf(self):
+        good = "demo\thttp://db.example/demo\t[0-9]{4}\x85?"
+        assert LinkRegistry.loads(good).entries["demo"].id_pattern == "[0-9]{4}\x85?"
+        # CRLF and CR end lines too, so the bad line is line 3
+        text = good + "\r\nother\thttp://db.example/o\t.*\rjustone\n"
+        with pytest.raises(LinkRegistryError) as err:
+            LinkRegistry.loads(text)
+        assert str(err.value).startswith("line 3: ")
+
+    def test_blank_line_inside_is_bad(self):
+        with pytest.raises(LinkRegistryError, match="^line 2: "):
+            LinkRegistry.loads("demo\thttp://db.example/demo\t.*\n\nx\thttp://x.example\t.*\n")
+
     def test_bad_prefix(self):
         with pytest.raises(LinkRegistryError):
             LinkEntry("Bad_Prefix", Iri("http://x.example/"), ".*")

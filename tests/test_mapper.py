@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ from ome_rdf.namespaces import RDF_TYPE
 from ome_rdf.ome_xml import (
     SIDECAR_COLUMNS,
     EmAnnotation,
+    InstrumentKind,
+    join_annotations,
     parse_ome_document,
     parse_sidecar,
 )
@@ -365,3 +368,93 @@ class TestMapDocument:
         result = map_document(doc, anns, registry, policy, links, skip_errors=True)
         assert result.skipped[0].code == "OrphanAnnotation"
         assert len(result.records) == 1
+
+
+def golden_image(image_id):
+    """The golden image, which names experimenter E1 and instrument I1, under another id."""
+    text = (DATA / "golden.ome.xml").read_text().replace("IMG001", image_id)
+    return parse_ome_document(text).images[0]
+
+
+class TestMapAllAgainstMapPair:
+    """``map_all`` emits each shared node once, yet its graph is the union of
+    the ``map_pair`` graphs of the records that map."""
+
+    def check(self, pairs, registry, policy, links, disjoint=True):
+        union, failed = set(), []
+        for img, ann in pairs:
+            try:
+                union |= map_pair(img, ann, registry, policy, links).graph.triples
+            except Exception:
+                failed.append(img.id)
+        result = map_all(pairs, registry, policy, links, skip_errors=True)
+        assert result.graph == Graph(union)
+        assert [s.image_id for s in result.skipped] == failed
+        if disjoint:  # no record re-emits a triple that an earlier one added
+            assert sum(len(r.graph) for r in result.records) == len(result.graph)
+        return result
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_generated_documents(self, seed, registry, policy, links):
+        doc, anns = generated_document(seed, n_images=30)
+        # every fourth row names a strain that does not resolve
+        anns = [replace(a, strain_id="nosuch:X1") if i % 4 == 0 else a
+                for i, a in enumerate(anns)]
+        self.check(join_annotations(doc, anns), registry, policy, links)
+
+    def test_one_sample_with_different_containers_and_strains(
+            self, registry, policy, links):
+        strain = "rikenbrc_mouse:RBRC0000{}".format
+        pairs = [
+            (golden_image("A"), EmAnnotation("A", "S1", "C1", strain(1))),
+            (golden_image("B"), EmAnnotation("B", "S1", "C2", strain(2))),
+            (golden_image("C"), EmAnnotation("C", "S1", "C1", strain(1))),
+            (golden_image("D"), EmAnnotation("D", "S2", "C1", strain(2))),
+        ]
+        result = self.check(pairs, registry, policy, links)
+        contained = registry.property_by_label("containedIn").iri
+        derived = registry.property_by_label("derivedFrom").iri
+        s1 = Iri(BASE + "biosample/S1")
+        assert {t.object.value.rsplit("/", 1)[1] for t in result.graph
+                if t.subject == s1 and t.predicate in (contained, derived)} == {
+            "C1", "C2", "RBRC00001", "RBRC00002"}
+        assert [len(r.graph) for r in result.records][2] < len(
+            map_pair(*pairs[2], registry, policy, links).graph)
+
+    def test_one_experimenter_and_instrument_id_with_different_values(
+            self, registry, policy, links):
+        # callers that build records themselves may give one id two sets of
+        # values; both are emitted, and the triples they share are emitted twice
+        a = golden_image("A")
+        b = replace(golden_image("B"),
+                    experimenter=replace(a.experimenter, name="B. Other", email=None),
+                    instrument=replace(a.instrument, kind=InstrumentKind.OPTICAL))
+        result = self.check([(a, None), (b, None), (golden_image("C"), None)],
+                            registry, policy, links, disjoint=False)
+        full_name = registry.property_by_label("fullName").iri
+        assert {t.object.lexical for t in result.graph if t.predicate == full_name} == {
+            "A. Imager", "B. Other"}
+        assert types_of(result.graph, Iri(BASE + "instrument/I1")) == {
+            registry.class_by_label(label).iri for label in ("ElectronMicroscope", "Instrument")}
+
+    def test_failed_record_does_not_hide_what_it_named_first(
+            self, registry, policy, links):
+        pairs = [
+            (golden_image("A"), EmAnnotation("A", "S9", "C9", "nosuch:X1",
+                                             staining_method="osmium")),
+            (golden_image("B"), EmAnnotation("B", "S9", "C9")),
+        ]
+        result = self.check(pairs, registry, policy, links)
+        assert [(s.image_id, s.code) for s in result.skipped] == [("A", "UnresolvableStrain")]
+        for iri in ("biosample/S9", "samplecontainer/C9", "experimenter/E1",
+                    "instrument/I1"):
+            assert types_of(result.graph, Iri(BASE + iri)), iri
+        assert not any(t.subject.value.endswith("/A") for t in result.graph)
+
+    def test_shared_entities_emitted_once(self, registry, policy, links):
+        doc, anns = generated_document(3, n_images=40)
+        pairs = join_annotations(doc, anns)
+        result = self.check(pairs, registry, policy, links)
+        emitted_by_map_pair = sum(len(map_pair(img, ann, registry, policy, links).graph)
+                                  for img, ann in pairs)
+        assert emitted_by_map_pair > len(result.graph)

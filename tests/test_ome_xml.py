@@ -269,6 +269,12 @@ class TestParseSidecar:
             parse_sidecar(HEADER + "\r\n" + good + "\r\r" + bad + "\r")
         assert (err.value.row, err.value.column) == (4, "voltage_kv")
 
+    def test_phenotypes_trimmed_of_space_and_tab_only(self):
+        row = "IMG1\tS1\t\t\tst\x85\t\t\t\t\xa0liver\x85;  cells ; ;\x85"
+        (ann,) = parse_sidecar(HEADER + "\n" + row + "\n")
+        assert ann.staining_method == "st\x85"
+        assert ann.phenotype_observations == ("\xa0liver\x85", "cells", "\x85")
+
     def test_bad_strain_curie(self):
         row = "IMG1\tS1\t\tNotACurie\t\t\t\t\t"
         with pytest.raises(BadValueError):

@@ -1,13 +1,20 @@
+import pickle
+import random
 import re
+import subprocess
+import sys
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ome_rdf.errors import (
     InvalidBlankNodeError,
     InvalidIriError,
     InvalidLiteralError,
 )
-from ome_rdf.namespaces import RDF_LANGSTRING, XSD_INTEGER, XSD_STRING
+from ome_rdf.namespaces import RDF_LANGSTRING, XSD_INTEGER, XSD_NS, XSD_STRING
 from ome_rdf.rdf import (
     BlankNode,
     Graph,
@@ -16,6 +23,8 @@ from ome_rdf.rdf import (
     Triple,
 )
 from ome_rdf.rdf.model import _NUMERIC_LEXICAL
+
+from genutil import random_graph
 
 EX = "http://ex.org/"
 
@@ -111,6 +120,49 @@ class TestLiteral:
         with pytest.raises(InvalidLiteralError, match="does not parse as"):
             Literal(invalid, Iri(datatype))
 
+    # the least and greatest value of each bounded integer type, as XSD 1.1
+    # defines them, and the values just past them
+    INTEGER_BOUNDS = {
+        "long": ("-9223372036854775808", "9223372036854775807",
+                 "-9223372036854775809", "9223372036854775808"),
+        "int": ("-2147483648", "2147483647", "-2147483649", "2147483648"),
+        "short": ("-32768", "32767", "-32769", "32768"),
+        "byte": ("-128", "127", "-129", "128"),
+        "nonNegativeInteger": ("-0", "9" * 5000, "-1", None),
+        "positiveInteger": ("+000001", "9" * 5000, "0", None),
+        "unsignedLong": ("0", "18446744073709551615", "-1", "18446744073709551616"),
+        "unsignedInt": ("-0", "4294967295", "-1", "4294967296"),
+    }
+
+    @pytest.mark.parametrize("local", sorted(INTEGER_BOUNDS))
+    def test_integer_value_space(self, local):
+        datatype = Iri(XSD_NS + local)
+        least, greatest, below, above = self.INTEGER_BOUNDS[local]
+        assert Literal(least, datatype).lexical == least
+        assert Literal(greatest, datatype).lexical == greatest
+        for outside in (below, above):
+            if outside is not None:
+                with pytest.raises(InvalidLiteralError, match="outside the value space"):
+                    Literal(outside, datatype)
+
+    @pytest.mark.parametrize("lexical, local", [
+        ("-1", "nonNegativeInteger"),
+        ("0", "positiveInteger"),
+        ("300", "byte"),
+        ("99999999999", "int"),
+        # past int()'s 4300-digit limit, and padded past it with zeros
+        ("1" + "0" * 5000, "unsignedLong"),
+        ("-" + "9" * 5000, "nonNegativeInteger"),
+        ("0" * 5000 + "128", "byte"),
+    ])
+    def test_integer_outside_value_space_rejected(self, lexical, local):
+        with pytest.raises(InvalidLiteralError, match="outside the value space"):
+            Literal(lexical, Iri(XSD_NS + local))
+
+    def test_unbounded_integer_keeps_any_length(self):
+        for lexical in ("-" + "9" * 5000, "0" * 5000 + "7"):
+            assert Literal(lexical, Iri(XSD_INTEGER)).lexical == lexical
+
     def test_bad_language_tag(self):
         with pytest.raises(InvalidLiteralError):
             Literal("x", language="english language tag")
@@ -153,3 +205,47 @@ class TestGraphValue:
         assert dict(g.prefixes) == {"ex": EX, "iri": EX + "ns#"}
         with pytest.raises(InvalidIriError):
             Graph([], {"ex": "not an iri"})
+
+
+def _fresh(term):
+    """A new object equal in value to ``term``, built through its constructor."""
+    if isinstance(term, Triple):
+        return Triple(_fresh(term.subject), _fresh(term.predicate), _fresh(term.object))
+    if isinstance(term, Iri):
+        return Iri(term.value)
+    if isinstance(term, Literal):
+        return Literal(term.lexical, _fresh(term.datatype), term.language)
+    return BlankNode(term.label)
+
+
+def _field_hash(term):
+    """The hash of the compared fields, worked out now."""
+    return hash(tuple(getattr(term, f.name) for f in fields(term) if f.compare))
+
+
+class TestHashContract:
+    """Equal terms and triples hash equal; a cached hash is the hash of its fields."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_equal_values_hash_equal(self, seed):
+        g = random_graph(random.Random(seed), max_triples=20)
+        for t in g:
+            for x in (t, t.subject, t.predicate, t.object):
+                copy = _fresh(x)
+                assert copy == x and copy is not x
+                assert hash(copy) == hash(x) == _field_hash(x)
+
+    def test_pickle_rehashes_in_a_new_interpreter(self):
+        # a str hash changes with PYTHONHASHSEED, so a copied hash would be
+        # stale in another interpreter
+        triple = Triple(Iri(EX + "s"), Iri(EX + "p"), Literal("v", language="en"))
+        code = ("import pickle, sys; from ome_rdf.rdf import Iri, Literal, Triple; "
+                f"sys.stdout.buffer.write(pickle.dumps({triple!r}))")
+        dumped = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, check=True,
+            env={"PYTHONPATH": ":".join(sys.path), "PYTHONHASHSEED": "12345"}).stdout
+        loaded = pickle.loads(dumped)
+        assert loaded == triple
+        assert hash(loaded) == hash(triple) == _field_hash(loaded)
+        assert hash(loaded.object) == _field_hash(loaded.object)

@@ -321,7 +321,8 @@ _TTL = (
     "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
     "ex:s ex:p ex:o .\n"
 )
-_XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
+_XSD = "http://www.w3.org/2001/XMLSchema#"
+_XSD_INT = _XSD + "integer"
 
 
 class TestErrorPositions:
@@ -342,6 +343,10 @@ class TestErrorPositions:
          RdfSyntaxError, f"lexical form 'abc' does not parse as {_XSD_INT}", 3, 43),
         ("ntriples", _NT + f'{_S} {_P} "ab\ncd" .\n',
          RdfSyntaxError, "newline in single-quoted string", 2, 46),
+        *[("ntriples", _NT + f'{_S} {_P} "{lexical}"^^<{_XSD}{local}> .\n', RdfSyntaxError,
+           f"{lexical!r} is outside the value space of {_XSD}{local}", 2, 43)
+          for lexical, local in [("-1", "nonNegativeInteger"), ("0", "positiveInteger"),
+                                 ("300", "byte"), ("99999999999", "int")]],
         ("ntriples", _NT + f"{_S} {_P} <http://a.example/o",
          RdfSyntaxError, "unterminated IRI", 2, 62),
         ("ntriples", _NT + f'{_S} {_P} "abc',
@@ -362,6 +367,8 @@ class TestErrorPositions:
          RdfSyntaxError, "forbidden character ' ' in 'http://a.example/o b'", 4, 17),
         ("turtle", _TTL + 'ex:s ex:p "1", "abc"^^xsd:integer .\n',
          RdfSyntaxError, f"lexical form 'abc' does not parse as {_XSD_INT}", 4, 16),
+        ("turtle", _TTL + 'ex:s ex:p ex:o, "300"^^xsd:byte .\n',
+         RdfSyntaxError, f"'300' is outside the value space of {_XSD}byte", 4, 17),
         ("turtle", _TTL + 'ex:s ex:p "ab\ncd" .\n',
          RdfSyntaxError, "newline in single-quoted string", 4, 14),
         ("turtle", _TTL + "ex:s ex:p <http://a.example/o",
