@@ -18,7 +18,6 @@ import enum
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from datetime import datetime
 from decimal import Decimal, InvalidOperation
 from typing import Optional
 
@@ -35,6 +34,7 @@ from .errors import (
     OrphanAnnotationError,
     UnknownColumnError,
 )
+from .rdf.model import DATETIME_LEXICAL_RE, datetime_day_exists
 
 SIDECAR_COLUMNS = (
     "image_id", "sample_id", "container_id", "strain_id", "stain",
@@ -43,11 +43,6 @@ SIDECAR_COLUMNS = (
 
 _CURIE_RE = re.compile(r"^[a-z][a-z0-9_]*:\S+$")
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
-# the xsd:dateTime lexical form, with its timezone (at most 14:00) required
-_TIMESTAMP_RE = re.compile(
-    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?"
-    r"(Z|[+-]((0[0-9]|1[0-3]):[0-5][0-9]|14:00))"
-)
 
 VOLTAGE_MAX_KV = Decimal("1000")
 
@@ -159,14 +154,13 @@ def _positive_decimal(el, attr, path):
 
 
 def _check_timestamp(raw, path):
-    if not _TIMESTAMP_RE.fullmatch(raw):
+    # the xsd:dateTime check of rdf.model, with the timezone required
+    m = DATETIME_LEXICAL_RE.fullmatch(raw)
+    if m is None or m.group(4) is None:
         raise InvalidValueError(
             path, f"{raw!r} is not YYYY-MM-DDThh:mm:ss[.s] with Z or a +hh:mm/-hh:mm timezone")
-    try:
-        # the calendar check: month lengths, leap years, hours below 24
-        datetime.fromisoformat(raw[:-1] + "+00:00" if raw.endswith("Z") else raw)
-    except ValueError:
-        raise InvalidValueError(path, f"{raw!r} is not a valid date and time") from None
+    if not datetime_day_exists(m):
+        raise InvalidValueError(path, f"{raw!r} is not a valid date and time")
     return raw
 
 

@@ -19,7 +19,9 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from ..errors import InvalidBlankNodeError, InvalidIriError, InvalidLiteralError
-from ..namespaces import RDF_LANGSTRING, XSD_DECIMAL, XSD_DOUBLE, XSD_FLOAT, XSD_NS, XSD_STRING
+from ..namespaces import (
+    RDF_LANGSTRING, XSD_DATETIME, XSD_DECIMAL, XSD_DOUBLE, XSD_FLOAT, XSD_NS, XSD_STRING,
+)
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 # Characters an IRI may never contain if it is to survive <...> quoting in
@@ -37,24 +39,16 @@ _INTEGER_LEXICAL_RE = re.compile(r"[+-]?[0-9]+")
 _FLOAT_LEXICAL_RE = re.compile(
     r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?|[+-]?INF|NaN"
 )
-
-# The numeric datatypes: the lexical forms each accepts (matched whole) and,
-# for the bounded integer types, the least and the greatest value.
-_NUMERIC_LEXICAL = {
-    XSD_NS + "integer": (_INTEGER_LEXICAL_RE, None, None),
-    XSD_NS + "long": (_INTEGER_LEXICAL_RE, -2**63, 2**63 - 1),
-    XSD_NS + "int": (_INTEGER_LEXICAL_RE, -2**31, 2**31 - 1),
-    XSD_NS + "short": (_INTEGER_LEXICAL_RE, -2**15, 2**15 - 1),
-    XSD_NS + "byte": (_INTEGER_LEXICAL_RE, -2**7, 2**7 - 1),
-    XSD_NS + "nonNegativeInteger": (_INTEGER_LEXICAL_RE, 0, None),
-    XSD_NS + "positiveInteger": (_INTEGER_LEXICAL_RE, 1, None),
-    XSD_NS + "unsignedLong": (_INTEGER_LEXICAL_RE, 0, 2**64 - 1),
-    XSD_NS + "unsignedInt": (_INTEGER_LEXICAL_RE, 0, 2**32 - 1),
-    XSD_DECIMAL: (re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)"), None, None),
-    XSD_FLOAT: (_FLOAT_LEXICAL_RE, None, None),
-    XSD_DOUBLE: (_FLOAT_LEXICAL_RE, None, None),
-}
-# every finite bound above has at most this many digits
+# The xsd:dateTime lexical form of XSD 1.1, except that an hour is below 24,
+# with the timezone (at most 14:00 from UTC) optional; whether the day exists
+# in its month is checked on the match.
+DATETIME_LEXICAL_RE = re.compile(
+    r"-?(0[0-9]{3}|[1-9][0-9]{3,})-(0[1-9]|1[0-2])-(0[1-9]|[12][0-9]|3[01])"
+    r"T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9](?:\.[0-9]+)?"
+    r"(Z|[+-](?:(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
+)
+_MONTH_DAYS = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+# every finite integer bound below has at most this many digits
 _BOUND_DIGITS = 20
 
 
@@ -65,6 +59,44 @@ def _integer_value(lexical: str):
     digits = lexical.lstrip("+-").lstrip("0")
     value = int(digits or "0") if len(digits) <= _BOUND_DIGITS else float("inf")
     return -value if lexical[0] == "-" else value
+
+
+def _within(least, greatest):
+    """The value check of an integer type with these bounds."""
+    return lambda m: least <= _integer_value(m.group()) <= greatest
+
+
+def datetime_day_exists(m: re.Match) -> bool:
+    """Whether the day a match of :data:`DATETIME_LEXICAL_RE` names exists
+    in its month (month lengths, leap years)."""
+    day = m.group(3)
+    if day <= "28":
+        return True
+    month = m.group(2)
+    # the year's last four digits decide a leap year, as 10000 is 25 x 400
+    year = int(m.group(1)[-4:])
+    leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    return int(day) <= _MONTH_DAYS[int(month) - 1] - (month == "02" and not leap)
+
+
+# The datatypes whose literals are checked: the lexical forms each accepts
+# (matched whole) and the check of the value, if any, on the match.
+_LEXICAL_FORMS = {
+    XSD_NS + "integer": (_INTEGER_LEXICAL_RE, None),
+    XSD_NS + "long": (_INTEGER_LEXICAL_RE, _within(-2**63, 2**63 - 1)),
+    XSD_NS + "int": (_INTEGER_LEXICAL_RE, _within(-2**31, 2**31 - 1)),
+    XSD_NS + "short": (_INTEGER_LEXICAL_RE, _within(-2**15, 2**15 - 1)),
+    XSD_NS + "byte": (_INTEGER_LEXICAL_RE, _within(-2**7, 2**7 - 1)),
+    XSD_NS + "nonNegativeInteger": (_INTEGER_LEXICAL_RE, _within(0, float("inf"))),
+    XSD_NS + "positiveInteger": (_INTEGER_LEXICAL_RE, _within(1, float("inf"))),
+    XSD_NS + "unsignedLong": (_INTEGER_LEXICAL_RE, _within(0, 2**64 - 1)),
+    XSD_NS + "unsignedInt": (_INTEGER_LEXICAL_RE, _within(0, 2**32 - 1)),
+    XSD_DECIMAL: (re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)"), None),
+    XSD_FLOAT: (_FLOAT_LEXICAL_RE, None),
+    XSD_DOUBLE: (_FLOAT_LEXICAL_RE, None),
+    XSD_DATETIME: (DATETIME_LEXICAL_RE, datetime_day_exists),
+    XSD_NS + "boolean": (re.compile("true|false|1|0"), None),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,20 +179,18 @@ class Literal:
             object.__setattr__(self, "datatype", _XSD_STRING)
         elif self.datatype.value == RDF_LANGSTRING:
             raise InvalidLiteralError("rdf:langString requires a language tag")
-        numeric = _NUMERIC_LEXICAL.get(self.datatype.value)
-        if numeric is not None:
-            lexical_re, least, greatest = numeric
-            if not lexical_re.fullmatch(self.lexical):
+        checked = _LEXICAL_FORMS.get(self.datatype.value)
+        if checked is not None:
+            lexical_re, in_value_space = checked
+            m = lexical_re.fullmatch(self.lexical)
+            if m is None:
                 raise InvalidLiteralError(
                     f"lexical form {self.lexical!r} does not parse as {self.datatype.value}"
                 )
-            if least is not None or greatest is not None:
-                value = _integer_value(self.lexical)
-                if (least is not None and value < least
-                        or greatest is not None and value > greatest):
-                    raise InvalidLiteralError(
-                        f"{self.lexical!r} is outside the value space of {self.datatype.value}"
-                    )
+            if in_value_space is not None and not in_value_space(m):
+                raise InvalidLiteralError(
+                    f"{self.lexical!r} is outside the value space of {self.datatype.value}"
+                )
         object.__setattr__(self, "_hash", hash((self.lexical, self.datatype, self.language)))
 
     def __hash__(self):

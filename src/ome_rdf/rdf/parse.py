@@ -8,10 +8,23 @@ and boolean shorthand, triple quoting) raises
 :class:`UnsupportedConstructError`; malformed input raises
 :class:`RdfSyntaxError` with line and column.
 
-Both parsers share one cursor over the text.  Each token (whitespace and
-comments, names, the runs of IRI and string bodies between escapes) is
-consumed by one compiled regex; line and column are counted from the
-text only when an error is raised.
+Each parser takes the common case with one compiled regex: N-Triples a
+whole statement up to its line end, Turtle a verb, and an object with the
+whitespace after it up to the ``,``, ``;`` or ``.`` that follows.  Those
+regexes take no escapes and no comment but one after an N-Triples
+statement's dot, and a term they take is one the scanner would read the
+same way.  Whatever they do not take (escapes, comments, blank nodes in
+Turtle, any malformed text) goes to the token scanner from the same
+offset.  The scanner is the only reader of everything else and the only
+source of errors: it consumes each token (whitespace and comments, names,
+the runs of IRI and string bodies between escapes) with one compiled
+regex, and counts line and column from the text only when an error is
+raised.
+
+Both readers build terms through the same two per-call tables, one of
+IRIs and one of literals, so each distinct term is validated once, in
+textual order; an invalid term never enters a table and is reported at
+its ``<`` or ``"`` (a prefixed name just after its end), wherever it recurs.
 
 Whitespace is what the grammars allow, not what ``str.isspace`` accepts:
 space and tab between the terms of an N-Triples statement; space, tab,
@@ -51,19 +64,50 @@ _IRI_BODY_RE = re.compile(r"[^>\\]*")
 _STRING_BODY_RE = re.compile(r'[^"\\\r\n]*')
 _RDF_TYPE = Iri(RDF_TYPE)
 
+# The fast paths' terms: an IRI body without escapes or the ASCII characters
+# an Iri forbids, a string without escapes, and a prefixed name whose local
+# part is the scanner's once trailing dots are stripped (the lookahead stops
+# a shorter match where the scanner would read on).
+_IRI = r'<([^<>"{}|^`\\\x00-\x20]*)>'
+_STRING = r'"([^"\\\r\n]*)"'
+_LANG = r"@([A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*)"
+_PNAME = (r"([A-Za-z][A-Za-z0-9_.-]*)?:"
+          r"((?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?(?!\.*[A-Za-z0-9_%-]))?)"
+          r"(?![A-Za-z0-9_])")
+_NODE = rf"(?:{_IRI}|_:([A-Za-z][A-Za-z0-9]*))"
+_NAME = rf"(?:{_IRI}|{_PNAME})"
+# a whole N-Triples statement up to its line end; groups: subject IRI or
+# label, predicate, object IRI or label, lexical form, datatype, language
+_NT_STATEMENT_RE = re.compile(
+    rf"{_NODE}[ \t]*{_IRI}[ \t]*(?:{_NODE}|{_STRING}(?:\^\^{_IRI}|{_LANG})?)"
+    r"[ \t]*\.[ \t]*(?:#[^\r\n]*)?(?![^\r\n])"
+)
+# a Turtle verb; groups: the keyword "a", then IRI or prefix and local name
+_TTL_VERB_RE = re.compile(rf"(a)(?![^ \t\r\n<#])|{_NAME}")
+# a Turtle object and the whitespace before the "," ";" or "." after it;
+# groups: IRI or prefix and local name, lexical form, the same three for the
+# datatype, language
+_TTL_OBJECT_RE = re.compile(
+    rf"(?:{_NAME}|{_STRING}(?:\^\^{_NAME}|{_LANG})?)[ \t\r\n]*(?=[,;.])"
+)
+
 
 class _Scanner:
     """A cursor over the text; positions are worked out only for errors.
 
-    ``iris`` maps each valid IRI text seen in this call to its :class:`Iri`,
-    so a recurring IRI is built and hashed once.  Invalid IRIs never enter
-    it, so each one is reported where it occurs.
+    Two per-call tables hold the terms built so far: ``iris`` maps each
+    valid IRI text to its :class:`Iri`, and ``literals`` maps each valid
+    (lexical form, datatype :class:`Iri` or None, language) to its
+    :class:`Literal`.  So a recurring term is built, validated and hashed
+    once, whether the scanner or a fast path read it.  Invalid terms never
+    enter them, so each one is reported where it occurs.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self.iris = {}
+        self.literals = {}
 
     def position(self, at: int) -> tuple:
         """The 1-based (line, column) of offset ``at``; CRLF is one line end."""
@@ -107,6 +151,17 @@ class _Scanner:
             except InvalidIriError as e:
                 raise RdfSyntaxError(str(e), *self.position(at)) from e
         return iri
+
+    def literal(self, lexical: str, datatype, language, at: int) -> Literal:
+        """The :class:`Literal` of its parts; an invalid one is an error at offset ``at``."""
+        key = (lexical, datatype, language)
+        literal = self.literals.get(key)
+        if literal is None:
+            try:
+                literal = self.literals[key] = Literal(lexical, datatype, language)
+            except InvalidLiteralError as e:
+                raise RdfSyntaxError(str(e), *self.position(at)) from e
+        return literal
 
     def read_uchar(self) -> str:
         # positioned after the backslash, on "u", "U" or the end of the text
@@ -188,55 +243,76 @@ def _read_literal(sc: _Scanner, resolve_pname) -> Literal:
             datatype = sc.read_iriref()
         else:
             datatype = resolve_pname(sc)
-    try:
-        return Literal(lexical, datatype, language)
-    except InvalidLiteralError as e:
-        raise RdfSyntaxError(str(e), *sc.position(start)) from e
+    return sc.literal(lexical, datatype, language, start)
 
 
 # --------------------------------------------------------------- N-Triples
 
+def _no_pname(sc: _Scanner):
+    sc.error("prefixed names are not allowed in N-Triples")
+
+
+def _read_node(sc: _Scanner):
+    ch = sc.peek()
+    if ch == "<":
+        return sc.read_iriref()
+    if ch == "_":
+        m = sc.match_re(_BLANK_RE)
+        if not m:
+            sc.error("bad blank node label")
+        return BlankNode(m.group(1))
+    sc.error(f"expected IRI or blank node, found {ch!r}")
+
+
+def _read_statement(sc: _Scanner) -> Triple:
+    """Read the N-Triples statement at ``sc.pos`` token by token."""
+    subject = _read_node(sc)
+    sc.skip_ws_and_comments(newlines=False)
+    if sc.peek() != "<":
+        sc.error("expected IRI predicate")
+    predicate = sc.read_iriref()
+    sc.skip_ws_and_comments(newlines=False)
+    ch = sc.peek()
+    if ch == '"':
+        obj = _read_literal(sc, _no_pname)
+    elif ch in "<_":
+        obj = _read_node(sc)
+    else:
+        sc.error(f"expected term, found {ch!r}")
+    sc.skip_ws_and_comments(newlines=False)
+    sc.expect(".")
+    sc.match_re(_LINE_END_RE)
+    if sc.peek() not in ("", "\r", "\n"):
+        sc.error("expected end of line after '.'")
+    return Triple(subject, predicate, obj)
+
+
 def parse_ntriples(text: str) -> Graph:
     sc = _Scanner(text)
+    iri = sc.iri
+    statement = _NT_STATEMENT_RE.match
     triples = []
-
-    def no_pname(_sc):
-        _sc.error("prefixed names are not allowed in N-Triples")
-
-    def read_subject():
-        ch = sc.peek()
-        if ch == "<":
-            return sc.read_iriref()
-        if ch == "_":
-            m = sc.match_re(_BLANK_RE)
-            if not m:
-                sc.error("bad blank node label")
-            return BlankNode(m.group(1))
-        sc.error(f"expected IRI or blank node, found {ch!r}")
-
     while True:
         sc.skip_ws_and_comments()
         if sc.eof():
             break
-        subject = read_subject()
-        sc.skip_ws_and_comments(newlines=False)
-        if sc.peek() != "<":
-            sc.error("expected IRI predicate")
-        predicate = sc.read_iriref()
-        sc.skip_ws_and_comments(newlines=False)
-        ch = sc.peek()
-        if ch == '"':
-            obj = _read_literal(sc, no_pname)
-        elif ch in "<_":
-            obj = read_subject()
+        m = statement(text, sc.pos)
+        if m is None:
+            triples.append(_read_statement(sc))
+            continue
+        s, s_label, p, o, o_label, lexical, datatype, language = m.groups()
+        subject = BlankNode(s_label) if s is None else iri(s, m.start(1) - 1)
+        predicate = iri(p, m.start(3) - 1)
+        if o is not None:
+            obj = iri(o, m.start(4) - 1)
+        elif o_label is not None:
+            obj = BlankNode(o_label)
         else:
-            sc.error(f"expected term, found {ch!r}")
-        sc.skip_ws_and_comments(newlines=False)
-        sc.expect(".")
-        sc.match_re(_LINE_END_RE)
-        if sc.peek() not in ("", "\r", "\n"):
-            sc.error("expected end of line after '.'")
+            if datatype is not None:
+                datatype = iri(datatype, m.start(7) - 1)
+            obj = sc.literal(lexical, datatype, language, m.start(6) - 1)
         triples.append(Triple(subject, predicate, obj))
+        sc.pos = m.end()
     return Graph(triples)
 
 
@@ -291,7 +367,33 @@ def parse_turtle(text: str) -> Graph:
             return resolve_pname(sc)
         sc.error(f"expected {position} term, found {ch!r}")
 
+    def fast_name(m, k):
+        # the Iri of groups k to k + 2 of a fast-path match, or None where
+        # the scanner must read it because its prefix is undeclared
+        value = m.group(k)
+        if value is not None:
+            return sc.iri(value, m.start(k) - 1)
+        ns = prefixes.get(m.group(k + 1) or "")
+        return None if ns is None else sc.iri(ns + m.group(k + 2), m.end(k + 2))
+
+    def fast_object(m):
+        # the term a match of _TTL_OBJECT_RE names, or None as above
+        _, _, _, lexical, datatype, _, dt_local, language = m.groups()
+        if lexical is None:
+            return fast_name(m, 1)
+        if datatype is not None or dt_local is not None:
+            datatype = fast_name(m, 5)
+            if datatype is None:
+                return None
+        return sc.literal(lexical, datatype, language, m.start(4) - 1)
+
     def read_verb() -> Iri:
+        m = _TTL_VERB_RE.match(text, sc.pos)
+        if m:
+            verb = _RDF_TYPE if m.group(1) else fast_name(m, 2)
+            if verb is not None:
+                sc.pos = m.end()
+                return verb
         # "a" followed by whitespace, "<", or a comment is the type keyword;
         # "a:x" or "abc:x" are prefixed names
         if sc.peek() == "a":
@@ -342,14 +444,19 @@ def parse_turtle(text: str) -> Graph:
             read_directive()
             continue
         subject = read_term("subject")
+        sc.skip_ws_and_comments()
         while True:
-            sc.skip_ws_and_comments()
             predicate = read_verb()
             while True:
                 sc.skip_ws_and_comments()
-                obj = read_term("object")
+                m = _TTL_OBJECT_RE.match(text, sc.pos)
+                obj = fast_object(m) if m else None
+                if obj is None:
+                    obj = read_term("object")
+                    sc.skip_ws_and_comments()
+                else:
+                    sc.pos = m.end()
                 triples.append(Triple(subject, predicate, obj))
-                sc.skip_ws_and_comments()
                 if sc.peek() == ",":
                     sc.pos += 1
                     continue

@@ -5,8 +5,11 @@ import random
 from ome_rdf.namespaces import RDF_NS, RDF_TYPE, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
 from ome_rdf.rdf import BlankNode, Graph, Iri, Literal, Triple
 
-# "café", "9z" and "a.b" are not safe Turtle local names; "" is written as "ex:"
-_IRI_TOKENS = ["a", "b", "c", "node1", "node2", "pred", "p2", "x-y", "café", "", "9z", "a.b"]
+# "café", "9z" and "a.b" are not safe Turtle local names; "" is written as
+# "ex:"; "end-" and "end_" end a local name where a "." could not
+_IRI_TOKENS = [
+    "a", "b", "c", "node1", "node2", "pred", "p2", "x-y", "café", "", "9z", "a.b", "end-", "end_",
+]
 # the second base lies inside the first, so the longest namespace must win
 _IRI_BASES = ["http://t.example/", "http://t.example/sub/", "http://x.example/ns#", "urn:demo:"]
 _LEXICALS = [
@@ -18,8 +21,13 @@ _LEXICALS = [
     "tab\tand\rcr",
     "unicodé Ω",
     "  spaced  ",
+    # Turtle and N-Triples punctuation inside the quotes
+    "a . b",
+    "x, y; z",
+    "# not a comment",
+    "1^^2",
 ]
-_LANGS = ["en", "en-GB", "ja"]
+_LANGS = ["en", "en-GB", "ja", "zh-Hant-TW", "de-CH-1996"]
 
 
 def random_iri(rng: random.Random) -> Iri:

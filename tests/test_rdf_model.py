@@ -22,7 +22,7 @@ from ome_rdf.rdf import (
     Literal,
     Triple,
 )
-from ome_rdf.rdf.model import _NUMERIC_LEXICAL
+from ome_rdf.rdf.model import _LEXICAL_FORMS
 
 from genutil import random_graph
 
@@ -97,8 +97,8 @@ class TestLiteral:
         with pytest.raises(InvalidLiteralError):
             Literal("fortytwo", Iri(XSD_INTEGER))
 
-    # one valid and one invalid lexical form per numeric datatype local name
-    NUMERIC_FORMS = {
+    # one valid and one invalid lexical form per checked datatype local name
+    LEXICAL_FORMS = {
         "integer": ("-42", "4.2"),
         "int": ("+7", "7\n"),
         "long": ("9007199254740993", "1e3"),
@@ -111,11 +111,13 @@ class TestLiteral:
         "decimal": ("-.5", "1e3"),
         "float": ("-INF", "inf"),
         "double": ("6.02E23", "1.0e"),
+        "dateTime": ("-0044-03-15T12:00:00.5", "2020-01-01"),
+        "boolean": ("1", "True"),
     }
 
-    @pytest.mark.parametrize("datatype", sorted(_NUMERIC_LEXICAL))
+    @pytest.mark.parametrize("datatype", sorted(_LEXICAL_FORMS))
     def test_numeric_lexical_table(self, datatype):
-        valid, invalid = self.NUMERIC_FORMS[datatype.rsplit("#", 1)[1]]
+        valid, invalid = self.LEXICAL_FORMS[datatype.rsplit("#", 1)[1]]
         assert Literal(valid, Iri(datatype)).lexical == valid
         with pytest.raises(InvalidLiteralError, match="does not parse as"):
             Literal(invalid, Iri(datatype))
@@ -162,6 +164,33 @@ class TestLiteral:
     def test_unbounded_integer_keeps_any_length(self):
         for lexical in ("-" + "9" * 5000, "0" * 5000 + "7"):
             assert Literal(lexical, Iri(XSD_INTEGER)).lexical == lexical
+
+    @pytest.mark.parametrize("lexical", [
+        "2020-02-29T23:59:59Z", "2000-02-29T00:00:00+14:00", "0000-02-29T00:00:00-13:59",
+        "12000-02-29T00:00:00", "-0001-12-31T00:00:00.000001Z", "2020-04-30T00:00:00",
+    ])
+    def test_datetime_in_value_space(self, lexical):
+        assert Literal(lexical, Iri(XSD_NS + "dateTime")).lexical == lexical
+
+    @pytest.mark.parametrize("lexical", [
+        "2019-02-29T00:00:00Z", "1900-02-29T00:00:00Z", "2020-04-31T00:00:00Z",
+        "2020-02-30T00:00:00", "-0001-02-29T00:00:00Z",
+    ])
+    def test_datetime_day_outside_month_rejected(self, lexical):
+        with pytest.raises(InvalidLiteralError, match="outside the value space"):
+            Literal(lexical, Iri(XSD_NS + "dateTime"))
+
+    @pytest.mark.parametrize("lexical", [
+        "2020-13-01T00:00:00Z", "2020-00-01T00:00:00Z", "2020-01-00T00:00:00Z",
+        "2020-01-32T00:00:00Z", "2020-01-01T24:00:00Z", "2020-01-01T00:60:00Z",
+        "2020-01-01T00:00:60Z", "2020-13-45T99:00:00Z",
+        "2020-01-01T00:00:00+14:01", "2020-01-01T00:00:00+15:00", "2020-1-01T00:00:00",
+        "00020-01-01T00:00:00", "2020-01-01T00:00", "2020-01-01 00:00:00", "2020-01-01T00:00:00.",
+        "maybe",
+    ])
+    def test_datetime_lexical_form_rejected(self, lexical):
+        with pytest.raises(InvalidLiteralError, match="does not parse as"):
+            Literal(lexical, Iri(XSD_NS + "dateTime"))
 
     def test_bad_language_tag(self):
         with pytest.raises(InvalidLiteralError):

@@ -1,5 +1,7 @@
+import importlib
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, note, settings
@@ -23,6 +25,7 @@ from genutil import random_graph
 from oracle import blank_labels, brute_force_isomorphic, reference_serialize_turtle
 
 EX = "http://ex.org/"
+_PARSE_MODULE = importlib.import_module("ome_rdf.rdf.parse")
 
 
 def t(s, p, o):
@@ -347,6 +350,12 @@ class TestErrorPositions:
            f"{lexical!r} is outside the value space of {_XSD}{local}", 2, 43)
           for lexical, local in [("-1", "nonNegativeInteger"), ("0", "positiveInteger"),
                                  ("300", "byte"), ("99999999999", "int")]],
+        *[(fmt, _NT + f'{_S} {_P} "{lexical}"^^<{_XSD}{local}> .\n', RdfSyntaxError, message, 2, 43)
+          for fmt in ("ntriples", "turtle")
+          for lexical, local, message in [
+              ("2020-13-45T99:00:00Z", "dateTime",
+               f"lexical form '2020-13-45T99:00:00Z' does not parse as {_XSD}dateTime"),
+              ("maybe", "boolean", f"lexical form 'maybe' does not parse as {_XSD}boolean")]],
         ("ntriples", _NT + f"{_S} {_P} <http://a.example/o",
          RdfSyntaxError, "unterminated IRI", 2, 62),
         ("ntriples", _NT + f'{_S} {_P} "abc',
@@ -486,3 +495,77 @@ class TestParserTotality:
                         continue
                     for out in ("ntriples", "turtle"):
                         serialize(parsed, out).encode("utf-8")
+
+
+_NEVER = re.compile(r"(?!)")
+
+
+def _outcome(parser, text):
+    """The graph and prefixes ``parser`` reads from ``text``, or its error."""
+    try:
+        g = parser(text)
+    except OmeRdfError as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "column", None)
+    return g, dict(g.prefixes)
+
+
+def _scanner_only(parser, text):
+    """``_outcome`` with the fast-path regexes matching nothing, so the token
+    scanner reads every statement."""
+    with mock.patch.multiple(_PARSE_MODULE, _NT_STATEMENT_RE=_NEVER,
+                             _TTL_VERB_RE=_NEVER, _TTL_OBJECT_RE=_NEVER):
+        return _outcome(parser, text)
+
+
+class TestFastPathsAgreeWithScanner:
+    """The statement and object regexes give what the scanner alone gives:
+    the same graph and prefixes, or the same error class, message and place."""
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_same_outcome_as_scanner_only(self, rng):
+        g = random_graph(rng, max_triples=12, with_prefixes=True)
+        for fmt in ("ntriples", "turtle"):
+            serialized = serialize(g, fmt)
+            for text in [serialized] + [_mutate(serialized, rng) for _ in range(10)]:
+                note(repr(text))
+                for parser in (parse_ntriples, parse_turtle):
+                    assert _outcome(parser, text) == _scanner_only(parser, text)
+
+    # prefixed names where a regex could stop short of the scanner's name
+    @pytest.mark.parametrize("statement", [
+        "ex:s ex:p%412 ex:o .", "ex:s ex:p ex:a.b%41 .", "ex:s ex:p ex:a..b, ex:a. .",
+        "ex:s ex:p ex:%41 .", "ex:s ex:p ex:.", "ex:s ex:p. ex:o .", "ex:s ex:p ex:a.%41 .",
+        'ex:s ex:p "1"^^ex:t.x .', 'ex:s ex:p "1"^^ex:t., "2"@en-GB.',
+        "ex:s a:b ex:o, ex:o-, ex:_ .",
+    ])
+    def test_prefixed_names_end_where_the_scanner_ends_them(self, statement):
+        text = "@prefix ex: <http://ex.org/> .\n" + statement
+        assert _outcome(parse_turtle, text) == _scanner_only(parse_turtle, text)
+
+    # empty IRIs, which are falsy but present, and terms without spaces
+    @pytest.mark.parametrize("statement", [
+        f'{_S} {_P} "x"^^<> .', f"<> {_P} {_O} .", f"{_S} <> {_O} .", f"{_S} {_P} <> .",
+        f'{_S}{_P}""@en.', f"_:a{_P}_:b.", f'{_S} {_P} "x"^^<{_XSD}boolean> .',
+    ])
+    @pytest.mark.parametrize("parser", [parse_ntriples, parse_turtle])
+    def test_terms_read_as_the_scanner_reads_them(self, statement, parser):
+        assert _outcome(parser, statement) == _scanner_only(parser, statement)
+
+    @pytest.mark.parametrize("parser, shipped", [(parse_ntriples, 0), (parse_turtle, 1)])
+    def test_scanner_only_run_reads_with_the_scanner(self, parser, shipped):
+        # a canonical N-Triples line, which is also Turtle: the shipped Turtle
+        # parser reads only its subject with the scanner
+        line = f"{_S} {_P} {_O} .\n"
+        read_iriref = _PARSE_MODULE._Scanner.read_iriref
+        calls = []
+
+        def counted(sc):
+            calls.append(sc.pos)
+            return read_iriref(sc)
+
+        with mock.patch.object(_PARSE_MODULE._Scanner, "read_iriref", counted):
+            fast = _outcome(parser, line)
+            fast_calls = len(calls)
+            assert _scanner_only(parser, line) == fast
+        assert (fast_calls, len(calls) - fast_calls) == (shipped, 3)
