@@ -35,7 +35,7 @@ from .errors import (
 )
 from .namespaces import DEFAULT_INSTANCE_BASE, RDF_TYPE, XSD_NS
 from .ome_xml import EmAnnotation, InstrumentKind, OmeDocument, OmeImage, join_annotations
-from .ontology import OntologyClass, OntologyRegistry, PropertyDef
+from .ontology import OntologyClass, OntologyRegistry
 from .rdf import Graph, Iri, Literal, Triple
 
 _TYPE = Iri(RDF_TYPE)
@@ -91,7 +91,7 @@ def mint_iri(policy: MintingPolicy, cls: OntologyClass, local_id: str) -> Iri:
         local = quote(local_id, safe="")
     except UnicodeEncodeError as e:  # a lone surrogate has no UTF-8 form
         raise InvalidIriError(f"cannot percent-encode local id {local_id!r}") from e
-    return Iri(policy.instance_base.value + cls.label.lower() + "/" + local)
+    return Iri(policy.instance_base + cls.label.lower() + "/" + local)
 
 
 @dataclass(frozen=True)
@@ -118,33 +118,37 @@ class MappedRecord:
         return Graph(self.triples, self.prefixes)
 
 
-def _class(registry: OntologyRegistry, label: str) -> OntologyClass:
-    cls = registry.class_by_label(label)
-    if cls is None:
-        raise UnknownClassInRegistryError(f"registry has no {label!r} class")
-    return cls
+class _Resolved(dict):
+    """Label -> registry entry, looked up on first use.  A label the registry
+    lacks raises in the record that first needs it, and on every later use."""
 
+    def __init__(self, lookup, kind: str):
+        super().__init__()
+        self.lookup = lookup
+        self.kind = kind
 
-def _prop(registry: OntologyRegistry, label: str) -> PropertyDef:
-    p = registry.property_by_label(label)
-    if p is None:
-        raise UnknownClassInRegistryError(f"registry has no {label!r} property")
-    return p
+    def __missing__(self, label: str):
+        entry = self.lookup(label)
+        if entry is None:
+            raise UnknownClassInRegistryError(f"registry has no {label!r} {self.kind}")
+        self[label] = entry
+        return entry
 
 
 class _Emitter:
     """Maps the records of one call into one triple list.
 
-    Its tables live as long as the call: minted IRIs by (class label,
-    local id), literals by (lexical, datatype), resolved strains by CURIE
-    (successes only), and the keys of the shared subgraphs already
-    emitted.  A key holds every value that its subgraph's triples come
-    from, never the node's IRI alone, so two rows that give one sample
-    different containers or strains emit both edges.
+    Its tables live as long as the call: registry classes and properties
+    by label, minted IRIs by (class label, local id), literals by (lexical,
+    datatype), resolved strains by CURIE (successes only), and the keys of
+    the shared subgraphs already emitted.  A key holds every value that its
+    subgraph's triples come from, never the node's IRI alone, so two rows
+    that give one sample different containers or strains emit both edges.
     """
 
     def __init__(self, registry: OntologyRegistry, policy: MintingPolicy, links):
-        self.registry = registry
+        self.classes = _Resolved(registry.class_by_label, "class")
+        self.props = _Resolved(registry.property_by_label, "property")
         self.policy = policy
         self.links = links
         self.prefixes = {"mo": registry.namespace, "res": policy.instance_base, "xsd": _XSD}
@@ -181,11 +185,11 @@ class _Emitter:
         key = (label, local_id)
         iri = self._iris.get(key)
         if iri is None:
-            iri = self._iris[key] = mint_iri(self.policy, _class(self.registry, label), local_id)
+            iri = self._iris[key] = mint_iri(self.policy, self.classes[label], local_id)
         return iri
 
     def typed(self, iri: Iri, label: str):
-        self.triples.append(Triple(iri, _TYPE, _class(self.registry, label).iri))
+        self.triples.append(Triple(iri, _TYPE, self.classes[label].iri))
 
     def node(self, label: str, local_id: str) -> Iri:
         iri = self.mint(label, local_id)
@@ -193,13 +197,13 @@ class _Emitter:
         return iri
 
     def link(self, subject: Iri, label: str, obj: Iri):
-        self.triples.append(Triple(subject, _prop(self.registry, label).iri, obj))
+        self.triples.append(Triple(subject, self.props[label].iri, obj))
 
     def literals(self, subject: Iri, table, record):
         for label, get in table:
             value = get(record)
             if value is not None:
-                p = _prop(self.registry, label)
+                p = self.props[label]
                 lexical = format(value, "f") if isinstance(value, Decimal) else str(value)
                 key = (lexical, p.range)
                 literal = self._literals.get(key)

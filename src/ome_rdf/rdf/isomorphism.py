@@ -1,11 +1,12 @@
 """Blank-node-aware graph equality.
 
-:func:`graph_isomorphic` compares the triple sets directly when the first
-graph has no blank node.  Otherwise it first compares ground triples, then
-runs colour refinement over blank nodes and finishes with an exact
-backtracking search (up to ``BRUTE_FORCE_BOUND`` blanks).  Above the bound
-it only answers when refinement pins every blank down to a singleton class,
-otherwise it raises :class:`TooLargeForExactCheckError`.
+:func:`graph_isomorphic` first compares the triple sets directly, which
+decides when they are equal or the first graph has no blank node.
+Otherwise it compares ground triples, then runs colour refinement over
+blank nodes and finishes with an exact backtracking search (up to
+``BRUTE_FORCE_BOUND`` blanks).  Above the bound it only answers when
+refinement pins every blank down to a singleton class, otherwise it
+raises :class:`TooLargeForExactCheckError`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ BRUTE_FORCE_BOUND = 12
 def _split(g: Graph):
     ground, blankful = set(), []
     for t in g:
-        if isinstance(t.subject, BlankNode) or isinstance(t.object, BlankNode):
+        if isinstance(t[0], BlankNode) or isinstance(t[2], BlankNode):
             blankful.append(t)
         else:
             ground.add(t)
@@ -34,19 +35,18 @@ def _adjacency(blankful):
     ("b", label) for blank neighbours; "so" marks self-loops.
     """
     adj: dict = {}
-    for t in blankful:
-        s_blank = isinstance(t.subject, BlankNode)
-        o_blank = isinstance(t.object, BlankNode)
-        p = t.predicate.value
-        if s_blank and o_blank and t.subject.label == t.object.label:
-            adj.setdefault(t.subject.label, []).append(("so", p, ("g", "")))
+    for s, p, o in blankful:
+        s_blank = isinstance(s, BlankNode)
+        o_blank = isinstance(o, BlankNode)
+        if s_blank and o_blank and s.label == o.label:
+            adj.setdefault(s.label, []).append(("so", p, ("g", "")))
             continue
         if s_blank:
-            other = ("b", t.object.label) if o_blank else ("g", term_to_ntriples(t.object))
-            adj.setdefault(t.subject.label, []).append(("s", p, other))
+            other = ("b", o.label) if o_blank else ("g", term_to_ntriples(o))
+            adj.setdefault(s.label, []).append(("s", p, other))
         if o_blank:
-            other = ("b", t.subject.label) if s_blank else ("g", term_to_ntriples(t.subject))
-            adj.setdefault(t.object.label, []).append(("o", p, other))
+            other = ("b", s.label) if s_blank else ("g", term_to_ntriples(s))
+            adj.setdefault(o.label, []).append(("o", p, other))
     return adj
 
 
@@ -85,10 +85,10 @@ def _refine(adj_a: dict, adj_b: dict):
 
 def _substitute(blankful, mapping):
     out = set()
-    for t in blankful:
-        s = BlankNode(mapping[t.subject.label]) if isinstance(t.subject, BlankNode) else t.subject
-        o = BlankNode(mapping[t.object.label]) if isinstance(t.object, BlankNode) else t.object
-        out.add(Triple(s, t.predicate, o))
+    for s, p, o in blankful:
+        s = BlankNode(mapping[s.label]) if isinstance(s, BlankNode) else s
+        o = BlankNode(mapping[o.label]) if isinstance(o, BlankNode) else o
+        out.add(Triple(s, p, o))
     return out
 
 
@@ -97,7 +97,7 @@ def _backtrack(blankful_a, blankful_b, candidates):
     b_set = set(blankful_b)
     triples_by_label: dict = {}
     for t in blankful_a:
-        for term in (t.subject, t.object):
+        for term in (t[0], t[2]):
             if isinstance(term, BlankNode):
                 triples_by_label.setdefault(term.label, []).append(t)
 
@@ -106,8 +106,7 @@ def _backtrack(blankful_a, blankful_b, candidates):
     used: set = set()
 
     def consistent(lbl) -> bool:
-        for t in triples_by_label[lbl]:
-            s, o = t.subject, t.object
+        for s, p, o in triples_by_label[lbl]:
             if isinstance(s, BlankNode):
                 if s.label not in assignment:
                     continue
@@ -116,7 +115,7 @@ def _backtrack(blankful_a, blankful_b, candidates):
                 if o.label not in assignment:
                     continue
                 o = BlankNode(assignment[o.label])
-            if Triple(s, t.predicate, o) not in b_set:
+            if Triple(s, p, o) not in b_set:
                 return False
         return True
 
@@ -147,8 +146,10 @@ def graph_isomorphic(a: Graph, b: Graph) -> bool:
     """
     if len(a) != len(b):
         return False
-    if not any(isinstance(t.subject, BlankNode) or isinstance(t.object, BlankNode) for t in a):
-        return a == b  # no bijection to find: only equal sets match
+    if a == b:
+        return True  # the identity is a bijection
+    if not any(isinstance(s, BlankNode) or isinstance(o, BlankNode) for s, _, o in a):
+        return False  # no bijection to find: only equal sets match
     ground_a, blankful_a = _split(a)
     ground_b, blankful_b = _split(b)
     if ground_a != ground_b:

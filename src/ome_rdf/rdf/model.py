@@ -6,15 +6,18 @@ note that plain iteration over a graph is *not* deterministic across
 interpreter runs (string hash randomisation), which is why all serializers
 sort.
 
-:class:`Iri`, :class:`Literal` and :class:`Triple` work out their hash once,
-when they are built, and keep it in a slot that equality ignores.  Pickling
-builds them again rather than copying that slot, for the same reason.
+:class:`Iri` is a ``str``, and :class:`Literal` and :class:`Triple` are
+tuples, each validated when it is built; hashing and equality are the
+built-in types' own.  An ``Iri`` therefore equals the plain ``str`` of its
+text, and a ``Literal`` or ``Triple`` the plain tuple of its items.
+Pickling builds them again through their constructors.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -39,14 +42,13 @@ _INTEGER_LEXICAL_RE = re.compile(r"[+-]?[0-9]+")
 _FLOAT_LEXICAL_RE = re.compile(
     r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?|[+-]?INF|NaN"
 )
-# The xsd:dateTime lexical form of XSD 1.1, except that an hour is below 24,
-# with the timezone (at most 14:00 from UTC) optional; whether the day exists
-# in its month is checked on the match.
-DATETIME_LEXICAL_RE = re.compile(
-    r"-?(0[0-9]{3}|[1-9][0-9]{3,})-(0[1-9]|1[0-2])-(0[1-9]|[12][0-9]|3[01])"
-    r"T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9](?:\.[0-9]+)?"
-    r"(Z|[+-](?:(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
-)
+# The parts of the xsd:date, xsd:time and xsd:dateTime lexical forms of XSD
+# 1.1, except that an hour is below 24, with the timezone (at most 14:00 from
+# UTC) optional; whether the day exists in its month is checked on the match.
+_DATE = r"-?(0[0-9]{3}|[1-9][0-9]{3,})-(0[1-9]|1[0-2])-(0[1-9]|[12][0-9]|3[01])"
+_TIME = r"(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9](?:\.[0-9]+)?"
+_TIMEZONE = r"(Z|[+-](?:(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
+DATETIME_LEXICAL_RE = re.compile(f"{_DATE}T{_TIME}{_TIMEZONE}")
 _MONTH_DAYS = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 # every finite integer bound below has at most this many digits
 _BOUND_DIGITS = 20
@@ -67,8 +69,8 @@ def _within(least, greatest):
 
 
 def datetime_day_exists(m: re.Match) -> bool:
-    """Whether the day a match of :data:`DATETIME_LEXICAL_RE` names exists
-    in its month (month lengths, leap years)."""
+    """Whether the day a match of :data:`DATETIME_LEXICAL_RE` or of the
+    xsd:date form names exists in its month (month lengths, leap years)."""
     day = m.group(3)
     if day <= "28":
         return True
@@ -95,36 +97,38 @@ _LEXICAL_FORMS = {
     XSD_FLOAT: (_FLOAT_LEXICAL_RE, None),
     XSD_DOUBLE: (_FLOAT_LEXICAL_RE, None),
     XSD_DATETIME: (DATETIME_LEXICAL_RE, datetime_day_exists),
+    XSD_NS + "date": (re.compile(_DATE + _TIMEZONE), datetime_day_exists),
+    XSD_NS + "time": (re.compile(_TIME + _TIMEZONE), None),
     XSD_NS + "boolean": (re.compile("true|false|1|0"), None),
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    """An absolute IRI.  Validated on construction."""
+class Iri(str):
+    """An absolute IRI, validated on construction.
 
-    value: str
-    _hash: int = field(init=False, repr=False, compare=False)
+    An ``Iri`` is the ``str`` of its text, so it hashes and compares as that
+    text: ``Iri(v) == v``.  ``value`` is the text as a plain ``str``.
+    """
 
-    def __post_init__(self):
-        v = self.value
-        if not v:
+    __slots__ = ()
+
+    def __new__(cls, value: str):
+        if not value:
             raise InvalidIriError("empty IRI")
-        if not _SCHEME_RE.match(v):
-            raise InvalidIriError(f"missing scheme in {v!r}")
-        bad = _IRI_FORBIDDEN_RE.search(v)
+        if not _SCHEME_RE.match(value):
+            raise InvalidIriError(f"missing scheme in {value!r}")
+        bad = _IRI_FORBIDDEN_RE.search(value)
         if bad:
-            raise InvalidIriError(f"forbidden character {bad.group()!r} in {v!r}")
-        object.__setattr__(self, "_hash", hash((v,)))
+            raise InvalidIriError(f"forbidden character {bad.group()!r} in {value!r}")
+        return str.__new__(cls, value)
 
-    def __hash__(self):
-        return self._hash
+    value = property(str.__str__, doc="The IRI text as a plain ``str``.")
 
-    def __reduce__(self):
-        return Iri, (self.value,)
+    def __repr__(self):
+        return f"Iri(value={str.__repr__(self)})"
 
-    def __str__(self):
-        return self.value
+    def __getnewargs__(self):
+        return (str.__str__(self),)
 
 
 _XSD_STRING = Iri(XSD_STRING)
@@ -145,59 +149,53 @@ class BlankNode:
         return "_:" + self.label
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    """An RDF literal: lexical form, datatype IRI, optional language tag.
+class Literal(tuple):
+    """An RDF literal: the tuple ``(lexical, datatype, language)``.
 
     ``Literal("x")`` is an ``xsd:string``; ``Literal("x", language="en")``
-    is an ``rdf:langString``.  A language tag together with any other
-    datatype is rejected, as are numeric lexical forms that do not match
-    their datatype and integers outside their datatype's range.
+    is an ``rdf:langString``.  The datatype must be an :class:`Iri`.  A
+    language tag together with any other datatype is rejected, as are
+    lexical forms that do not match their datatype and integers outside
+    their datatype's range.
     """
 
-    lexical: str
-    datatype: Iri = field(default=None)  # type: ignore[assignment]
-    language: Optional[str] = None
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        bad = _SURROGATE_RE.search(self.lexical)
+    def __new__(cls, lexical: str, datatype: Optional[Iri] = None,
+                language: Optional[str] = None):
+        bad = _SURROGATE_RE.search(lexical)
         if bad:
-            raise InvalidLiteralError(
-                f"lone surrogate {bad.group()!r} in lexical form {self.lexical!r}"
-            )
-        if self.language is not None:
-            if not _LANG_TAG_RE.match(self.language):
-                raise InvalidLiteralError(f"bad language tag {self.language!r}")
-            if self.datatype is None:
-                object.__setattr__(self, "datatype", _RDF_LANGSTRING)
-            elif self.datatype.value != RDF_LANGSTRING:
-                raise InvalidLiteralError(
-                    "language tag requires the rdf:langString datatype"
-                )
-        elif self.datatype is None:
-            object.__setattr__(self, "datatype", _XSD_STRING)
-        elif self.datatype.value == RDF_LANGSTRING:
+            raise InvalidLiteralError(f"lone surrogate {bad[0]!r} in lexical form {lexical!r}")
+        if language is not None and not _LANG_TAG_RE.match(language):
+            raise InvalidLiteralError(f"bad language tag {language!r}")
+        if datatype is None:
+            datatype = _XSD_STRING if language is None else _RDF_LANGSTRING
+        elif not isinstance(datatype, Iri):
+            raise TypeError(f"literal datatype must be an Iri, not {datatype!r}")
+        elif language is not None:
+            if datatype != RDF_LANGSTRING:
+                raise InvalidLiteralError("language tag requires the rdf:langString datatype")
+        elif datatype == RDF_LANGSTRING:
             raise InvalidLiteralError("rdf:langString requires a language tag")
-        checked = _LEXICAL_FORMS.get(self.datatype.value)
+        checked = _LEXICAL_FORMS.get(datatype)
         if checked is not None:
             lexical_re, in_value_space = checked
-            m = lexical_re.fullmatch(self.lexical)
+            m = lexical_re.fullmatch(lexical)
             if m is None:
-                raise InvalidLiteralError(
-                    f"lexical form {self.lexical!r} does not parse as {self.datatype.value}"
-                )
+                raise InvalidLiteralError(f"lexical form {lexical!r} does not parse as {datatype}")
             if in_value_space is not None and not in_value_space(m):
-                raise InvalidLiteralError(
-                    f"{self.lexical!r} is outside the value space of {self.datatype.value}"
-                )
-        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype, self.language)))
+                raise InvalidLiteralError(f"{lexical!r} is outside the value space of {datatype}")
+        return tuple.__new__(cls, (lexical, datatype, language))
 
-    def __hash__(self):
-        return self._hash
+    lexical = property(itemgetter(0), doc="The lexical form.")
+    datatype = property(itemgetter(1), doc="The datatype :class:`Iri`.")
+    language = property(itemgetter(2), doc="The language tag, or None.")
 
-    def __reduce__(self):
-        return Literal, (self.lexical, self.datatype, self.language)
+    def __repr__(self):
+        return f"Literal(lexical={self[0]!r}, datatype={self[1]!r}, language={self[2]!r})"
+
+    def __getnewargs__(self):
+        return tuple(self)
 
 
 Term = Union[Iri, BlankNode, Literal]
@@ -206,37 +204,38 @@ Term = Union[Iri, BlankNode, Literal]
 def term_sort_key(t: Term):
     """Total order over terms: IRIs, then blank nodes, then literals."""
     if isinstance(t, Iri):
-        return (0, t.value, "", "")
+        return (0, t, "", "")
     if isinstance(t, BlankNode):
         return (1, t.label, "", "")
-    return (2, t.lexical, t.datatype.value, t.language or "")
+    return (2, t[0], t[1], t[2] or "")
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    """One RDF statement.  Subjects are IRIs or blank nodes, never literals."""
+class Triple(tuple):
+    """One RDF statement: the tuple ``(subject, predicate, object)``.  The
+    subject is an IRI or a blank node, never a literal."""
 
-    subject: Term
-    predicate: Iri
-    object: Term
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if isinstance(self.subject, Literal):
-            raise TypeError("triple subject cannot be a literal")
-        if not isinstance(self.subject, (Iri, BlankNode)):
-            raise TypeError(f"bad subject {self.subject!r}")
-        if not isinstance(self.predicate, Iri):
+    def __new__(cls, subject: Term, predicate: Iri, object: Term):
+        if not isinstance(subject, (Iri, BlankNode)):
+            if isinstance(subject, Literal):
+                raise TypeError("triple subject cannot be a literal")
+            raise TypeError(f"bad subject {subject!r}")
+        if not isinstance(predicate, Iri):
             raise TypeError("triple predicate must be an IRI")
-        if not isinstance(self.object, (Iri, BlankNode, Literal)):
-            raise TypeError(f"bad object {self.object!r}")
-        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+        if not isinstance(object, (Iri, BlankNode, Literal)):
+            raise TypeError(f"bad object {object!r}")
+        return tuple.__new__(cls, (subject, predicate, object))
 
-    def __hash__(self):
-        return self._hash
+    subject = property(itemgetter(0), doc="The subject: an :class:`Iri` or :class:`BlankNode`.")
+    predicate = property(itemgetter(1), doc="The predicate :class:`Iri`.")
+    object = property(itemgetter(2), doc="The object term.")
 
-    def __reduce__(self):
-        return Triple, (self.subject, self.predicate, self.object)
+    def __repr__(self):
+        return f"Triple(subject={self[0]!r}, predicate={self[1]!r}, object={self[2]!r})"
+
+    def __getnewargs__(self):
+        return tuple(self)
 
 
 class Graph:
@@ -258,8 +257,7 @@ class Graph:
         for name, ns in (prefixes or {}).items():
             if not _PREFIX_NAME_RE.match(name):
                 raise ValueError(f"bad prefix name {name!r}")
-            # an Iri was validated when it was built; a str is validated here
-            pfx[name] = ns.value if isinstance(ns, Iri) else Iri(ns).value
+            pfx[name] = Iri(ns).value
         self._prefixes = pfx
 
     @property

@@ -6,19 +6,17 @@ statements are grouped by subject and sorted at every level, with
 ``rdf:type`` written first as ``a``.  The Turtle writer writes an IRI as a
 prefixed name under the longest namespace that leaves a safe local name,
 and in full ``<...>`` form when none does.  The Turtle writer works out
-each distinct IRI's text once per call, and the N-Triples writer each
+each distinct term's text once per call, and the N-Triples writer each
 distinct literal's.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import groupby
-from operator import attrgetter
 
 from ..errors import OmeRdfError
 from ..namespaces import RDF_TYPE, XSD_STRING
-from .model import BlankNode, Graph, Iri, Literal, Term, Triple, term_sort_key
+from .model import BlankNode, Graph, Iri, Literal, Term, term_sort_key
 
 _FORMATS = ("turtle", "ntriples")
 
@@ -33,18 +31,19 @@ def _escape_string(s: str) -> str:
 
 
 def _term_text(term: Term, iri) -> str:
-    """Render one term; ``iri`` maps an IRI value to its text.  A literal of
-    type xsd:string is written bare."""
+    """Render one term; ``iri`` maps an :class:`Iri` to its text.  A literal
+    of type xsd:string is written bare."""
     if isinstance(term, Iri):
-        return iri(term.value)
+        return iri(term)
     if isinstance(term, BlankNode):
         return f"_:{term.label}"
-    body = f'"{_escape_string(term.lexical)}"'
-    if term.language is not None:
-        return f"{body}@{term.language}"
-    if term.datatype.value == XSD_STRING:
+    lexical, datatype, language = term
+    body = f'"{_escape_string(lexical)}"'
+    if language is not None:
+        return f"{body}@{language}"
+    if datatype == XSD_STRING:
         return body
-    return f"{body}^^{iri(term.datatype.value)}"
+    return f"{body}^^{iri(datatype)}"
 
 
 _bracketed = "<{}>".format
@@ -67,13 +66,17 @@ class _NTriplesText(dict):
 
 def serialize_ntriples(g: Graph) -> str:
     # each distinct literal and blank node is rendered once per call; an IRI
-    # is only put in <>, which costs less than looking it up
+    # is only put in <>, which costs less than looking it up.  join takes an
+    # Iri as the str it is, where + and formatting take slower paths
     text = _NTriplesText()
     lines = [
-        f"{'<' + t.subject.value + '>' if t.subject.__class__ is Iri else text[t.subject]}"
-        f" <{t.predicate.value}> "
-        f"{'<' + t.object.value + '>' if t.object.__class__ is Iri else text[t.object]} .\n"
-        for t in g
+        "".join(
+            ("<", s, "> <", p, "> <", o, "> .\n") if o.__class__ is Iri
+            else ("<", s, "> <", p, "> ", text[o], " .\n")
+        )
+        if s.__class__ is Iri
+        else "".join((text[s], " <", p, "> ", text[o], " .\n"))
+        for s, p, o in g
     ]
     # code-point order is UTF-8 byte order, so no encoded copy is needed
     lines.sort()
@@ -90,15 +93,31 @@ def _shorten(iri_value: str, namespaces: list) -> str | None:
     return None
 
 
-def _subject_key(t: Triple) -> str:
-    # term_sort_key's order on subjects: IRIs by value, then blank nodes by
-    # label; an IRI value starts with a letter, and letters sort before "~"
-    s = t.subject
-    return s.value if s.__class__ is Iri else "~" + s.label
+class _TurtleText(dict):
+    """Term -> Turtle text, rendered on first lookup."""
+
+    def __init__(self, namespaces: list):
+        super().__init__()
+        self.namespaces = namespaces
+
+    def __missing__(self, term: Term) -> str:
+        if isinstance(term, Iri):
+            text = _shorten(term, self.namespaces) or f"<{term}>"
+        else:
+            text = _term_text(term, self.__getitem__)
+        self[term] = text
+        return text
 
 
-def _verb_order(value: str) -> str:
-    return "" if value == RDF_TYPE else value
+def _subject_key(s: Term) -> str:
+    # term_sort_key's order on subjects: IRIs by text, then blank nodes by
+    # label; an IRI starts with a letter, and letters sort before "~".  The
+    # key is an exact str, which list.sort compares fastest.
+    return str(s) if s.__class__ is Iri else "~" + s.label
+
+
+def _verb_order(p: Iri) -> str:
+    return "" if p == RDF_TYPE else p
 
 
 def serialize_turtle(g: Graph) -> str:
@@ -109,38 +128,37 @@ def serialize_turtle(g: Graph) -> str:
         key=lambda item: (-len(item[0]), item[1]),
     )
     out = [f"@prefix {name}: <{prefixes[name]}> .\n" for name in sorted(prefixes)]
+    # each distinct term is rendered once per call: predicates, classes,
+    # datatypes and shared nodes recur on many subjects
+    text = _TurtleText(namespaces)
 
-    # each distinct IRI is shortened once per call: predicates, classes and
-    # datatypes recur on every subject
-    iri_text: dict = {}
-
-    def iri(value: str) -> str:
-        text = iri_text.get(value)
-        if text is None:
-            text = iri_text[value] = _shorten(value, namespaces) or f"<{value}>"
-        return text
-
-    # sorted, not grouped into a list per subject: tens of thousands of live
-    # lists would set off a full garbage collection of all the caller holds
-    triples = sorted(g, key=_subject_key)
-    if triples and out:
+    # grouped, then only the distinct subjects sorted
+    groups: dict = {}
+    for t in g:
+        groups.setdefault(t[0], []).append(t)
+    if groups and out:
         out.append("\n")
 
-    for subject, group in groupby(triples, key=attrgetter("subject")):
+    # statements go into out in small pieces: a whole statement is often
+    # over 512 bytes, which CPython takes from malloc, and such blocks left
+    # cached between the large output buffers kept the heap from shrinking
+    # (peak RSS up by about 20 MB in some runs)
+    for subject in sorted(groups, key=_subject_key):
         by_predicate: dict = {}
-        for t in group:
-            by_predicate.setdefault(t.predicate.value, []).append(t.object)
-        lines = []
+        for _, p, o in groups[subject]:
+            by_predicate.setdefault(p, []).append(o)
+        sep = text[subject] + " "
         for p in sorted(by_predicate, key=_verb_order):
             objs = by_predicate[p]
             if len(objs) == 1:
-                text = _term_text(objs[0], iri)
+                objs_text = text[objs[0]]
             else:
                 objs.sort(key=term_sort_key)
-                text = ", ".join([_term_text(o, iri) for o in objs])
+                objs_text = ", ".join([text[o] for o in objs])
             # "a" is only a verb: rdf:type elsewhere is written as an IRI
-            lines.append(f"{'a' if p == RDF_TYPE else iri(p)} {text}")
-        out.append(f"{_term_text(subject, iri)} " + " ;\n     ".join(lines) + " .\n")
+            out += (sep, "a" if p == RDF_TYPE else text[p], " ", objs_text)
+            sep = " ;\n     "
+        out.append(" .\n")
     return "".join(out)
 
 

@@ -114,6 +114,10 @@ class TestLookup:
     def test_biosample_is_extended(self, core):
         assert core.lookup_class(Iri(NS + "BioSample")).origin is Origin.EXTENDED
 
+    def test_plain_str_finds_the_same_class(self, core):
+        # an Iri is the str of its text, so it hashes and compares as that str
+        assert core.lookup_class(NS + "Image") is core.lookup_class(Iri(NS + "Image"))
+
     def test_unregistered_not_found(self, core):
         with pytest.raises(ClassNotFoundError):
             core.lookup_class(Iri(NS + "Banana"))

@@ -112,6 +112,8 @@ class TestLiteral:
         "float": ("-INF", "inf"),
         "double": ("6.02E23", "1.0e"),
         "dateTime": ("-0044-03-15T12:00:00.5", "2020-01-01"),
+        "date": ("-0044-03-15+01:00", "2020-01-01T00:00:00"),
+        "time": ("23:59:59.5Z", "24:00:00"),
         "boolean": ("1", "True"),
     }
 
@@ -192,6 +194,28 @@ class TestLiteral:
         with pytest.raises(InvalidLiteralError, match="does not parse as"):
             Literal(lexical, Iri(XSD_NS + "dateTime"))
 
+    @pytest.mark.parametrize("local, lexical", [
+        ("date", "2020-02-29"), ("date", "-0001-12-31Z"), ("date", "12000-01-01+14:00"),
+        ("time", "00:00:00"), ("time", "23:59:59.000001-13:59"), ("time", "12:30:00Z"),
+    ])
+    def test_date_and_time_in_value_space(self, local, lexical):
+        assert Literal(lexical, Iri(XSD_NS + local)).lexical == lexical
+
+    @pytest.mark.parametrize("local, lexical", [
+        ("date", "not a date"), ("date", "2020-13-01"), ("date", "2020-01-32"),
+        ("date", "2020-01-01+15:00"), ("date", "20-01-01"), ("date", "2020-01-01T00:00:00"),
+        ("time", "25:99"), ("time", "24:00:00"), ("time", "12:00"), ("time", "12:00:60"),
+        ("time", "12:00:00+14:01"), ("time", "12:00:00."),
+    ])
+    def test_date_and_time_lexical_form_rejected(self, local, lexical):
+        with pytest.raises(InvalidLiteralError, match="does not parse as"):
+            Literal(lexical, Iri(XSD_NS + local))
+
+    @pytest.mark.parametrize("lexical", ["2019-02-29", "1900-02-29Z", "2020-04-31-05:00"])
+    def test_date_day_outside_month_rejected(self, lexical):
+        with pytest.raises(InvalidLiteralError, match="outside the value space"):
+            Literal(lexical, Iri(XSD_NS + "date"))
+
     def test_bad_language_tag(self):
         with pytest.raises(InvalidLiteralError):
             Literal("x", language="english language tag")
@@ -249,6 +273,10 @@ def _fresh(term):
 
 def _field_hash(term):
     """The hash of the compared fields, worked out now."""
+    if isinstance(term, Iri):
+        return hash(term.value)
+    if isinstance(term, (Literal, Triple)):
+        return hash(tuple(term))
     return hash(tuple(getattr(term, f.name) for f in fields(term) if f.compare))
 
 
@@ -278,3 +306,52 @@ class TestHashContract:
         assert loaded == triple
         assert hash(loaded) == hash(triple) == _field_hash(loaded)
         assert hash(loaded.object) == _field_hash(loaded.object)
+
+
+class TestBuiltinTerms:
+    """An Iri is a str, and a Literal or Triple a tuple, with checked items."""
+
+    def test_iri_is_its_text(self):
+        iri = Iri(EX + "s")
+        assert iri == EX + "s" and hash(iri) == hash(EX + "s")
+        assert type(iri.value) is str and iri.value == EX + "s"
+        assert str(iri) == EX + "s" and f"<{iri}>" == f"<{EX}s>"
+
+    def test_literal_and_triple_equal_plain_tuples(self):
+        lit = Literal("v", language="en")
+        assert lit == ("v", RDF_LANGSTRING, "en") and hash(lit) == hash(("v", RDF_LANGSTRING, "en"))
+        triple = t("s", "p", "o")
+        assert triple == (EX + "s", EX + "p", EX + "o")
+        assert triple.subject == EX + "s" and triple.object == EX + "o"
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_triple_rejects_plain_str(self, position):
+        terms = [Iri(EX + "s"), Iri(EX + "p"), Iri(EX + "o")]
+        terms[position] = EX + "x"
+        with pytest.raises(TypeError):
+            Triple(*terms)
+
+    @pytest.mark.parametrize("datatype", [XSD_STRING, XSD_INTEGER, ("x",)])
+    def test_literal_rejects_non_iri_datatype(self, datatype):
+        with pytest.raises(TypeError, match="literal datatype must be an Iri"):
+            Literal("1", datatype)
+
+    @pytest.mark.parametrize("term, field", [
+        (Iri(EX + "s"), "value"),
+        (Literal("v"), "lexical"), (Literal("v"), "datatype"), (Literal("v"), "language"),
+        (t("s", "p", "o"), "subject"), (t("s", "p", "o"), "predicate"),
+        (t("s", "p", "o"), "object"),
+    ])
+    def test_fields_are_read_only(self, term, field):
+        with pytest.raises(AttributeError):
+            setattr(term, field, Iri(EX + "x"))
+
+    @pytest.mark.parametrize("term", [
+        Iri(EX + "s"), Literal("v"), Literal("v", language="en"),
+        Literal("5", Iri(XSD_INTEGER)), t("s", "p", "o"),
+        Triple(Iri(EX + "s"), Iri(EX + "p"), Literal("it's \"quoted\"", language="en")),
+        Triple(BlankNode("b1"), Iri(EX + "p"), BlankNode("b2")),
+    ])
+    def test_repr_evaluates_to_an_equal_term(self, term):
+        copy = eval(repr(term))
+        assert copy == term and type(copy) is type(term)

@@ -355,7 +355,9 @@ class TestErrorPositions:
           for lexical, local, message in [
               ("2020-13-45T99:00:00Z", "dateTime",
                f"lexical form '2020-13-45T99:00:00Z' does not parse as {_XSD}dateTime"),
-              ("maybe", "boolean", f"lexical form 'maybe' does not parse as {_XSD}boolean")]],
+              ("maybe", "boolean", f"lexical form 'maybe' does not parse as {_XSD}boolean"),
+              ("not a date", "date", f"lexical form 'not a date' does not parse as {_XSD}date"),
+              ("25:99", "time", f"lexical form '25:99' does not parse as {_XSD}time")]],
         ("ntriples", _NT + f"{_S} {_P} <http://a.example/o",
          RdfSyntaxError, "unterminated IRI", 2, 62),
         ("ntriples", _NT + f'{_S} {_P} "abc',
