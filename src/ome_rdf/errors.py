@@ -8,7 +8,7 @@ mapping layers.
 class OmeRdfError(Exception):
     """Base class for all toolkit errors."""
 
-    #: short machine-readable code used in error ledgers (errors.tsv)
+    #: short machine-readable code; a skipped record carries it
     code = "Error"
 
 

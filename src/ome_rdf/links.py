@@ -47,16 +47,6 @@ class LinkRegistry:
                 raise LinkRegistryError(f"duplicate prefix {entry.prefix!r}")
             self._entries[entry.prefix] = entry
 
-    @property
-    def entries(self):
-        return dict(self._entries)
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, prefix):
-        return prefix in self._entries
-
     def resolve(self, curie: str) -> Iri:
         """Expand ``prefix:localId`` to ``baseIri + "/" + localId``."""
         if ":" not in curie:
@@ -99,13 +89,3 @@ class LinkRegistry:
         text = resources.files("ome_rdf").joinpath("data/link_registry.tsv").read_text(
             encoding="utf-8")
         return cls.loads(text)
-
-    def dumps(self) -> str:
-        return "".join(
-            f"{e.prefix}\t{e.base_iri.value}\t{e.id_pattern}\n"
-            for e in self._entries.values()
-        )
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.dumps())

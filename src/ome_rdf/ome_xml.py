@@ -5,6 +5,9 @@ their reference attributes; references are resolved during parsing, so an
 :class:`OmeImage` carries the resolved instrument and experimenter records.
 Sidecars are strict TSV files with a fixed header (see SIDECAR_COLUMNS);
 one row annotates one image with biosample and imaging-condition details.
+The voltage and wavelength cells must lie within the bounds that the
+ontology's property rows give ``accelerationVoltage`` and
+``electronWavelength``.
 
 Timestamps must be in the ``xsd:dateTime`` lexical form with a timezone
 and are kept as the original lexical strings so downstream RDF output
@@ -34,7 +37,8 @@ from .errors import (
     OrphanAnnotationError,
     UnknownColumnError,
 )
-from .rdf.model import DATETIME_LEXICAL_RE, datetime_day_exists
+from .ontology import _PROPERTIES
+from .rdf.model import _SURROGATE_RE, DATETIME_LEXICAL_RE, datetime_day_exists
 
 SIDECAR_COLUMNS = (
     "image_id", "sample_id", "container_id", "strain_id", "stain",
@@ -42,13 +46,17 @@ SIDECAR_COLUMNS = (
 )
 
 _CURIE_RE = re.compile(r"^[a-z][a-z0-9_]*:\S+$")
-_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
-
-VOLTAGE_MAX_KV = Decimal("1000")
 
 # Decimals are written out in full (no exponent), so an exponent must stay
 # small: "1E+999999999" would expand to a gigabyte of digits.
 DECIMAL_EXPONENT_MAX = 100
+
+# bounded sidecar column -> (ontology property, min_exclusive, max_inclusive)
+_ROW_BOUNDS = {label: (label, lo, hi) for label, *_, lo, hi in _PROPERTIES}
+_CELL_BOUNDS = {
+    "voltage_kv": _ROW_BOUNDS["accelerationVoltage"],
+    "wavelength_pm": _ROW_BOUNDS["electronWavelength"],
+}
 
 
 class InstrumentKind(enum.Enum):
@@ -132,24 +140,28 @@ def _positive_int(el, attr, path):
     return value
 
 
+def _decimal(raw, error):
+    """``raw`` as a finite ``Decimal`` that can be written out in full;
+    otherwise raises ``error(reason)``."""
+    try:
+        value = Decimal(raw)
+    except InvalidOperation:
+        raise error(f"{raw!r} is not a decimal") from None
+    if not value.is_finite():
+        raise error(f"{raw!r} is not finite")
+    if abs(value.adjusted()) > DECIMAL_EXPONENT_MAX:
+        raise error(f"{raw!r} exponent out of range")
+    return value
+
+
 def _positive_decimal(el, attr, path):
     raw = el.get(attr)
     if raw is None:
         return None
-    try:
-        value = Decimal(raw)
-    except InvalidOperation:
-        raise InvalidDimensionError(f"{path}@{attr}",
-                                    f"{path}@{attr}: {raw!r} is not a decimal") from None
-    if not value.is_finite():
-        raise InvalidDimensionError(f"{path}@{attr}",
-                                    f"{path}@{attr}: {raw!r} is not finite")
-    if abs(value.adjusted()) > DECIMAL_EXPONENT_MAX:
-        raise InvalidDimensionError(f"{path}@{attr}",
-                                    f"{path}@{attr}: {raw!r} exponent out of range")
+    where = f"{path}@{attr}"
+    value = _decimal(raw, lambda reason: InvalidDimensionError(where, f"{where}: {reason}"))
     if value <= 0:
-        raise InvalidDimensionError(f"{path}@{attr}",
-                                    f"{path}@{attr}: physical size must be > 0")
+        raise InvalidDimensionError(where, f"{where}: physical size must be > 0")
     return value
 
 
@@ -266,32 +278,30 @@ def _cell(value: str) -> Optional[str]:
     return value if value != "" else None
 
 
-def _decimal_cell(raw, row, column):
+def _bounded_cell(raw, row, column):
     if raw == "":
         return None
-    try:
-        value = Decimal(raw)
-    except InvalidOperation:
-        raise BadValueError(row, column, f"{raw!r} is not a number") from None
-    if not value.is_finite():
-        raise BadValueError(row, column, f"{raw!r} is not a finite number")
-    if abs(value.adjusted()) > DECIMAL_EXPONENT_MAX:
-        raise BadValueError(row, column, f"{raw!r} exponent out of range")
+    value = _decimal(raw, lambda reason: BadValueError(row, column, reason))
+    label, lo, hi = _CELL_BOUNDS[column]
+    if lo is not None and value <= lo:
+        raise BadValueError(row, column, f"{value} violates {label} > {lo}")
+    if hi is not None and value > hi:
+        raise BadValueError(row, column, f"{value} violates {label} <= {hi}")
     return value
 
 
-def parse_sidecar(text: str, strict: bool = True) -> list:
+def parse_sidecar(text: str) -> list:
     """Parse a TSV sidecar into :class:`EmAnnotation` records.
 
     Rows end at CRLF, CR or LF; any other character, such as U+0085 or
     U+2028, is part of its cell.  Phenotypes are split at ``;`` and
     trimmed of spaces and tabs only.  The header must match SIDECAR_COLUMNS
     exactly, and no cell may hold a lone surrogate, which UTF-8 cannot
-    encode.  Non-numeric and
-    non-finite voltages and wavelengths, and those whose leading digit's
-    exponent exceeds DECIMAL_EXPONENT_MAX in size, are always rejected.  With
-    ``strict`` (the default) out-of-range values are rejected too; with
-    ``strict=False`` they are kept as given and nothing checks them.
+    encode.  A voltage or wavelength must be a finite decimal whose leading
+    digit's exponent is at most DECIMAL_EXPONENT_MAX in size, and must lie
+    within the ``min_exclusive``/``max_inclusive`` bounds of the ontology's
+    ``accelerationVoltage`` or ``electronWavelength`` row.  Every fault
+    raises :class:`BadValueError` naming its row and column.
     """
     text = text.lstrip("\ufeff")
     if not text:
@@ -331,13 +341,8 @@ def parse_sidecar(text: str, strict: bool = True) -> list:
         if strain is not None and not _CURIE_RE.match(strain):
             raise BadValueError(lineno, "strain_id",
                                 f"{strain!r} is not a prefix:localId CURIE")
-        voltage = _decimal_cell(row["voltage_kv"], lineno, "voltage_kv")
-        if strict and voltage is not None and not (0 < voltage <= VOLTAGE_MAX_KV):
-            raise BadValueError(lineno, "voltage_kv",
-                                f"{voltage} outside (0, {VOLTAGE_MAX_KV}]")
-        wavelength = _decimal_cell(row["wavelength_pm"], lineno, "wavelength_pm")
-        if strict and wavelength is not None and wavelength <= 0:
-            raise BadValueError(lineno, "wavelength_pm", "must be > 0")
+        voltage = _bounded_cell(row["voltage_kv"], lineno, "voltage_kv")
+        wavelength = _bounded_cell(row["wavelength_pm"], lineno, "wavelength_pm")
         # only space and tab are trimmed: any other character is data, as in
         # every other cell
         phenotypes = tuple(

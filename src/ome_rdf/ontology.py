@@ -6,13 +6,15 @@ categories.  The registry is built once by :func:`build_core_ontology` and
 is immutable; :func:`registry_to_graph` renders it as RDF/OWL.
 
 The same :class:`OntologyRegistry` container also holds translator-built
-fragments, which are not subject to the fixed 18/7/5 roster counts.
+fragments.  The rows below are the one source of the core's categories
+and value bounds: the sidecar parser and the XSD translator read them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Optional
 
 from .errors import ClassNotFoundError
@@ -68,7 +70,9 @@ class PropertyDef:
     """A property with domain, range, and occurrence/value constraints.
 
     ``range`` may be a class IRI (object property) or an XSD datatype IRI
-    (datatype property); ``max_count=None`` means unbounded.
+    (datatype property); ``max_count=None`` means unbounded.  The value
+    bounds are ``Decimal``: both bounded properties range over
+    ``xsd:decimal``.
     """
 
     iri: Iri
@@ -77,8 +81,8 @@ class PropertyDef:
     range: Iri
     min_count: int = 0
     max_count: Optional[int] = None
-    min_exclusive: Optional[float] = None
-    max_inclusive: Optional[float] = None
+    min_exclusive: Optional[Decimal] = None
+    max_inclusive: Optional[Decimal] = None
 
     def __post_init__(self):
         if not self.label:
@@ -212,10 +216,10 @@ _PROPERTIES = [
     ("derivedFrom", "BioSample", "Bioresource", None, None, None),
     ("preparedBy", "BioSample", "SamplePreparation", None, None, None),
     # acceleration voltage in kilovolts; SEM/TEM hardware tops out at 1 MV
-    ("accelerationVoltage", "ImagingCondition", XSD_DECIMAL, 1, 0.0, 1000.0),
+    ("accelerationVoltage", "ImagingCondition", XSD_DECIMAL, 1, Decimal("0"), Decimal("1000")),
     ("electronGunType", "ImagingCondition", XSD_STRING, 1, None, None),
     # electron wavelength in picometres
-    ("electronWavelength", "ImagingCondition", XSD_DECIMAL, 1, 0.0, None),
+    ("electronWavelength", "ImagingCondition", XSD_DECIMAL, 1, Decimal("0"), None),
     ("stainingMethod", "SamplePreparation", XSD_STRING, 1, None, None),
     ("description", "PhenotypeData", XSD_STRING, 1, None, None),
     ("model", "Instrument", XSD_STRING, 1, None, None),
@@ -321,10 +325,10 @@ def registry_to_graph(registry: OntologyRegistry) -> Graph:
                                   Literal(str(p.max_count), int_dt)))
         if p.min_exclusive is not None:
             triples.append(Triple(p.iri, annotation_iri(registry, "minExclusive"),
-                                  Literal(_number(p.min_exclusive), dec_dt)))
+                                  Literal(format(p.min_exclusive, "f"), dec_dt)))
         if p.max_inclusive is not None:
             triples.append(Triple(p.iri, annotation_iri(registry, "maxInclusive"),
-                                  Literal(_number(p.max_inclusive), dec_dt)))
+                                  Literal(format(p.max_inclusive, "f"), dec_dt)))
     prefixes = {
         "mo": ns,
         "owl": "http://www.w3.org/2002/07/owl#",
@@ -333,7 +337,3 @@ def registry_to_graph(registry: OntologyRegistry) -> Graph:
         "xsd": XSD_NS,
     }
     return Graph(triples, prefixes)
-
-
-def _number(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else repr(float(x))

@@ -157,8 +157,6 @@ def graph_isomorphic(a: Graph, b: Graph) -> bool:
     adj_a, adj_b = _adjacency(blankful_a), _adjacency(blankful_b)
     if len(adj_a) != len(adj_b):
         return False
-    if not adj_a:
-        return True  # no blanks; ground parts already matched
     refined = _refine(adj_a, adj_b)
     if refined is None:
         return False
@@ -167,9 +165,8 @@ def graph_isomorphic(a: Graph, b: Graph) -> bool:
     by_color_b: dict = {}
     for lbl, c in colors_b.items():
         by_color_b.setdefault(c, set()).add(lbl)
-    candidates = {lbl: by_color_b.get(c, set()) for lbl, c in colors_a.items()}
-    if any(not c for c in candidates.values()):
-        return False
+    # equal colour multisets: every colour of a also colours some blank of b
+    candidates = {lbl: by_color_b[c] for lbl, c in colors_a.items()}
 
     n_blanks = len(adj_a)
     if n_blanks <= BRUTE_FORCE_BOUND:

@@ -17,7 +17,14 @@ from typing import Optional
 
 from .errors import EmptySchemaError, MalformedXmlError, NameCollisionError
 from .namespaces import XSD_NS, XSD_STRING
-from .ontology import Category, OntologyClass, OntologyRegistry, Origin, PropertyDef
+from .ontology import (
+    Category,
+    OntologyClass,
+    OntologyRegistry,
+    Origin,
+    PropertyDef,
+    build_core_ontology,
+)
 from .rdf import Iri
 
 # XSD primitive locals we pass through as datatype ranges
@@ -264,19 +271,6 @@ def extract_concepts(model: XsdSubsetModel) -> list:
     return out
 
 
-# Category guesses for fragment classes, keyed by core-roster labels; the
-# fallback bucket only labels the diff output, nothing downstream keys on it.
-_CATEGORY_HINTS = {
-    "Image": Category.IMAGE, "ROI": Category.IMAGE, "Pixels": Category.IMAGE,
-    "Experimenter": Category.EXPERIMENTER,
-    "ExperimenterGroup": Category.EXPERIMENTER,
-    "Instrument": Category.INSTRUMENT, "Detector": Category.INSTRUMENT,
-    "Objective": Category.INSTRUMENT, "LightSource": Category.INSTRUMENT,
-    "Filter": Category.INSTRUMENT,
-    "Screen": Category.SCREENING, "Plate": Category.SCREENING,
-}
-
-
 def _datatype_iri(ref: Optional[str]) -> Iri:
     if ref and ref in _XSD_PRIMITIVES:
         return Iri(XSD_NS + ref)
@@ -288,10 +282,14 @@ def concepts_to_registry_fragment(concepts, namespace) -> OntologyRegistry:
 
     Duplicate names collapse to their first (sorted) occurrence; a name
     claimed as both class and property raises
-    :class:`NameCollisionError`.  Fragment registries are not subject to
-    the core 18/7 roster counts.
+    :class:`NameCollisionError`.  A class whose name is the label of one of
+    the core ontology's translated classes takes that class's category;
+    every other class falls in ``Category.IMAGE``, a bucket that only
+    labels the diff output.
     """
     ns = Iri(namespace if isinstance(namespace, str) else namespace.value)
+    categories = {c.label: c.category for c in build_core_ontology().classes
+                  if c.origin is Origin.TRANSLATED}
     classes: dict = {}
     properties: dict = {}
     ordered = sorted(concepts, key=lambda c: (c.kind, c.name, c.source_path))
@@ -301,7 +299,7 @@ def concepts_to_registry_fragment(concepts, namespace) -> OntologyRegistry:
             if iri in properties:
                 raise NameCollisionError(f"{c.name!r} already minted as a property")
             classes.setdefault(iri, OntologyClass(
-                iri, c.name, _CATEGORY_HINTS.get(c.name, Category.IMAGE),
+                iri, c.name, categories.get(c.name, Category.IMAGE),
                 Origin.TRANSLATED))
     for c in ordered:
         if c.kind == "class":

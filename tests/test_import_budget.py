@@ -12,7 +12,8 @@ import pytest
 import ome_rdf
 
 PIPELINE = ("ome_rdf.links", "ome_rdf.mapper", "ome_rdf.ome_xml", "ome_rdf.ontology", "ome_rdf.rdf")
-UNWANTED = ("concurrent.futures", "logging", "urllib.request", "ome_rdf.rdf.isomorphism")
+UNWANTED = ("concurrent.futures", "logging", "urllib.request", "ome_rdf.rdf.isomorphism",
+            "ome_rdf.xsd_translator")
 
 
 def test_pipeline_imports_stay_small():

@@ -90,7 +90,7 @@ def test_mutated_inputs_parse_and_map_or_raise_coded_errors(pipeline, rng):
     sidecar = _mutant(SIDECAR, rng, _SIDECAR_TOKENS, r"[^\t\n]+(?=[^\n]*\n?\Z)")
     note(repr((ome_xml, sidecar)))
     doc = _parsed(parse_ome_document, ome_xml)
-    annotations = _parsed(lambda text: parse_sidecar(text, strict=rng.random() < 0.5), sidecar)
+    annotations = _parsed(parse_sidecar, sidecar)
     if doc is None or annotations is None:
         return
     result = map_document(doc, annotations, registry, policy, links, skip_errors=True)

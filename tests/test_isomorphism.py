@@ -65,6 +65,23 @@ class TestIsomorphic:
         assert graph_isomorphic(g, h)
         assert brute_force_isomorphic(g, h)
 
+    def test_blank_free_graphs_of_equal_size_differ(self):
+        g = Graph([bt("s", "p", "o"), bt("s", "p", "o2")])
+        h = Graph([bt("s", "p", "o"), bt("s", "p", "o3")])
+        assert not graph_isomorphic(g, h)
+
+    def test_six_cycle_is_not_two_three_cycles(self):
+        # every blank has one p-successor and one p-predecessor, so refinement
+        # cannot split them and only the exact search tells the graphs apart
+        def cycle(labels):
+            return [bt(f"_:{x}", "p", f"_:{y}") for x, y in zip(labels, labels[1:] + labels[:1])]
+
+        g = Graph(cycle(["a", "b", "c", "d", "e", "f"]))
+        h = Graph(cycle(["u", "v", "w"]) + cycle(["x", "y", "z"]))
+        assert not graph_isomorphic(g, h)
+        assert not graph_isomorphic(h, g)
+        assert not brute_force_isomorphic(g, h)
+
     def test_too_large_raises_when_inconclusive(self):
         # 13 disjoint, mutually indistinguishable self-loops
         g = Graph([Triple(BlankNode(f"a{i}"), Iri(EX + "p"), BlankNode(f"a{i}"))

@@ -24,6 +24,7 @@ from ome_rdf.ome_xml import (
     parse_ome_document,
     parse_sidecar,
 )
+from ome_rdf.ontology import build_core_ontology
 
 DATA = Path(__file__).parent / "data"
 
@@ -50,6 +51,31 @@ NON_FINITE = ["NaN", "sNaN", "Infinity", "-Infinity"]
 # 100 bytes to gigabytes, or fails with MemoryError
 HUGE_EXPONENT = ["1E+999999999", "1E-999999999", "0E-999999999",
                  "1E+999999999999999999", "1E+101", "1E-101"]
+# not decimals, and decimals that are not > 0
+NOT_POSITIVE_DECIMAL = ["abc", "", "1,5", "0", "-0", "0E+5", "-0.001"]
+
+
+def _bound_cases():
+    """(column, property, field, value, kept) around each bound of the
+    ontology's properties that the sidecar's numeric columns hold."""
+    core = build_core_ontology()
+    step = Decimal("0.001")
+    for column, label, field in [
+            ("voltage_kv", "accelerationVoltage", "acceleration_voltage_kv"),
+            ("wavelength_pm", "electronWavelength", "electron_wavelength_pm")]:
+        prop = core.property_by_label(label)
+        values = [(prop.min_exclusive - step, False), (prop.min_exclusive, False),
+                  (prop.min_exclusive + step, True)]
+        if prop.max_inclusive is not None:
+            values += [(prop.max_inclusive, True), (prop.max_inclusive + step, False)]
+        else:
+            # no upper bound in the row, so none in the parser either
+            values.append((Decimal("1E+99"), True))
+        for value, kept in values:
+            yield pytest.param(column, label, field, value, kept, id=f"{column}={value}")
+
+
+BOUND_CASES = list(_bound_cases())
 
 
 class TestParseOmeDocument:
@@ -81,8 +107,8 @@ class TestParseOmeDocument:
             parse_ome_document(doc(IMG.format(id="I", z="abc")))
 
     @pytest.mark.parametrize("attr", ["PhysicalSizeX", "PhysicalSizeY"])
-    @pytest.mark.parametrize("raw", NON_FINITE + HUGE_EXPONENT)
-    def test_non_finite_or_huge_physical_size_rejected(self, attr, raw):
+    @pytest.mark.parametrize("raw", NON_FINITE + HUGE_EXPONENT + NOT_POSITIVE_DECIMAL)
+    def test_bad_physical_size_rejected(self, attr, raw):
         body = (
             '<Image ID="I" Name="n">'
             f'<Pixels SizeX="1" SizeY="1" SizeZ="1" SizeC="1" SizeT="1" {attr}="{raw}"/>'
@@ -90,7 +116,7 @@ class TestParseOmeDocument:
         )
         with pytest.raises(InvalidDimensionError) as err:
             parse_ome_document(doc(body))
-        assert err.value.path.endswith(f"@{attr}")
+        assert err.value.path == f"/OME/Image[I]/Pixels@{attr}"
 
     def test_dangling_instrument_reference(self):
         body = (
@@ -227,33 +253,51 @@ class TestParseSidecar:
         with pytest.raises(BadValueError):
             parse_sidecar(HEADER + "\n" + row)
 
-    def test_out_of_range_voltage_strict_vs_lenient(self):
+    def test_out_of_range_voltage_rejected(self):
         row = "IMG1\tS1\t\t\t\t1500\t\t\t"
         with pytest.raises(BadValueError):
             parse_sidecar(HEADER + "\n" + row)
-        (ann,) = parse_sidecar(HEADER + "\n" + row, strict=False)
-        assert ann.acceleration_voltage_kv == Decimal("1500")
+
+    @pytest.mark.parametrize("column, label, field, value, kept", BOUND_CASES)
+    def test_bounds_are_the_ontology_bounds(self, column, label, field, value, kept):
+        cells = ["IMG1", "S1"] + [""] * (len(SIDECAR_COLUMNS) - 2)
+        cells[SIDECAR_COLUMNS.index(column)] = str(value)
+        text = HEADER + "\n" + "\t".join(cells) + "\n"
+        if kept:
+            (ann,) = parse_sidecar(text)
+            assert getattr(ann, field) == value
+        else:
+            with pytest.raises(BadValueError, match=label) as err:
+                parse_sidecar(text)
+            assert (err.value.row, err.value.column) == (2, column)
 
     @pytest.mark.parametrize("column", ["voltage_kv", "wavelength_pm"])
     @pytest.mark.parametrize("raw", NON_FINITE + HUGE_EXPONENT)
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_non_finite_or_huge_decimal_rejected(self, column, raw, strict):
+    def test_non_finite_or_huge_decimal_rejected(self, column, raw):
         cells = ["IMG1", "S1"] + [""] * (len(SIDECAR_COLUMNS) - 2)
         cells[SIDECAR_COLUMNS.index(column)] = raw
         with pytest.raises(BadValueError) as err:
-            parse_sidecar(HEADER + "\n" + "\t".join(cells) + "\n", strict=strict)
+            parse_sidecar(HEADER + "\n" + "\t".join(cells) + "\n")
         assert err.value.column == column
 
+    @pytest.mark.parametrize("column", ["voltage_kv", "wavelength_pm"])
+    @pytest.mark.parametrize("raw", ["fast", "1,5", "5 kV"])
+    def test_not_a_decimal_rejected(self, column, raw):
+        cells = ["IMG1", "S1"] + [""] * (len(SIDECAR_COLUMNS) - 2)
+        cells[SIDECAR_COLUMNS.index(column)] = raw
+        with pytest.raises(BadValueError, match="is not a decimal") as err:
+            parse_sidecar(HEADER + "\n" + "\t".join(cells) + "\n")
+        assert (err.value.row, err.value.column) == (2, column)
+
     @pytest.mark.parametrize("column", SIDECAR_COLUMNS)
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_lone_surrogate_rejected(self, column, strict):
+    def test_lone_surrogate_rejected(self, column):
         good = ["IMG2", "S1", "C1", "rikenbrc_mouse:RBRC001", "osmium", "5.0",
                 "field emission", "17.3", "liver cells"]
         bad = ["IMG3"] + good[1:]
         bad[SIDECAR_COLUMNS.index(column)] += "\ud800"
         text = HEADER + "\n" + "\t".join(good) + "\n" + "\t".join(bad) + "\n"
         with pytest.raises(BadValueError, match="lone surrogate") as err:
-            parse_sidecar(text, strict=strict)
+            parse_sidecar(text)
         assert (err.value.row, err.value.column) == (3, column)
 
     @pytest.mark.parametrize("char", [

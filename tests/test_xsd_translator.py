@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from ome_rdf.errors import EmptySchemaError, MalformedXmlError, NameCollisionError
+from ome_rdf.ontology import Category, Origin, build_core_ontology
 from ome_rdf.xsd_translator import (
     CandidateConcept,
     XsdSubsetModel,
@@ -227,3 +228,20 @@ class TestFragment:
         frag = concepts_to_registry_fragment(extract_concepts(model), NS)
         assert len(frag.classes) == len(model.complex_types)
         assert {c.label for c in frag.classes} == model.type_names()
+
+    def test_categories_are_the_core_categories(self, fixture_text):
+        core = {c.label: c for c in build_core_ontology().classes}
+        frag = concepts_to_registry_fragment(
+            extract_concepts(parse_xsd_subset(fixture_text)), NS)
+        translated = [c for c in frag.classes
+                      if c.label in core and core[c.label].origin is Origin.TRANSLATED]
+        others = [c for c in frag.classes if c not in translated]
+        assert len(translated) == 11 and others
+        for c in translated:
+            assert c.category is core[c.label].category
+        for c in others:
+            assert c.category is Category.IMAGE
+        by_label = {c.label: c.category for c in frag.classes}
+        assert (by_label["Detector"], by_label["ExperimenterGroup"], by_label["Plate"],
+                by_label["Pixels"]) == (Category.INSTRUMENT, Category.EXPERIMENTER,
+                                        Category.SCREENING, Category.IMAGE)
