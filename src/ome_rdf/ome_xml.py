@@ -50,6 +50,14 @@ _CURIE_RE = re.compile(r"^[a-z][a-z0-9_]*:\S+$")
 # Decimals are written out in full (no exponent), so an exponent must stay
 # small: "1E+999999999" would expand to a gigabyte of digits.
 DECIMAL_EXPONENT_MAX = 100
+# The numbers int() and Decimal() read, in ASCII only: a sign, digits, a
+# decimal's fraction and exponent, and space, tab, CR or LF around them.
+# Both would also take underscores, other scripts' digits, any Unicode space
+# and, for Decimal, NaN and Infinity.
+_INTEGER_RE = re.compile(r"[ \t\r\n]*[+-]?[0-9]+[ \t\r\n]*")
+_DECIMAL_RE = re.compile(
+    r"[ \t\r\n]*[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t\r\n]*"
+)
 
 # bounded sidecar column -> (ontology property, min_exclusive, max_inclusive)
 _ROW_BOUNDS = {label: (label, lo, hi) for label, *_, lo, hi in _PROPERTIES}
@@ -130,8 +138,11 @@ def _positive_int(el, attr, path):
     if raw is None:
         raise MissingRequiredFieldError(f"{path}@{attr}")
     try:
+        # bare ASCII digits, the usual form, need no pattern
+        if not (raw.isdigit() and raw.isascii()) and _INTEGER_RE.fullmatch(raw) is None:
+            raise ValueError(raw)
         value = int(raw)
-    except ValueError:
+    except ValueError:  # also more digits than int() reads
         raise InvalidDimensionError(f"{path}@{attr}",
                                     f"{path}@{attr}: {raw!r} is not an integer") from None
     if value < 1:
@@ -141,14 +152,16 @@ def _positive_int(el, attr, path):
 
 
 def _decimal(raw, error):
-    """``raw`` as a finite ``Decimal`` that can be written out in full;
-    otherwise raises ``error(reason)``."""
+    """``raw`` as a ``Decimal`` that can be written out in full; otherwise
+    raises ``error(reason)``."""
     try:
+        # ASCII digits with at most one ".", the usual form, need no pattern
+        if (not (raw.isascii() and raw.replace(".", "", 1).isdigit())
+                and _DECIMAL_RE.fullmatch(raw) is None):
+            raise InvalidOperation(raw)
         value = Decimal(raw)
-    except InvalidOperation:
+    except InvalidOperation:  # also an exponent too large for Decimal
         raise error(f"{raw!r} is not a decimal") from None
-    if not value.is_finite():
-        raise error(f"{raw!r} is not finite")
     if abs(value.adjusted()) > DECIMAL_EXPONENT_MAX:
         raise error(f"{raw!r} exponent out of range")
     return value
@@ -297,11 +310,12 @@ def parse_sidecar(text: str) -> list:
     U+2028, is part of its cell.  Phenotypes are split at ``;`` and
     trimmed of spaces and tabs only.  The header must match SIDECAR_COLUMNS
     exactly, and no cell may hold a lone surrogate, which UTF-8 cannot
-    encode.  A voltage or wavelength must be a finite decimal whose leading
-    digit's exponent is at most DECIMAL_EXPONENT_MAX in size, and must lie
-    within the ``min_exclusive``/``max_inclusive`` bounds of the ontology's
-    ``accelerationVoltage`` or ``electronWavelength`` row.  Every fault
-    raises :class:`BadValueError` naming its row and column.
+    encode.  A voltage or wavelength must be a decimal in ASCII digits,
+    with an optional sign, fraction and exponent and spaces around it,
+    whose leading digit's exponent is at most DECIMAL_EXPONENT_MAX in size;
+    it must lie within the ``min_exclusive``/``max_inclusive`` bounds of
+    the ontology's ``accelerationVoltage`` or ``electronWavelength`` row.
+    Every fault raises :class:`BadValueError` naming its row and column.
     """
     text = text.lstrip("\ufeff")
     if not text:

@@ -2,29 +2,36 @@
 
 Supported: prefix declarations (``@prefix`` and SPARQL ``PREFIX``), IRIs,
 labelled blank nodes, plain/typed/language literals, predicate lists with
-``;`` and object lists with ``,``, and the ``a`` keyword.  Everything else
+``;`` (which may repeat, or end the list), object lists with ``,``, and the
+``a`` keyword.  Everything else
 in the Turtle grammar (collections, anonymous blanks, ``@base``, numeric
 and boolean shorthand, triple quoting) raises
 :class:`UnsupportedConstructError`; malformed input raises
 :class:`RdfSyntaxError` with line and column.
 
-Each parser takes the common case with one compiled regex: N-Triples a
-whole statement up to its line end, Turtle a verb, and an object with the
-whitespace after it up to the ``,``, ``;`` or ``.`` that follows.  Those
-regexes take no escapes and no comment but one after an N-Triples
-statement's dot, and a term they take is one the scanner would read the
-same way.  Whatever they do not take (escapes, comments, blank nodes in
-Turtle, any malformed text) goes to the token scanner from the same
-offset.  The scanner is the only reader of everything else and the only
-source of errors: it consumes each token (whitespace and comments, names,
-the runs of IRI and string bodies between escapes) with one compiled
-regex, and counts line and column from the text only when an error is
-raised.
+Each parser reads a triple with one compiled-regex match, from the
+whitespace before it: N-Triples a whole statement up to its line end;
+Turtle a step up to and with the ``,``, ``;`` or ``.`` that ends it, which
+picks the next step: an object after ``,``, a verb and an object after
+``;``, and a subject, a verb and an object after ``.``.  Those regexes take
+no escapes, no blank node in Turtle and no comment but one after an
+N-Triples statement's dot, and a term they take is one the scanner would
+read the same way.  Whatever they do not take (comments, escapes, blank
+nodes in Turtle, directives, repeated ``;``, an undeclared prefix, any
+malformed text) goes to the token scanner from the same offset and in the
+same step.  The scanner is the only reader of everything else and the
+only source of errors: it consumes each token (whitespace and comments,
+names, the runs of IRI and string bodies between escapes) with one
+compiled regex, and counts line and column from the text only when an
+error is raised.
 
 Both readers build terms through the same two per-call tables, one of
 IRIs and one of literals, so each distinct term is validated once, in
 textual order; an invalid term never enters a table and is reported at
 its ``<`` or ``"`` (a prefixed name just after its end), wherever it recurs.
+The regex paths read the tables with ``dict.get`` and call the scanner's
+:meth:`_Scanner.iri` or :meth:`_Scanner.literal` only for a term not yet
+in them, so the offset of an error is worked out only then.
 
 Whitespace is what the grammars allow, not what ``str.isspace`` accepts:
 space and tab between the terms of an N-Triples statement; space, tab,
@@ -57,8 +64,6 @@ _HEX_RE = re.compile(r"[0-9A-Fa-f]*")
 # whitespace and comments; the second form stops at a line end
 _SKIP_RE = re.compile(r"(?:[ \t\r\n]+|#[^\r\n]*)*")
 _SKIP_INLINE_RE = re.compile(r"(?:[ \t]+|#[^\r\n]*)*")
-# what may follow an N-Triples statement on its line
-_LINE_END_RE = re.compile(r"[ \t]*(?:#[^\r\n]*)?")
 # the runs between escapes and terminators
 _IRI_BODY_RE = re.compile(r"[^>\\]*")
 _STRING_BODY_RE = re.compile(r'[^"\\\r\n]*')
@@ -67,29 +72,35 @@ _RDF_TYPE = Iri(RDF_TYPE)
 # The fast paths' terms: an IRI body without escapes or the ASCII characters
 # an Iri forbids, a string without escapes, and a prefixed name whose local
 # part is the scanner's once trailing dots are stripped (the lookahead stops
-# a shorter match where the scanner would read on).
+# a shorter match where the scanner would read on).  A prefix group always
+# takes part in a prefixed name, so an empty prefix is "", not None.
+_WS = r"[ \t\r\n]*"
 _IRI = r'<([^<>"{}|^`\\\x00-\x20]*)>'
 _STRING = r'"([^"\\\r\n]*)"'
 _LANG = r"@([A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*)"
-_PNAME = (r"([A-Za-z][A-Za-z0-9_.-]*)?:"
+_PNAME = (r"((?:[A-Za-z][A-Za-z0-9_.-]*)?):"
           r"((?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?(?!\.*[A-Za-z0-9_%-]))?)"
           r"(?![A-Za-z0-9_])")
 _NODE = rf"(?:{_IRI}|_:([A-Za-z][A-Za-z0-9]*))"
+# groups: IRI, or prefix and local name
 _NAME = rf"(?:{_IRI}|{_PNAME})"
-# a whole N-Triples statement up to its line end; groups: subject IRI or
-# label, predicate, object IRI or label, lexical form, datatype, language
+# groups: the keyword "a", then a name
+_VERB = rf"(?:(a)(?![^ \t\r\n<#])|{_NAME})"
+# groups: a name, lexical form, a name for the datatype, language
+_OBJECT = rf"(?:{_NAME}|{_STRING}(?:\^\^{_NAME}|{_LANG})?)"
+# the whitespace before a statement and the statement up to its line end;
+# groups: subject IRI or label, predicate, object IRI or label, lexical
+# form, datatype, language
 _NT_STATEMENT_RE = re.compile(
-    rf"{_NODE}[ \t]*{_IRI}[ \t]*(?:{_NODE}|{_STRING}(?:\^\^{_IRI}|{_LANG})?)"
+    rf"{_WS}{_NODE}[ \t]*{_IRI}[ \t]*(?:{_NODE}|{_STRING}(?:\^\^{_IRI}|{_LANG})?)"
     r"[ \t]*\.[ \t]*(?:#[^\r\n]*)?(?![^\r\n])"
 )
-# a Turtle verb; groups: the keyword "a", then IRI or prefix and local name
-_TTL_VERB_RE = re.compile(rf"(a)(?![^ \t\r\n<#])|{_NAME}")
-# a Turtle object and the whitespace before the "," ";" or "." after it;
-# groups: IRI or prefix and local name, lexical form, the same three for the
-# datatype, language
-_TTL_OBJECT_RE = re.compile(
-    rf"(?:{_NAME}|{_STRING}(?:\^\^{_NAME}|{_LANG})?)[ \t\r\n]*(?=[,;.])"
-)
+# One Turtle step each, from the whitespace before its first term to the
+# ",", ";" or "." after its object, which is the last group: a subject, verb
+# and object after a "."; a verb and object after a ";"; an object after a ",".
+_TTL_TRIPLE_RE = re.compile(rf"{_WS}{_NAME}{_WS}{_VERB}{_WS}{_OBJECT}{_WS}([,;.])")
+_TTL_VERB_OBJECT_RE = re.compile(rf"{_WS}{_VERB}{_WS}{_OBJECT}{_WS}([,;.])")
+_TTL_OBJECT_RE = re.compile(rf"{_WS}{_OBJECT}{_WS}([,;.])")
 
 
 class _Scanner:
@@ -99,8 +110,12 @@ class _Scanner:
     valid IRI text to its :class:`Iri`, and ``literals`` maps each valid
     (lexical form, datatype :class:`Iri` or None, language) to its
     :class:`Literal`.  So a recurring term is built, validated and hashed
-    once, whether the scanner or a fast path read it.  Invalid terms never
-    enter them, so each one is reported where it occurs.
+    once, whether the scanner or a regex path read it.  Invalid terms never
+    enter them, so each one is reported where it occurs.  The regex paths
+    look terms up in the tables themselves, and a literal's key may hold
+    its datatype's text, which equals its :class:`Iri`; they call
+    :meth:`iri` and :meth:`literal` only on a miss.  The scanner reads the
+    text from ``pos`` one token at a time, each with one compiled regex.
     """
 
     def __init__(self, text: str):
@@ -281,7 +296,7 @@ def _read_statement(sc: _Scanner) -> Triple:
         sc.error(f"expected term, found {ch!r}")
     sc.skip_ws_and_comments(newlines=False)
     sc.expect(".")
-    sc.match_re(_LINE_END_RE)
+    sc.skip_ws_and_comments(newlines=False)
     if sc.peek() not in ("", "\r", "\n"):
         sc.error("expected end of line after '.'")
     return Triple(subject, predicate, obj)
@@ -289,30 +304,42 @@ def _read_statement(sc: _Scanner) -> Triple:
 
 def parse_ntriples(text: str) -> Graph:
     sc = _Scanner(text)
-    iri = sc.iri
     statement = _NT_STATEMENT_RE.match
+    get_iri = sc.iris.get
+    get_literal = sc.literals.get
+    iri = sc.iri
     triples = []
+    append = triples.append
+    pos = 0
     while True:
-        sc.skip_ws_and_comments()
-        if sc.eof():
-            break
-        m = statement(text, sc.pos)
+        m = statement(text, pos)
         if m is None:
-            triples.append(_read_statement(sc))
-            continue
+            # a comment, the end of the text, or a statement for the scanner
+            sc.pos = pos
+            sc.skip_ws_and_comments()
+            if sc.eof():
+                break
+            m = statement(text, sc.pos)
+            if m is None:
+                append(_read_statement(sc))
+                pos = sc.pos
+                continue
         s, s_label, p, o, o_label, lexical, datatype, language = m.groups()
-        subject = BlankNode(s_label) if s is None else iri(s, m.start(1) - 1)
-        predicate = iri(p, m.start(3) - 1)
+        subject = BlankNode(s_label) if s is None else get_iri(s) or iri(s, m.start(1) - 1)
+        predicate = get_iri(p) or iri(p, m.start(3) - 1)
         if o is not None:
-            obj = iri(o, m.start(4) - 1)
-        elif o_label is not None:
+            obj = get_iri(o) or iri(o, m.start(4) - 1)
+        elif lexical is None:
             obj = BlankNode(o_label)
         else:
-            if datatype is not None:
-                datatype = iri(datatype, m.start(7) - 1)
-            obj = sc.literal(lexical, datatype, language, m.start(6) - 1)
-        triples.append(Triple(subject, predicate, obj))
-        sc.pos = m.end()
+            # a table key may hold the datatype's text: an Iri equals its str
+            obj = get_literal((lexical, datatype, language))
+            if obj is None:
+                if datatype is not None:
+                    datatype = get_iri(datatype) or iri(datatype, m.start(7) - 1)
+                obj = sc.literal(lexical, datatype, language, m.start(6) - 1)
+        append(Triple(subject, predicate, obj))
+        pos = m.end()
     return Graph(triples)
 
 
@@ -322,12 +349,21 @@ _UNSUPPORTED_OPENERS = {
     "[": "anonymous blank node",
     "(": "collection",
 }
+# the terms the step after each separator reads: an object after ",", a verb
+# and object after ";", and a subject, verb and object after "."
+_NEXT_STEP = {",": 1, ";": 2, ".": 3}
 
 
 def parse_turtle(text: str) -> Graph:
     sc = _Scanner(text)
     prefixes: dict = {}
     triples = []
+    append = triples.append
+    get_iri = sc.iris.get
+    get_literal = sc.literals.get
+    iri = sc.iri
+    # indexed by the terms a step reads
+    fast = (None, _TTL_OBJECT_RE.match, _TTL_VERB_OBJECT_RE.match, _TTL_TRIPLE_RE.match)
 
     def resolve_pname(_sc):
         m = _sc.match_re(_PNAME_RE)
@@ -367,33 +403,7 @@ def parse_turtle(text: str) -> Graph:
             return resolve_pname(sc)
         sc.error(f"expected {position} term, found {ch!r}")
 
-    def fast_name(m, k):
-        # the Iri of groups k to k + 2 of a fast-path match, or None where
-        # the scanner must read it because its prefix is undeclared
-        value = m.group(k)
-        if value is not None:
-            return sc.iri(value, m.start(k) - 1)
-        ns = prefixes.get(m.group(k + 1) or "")
-        return None if ns is None else sc.iri(ns + m.group(k + 2), m.end(k + 2))
-
-    def fast_object(m):
-        # the term a match of _TTL_OBJECT_RE names, or None as above
-        _, _, _, lexical, datatype, _, dt_local, language = m.groups()
-        if lexical is None:
-            return fast_name(m, 1)
-        if datatype is not None or dt_local is not None:
-            datatype = fast_name(m, 5)
-            if datatype is None:
-                return None
-        return sc.literal(lexical, datatype, language, m.start(4) - 1)
-
     def read_verb() -> Iri:
-        m = _TTL_VERB_RE.match(text, sc.pos)
-        if m:
-            verb = _RDF_TYPE if m.group(1) else fast_name(m, 2)
-            if verb is not None:
-                sc.pos = m.end()
-                return verb
         # "a" followed by whitespace, "<", or a comment is the type keyword;
         # "a:x" or "abc:x" are prefixed names
         if sc.peek() == "a":
@@ -430,46 +440,89 @@ def parse_turtle(text: str) -> Graph:
             sc.pos += 1
         prefixes[name] = ns.value
 
-    while True:
+    def scan_step(step, subject, predicate):
+        """Read one step at ``sc.pos`` with the scanner; return the next
+        step (0 at the end of the text), subject and predicate."""
         sc.skip_ws_and_comments()
-        if sc.eof():
-            break
-        ch = sc.peek()
-        kw = _KEYWORD_RE.match(sc.text, sc.pos)
-        if ch == "@" or (
-            kw
-            and kw.group(0).lower() in ("prefix", "base")
-            and not sc.text.startswith(":", kw.end())
-        ):
-            read_directive()
-            continue
-        subject = read_term("subject")
-        sc.skip_ws_and_comments()
-        while True:
+        if step == 3:
+            if sc.eof():
+                return 0, subject, predicate
+            ch = sc.peek()
+            kw = _KEYWORD_RE.match(sc.text, sc.pos)
+            if ch == "@" or (
+                kw
+                and kw.group(0).lower() in ("prefix", "base")
+                and not sc.text.startswith(":", kw.end())
+            ):
+                read_directive()
+                return 3, subject, predicate
+            subject = read_term("subject")
+            sc.skip_ws_and_comments()
             predicate = read_verb()
-            while True:
-                sc.skip_ws_and_comments()
-                m = _TTL_OBJECT_RE.match(text, sc.pos)
-                obj = fast_object(m) if m else None
-                if obj is None:
-                    obj = read_term("object")
-                    sc.skip_ws_and_comments()
-                else:
-                    sc.pos = m.end()
-                triples.append(Triple(subject, predicate, obj))
-                if sc.peek() == ",":
-                    sc.pos += 1
-                    continue
-                break
-            if sc.peek() == ";":
+            sc.skip_ws_and_comments()
+        elif step == 2:
+            ch = sc.peek()
+            if ch == ";" or ch == ".":  # a repeated or a trailing ";"
                 sc.pos += 1
-                sc.skip_ws_and_comments()
-                if sc.peek() == ".":  # trailing semicolon
-                    break
-                continue
-            break
+                return _NEXT_STEP[ch], subject, predicate
+            predicate = read_verb()
+            sc.skip_ws_and_comments()
+        append(Triple(subject, predicate, read_term("object")))
         sc.skip_ws_and_comments()
+        ch = sc.peek()
+        if ch == "," or ch == ";":
+            sc.pos += 1
+            return _NEXT_STEP[ch], subject, predicate
         sc.expect(".")
+        return 3, subject, predicate
+
+    def name(m, g, k):
+        # the Iri of the IRI or prefixed name in groups k + 1 to k + 3 of m,
+        # whose groups() is g; KeyError if the prefix is undeclared
+        value = g[k]
+        if value is None:
+            value = prefixes[g[k + 1]] + g[k + 2]
+            return get_iri(value) or iri(value, m.end(k + 3))
+        return get_iri(value) or iri(value, m.start(k + 1) - 1)
+
+    step = 3
+    subject = predicate = None
+    pos = 0
+    while True:
+        m = fast[step](text, pos)
+        if m is not None:
+            g = m.groups()
+            k = len(g) - 9  # the object's first group: 7, 4 or 0
+            try:
+                if k == 7:
+                    subject = name(m, g, 0)
+                if k:
+                    predicate = _RDF_TYPE if g[k - 4] else name(m, g, k - 3)
+                lexical = g[k + 3]
+                if lexical is None:
+                    obj = name(m, g, k)
+                else:
+                    datatype = g[k + 4]
+                    if datatype is None and g[k + 5] is not None:
+                        datatype = prefixes[g[k + 5]] + g[k + 6]
+                    # a table key may hold the datatype's text: an Iri equals its str
+                    obj = get_literal((lexical, datatype, g[k + 7]))
+                    if obj is None:
+                        if datatype is not None:
+                            datatype = name(m, g, k + 4)
+                        obj = sc.literal(lexical, datatype, g[k + 7], m.start(k + 4) - 1)
+            except KeyError:  # an undeclared prefix, which the scanner reports
+                m = None
+        if m is None:
+            sc.pos = pos
+            step, subject, predicate = scan_step(step, subject, predicate)
+            if not step:
+                break
+            pos = sc.pos
+        else:
+            append(Triple(subject, predicate, obj))
+            step = _NEXT_STEP[g[-1]]
+            pos = m.end()
     return Graph(triples, prefixes)
 
 

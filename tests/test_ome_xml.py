@@ -53,6 +53,11 @@ HUGE_EXPONENT = ["1E+999999999", "1E-999999999", "0E-999999999",
                  "1E+999999999999999999", "1E+101", "1E-101"]
 # not decimals, and decimals that are not > 0
 NOT_POSITIVE_DECIMAL = ["abc", "", "1,5", "0", "-0", "0E+5", "-0.001"]
+# what int() or Decimal() read but the ASCII forms do not: underscores,
+# other scripts' digits, and Unicode spaces around the digits
+NOT_ASCII_NUMBER = ["1_024", "\u0661\u0660\u0662\u0664", "\uff11\uff10", "1024\u3000",
+                    "\u20031024", "\xa01024", "1024\x85"]
+NOT_ASCII_DECIMAL = ["0_5", "\u0660.\u0665", "0.5\u3000", "\xa00.5", "1e1_0"]
 
 
 def _bound_cases():
@@ -117,6 +122,32 @@ class TestParseOmeDocument:
         with pytest.raises(InvalidDimensionError) as err:
             parse_ome_document(doc(body))
         assert err.value.path == f"/OME/Image[I]/Pixels@{attr}"
+
+    @pytest.mark.parametrize("raw", NOT_ASCII_NUMBER)
+    def test_non_ascii_integer_rejected(self, raw):
+        with pytest.raises(InvalidDimensionError, match="is not an integer") as err:
+            parse_ome_document(doc(IMG.format(id="I", z=raw)))
+        assert err.value.path == "/OME/Image[I]/Pixels@SizeZ"
+
+    @pytest.mark.parametrize("raw", [" 7 ", "+7", "007", "&#9;7&#10;", "&#13;7"])
+    def test_ascii_integer_forms_accepted(self, raw):
+        (img,) = parse_ome_document(doc(IMG.format(id="I", z=raw))).images
+        assert img.pixels.size_z == 7
+
+    @pytest.mark.parametrize("raw", NOT_ASCII_NUMBER + NOT_ASCII_DECIMAL)
+    def test_non_ascii_physical_size_rejected(self, raw):
+        body = ('<Image ID="I" Name="n"><Pixels SizeX="1" SizeY="1" SizeZ="1" SizeC="1" '
+                f'SizeT="1" PhysicalSizeX="{raw}"/></Image>')
+        with pytest.raises(InvalidDimensionError, match="is not a decimal") as err:
+            parse_ome_document(doc(body))
+        assert err.value.path == "/OME/Image[I]/Pixels@PhysicalSizeX"
+
+    @pytest.mark.parametrize("raw", [" 0.5 ", "+0.5", ".5", "5E-1", "0.05e+1", "&#9;0.5"])
+    def test_ascii_decimal_forms_accepted(self, raw):
+        body = ('<Image ID="I" Name="n"><Pixels SizeX="1" SizeY="1" SizeZ="1" SizeC="1" '
+                f'SizeT="1" PhysicalSizeX="{raw}"/></Image>')
+        (img,) = parse_ome_document(doc(body)).images
+        assert img.pixels.physical_size_x == Decimal("0.5")
 
     def test_dangling_instrument_reference(self):
         body = (
@@ -288,6 +319,22 @@ class TestParseSidecar:
         with pytest.raises(BadValueError, match="is not a decimal") as err:
             parse_sidecar(HEADER + "\n" + "\t".join(cells) + "\n")
         assert (err.value.row, err.value.column) == (2, column)
+
+    @pytest.mark.parametrize("column", ["voltage_kv", "wavelength_pm"])
+    @pytest.mark.parametrize("raw", NOT_ASCII_NUMBER + NOT_ASCII_DECIMAL + NON_FINITE)
+    def test_non_ascii_decimal_rejected(self, column, raw):
+        cells = ["IMG1", "S1"] + [""] * (len(SIDECAR_COLUMNS) - 2)
+        cells[SIDECAR_COLUMNS.index(column)] = raw
+        with pytest.raises(BadValueError, match="is not a decimal") as err:
+            parse_sidecar(HEADER + "\n" + "\t".join(cells) + "\n")
+        assert (err.value.row, err.value.column) == (2, column)
+
+    @pytest.mark.parametrize("raw", [" 5.0 ", "+5.0", "5.", "5E0", "0.5e1"])
+    def test_ascii_decimal_cells_accepted(self, raw):
+        cells = ["IMG1", "S1"] + [""] * (len(SIDECAR_COLUMNS) - 2)
+        cells[SIDECAR_COLUMNS.index("voltage_kv")] = raw
+        (ann,) = parse_sidecar(HEADER + "\n" + "\t".join(cells) + "\n")
+        assert ann.acceleration_voltage_kv == Decimal(5)
 
     @pytest.mark.parametrize("column", SIDECAR_COLUMNS)
     def test_lone_surrogate_rejected(self, column):

@@ -1,6 +1,7 @@
 import importlib
 import random
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -25,6 +26,7 @@ from genutil import random_graph
 from oracle import blank_labels, brute_force_isomorphic, reference_serialize_turtle
 
 EX = "http://ex.org/"
+DATA = Path(__file__).parent / "data"
 _PARSE_MODULE = importlib.import_module("ome_rdf.rdf.parse")
 
 
@@ -174,6 +176,30 @@ class TestParseTurtle:
     def test_semicolons_and_commas(self):
         text = "@prefix ex: <http://ex.org/> .\nex:s ex:p ex:a, ex:b ; ex:q ex:c .\n"
         assert len(parse(text, "turtle")) == 3
+
+    # rule [7]: verb objectList (';' (verb objectList)?)*
+    @pytest.mark.parametrize("statement, pairs", [
+        ("ex:s ex:p ex:o ;; ex:q ex:r .", [("p", "o"), ("q", "r")]),
+        ("ex:s ex:p ex:o ; ; .", [("p", "o")]),
+        ("ex:s ex:p ex:o;;ex:q ex:r;.", [("p", "o"), ("q", "r")]),
+        ("ex:s ex:p ex:o ;\n  # c\n  ;\r\n  ex:q ex:r, ex:o ; ; ; .",
+         [("p", "o"), ("q", "r"), ("q", "o")]),
+    ])
+    def test_repeated_semicolons(self, statement, pairs):
+        text = "@prefix ex: <http://ex.org/> .\n" + statement
+        expected = Graph([t("s", p, o) for p, o in pairs])
+        assert parse_turtle(text) == expected
+        assert _scanner_only(parse_turtle, text)[0] == expected
+
+    @pytest.mark.parametrize("statement, column", [
+        ("ex:s ; ex:p ex:o .", 6), ("ex:s ex:p ex:o ; , ex:q ex:r .", 18),
+    ])
+    def test_semicolon_needs_a_verb_before_it(self, statement, column):
+        text = "@prefix ex: <http://ex.org/> .\n" + statement
+        for outcome in (_outcome(parse_turtle, text), _scanner_only(parse_turtle, text)):
+            assert outcome[0] is RdfSyntaxError
+            assert outcome[2:] == (2, column)
+            assert "expected predicate term" in outcome[1]
 
     def test_sparql_prefix_form(self):
         g = parse("PREFIX ex: <http://ex.org/>\nex:s ex:p ex:o .", "turtle")
@@ -368,6 +394,17 @@ class TestErrorPositions:
          RdfSyntaxError, "expected '.'", 3, 65),
         ("ntriples", _NT + f"{_S} {_P} {_S} . {_S} {_P} {_S} .\n",
          RdfSyntaxError, "expected end of line after '.'", 2, 66),
+        # terms are checked in textual order
+        ("ntriples", _NT + "<s> <p> <o> .\n", RdfSyntaxError, "missing scheme in 's'", 2, 1),
+        ("ntriples", _NT + f"{_S} <p> <o> .\n", RdfSyntaxError, "missing scheme in 'p'", 2, 22),
+        ("turtle", _TTL + "<s> <p> ex:o .\n", RdfSyntaxError, "missing scheme in 's'", 4, 1),
+        ("turtle", _TTL + "ex:s <p> <o> .\n", RdfSyntaxError, "missing scheme in 'p'", 4, 6),
+        ("turtle", _TTL + "ex:s ex:p ex:o ;\n <p> <o> .\n", RdfSyntaxError,
+         "missing scheme in 'p'", 5, 2),
+        ("turtle", _TTL + "ex:s ex:p <o>, <o2> .\n", RdfSyntaxError,
+         "missing scheme in 'o'", 4, 11),
+        ("turtle", _TTL + "ex:s ex:p ex:o, <o2> .\n", RdfSyntaxError,
+         "missing scheme in 'o2'", 4, 17),
         ("turtle", _TTL + "ex:s ex:p <http://a.example/o\\",
          RdfSyntaxError, "bad \\ escape", 4, 31),
         ("turtle", _TTL + 'ex:s ex:p "abc\\',
@@ -514,14 +551,55 @@ def _outcome(parser, text):
 def _scanner_only(parser, text):
     """``_outcome`` with the fast-path regexes matching nothing, so the token
     scanner reads every statement."""
-    with mock.patch.multiple(_PARSE_MODULE, _NT_STATEMENT_RE=_NEVER,
-                             _TTL_VERB_RE=_NEVER, _TTL_OBJECT_RE=_NEVER):
+    with mock.patch.multiple(_PARSE_MODULE, _NT_STATEMENT_RE=_NEVER, _TTL_TRIPLE_RE=_NEVER,
+                             _TTL_VERB_OBJECT_RE=_NEVER, _TTL_OBJECT_RE=_NEVER):
         return _outcome(parser, text)
 
 
+# The tokens of canonical Turtle: a literal with its datatype or language, an
+# IRI, a blank node, "@prefix", a prefixed name, "a" and the punctuation.
+_TURTLE_TOKEN_RE = re.compile(
+    r'"(?:[^"\\]|\\.)*"(?:@[A-Za-z0-9-]+|\^\^(?:<[^>]*>|[A-Za-z0-9]*:[A-Za-z0-9_-]*))?'
+    r"|<[^>]*>|_:[A-Za-z0-9]+|@prefix|[A-Za-z0-9]*:[A-Za-z0-9_-]*|[a,;.]"
+)
+# what may stand between two tokens: whitespace, line ends and comments
+_GAPS = [" ", "\t", "\n", "\r", "\r\n", "  \t", " # note\n", "\n# a, b; c.\r\n", "#\r",
+         " #\n\n\t"]
+
+
+def _turtle_tokens(text: str) -> list:
+    tokens, end = [], 0
+    for m in _TURTLE_TOKEN_RE.finditer(text):
+        assert text[end:m.start()].strip(" \n") == "", text[end:m.start()]
+        tokens.append(m.group())
+        end = m.end()
+    assert text[end:].strip(" \n") == ""
+    return tokens
+
+
+def _relayout(tokens: list, rng: random.Random) -> str:
+    """The tokens with random gaps between them, no gap at times before
+    punctuation, and extra ";" after an object list."""
+    out = []
+    directive = False
+    for tok in tokens:
+        if out:
+            out.append("" if tok in ",;." and rng.random() < 0.3 else rng.choice(_GAPS))
+        directive = directive or tok == "@prefix"
+        if tok == "." and not directive and rng.random() < 0.3:
+            out += [";", rng.choice(_GAPS + [""])]  # a trailing ";"
+        out.append(tok)
+        if tok == ";":
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                out += [rng.choice(_GAPS + [""]), ";"]
+        directive = directive and tok != "."
+    out.append(rng.choice(["", "\n", " # end", "\r\n\r\n"]))
+    return "".join(out)
+
+
 class TestFastPathsAgreeWithScanner:
-    """The statement and object regexes give what the scanner alone gives:
-    the same graph and prefixes, or the same error class, message and place."""
+    """The per-triple regexes give what the scanner alone gives: the same
+    graph and prefixes, or the same error class, message and place."""
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
@@ -533,6 +611,30 @@ class TestFastPathsAgreeWithScanner:
                 note(repr(text))
                 for parser in (parse_ntriples, parse_turtle):
                     assert _outcome(parser, text) == _scanner_only(parser, text)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_relaid_canonical_turtle_reads_the_same(self, rng):
+        # gaps, comments and repeated ";" between the tokens of canonical
+        # Turtle, whose graphs hold blank nodes, IRIs and literals of each kind
+        g = random_graph(rng, max_triples=12, with_prefixes=True)
+        canonical = serialize(g, "turtle")
+        read = _outcome(parse_turtle, canonical)
+        assert read[0] == g
+        tokens = _turtle_tokens(canonical)
+        for _ in range(5):
+            text = _relayout(tokens, rng)
+            note(repr(text))
+            assert _outcome(parse_turtle, text) == read
+            assert _scanner_only(parse_turtle, text) == read
+
+    @pytest.mark.parametrize("name, parser", [("golden.nt", parse_ntriples),
+                                              ("golden.ttl", parse_turtle)])
+    def test_golden_files_read_the_same_without_fast_paths(self, name, parser):
+        text = (DATA / name).read_text(encoding="utf-8")
+        fast = _outcome(parser, text)
+        assert isinstance(fast[0], Graph) and len(fast[0]) > 20
+        assert fast == _scanner_only(parser, text)
 
     # prefixed names where a regex could stop short of the scanner's name
     @pytest.mark.parametrize("statement", [
@@ -554,10 +656,10 @@ class TestFastPathsAgreeWithScanner:
     def test_terms_read_as_the_scanner_reads_them(self, statement, parser):
         assert _outcome(parser, statement) == _scanner_only(parser, statement)
 
-    @pytest.mark.parametrize("parser, shipped", [(parse_ntriples, 0), (parse_turtle, 1)])
-    def test_scanner_only_run_reads_with_the_scanner(self, parser, shipped):
-        # a canonical N-Triples line, which is also Turtle: the shipped Turtle
-        # parser reads only its subject with the scanner
+    @pytest.mark.parametrize("parser", [parse_ntriples, parse_turtle])
+    def test_scanner_only_run_reads_with_the_scanner(self, parser):
+        # a canonical N-Triples line, which is also Turtle: neither shipped
+        # parser reads any of its IRIs with the scanner
         line = f"{_S} {_P} {_O} .\n"
         read_iriref = _PARSE_MODULE._Scanner.read_iriref
         calls = []
@@ -570,4 +672,55 @@ class TestFastPathsAgreeWithScanner:
             fast = _outcome(parser, line)
             fast_calls = len(calls)
             assert _scanner_only(parser, line) == fast
-        assert (fast_calls, len(calls) - fast_calls) == (shipped, 3)
+        assert (fast_calls, len(calls) - fast_calls) == (0, 3)
+
+    @pytest.mark.parametrize("fmt", ["ntriples", "turtle"])
+    def test_canonical_text_reads_only_its_directives_with_the_scanner(self, fmt):
+        ex = "http://a.example/"
+        s1, s2, p, q = Iri(ex + "s1"), Iri(ex + "s2"), Iri(ex + "p"), Iri(ex + "q")
+        g = Graph([
+            Triple(s1, Iri(RDF_TYPE), Iri(ex + "C")),
+            Triple(s1, p, Iri(ex + "o1")), Triple(s1, p, Iri(ex + "o2")),
+            Triple(s1, q, Literal("5", Iri(XSD_INTEGER))),
+            Triple(s2, p, Literal("x", language="en")),
+            Triple(s2, q, Literal("y")),
+            Triple(Iri("http://b.example/s3"), p, Iri("http://b.example/o")),
+        ], {"ex": ex, "xsd": _XSD})
+        text = serialize(g, fmt)
+        if fmt == "turtle":
+            assert text.count("@prefix") == 2 and text.count(";") == 3 and ", " in text
+        body = text.find("\n\n") + 1  # 0 in N-Triples, which has no directives
+        match_re = _PARSE_MODULE._Scanner.match_re
+        at = []
+
+        def counted(sc, pattern):
+            at.append(sc.pos)
+            return match_re(sc, pattern)
+
+        with mock.patch.object(_PARSE_MODULE._Scanner, "match_re", counted):
+            assert parse(text, fmt) == g
+        # each scanner read is in a directive, but for the skip of the last line end
+        assert at and all(pos < body for pos in at[:-1]) and at[-1] == len(text) - 1
+
+    @pytest.mark.parametrize("fmt", ["ntriples", "turtle"])
+    def test_scanner_builds_each_distinct_term_once(self, fmt):
+        # the readers look recurring terms up in the tables themselves
+        ex = "http://a.example/"
+        terms = [Iri(ex + "o"), Literal("1", Iri(XSD_INTEGER)), Literal("x", language="en"),
+                 Literal("y")]
+        g = Graph([Triple(Iri(ex + f"s{i % 3}"), Iri(ex + f"p{i % 2}"), terms[i % 4])
+                   for i in range(24)], {"ex": ex})
+        calls = {"iri": 0, "literal": 0}
+        scanner = _PARSE_MODULE._Scanner
+        originals = {name: getattr(scanner, name) for name in calls}
+
+        def counting(name):
+            def method(sc, *args):
+                calls[name] += 1
+                return originals[name](sc, *args)
+            return method
+
+        with mock.patch.multiple(scanner, **{name: counting(name) for name in calls}):
+            assert parse(serialize(g, fmt), fmt) == g
+        # s0-s2, p0-p1, o, xsd:integer and Turtle's namespace of ex:; three literals
+        assert calls == {"iri": 7 + (fmt == "turtle"), "literal": 3}
