@@ -19,7 +19,7 @@ from .errors import (
 )
 from .rdf import Iri
 
-_PREFIX_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+_PREFIX_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class LinkEntry:
     id_pattern: str
 
     def __post_init__(self):
-        if not _PREFIX_RE.match(self.prefix):
+        if not _PREFIX_RE.fullmatch(self.prefix):
             raise LinkRegistryError(f"bad prefix {self.prefix!r}")
         try:
             re.compile(self.id_pattern)

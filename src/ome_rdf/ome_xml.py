@@ -5,9 +5,9 @@ their reference attributes; references are resolved during parsing, so an
 :class:`OmeImage` carries the resolved instrument and experimenter records.
 Sidecars are strict TSV files with a fixed header (see SIDECAR_COLUMNS);
 one row annotates one image with biosample and imaging-condition details.
-The voltage and wavelength cells must lie within the bounds that the
-ontology's property rows give ``accelerationVoltage`` and
-``electronWavelength``.
+Every numeric value, a Pixels attribute or a voltage or wavelength cell, is
+read as the range of its ontology property row (``xsd:integer`` as ``int``,
+``xsd:decimal`` as ``Decimal``) within that row's bounds.
 
 Timestamps must be in the ``xsd:dateTime`` lexical form with a timezone
 and are kept as the original lexical strings so downstream RDF output
@@ -37,7 +37,8 @@ from .errors import (
     OrphanAnnotationError,
     UnknownColumnError,
 )
-from .ontology import _PROPERTIES
+from .namespaces import XSD_INTEGER
+from .ontology import core_property
 from .rdf.model import _SURROGATE_RE, DATETIME_LEXICAL_RE, datetime_day_exists
 
 SIDECAR_COLUMNS = (
@@ -59,12 +60,15 @@ _DECIMAL_RE = re.compile(
     r"[ \t\r\n]*[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t\r\n]*"
 )
 
-# bounded sidecar column -> (ontology property, min_exclusive, max_inclusive)
-_ROW_BOUNDS = {label: (label, lo, hi) for label, *_, lo, hi in _PROPERTIES}
-_CELL_BOUNDS = {
-    "voltage_kv": _ROW_BOUNDS["accelerationVoltage"],
-    "wavelength_pm": _ROW_BOUNDS["electronWavelength"],
-}
+# Pixels attribute, its ontology property, and whether it must be present,
+# in the order of OmePixels' fields
+_PIXELS_ATTRS = tuple((attr, core_property(label), required) for attr, label, required in [
+    ("SizeX", "sizeX", True), ("SizeY", "sizeY", True), ("SizeZ", "sizeZ", True),
+    ("SizeC", "sizeC", True), ("SizeT", "sizeT", True),
+    ("PhysicalSizeX", "physicalSizeX", False), ("PhysicalSizeY", "physicalSizeY", False),
+])
+_VOLTAGE = core_property("accelerationVoltage")
+_WAVELENGTH = core_property("electronWavelength")
 
 
 class InstrumentKind(enum.Enum):
@@ -133,49 +137,40 @@ def _local(tag):
     return tag.rsplit("}", 1)[-1]
 
 
-def _positive_int(el, attr, path):
-    raw = el.get(attr)
-    if raw is None:
-        raise MissingRequiredFieldError(f"{path}@{attr}")
-    try:
-        # bare ASCII digits, the usual form, need no pattern
-        if not (raw.isdigit() and raw.isascii()) and _INTEGER_RE.fullmatch(raw) is None:
-            raise ValueError(raw)
-        value = int(raw)
-    except ValueError:  # also more digits than int() reads
-        raise InvalidDimensionError(f"{path}@{attr}",
-                                    f"{path}@{attr}: {raw!r} is not an integer") from None
-    if value < 1:
-        raise InvalidDimensionError(f"{path}@{attr}",
-                                    f"{path}@{attr}: {value} violates >= 1")
+def _number(raw, prop, error, where, what):
+    """``raw`` read as a value of ``prop``'s range within ``prop``'s bounds:
+    an ``xsd:integer`` as an ``int``, an ``xsd:decimal`` as a ``Decimal``
+    that can be written out in full.  A fault raises
+    ``error(where, what, reason)``, so the message is built only then."""
+    if prop.range == XSD_INTEGER:
+        try:
+            # bare ASCII digits, the usual form, need no pattern
+            if not (raw.isdigit() and raw.isascii()) and _INTEGER_RE.fullmatch(raw) is None:
+                raise ValueError(raw)
+            value = int(raw)
+        except ValueError:  # also more digits than int() reads
+            raise error(where, what, f"{raw!r} is not an integer") from None
+    else:  # xsd:decimal
+        try:
+            # ASCII digits with at most one ".", the usual form, need no pattern
+            if (not (raw.isascii() and raw.replace(".", "", 1).isdigit())
+                    and _DECIMAL_RE.fullmatch(raw) is None):
+                raise InvalidOperation(raw)
+            value = Decimal(raw)
+        except InvalidOperation:  # also an exponent too large for Decimal
+            raise error(where, what, f"{raw!r} is not a decimal") from None
+        if abs(value.adjusted()) > DECIMAL_EXPONENT_MAX:
+            raise error(where, what, f"{raw!r} exponent out of range")
+    lo, hi = prop.min_exclusive, prop.max_inclusive
+    if lo is not None and value <= lo:
+        raise error(where, what, f"{value} violates {prop.label} > {lo}")
+    if hi is not None and value > hi:
+        raise error(where, what, f"{value} violates {prop.label} <= {hi}")
     return value
 
 
-def _decimal(raw, error):
-    """``raw`` as a ``Decimal`` that can be written out in full; otherwise
-    raises ``error(reason)``."""
-    try:
-        # ASCII digits with at most one ".", the usual form, need no pattern
-        if (not (raw.isascii() and raw.replace(".", "", 1).isdigit())
-                and _DECIMAL_RE.fullmatch(raw) is None):
-            raise InvalidOperation(raw)
-        value = Decimal(raw)
-    except InvalidOperation:  # also an exponent too large for Decimal
-        raise error(f"{raw!r} is not a decimal") from None
-    if abs(value.adjusted()) > DECIMAL_EXPONENT_MAX:
-        raise error(f"{raw!r} exponent out of range")
-    return value
-
-
-def _positive_decimal(el, attr, path):
-    raw = el.get(attr)
-    if raw is None:
-        return None
-    where = f"{path}@{attr}"
-    value = _decimal(raw, lambda reason: InvalidDimensionError(where, f"{where}: {reason}"))
-    if value <= 0:
-        raise InvalidDimensionError(where, f"{where}: physical size must be > 0")
-    return value
+def _dimension_error(path, attr, reason):
+    return InvalidDimensionError(f"{path}@{attr}", f"{path}@{attr}: {reason}")
 
 
 def _check_timestamp(raw, path):
@@ -265,15 +260,13 @@ def parse_ome_document(text: str) -> OmeDocument:
         if pixels_el is None:
             raise MissingRequiredFieldError(f"{path}/Pixels")
         ppath = f"{path}/Pixels"
-        pixels = OmePixels(
-            size_x=_positive_int(pixels_el, "SizeX", ppath),
-            size_y=_positive_int(pixels_el, "SizeY", ppath),
-            size_z=_positive_int(pixels_el, "SizeZ", ppath),
-            size_c=_positive_int(pixels_el, "SizeC", ppath),
-            size_t=_positive_int(pixels_el, "SizeT", ppath),
-            physical_size_x=_positive_decimal(pixels_el, "PhysicalSizeX", ppath),
-            physical_size_y=_positive_decimal(pixels_el, "PhysicalSizeY", ppath),
-        )
+        values = []
+        for attr, prop, required in _PIXELS_ATTRS:
+            raw = pixels_el.get(attr)
+            if raw is None and required:
+                raise MissingRequiredFieldError(f"{ppath}@{attr}")
+            values.append(raw if raw is None else _number(raw, prop, _dimension_error, ppath, attr))
+        pixels = OmePixels(*values)
         if instrument_ref is not None and instrument_ref not in instruments:
             raise DanglingReferenceError(instrument_ref)
         if experimenter_ref is not None and experimenter_ref not in experimenters:
@@ -291,18 +284,6 @@ def _cell(value: str) -> Optional[str]:
     return value if value != "" else None
 
 
-def _bounded_cell(raw, row, column):
-    if raw == "":
-        return None
-    value = _decimal(raw, lambda reason: BadValueError(row, column, reason))
-    label, lo, hi = _CELL_BOUNDS[column]
-    if lo is not None and value <= lo:
-        raise BadValueError(row, column, f"{value} violates {label} > {lo}")
-    if hi is not None and value > hi:
-        raise BadValueError(row, column, f"{value} violates {label} <= {hi}")
-    return value
-
-
 def parse_sidecar(text: str) -> list:
     """Parse a TSV sidecar into :class:`EmAnnotation` records.
 
@@ -310,11 +291,12 @@ def parse_sidecar(text: str) -> list:
     U+2028, is part of its cell.  Phenotypes are split at ``;`` and
     trimmed of spaces and tabs only.  The header must match SIDECAR_COLUMNS
     exactly, and no cell may hold a lone surrogate, which UTF-8 cannot
-    encode.  A voltage or wavelength must be a decimal in ASCII digits,
-    with an optional sign, fraction and exponent and spaces around it,
-    whose leading digit's exponent is at most DECIMAL_EXPONENT_MAX in size;
-    it must lie within the ``min_exclusive``/``max_inclusive`` bounds of
-    the ontology's ``accelerationVoltage`` or ``electronWavelength`` row.
+    encode.  A voltage or wavelength is read, like every numeric value, as
+    the range of its ontology row (``accelerationVoltage`` or
+    ``electronWavelength``) within that row's bounds: an ``xsd:decimal`` in
+    ASCII digits, with an optional sign, fraction and exponent and spaces
+    around it, whose leading digit's exponent is at most
+    DECIMAL_EXPONENT_MAX in size.
     Every fault raises :class:`BadValueError` naming its row and column.
     """
     text = text.lstrip("\ufeff")
@@ -355,8 +337,11 @@ def parse_sidecar(text: str) -> list:
         if strain is not None and not _CURIE_RE.match(strain):
             raise BadValueError(lineno, "strain_id",
                                 f"{strain!r} is not a prefix:localId CURIE")
-        voltage = _bounded_cell(row["voltage_kv"], lineno, "voltage_kv")
-        wavelength = _bounded_cell(row["wavelength_pm"], lineno, "wavelength_pm")
+        voltage, wavelength = _cell(row["voltage_kv"]), _cell(row["wavelength_pm"])
+        if voltage is not None:
+            voltage = _number(voltage, _VOLTAGE, BadValueError, lineno, "voltage_kv")
+        if wavelength is not None:
+            wavelength = _number(wavelength, _WAVELENGTH, BadValueError, lineno, "wavelength_pm")
         # only space and tab are trimmed: any other character is data, as in
         # every other cell
         phenotypes = tuple(

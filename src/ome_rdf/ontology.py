@@ -6,8 +6,10 @@ categories.  The registry is built once by :func:`build_core_ontology` and
 is immutable; :func:`registry_to_graph` renders it as RDF/OWL.
 
 The same :class:`OntologyRegistry` container also holds translator-built
-fragments.  The rows below are the one source of the core's categories
-and value bounds: the sidecar parser and the XSD translator read them.
+fragments.  The rows below are the one source of the core's categories,
+value ranges and value bounds: the XSD translator reads the categories,
+and the OME-XML and sidecar readers read every numeric value by its
+row's range and bounds (see :func:`core_property`).
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ class PropertyDef:
 
     ``range`` may be a class IRI (object property) or an XSD datatype IRI
     (datatype property); ``max_count=None`` means unbounded.  The value
-    bounds are ``Decimal``: both bounded properties range over
-    ``xsd:decimal``.
+    bounds are ``Decimal`` whatever the range, so an ``xsd:integer``
+    property's ``min_exclusive`` of 0 reads as ``>= 1``.
     """
 
     iri: Iri
@@ -200,13 +202,13 @@ _EXTENDED = [
 _PROPERTIES = [
     ("name", "Image", XSD_STRING, 1, None, None),
     ("acquisitionDate", "Image", XSD_DATETIME, 1, None, None),
-    ("sizeX", "Image", XSD_INTEGER, 1, None, None),
-    ("sizeY", "Image", XSD_INTEGER, 1, None, None),
-    ("sizeZ", "Image", XSD_INTEGER, 1, None, None),
-    ("sizeC", "Image", XSD_INTEGER, 1, None, None),
-    ("sizeT", "Image", XSD_INTEGER, 1, None, None),
-    ("physicalSizeX", "Image", XSD_DECIMAL, 1, None, None),
-    ("physicalSizeY", "Image", XSD_DECIMAL, 1, None, None),
+    ("sizeX", "Image", XSD_INTEGER, 1, Decimal("0"), None),
+    ("sizeY", "Image", XSD_INTEGER, 1, Decimal("0"), None),
+    ("sizeZ", "Image", XSD_INTEGER, 1, Decimal("0"), None),
+    ("sizeC", "Image", XSD_INTEGER, 1, Decimal("0"), None),
+    ("sizeT", "Image", XSD_INTEGER, 1, Decimal("0"), None),
+    ("physicalSizeX", "Image", XSD_DECIMAL, 1, Decimal("0"), None),
+    ("physicalSizeY", "Image", XSD_DECIMAL, 1, Decimal("0"), None),
     ("acquiredBy", "Image", "Experimenter", None, None, None),
     ("acquiredWith", "Image", "Instrument", None, None, None),
     ("depicts", "Image", "BioSample", None, None, None),
@@ -245,21 +247,7 @@ def build_core_ontology(namespace: str = DEFAULT_ONTOLOGY_NS) -> OntologyRegistr
         for label, cat in _EXTENDED
     ]
     class_iri = {c.label: c.iri for c in classes}
-    properties = []
-    for label, domain, rng, max_count, lo, hi in _PROPERTIES:
-        range_iri = Iri(class_iri[rng].value if rng in class_iri else rng)
-        properties.append(
-            PropertyDef(
-                Iri(ns.value + label),
-                label,
-                class_iri[domain],
-                range_iri,
-                min_count=0,
-                max_count=max_count,
-                min_exclusive=lo,
-                max_inclusive=hi,
-            )
-        )
+    properties = [_property_def(ns.value, *row) for row in _PROPERTIES]
     rules = (
         ConditionalCardinality(
             subject_class=class_iri["Image"],
@@ -271,6 +259,21 @@ def build_core_ontology(namespace: str = DEFAULT_ONTOLOGY_NS) -> OntologyRegistr
         ),
     )
     return OntologyRegistry(ns, tuple(classes), tuple(properties), rules)
+
+
+def _property_def(ns, label, domain, rng, max_count, lo, hi) -> PropertyDef:
+    # a range is a class label or a datatype IRI
+    return PropertyDef(Iri(ns + label), label, Iri(ns + domain),
+                       Iri(rng if ":" in rng else ns + rng),
+                       max_count=max_count, min_exclusive=lo, max_inclusive=hi)
+
+
+def core_property(label: str) -> PropertyDef:
+    """The core property ``label`` as :func:`build_core_ontology` builds it
+    in the default namespace, made from its row alone: a reader takes a
+    value's range and bounds from here without building the registry."""
+    (row,) = [row for row in _PROPERTIES if row[0] == label]
+    return _property_def(DEFAULT_ONTOLOGY_NS, *row)
 
 
 def annotation_iri(registry: OntologyRegistry, name: str) -> Iri:

@@ -34,9 +34,9 @@ _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _IRI_FORBIDDEN_RE = re.compile(r'[\s<>"{}|^`\\\x00-\x20\ud800-\udfff]')
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
-_BLANK_LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
-_LANG_TAG_RE = re.compile(r"^[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*$")
-_PREFIX_NAME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_.-]*[A-Za-z0-9_-]|[A-Za-z])?$")
+_BLANK_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+_LANG_TAG_RE = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*")
+_PREFIX_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.-]*[A-Za-z0-9_-]|[A-Za-z])?")
 
 _INTEGER_LEXICAL_RE = re.compile(r"[+-]?[0-9]+")
 _FLOAT_LEXICAL_RE = re.compile(
@@ -142,7 +142,7 @@ class BlankNode:
     label: str
 
     def __post_init__(self):
-        if not _BLANK_LABEL_RE.match(self.label):
+        if not _BLANK_LABEL_RE.fullmatch(self.label):
             raise InvalidBlankNodeError(f"bad blank node label {self.label!r}")
 
     def __str__(self):
@@ -166,7 +166,7 @@ class Literal(tuple):
         bad = _SURROGATE_RE.search(lexical)
         if bad:
             raise InvalidLiteralError(f"lone surrogate {bad[0]!r} in lexical form {lexical!r}")
-        if language is not None and not _LANG_TAG_RE.match(language):
+        if language is not None and not _LANG_TAG_RE.fullmatch(language):
             raise InvalidLiteralError(f"bad language tag {language!r}")
         if datatype is None:
             datatype = _XSD_STRING if language is None else _RDF_LANGSTRING
@@ -255,7 +255,7 @@ class Graph:
         self._triples = frozenset(triples)
         pfx = {}
         for name, ns in (prefixes or {}).items():
-            if not _PREFIX_NAME_RE.match(name):
+            if not _PREFIX_NAME_RE.fullmatch(name):
                 raise ValueError(f"bad prefix name {name!r}")
             pfx[name] = Iri(ns).value
         self._prefixes = pfx

@@ -419,10 +419,11 @@ def parse_turtle(text: str) -> Graph:
     def read_directive():
         m = sc.match_re(_KEYWORD_RE)
         word = m.group(0) if m else ""
-        lowered = word.lower()
-        if lowered in ("@base", "base"):
+        # '@prefix' and '@base' are case-sensitive, SPARQL's PREFIX and BASE not
+        keyword = word if word.startswith("@") else word.lower()
+        if keyword in ("@base", "base"):
             sc.unsupported("@base")
-        if lowered not in ("@prefix", "prefix"):
+        if keyword not in ("@prefix", "prefix"):
             sc.error(f"unknown directive {word!r}")
         sc.skip_ws_and_comments()
         pm = sc.match_re(_PNAME_RE)
@@ -434,7 +435,7 @@ def parse_turtle(text: str) -> Graph:
         sc.skip_ws_and_comments()
         ns = sc.read_iriref()
         sc.skip_ws_and_comments()
-        if lowered == "@prefix":
+        if keyword == "@prefix":
             sc.expect(".")
         elif sc.peek() == ".":  # tolerate SPARQL PREFIX with trailing dot
             sc.pos += 1

@@ -72,8 +72,9 @@ class TestRegistryFile:
             LinkRegistry.loads("demo\thttp://db.example/demo\t.*\n\nx\thttp://x.example\t.*\n")
 
     def test_bad_prefix(self):
-        with pytest.raises(LinkRegistryError):
-            LinkEntry("Bad_Prefix", Iri("http://x.example/"), ".*")
+        for prefix in ("Bad_Prefix", "p\n"):
+            with pytest.raises(LinkRegistryError):
+                LinkEntry(prefix, Iri("http://x.example/"), ".*")
 
     def test_duplicate_prefix(self):
         e = LinkEntry("p", Iri("http://x.example/"), ".*")

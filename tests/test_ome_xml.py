@@ -16,6 +16,7 @@ from ome_rdf.errors import (
     OrphanAnnotationError,
     UnknownColumnError,
 )
+from ome_rdf.namespaces import XSD_INTEGER
 from ome_rdf.ome_xml import (
     EmAnnotation,
     InstrumentKind,
@@ -60,27 +61,37 @@ NOT_ASCII_NUMBER = ["1_024", "\u0661\u0660\u0662\u0664", "\uff11\uff10", "1024\u
 NOT_ASCII_DECIMAL = ["0_5", "\u0660.\u0665", "0.5\u3000", "\xa00.5", "1e1_0"]
 
 
-def _bound_cases():
-    """(column, property, field, value, kept) around each bound of the
-    ontology's properties that the sidecar's numeric columns hold."""
+# (sidecar column or Pixels attribute, ontology property, record field)
+SIDECAR_ROWS = [("voltage_kv", "accelerationVoltage", "acceleration_voltage_kv"),
+                ("wavelength_pm", "electronWavelength", "electron_wavelength_pm")]
+PIXELS_ROWS = [("SizeX", "sizeX", "size_x"), ("SizeY", "sizeY", "size_y"),
+               ("SizeZ", "sizeZ", "size_z"), ("SizeC", "sizeC", "size_c"),
+               ("SizeT", "sizeT", "size_t"), ("PhysicalSizeX", "physicalSizeX", "physical_size_x"),
+               ("PhysicalSizeY", "physicalSizeY", "physical_size_y")]
+
+
+def _bound_cases(rows):
+    """(where, property, field, value, kept) just below, at and just above
+    each bound of the ontology's properties that ``rows`` read: a step of 1
+    for an integer row, 0.001 for a decimal row."""
     core = build_core_ontology()
-    step = Decimal("0.001")
-    for column, label, field in [
-            ("voltage_kv", "accelerationVoltage", "acceleration_voltage_kv"),
-            ("wavelength_pm", "electronWavelength", "electron_wavelength_pm")]:
+    for where, label, field in rows:
         prop = core.property_by_label(label)
+        integer = prop.range == XSD_INTEGER
+        step = Decimal(1) if integer else Decimal("0.001")
         values = [(prop.min_exclusive - step, False), (prop.min_exclusive, False),
                   (prop.min_exclusive + step, True)]
         if prop.max_inclusive is not None:
             values += [(prop.max_inclusive, True), (prop.max_inclusive + step, False)]
         else:
-            # no upper bound in the row, so none in the parser either
-            values.append((Decimal("1E+99"), True))
+            # no upper bound in the row, so none in the reader either
+            values.append((Decimal(2 ** 63) if integer else Decimal("1E+99"), True))
         for value, kept in values:
-            yield pytest.param(column, label, field, value, kept, id=f"{column}={value}")
+            yield pytest.param(where, label, field, value, kept, id=f"{where}={value}")
 
 
-BOUND_CASES = list(_bound_cases())
+BOUND_CASES = list(_bound_cases(SIDECAR_ROWS))
+PIXELS_BOUND_CASES = list(_bound_cases(PIXELS_ROWS))
 
 
 class TestParseOmeDocument:
@@ -148,6 +159,28 @@ class TestParseOmeDocument:
                 f'SizeT="1" PhysicalSizeX="{raw}"/></Image>')
         (img,) = parse_ome_document(doc(body)).images
         assert img.pixels.physical_size_x == Decimal("0.5")
+
+    @pytest.mark.parametrize("attr, label, field, value, kept", PIXELS_BOUND_CASES)
+    def test_bounds_are_the_ontology_bounds(self, attr, label, field, value, kept):
+        core = build_core_ontology()
+        # every other size just inside its row's lower bound
+        sizes = {a: core.property_by_label(lb).min_exclusive + 1 for a, lb, _ in PIXELS_ROWS[:5]}
+        sizes[attr] = value
+        body = " ".join(f'{a}="{v}"' for a, v in sizes.items())
+        text = doc(f'<Image ID="I" Name="n"><Pixels {body}/></Image>')
+        if kept:
+            (img,) = parse_ome_document(text).images
+            assert getattr(img.pixels, field) == value
+        else:
+            with pytest.raises(InvalidDimensionError, match=label) as err:
+                parse_ome_document(text)
+            assert err.value.path == f"/OME/Image[I]/Pixels@{attr}"
+
+    def test_every_bounded_row_is_read(self):
+        core = build_core_ontology()
+        bounded = {p.label for p in core.properties
+                   if p.min_exclusive is not None or p.max_inclusive is not None}
+        assert bounded == {label for _, label, _ in SIDECAR_ROWS + PIXELS_ROWS}
 
     def test_dangling_instrument_reference(self):
         body = (

@@ -141,7 +141,7 @@ class TestRegistryToGraph:
     def test_triple_count_matches_counting_oracle(self, core):
         g = registry_to_graph(core)
         assert len(g) == expected_triple_count(core)
-        assert len(g) == 194  # frozen from the oracle above
+        assert len(g) == 201  # frozen from the oracle above
 
     def test_roundtrip_keeps_counts(self, core):
         for fmt in ("turtle", "ntriples"):

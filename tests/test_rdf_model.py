@@ -217,14 +217,15 @@ class TestLiteral:
             Literal(lexical, Iri(XSD_NS + "date"))
 
     def test_bad_language_tag(self):
-        with pytest.raises(InvalidLiteralError):
-            Literal("x", language="english language tag")
+        for tag in ("english language tag", "en\n"):
+            with pytest.raises(InvalidLiteralError):
+                Literal("x", language=tag)
 
 
 class TestBlankNode:
     def test_label_shape(self):
         BlankNode("a1")
-        for bad in ("", "1a", "a b", "_x"):
+        for bad in ("", "1a", "a b", "_x", "a\n"):
             with pytest.raises(InvalidBlankNodeError):
                 BlankNode(bad)
 
@@ -250,8 +251,9 @@ class TestGraphValue:
         assert a == b
 
     def test_bad_prefix_name_rejected(self):
-        with pytest.raises(ValueError):
-            Graph([], {"1bad": EX})
+        for name in ("1bad", "ex\n"):
+            with pytest.raises(ValueError):
+                Graph([], {name: EX})
 
     def test_prefix_namespace_as_str_or_iri(self):
         g = Graph([], {"ex": EX, "iri": Iri(EX + "ns#")})
@@ -301,7 +303,8 @@ class TestHashContract:
                 f"sys.stdout.buffer.write(pickle.dumps({triple!r}))")
         dumped = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, check=True,
-            env={"PYTHONPATH": ":".join(sys.path), "PYTHONHASHSEED": "12345"}).stdout
+            env={"PYTHONPATH": ":".join(sys.path), "PYTHONHASHSEED": "12345",
+                 "PYTHONDONTWRITEBYTECODE": "1"}).stdout
         loaded = pickle.loads(dumped)
         assert loaded == triple
         assert hash(loaded) == hash(triple) == _field_hash(loaded)

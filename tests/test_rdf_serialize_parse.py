@@ -202,8 +202,10 @@ class TestParseTurtle:
             assert "expected predicate term" in outcome[1]
 
     def test_sparql_prefix_form(self):
-        g = parse("PREFIX ex: <http://ex.org/>\nex:s ex:p ex:o .", "turtle")
-        assert len(g) == 1
+        # in any case, unlike '@prefix', which W3C Turtle 1.1 makes case-sensitive
+        for keyword in ("PREFIX", "PrEfIx"):
+            g = parse(f"{keyword} ex: <http://ex.org/>\nex:s ex:p ex:o .", "turtle")
+            assert len(g) == 1
 
     def test_undeclared_prefix_is_error(self):
         with pytest.raises(RdfSyntaxError):
@@ -213,6 +215,8 @@ class TestParseTurtle:
         "doc",
         [
             "@base <http://ex.org/> .",
+            "BASE <http://ex.org/>",
+            "bAsE <http://ex.org/>",
             "@prefix ex: <http://ex.org/> .\nex:s ex:p (1 2) .",
             "@prefix ex: <http://ex.org/> .\nex:s ex:p [] .",
             "@prefix ex: <http://ex.org/> .\nex:s ex:p 42 .",
@@ -431,6 +435,13 @@ class TestErrorPositions:
          UnsupportedConstructError, "unsupported construct: boolean literal shorthand", 5, 10),
         ("turtle", _TTL + 'ex:s ex:p """x""" .\n',
          UnsupportedConstructError, "unsupported construct: triple-quoted string", 4, 12),
+        # '@prefix' and '@base' are case-sensitive
+        ("turtle", _TTL + "@PREFIX ex: <http://a.example/> .\nex:s ex:p ex:o .\n",
+         RdfSyntaxError, "unknown directive '@PREFIX'", 4, 8),
+        ("turtle", _TTL + "@Prefix ex: <http://a.example/> .\nex:s ex:p ex:o .\n",
+         RdfSyntaxError, "unknown directive '@Prefix'", 4, 8),
+        ("turtle", _TTL + "@BASE <http://a.example/> .\n",
+         RdfSyntaxError, "unknown directive '@BASE'", 4, 6),
     ])
     def test_error_position(self, fmt, doc, cls, message, line, column):
         with pytest.raises(RdfSyntaxError) as err:
