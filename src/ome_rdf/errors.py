@@ -51,6 +51,16 @@ class UnsupportedConstructError(RdfSyntaxError):
     code = "UnsupportedConstruct"
 
 
+class UnknownFormatError(OmeRdfError, ValueError):
+    """A format name that neither the parsers nor the writers support."""
+
+    code = "UnknownFormat"
+
+    def __init__(self, format):
+        self.format = format
+        super().__init__(f"unknown format {format!r}; expected 'ntriples' or 'turtle'")
+
+
 # ------------------------------------------------------------- xsd translator
 
 class MalformedXmlError(OmeRdfError):

@@ -9,7 +9,8 @@ together with sample container, sample preparation, imaging condition,
 and one phenotype-observation node per recorded observation.
 
 One call (:func:`map_pair` or :func:`map_all`) maps its records into one
-triple list.  Within a call each distinct IRI and literal is built once,
+list of exact triple tuples (see :mod:`ome_rdf.rdf.model`).  Within a call
+each distinct IRI and literal is built once,
 and each shared subgraph (an experimenter or instrument node with its
 literals, a biosample or container type triple, a ``containedIn`` or
 ``derivedFrom`` edge) is emitted by the first record that names it.  A
@@ -36,9 +37,8 @@ from .errors import (
 from .namespaces import DEFAULT_INSTANCE_BASE, RDF_TYPE, XSD_NS
 from .ome_xml import EmAnnotation, InstrumentKind, OmeDocument, OmeImage, join_annotations
 from .ontology import OntologyClass, OntologyRegistry
-from .rdf import Graph, Iri, Literal, Triple
+from .rdf import Graph, Iri, Literal
 
-_TYPE = Iri(RDF_TYPE)
 _XSD = Iri(XSD_NS)
 
 # One table per node shape: (property label, getter) rows.  A row whose
@@ -98,6 +98,9 @@ def mint_iri(policy: MintingPolicy, cls: OntologyClass, local_id: str) -> Iri:
 class MappedRecord:
     """One mapped image and the triples it added to its call's output.
 
+    ``image_iri`` is the image's typed :class:`Iri` handle.  ``triples``
+    and ``external_links`` hold what the graph holds: exact triple tuples
+    and the exact ``str`` IRIs of the strains the record linked to.
     ``triples`` holds the triples this record added: the image's own, and
     those of the shared nodes and edges (experimenter, instrument,
     biosample, container, strain link) that no earlier record of the same
@@ -119,36 +122,41 @@ class MappedRecord:
 
 
 class _Resolved(dict):
-    """Label -> registry entry, looked up on first use.  A label the registry
-    lacks raises in the record that first needs it, and on every later use."""
+    """Label -> ``texts`` of its registry entry, looked up on first use.  A
+    label the registry lacks raises in the record that first needs it, and
+    on every later use."""
 
-    def __init__(self, lookup, kind: str):
+    def __init__(self, lookup, kind: str, texts):
         super().__init__()
         self.lookup = lookup
         self.kind = kind
+        self.texts = texts
 
     def __missing__(self, label: str):
         entry = self.lookup(label)
         if entry is None:
             raise UnknownClassInRegistryError(f"registry has no {label!r} {self.kind}")
-        self[label] = entry
-        return entry
+        texts = self[label] = self.texts(entry)
+        return texts
 
 
 class _Emitter:
     """Maps the records of one call into one triple list.
 
-    Its tables live as long as the call: registry classes and properties
-    by label, minted IRIs by (class label, local id), literals by (lexical,
-    datatype), resolved strains by CURIE (successes only), and the keys of
-    the shared subgraphs already emitted.  A key holds every value that its
-    subgraph's triples come from, never the node's IRI alone, so two rows
-    that give one sample different containers or strains emit both edges.
+    Its tables live as long as the call and hold what the graph holds,
+    exact ``str`` IRIs and literal tuples: (class IRI, class) and (property
+    IRI, range) pairs by label, minted IRIs by (class label, local id),
+    literals by (lexical, datatype), resolved strains by CURIE (successes
+    only); and the keys of the shared subgraphs already emitted.  A key
+    holds every value that its subgraph's triples come from, never the
+    node's IRI alone, so two rows that give one sample different containers
+    or strains emit both edges.
     """
 
     def __init__(self, registry: OntologyRegistry, policy: MintingPolicy, links):
-        self.classes = _Resolved(registry.class_by_label, "class")
-        self.props = _Resolved(registry.property_by_label, "property")
+        self.classes = _Resolved(registry.class_by_label, "class", lambda c: (c.iri.value, c))
+        self.props = _Resolved(registry.property_by_label, "property",
+                               lambda p: (p.iri.value, p.range.value))
         self.policy = policy
         self.links = links
         self.prefixes = {"mo": registry.namespace, "res": policy.instance_base, "xsd": _XSD}
@@ -171,7 +179,7 @@ class _Emitter:
             del self.triples[mark:]
             self._emitted.difference_update(self._new_keys)
             raise
-        return MappedRecord(image_iri, tuple(self.triples[mark:]), external, self.prefixes)
+        return MappedRecord(Iri(image_iri), tuple(self.triples[mark:]), external, self.prefixes)
 
     def _first(self, key) -> bool:
         """True the first time ``key`` is seen in this call."""
@@ -181,41 +189,41 @@ class _Emitter:
         self._new_keys.append(key)
         return True
 
-    def mint(self, label: str, local_id: str) -> Iri:
+    def mint(self, label: str, local_id: str) -> str:
         key = (label, local_id)
         iri = self._iris.get(key)
         if iri is None:
-            iri = self._iris[key] = mint_iri(self.policy, self.classes[label], local_id)
+            iri = self._iris[key] = mint_iri(self.policy, self.classes[label][1], local_id).value
         return iri
 
-    def typed(self, iri: Iri, label: str):
-        self.triples.append(Triple(iri, _TYPE, self.classes[label].iri))
+    def typed(self, iri: str, label: str):
+        self.triples.append((iri, RDF_TYPE, self.classes[label][0]))
 
-    def node(self, label: str, local_id: str) -> Iri:
+    def node(self, label: str, local_id: str) -> str:
         iri = self.mint(label, local_id)
         self.typed(iri, label)
         return iri
 
-    def link(self, subject: Iri, label: str, obj: Iri):
-        self.triples.append(Triple(subject, self.props[label].iri, obj))
+    def link(self, subject: str, label: str, obj: str):
+        self.triples.append((subject, self.props[label][0], obj))
 
-    def literals(self, subject: Iri, table, record):
+    def literals(self, subject: str, table, record):
         for label, get in table:
             value = get(record)
             if value is not None:
-                p = self.props[label]
+                p, datatype = self.props[label]
                 lexical = format(value, "f") if isinstance(value, Decimal) else str(value)
-                key = (lexical, p.range)
+                key = (lexical, datatype)
                 literal = self._literals.get(key)
                 if literal is None:
-                    literal = self._literals[key] = Literal(lexical, p.range)
-                self.triples.append(Triple(subject, p.iri, literal))
+                    literal = self._literals[key] = Literal(lexical, datatype)
+                self.triples.append((subject, p, literal))
 
-    def strain(self, curie: str) -> Iri:
+    def strain(self, curie: str) -> str:
         iri = self._strains.get(curie)
         if iri is None:
             try:
-                iri = self.links.resolve(curie)
+                iri = self.links.resolve(curie).value
             except LinkRegistryError as e:
                 raise UnresolvableStrainError(curie, str(e)) from e
             self._strains[curie] = iri

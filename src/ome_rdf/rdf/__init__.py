@@ -1,5 +1,11 @@
 """Deterministic RDF core: terms, graphs, canonical Turtle/N-Triples.
 
+A graph holds exact built-ins: ``str`` IRIs, ``(lexical, datatype,
+language)`` literal tuples and ``(subject, predicate, object)`` triple
+tuples, with :class:`BlankNode` the one class of its own.  :func:`Literal`
+and :func:`Triple` check their items and return those built-ins;
+:class:`Iri` is the typed handle for an IRI outside a graph.
+
 :func:`graph_isomorphic` compares graphs read back in; a conversion never
 calls it, so its module is imported on first use.
 """

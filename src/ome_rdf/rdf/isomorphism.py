@@ -12,7 +12,7 @@ raises :class:`TooLargeForExactCheckError`.
 from __future__ import annotations
 
 from ..errors import TooLargeForExactCheckError
-from .model import BlankNode, Graph, Triple
+from .model import BlankNode, Graph
 from .serialize import term_to_ntriples
 
 BRUTE_FORCE_BOUND = 12
@@ -88,7 +88,7 @@ def _substitute(blankful, mapping):
     for s, p, o in blankful:
         s = BlankNode(mapping[s.label]) if isinstance(s, BlankNode) else s
         o = BlankNode(mapping[o.label]) if isinstance(o, BlankNode) else o
-        out.add(Triple(s, p, o))
+        out.add((s, p, o))
     return out
 
 
@@ -115,7 +115,7 @@ def _backtrack(blankful_a, blankful_b, candidates):
                 if o.label not in assignment:
                     continue
                 o = BlankNode(assignment[o.label])
-            if Triple(s, p, o) not in b_set:
+            if (s, p, o) not in b_set:
                 return False
         return True
 

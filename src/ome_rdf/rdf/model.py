@@ -6,18 +6,27 @@ note that plain iteration over a graph is *not* deterministic across
 interpreter runs (string hash randomisation), which is why all serializers
 sort.
 
-:class:`Iri` is a ``str``, and :class:`Literal` and :class:`Triple` are
-tuples, each validated when it is built; hashing and equality are the
-built-in types' own.  An ``Iri`` therefore equals the plain ``str`` of its
-text, and a ``Literal`` or ``Triple`` the plain tuple of its items.
-Pickling builds them again through their constructors.
+Inside a graph every term is an exact built-in, except a
+:class:`BlankNode`: an IRI is a ``str``, a literal the tuple ``(lexical,
+datatype IRI text, language or None)`` and a triple the tuple ``(subject,
+predicate, object)``.  A reader tells the kinds apart by ``type(t) is
+str``, :class:`BlankNode` or ``tuple``.  CPython's cyclic garbage collector
+untracks such a tuple the first time it meets it, so a finished graph adds
+nothing to a collection.  :func:`Literal` and :func:`Triple` check their
+items and return these built-ins, which hash, compare and pickle as
+themselves.
+
+:class:`Iri` is the typed handle for an IRI outside a graph (the ontology
+rows, namespaces, minted image IRIs, resolved links): a checked ``str``
+subclass with ``.value``, equal to its text, which pickles through its
+constructor.  :func:`Triple` and :func:`Literal` copy an ``Iri`` to its
+text once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -103,8 +112,24 @@ _LEXICAL_FORMS = {
 }
 
 
+def iri_text(value: str) -> str:
+    """``value`` as an exact ``str``, once it passes the IRI check; an
+    :class:`Iri`, checked when it was built, is only copied to its text."""
+    if value.__class__ is Iri:
+        return str.__str__(value)
+    if not value:
+        raise InvalidIriError("empty IRI")
+    if not _SCHEME_RE.match(value):
+        raise InvalidIriError(f"missing scheme in {value!r}")
+    bad = _IRI_FORBIDDEN_RE.search(value)
+    if bad:
+        raise InvalidIriError(f"forbidden character {bad.group()!r} in {value!r}")
+    return value if value.__class__ is str else str.__str__(value)
+
+
 class Iri(str):
-    """An absolute IRI, validated on construction.
+    """An absolute IRI, validated on construction: the typed handle for an
+    IRI outside a graph.
 
     An ``Iri`` is the ``str`` of its text, so it hashes and compares as that
     text: ``Iri(v) == v``.  ``value`` is the text as a plain ``str``.
@@ -113,26 +138,12 @@ class Iri(str):
     __slots__ = ()
 
     def __new__(cls, value: str):
-        if not value:
-            raise InvalidIriError("empty IRI")
-        if not _SCHEME_RE.match(value):
-            raise InvalidIriError(f"missing scheme in {value!r}")
-        bad = _IRI_FORBIDDEN_RE.search(value)
-        if bad:
-            raise InvalidIriError(f"forbidden character {bad.group()!r} in {value!r}")
-        return str.__new__(cls, value)
+        return str.__new__(cls, iri_text(value))
 
     value = property(str.__str__, doc="The IRI text as a plain ``str``.")
 
     def __repr__(self):
         return f"Iri(value={str.__repr__(self)})"
-
-    def __getnewargs__(self):
-        return (str.__str__(self),)
-
-
-_XSD_STRING = Iri(XSD_STRING)
-_RDF_LANGSTRING = Iri(RDF_LANGSTRING)
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,93 +160,80 @@ class BlankNode:
         return "_:" + self.label
 
 
-class Literal(tuple):
-    """An RDF literal: the tuple ``(lexical, datatype, language)``.
+def Literal(lexical: str, datatype: Optional[str] = None,
+            language: Optional[str] = None) -> tuple:
+    """An RDF literal: the exact tuple ``(lexical, datatype, language)``,
+    whose datatype is the text of its IRI.
 
     ``Literal("x")`` is an ``xsd:string``; ``Literal("x", language="en")``
-    is an ``rdf:langString``.  The datatype must be an :class:`Iri`.  A
-    language tag together with any other datatype is rejected, as are
-    lexical forms that do not match their datatype and integers outside
-    their datatype's range.
+    is an ``rdf:langString``.  The datatype is an :class:`Iri`, or a
+    ``str`` that is checked as one.  A language tag together with any
+    other datatype is rejected, as are lexical forms that do not match
+    their datatype and integers outside their datatype's range.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, lexical: str, datatype: Optional[Iri] = None,
-                language: Optional[str] = None):
-        bad = _SURROGATE_RE.search(lexical)
-        if bad:
-            raise InvalidLiteralError(f"lone surrogate {bad[0]!r} in lexical form {lexical!r}")
-        if language is not None and not _LANG_TAG_RE.fullmatch(language):
-            raise InvalidLiteralError(f"bad language tag {language!r}")
-        if datatype is None:
-            datatype = _XSD_STRING if language is None else _RDF_LANGSTRING
-        elif not isinstance(datatype, Iri):
-            raise TypeError(f"literal datatype must be an Iri, not {datatype!r}")
-        elif language is not None:
+    bad = _SURROGATE_RE.search(lexical)
+    if bad:
+        raise InvalidLiteralError(f"lone surrogate {bad[0]!r} in lexical form {lexical!r}")
+    if language is not None and not _LANG_TAG_RE.fullmatch(language):
+        raise InvalidLiteralError(f"bad language tag {language!r}")
+    if datatype is None:
+        datatype = XSD_STRING if language is None else RDF_LANGSTRING
+    elif not isinstance(datatype, str):
+        raise TypeError(f"literal datatype must be an Iri or its text, not {datatype!r}")
+    else:
+        datatype = iri_text(datatype)
+        if language is not None:
             if datatype != RDF_LANGSTRING:
                 raise InvalidLiteralError("language tag requires the rdf:langString datatype")
         elif datatype == RDF_LANGSTRING:
             raise InvalidLiteralError("rdf:langString requires a language tag")
-        checked = _LEXICAL_FORMS.get(datatype)
-        if checked is not None:
-            lexical_re, in_value_space = checked
-            m = lexical_re.fullmatch(lexical)
-            if m is None:
-                raise InvalidLiteralError(f"lexical form {lexical!r} does not parse as {datatype}")
-            if in_value_space is not None and not in_value_space(m):
-                raise InvalidLiteralError(f"{lexical!r} is outside the value space of {datatype}")
-        return tuple.__new__(cls, (lexical, datatype, language))
-
-    lexical = property(itemgetter(0), doc="The lexical form.")
-    datatype = property(itemgetter(1), doc="The datatype :class:`Iri`.")
-    language = property(itemgetter(2), doc="The language tag, or None.")
-
-    def __repr__(self):
-        return f"Literal(lexical={self[0]!r}, datatype={self[1]!r}, language={self[2]!r})"
-
-    def __getnewargs__(self):
-        return tuple(self)
+    checked = _LEXICAL_FORMS.get(datatype)
+    if checked is not None:
+        lexical_re, in_value_space = checked
+        m = lexical_re.fullmatch(lexical)
+        if m is None:
+            raise InvalidLiteralError(f"lexical form {lexical!r} does not parse as {datatype}")
+        if in_value_space is not None and not in_value_space(m):
+            raise InvalidLiteralError(f"{lexical!r} is outside the value space of {datatype}")
+    return (lexical, datatype, language)
 
 
-Term = Union[Iri, BlankNode, Literal]
+Term = Union[str, BlankNode, tuple]
 
 
 def term_sort_key(t: Term):
     """Total order over terms: IRIs, then blank nodes, then literals."""
-    if isinstance(t, Iri):
+    if isinstance(t, str):
         return (0, t, "", "")
     if isinstance(t, BlankNode):
         return (1, t.label, "", "")
     return (2, t[0], t[1], t[2] or "")
 
 
-class Triple(tuple):
-    """One RDF statement: the tuple ``(subject, predicate, object)``.  The
-    subject is an IRI or a blank node, never a literal."""
+def Triple(subject: Term, predicate: str, object: Term) -> tuple:
+    """One RDF statement: the exact tuple ``(subject, predicate, object)``.
 
-    __slots__ = ()
-
-    def __new__(cls, subject: Term, predicate: Iri, object: Term):
-        if not isinstance(subject, (Iri, BlankNode)):
-            if isinstance(subject, Literal):
-                raise TypeError("triple subject cannot be a literal")
-            raise TypeError(f"bad subject {subject!r}")
-        if not isinstance(predicate, Iri):
-            raise TypeError("triple predicate must be an IRI")
-        if not isinstance(object, (Iri, BlankNode, Literal)):
-            raise TypeError(f"bad object {object!r}")
-        return tuple.__new__(cls, (subject, predicate, object))
-
-    subject = property(itemgetter(0), doc="The subject: an :class:`Iri` or :class:`BlankNode`.")
-    predicate = property(itemgetter(1), doc="The predicate :class:`Iri`.")
-    object = property(itemgetter(2), doc="The object term.")
-
-    def __repr__(self):
-        return f"Triple(subject={self[0]!r}, predicate={self[1]!r}, object={self[2]!r})"
-
-    def __getnewargs__(self):
-        return tuple(self)
+    An IRI item is an :class:`Iri`, or a ``str`` that is checked as one.
+    The subject is an IRI or a :class:`BlankNode`, never a literal; the
+    predicate is an IRI.  The object may also be a blank node or a literal
+    3-tuple, which goes through :func:`Literal`.
+    """
+    if isinstance(subject, str):
+        subject = iri_text(subject)
+    elif isinstance(subject, tuple):
+        raise TypeError("triple subject cannot be a literal")
+    elif not isinstance(subject, BlankNode):
+        raise TypeError(f"bad subject {subject!r}")
+    if not isinstance(predicate, str):
+        raise TypeError("triple predicate must be an IRI")
+    predicate = iri_text(predicate)
+    if isinstance(object, str):
+        object = iri_text(object)
+    elif isinstance(object, tuple) and len(object) == 3:
+        object = Literal(*object)
+    elif not isinstance(object, BlankNode):
+        raise TypeError(f"bad object {object!r}")
+    return (subject, predicate, object)
 
 
 class Graph:
@@ -249,7 +247,7 @@ class Graph:
 
     def __init__(
         self,
-        triples: Iterable[Triple] = (),
+        triples: Iterable[tuple] = (),
         prefixes: Optional[Mapping[str, str]] = None,
     ):
         self._triples = frozenset(triples)
@@ -257,7 +255,7 @@ class Graph:
         for name, ns in (prefixes or {}).items():
             if not _PREFIX_NAME_RE.fullmatch(name):
                 raise ValueError(f"bad prefix name {name!r}")
-            pfx[name] = Iri(ns).value
+            pfx[name] = iri_text(ns)
         self._prefixes = pfx
 
     @property
@@ -271,10 +269,10 @@ class Graph:
     def __len__(self) -> int:
         return len(self._triples)
 
-    def __contains__(self, t: Triple) -> bool:
+    def __contains__(self, t: tuple) -> bool:
         return t in self._triples
 
-    def __iter__(self) -> Iterator[Triple]:
+    def __iter__(self) -> Iterator[tuple]:
         return iter(self._triples)
 
     def __eq__(self, other) -> bool:

@@ -25,13 +25,16 @@ names, the runs of IRI and string bodies between escapes) with one
 compiled regex, and counts line and column from the text only when an
 error is raised.
 
-Both readers build terms through the same two per-call tables, one of
-IRIs and one of literals, so each distinct term is validated once, in
-textual order; an invalid term never enters a table and is reported at
+Both readers build terms through the same three per-call tables, of
+IRIs, literals and blank nodes, so each distinct term is validated once,
+in textual order; an invalid term never enters a table and is reported at
 its ``<`` or ``"`` (a prefixed name just after its end), wherever it recurs.
 The regex paths read the tables with ``dict.get`` and call the scanner's
-:meth:`_Scanner.iri` or :meth:`_Scanner.literal` only for a term not yet
-in them, so the offset of an error is worked out only then.
+:meth:`_Scanner.iri`, :meth:`_Scanner.literal` or :meth:`_Scanner.blank`
+only for a term not yet in them, so the offset of an error is worked out
+only then.  The graph holds the tables' values: exact ``str`` IRIs, exact
+literal tuples and one :class:`BlankNode` per label, in exact triple
+tuples (see :mod:`ome_rdf.rdf.model`).
 
 Whitespace is what the grammars allow, not what ``str.isspace`` accepts:
 space and tab between the terms of an N-Triples statement; space, tab,
@@ -43,9 +46,12 @@ from __future__ import annotations
 
 import re
 
-from ..errors import InvalidIriError, InvalidLiteralError, RdfSyntaxError, UnsupportedConstructError
+from ..errors import (
+    InvalidIriError, InvalidLiteralError, RdfSyntaxError, UnknownFormatError,
+    UnsupportedConstructError,
+)
 from ..namespaces import RDF_TYPE
-from .model import BlankNode, Graph, Iri, Literal, Triple
+from .model import BlankNode, Graph, Literal, iri_text
 
 _ECHAR = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
@@ -67,13 +73,12 @@ _SKIP_INLINE_RE = re.compile(r"(?:[ \t]+|#[^\r\n]*)*")
 # the runs between escapes and terminators
 _IRI_BODY_RE = re.compile(r"[^>\\]*")
 _STRING_BODY_RE = re.compile(r'[^"\\\r\n]*')
-_RDF_TYPE = Iri(RDF_TYPE)
 
 # The fast paths' terms: an IRI body without escapes or the ASCII characters
-# an Iri forbids, a string without escapes, and a prefixed name whose local
-# part is the scanner's once trailing dots are stripped (the lookahead stops
-# a shorter match where the scanner would read on).  A prefix group always
-# takes part in a prefixed name, so an empty prefix is "", not None.
+# an IRI may not hold, a string without escapes, and a prefixed name whose
+# local part is the scanner's once trailing dots are stripped (the lookahead
+# stops a shorter match where the scanner would read on).  A prefix group
+# always takes part in a prefixed name, so an empty prefix is "", not None.
 _WS = r"[ \t\r\n]*"
 _IRI = r'<([^<>"{}|^`\\\x00-\x20]*)>'
 _STRING = r'"([^"\\\r\n]*)"'
@@ -106,16 +111,17 @@ _TTL_OBJECT_RE = re.compile(rf"{_WS}{_OBJECT}{_WS}([,;.])")
 class _Scanner:
     """A cursor over the text; positions are worked out only for errors.
 
-    Two per-call tables hold the terms built so far: ``iris`` maps each
-    valid IRI text to its :class:`Iri`, and ``literals`` maps each valid
-    (lexical form, datatype :class:`Iri` or None, language) to its
-    :class:`Literal`.  So a recurring term is built, validated and hashed
-    once, whether the scanner or a regex path read it.  Invalid terms never
-    enter them, so each one is reported where it occurs.  The regex paths
-    look terms up in the tables themselves, and a literal's key may hold
-    its datatype's text, which equals its :class:`Iri`; they call
-    :meth:`iri` and :meth:`literal` only on a miss.  The scanner reads the
-    text from ``pos`` one token at a time, each with one compiled regex.
+    Three per-call tables hold the terms built so far, each value an
+    object the graph holds: ``iris`` maps each valid IRI text to itself as
+    an exact ``str``, ``literals`` maps each valid (lexical form, datatype
+    text or None, language) to its exact literal tuple, and ``blanks`` maps
+    each label to its :class:`BlankNode`.  So a recurring term is built,
+    validated and hashed once, whether the scanner or a regex path read it.
+    Invalid terms never enter them, so each one is reported where it
+    occurs.  The regex paths look terms up in the tables themselves and
+    call :meth:`iri`, :meth:`literal` and :meth:`blank` only on a miss.
+    The scanner reads the text from ``pos`` one token at a time, each with
+    one compiled regex.
     """
 
     def __init__(self, text: str):
@@ -123,6 +129,7 @@ class _Scanner:
         self.pos = 0
         self.iris = {}
         self.literals = {}
+        self.blanks = {}
 
     def position(self, at: int) -> tuple:
         """The 1-based (line, column) of offset ``at``; CRLF is one line end."""
@@ -157,18 +164,18 @@ class _Scanner:
         else:
             self.error(f"expected {literal!r}")
 
-    def iri(self, value: str, at: int) -> Iri:
-        """The :class:`Iri` of ``value``; an invalid one is an error at offset ``at``."""
+    def iri(self, value: str, at: int) -> str:
+        """The checked IRI text ``value``; an invalid one is an error at offset ``at``."""
         iri = self.iris.get(value)
         if iri is None:
             try:
-                iri = self.iris[value] = Iri(value)
+                iri = self.iris[value] = iri_text(value)
             except InvalidIriError as e:
                 raise RdfSyntaxError(str(e), *self.position(at)) from e
         return iri
 
-    def literal(self, lexical: str, datatype, language, at: int) -> Literal:
-        """The :class:`Literal` of its parts; an invalid one is an error at offset ``at``."""
+    def literal(self, lexical: str, datatype, language, at: int) -> tuple:
+        """The literal tuple of its parts; an invalid one is an error at offset ``at``."""
         key = (lexical, datatype, language)
         literal = self.literals.get(key)
         if literal is None:
@@ -177,6 +184,13 @@ class _Scanner:
             except InvalidLiteralError as e:
                 raise RdfSyntaxError(str(e), *self.position(at)) from e
         return literal
+
+    def blank(self, label: str) -> BlankNode:
+        """The :class:`BlankNode` of a label that matched ``_BLANK_RE``."""
+        node = self.blanks.get(label)
+        if node is None:
+            node = self.blanks[label] = BlankNode(label)
+        return node
 
     def read_uchar(self) -> str:
         # positioned after the backslash, on "u", "U" or the end of the text
@@ -193,7 +207,7 @@ class _Scanner:
         self.pos += width
         return chr(code)
 
-    def read_iriref(self) -> Iri:
+    def read_iriref(self) -> str:
         start = self.pos
         self.expect("<")
         if self.peek() == "<":
@@ -242,7 +256,7 @@ class _Scanner:
                 self.error(f"bad escape \\{esc}")
 
 
-def _read_literal(sc: _Scanner, resolve_pname) -> Literal:
+def _read_literal(sc: _Scanner, resolve_pname) -> tuple:
     start = sc.pos
     lexical = sc.read_string()
     language = None
@@ -275,11 +289,11 @@ def _read_node(sc: _Scanner):
         m = sc.match_re(_BLANK_RE)
         if not m:
             sc.error("bad blank node label")
-        return BlankNode(m.group(1))
+        return sc.blank(m.group(1))
     sc.error(f"expected IRI or blank node, found {ch!r}")
 
 
-def _read_statement(sc: _Scanner) -> Triple:
+def _read_statement(sc: _Scanner) -> tuple:
     """Read the N-Triples statement at ``sc.pos`` token by token."""
     subject = _read_node(sc)
     sc.skip_ws_and_comments(newlines=False)
@@ -299,7 +313,7 @@ def _read_statement(sc: _Scanner) -> Triple:
     sc.skip_ws_and_comments(newlines=False)
     if sc.peek() not in ("", "\r", "\n"):
         sc.error("expected end of line after '.'")
-    return Triple(subject, predicate, obj)
+    return (subject, predicate, obj)
 
 
 def parse_ntriples(text: str) -> Graph:
@@ -307,6 +321,7 @@ def parse_ntriples(text: str) -> Graph:
     statement = _NT_STATEMENT_RE.match
     get_iri = sc.iris.get
     get_literal = sc.literals.get
+    get_blank = sc.blanks.get
     iri = sc.iri
     triples = []
     append = triples.append
@@ -325,20 +340,22 @@ def parse_ntriples(text: str) -> Graph:
                 pos = sc.pos
                 continue
         s, s_label, p, o, o_label, lexical, datatype, language = m.groups()
-        subject = BlankNode(s_label) if s is None else get_iri(s) or iri(s, m.start(1) - 1)
+        if s is None:
+            subject = get_blank(s_label) or sc.blank(s_label)
+        else:
+            subject = get_iri(s) or iri(s, m.start(1) - 1)
         predicate = get_iri(p) or iri(p, m.start(3) - 1)
         if o is not None:
             obj = get_iri(o) or iri(o, m.start(4) - 1)
         elif lexical is None:
-            obj = BlankNode(o_label)
+            obj = get_blank(o_label) or sc.blank(o_label)
         else:
-            # a table key may hold the datatype's text: an Iri equals its str
             obj = get_literal((lexical, datatype, language))
             if obj is None:
                 if datatype is not None:
                     datatype = get_iri(datatype) or iri(datatype, m.start(7) - 1)
                 obj = sc.literal(lexical, datatype, language, m.start(6) - 1)
-        append(Triple(subject, predicate, obj))
+        append((subject, predicate, obj))
         pos = m.end()
     return Graph(triples)
 
@@ -388,7 +405,7 @@ def parse_turtle(text: str) -> Graph:
             m = sc.match_re(_BLANK_RE)
             if not m:
                 sc.error("bad blank node label")
-            return BlankNode(m.group(1))
+            return sc.blank(m.group(1))
         if position == "object":
             if ch == '"':
                 return _read_literal(sc, resolve_pname)
@@ -403,16 +420,16 @@ def parse_turtle(text: str) -> Graph:
             return resolve_pname(sc)
         sc.error(f"expected {position} term, found {ch!r}")
 
-    def read_verb() -> Iri:
+    def read_verb() -> str:
         # "a" followed by whitespace, "<", or a comment is the type keyword;
         # "a:x" or "abc:x" are prefixed names
         if sc.peek() == "a":
             nxt = sc.text[sc.pos + 1: sc.pos + 2]
             if nxt == "" or nxt in " \t\r\n<#":
                 sc.pos += 1
-                return _RDF_TYPE
+                return RDF_TYPE
         term = read_term("predicate")
-        if not isinstance(term, Iri):
+        if term.__class__ is not str:
             sc.error("predicate must be an IRI")
         return term
 
@@ -439,7 +456,7 @@ def parse_turtle(text: str) -> Graph:
             sc.expect(".")
         elif sc.peek() == ".":  # tolerate SPARQL PREFIX with trailing dot
             sc.pos += 1
-        prefixes[name] = ns.value
+        prefixes[name] = ns
 
     def scan_step(step, subject, predicate):
         """Read one step at ``sc.pos`` with the scanner; return the next
@@ -468,7 +485,7 @@ def parse_turtle(text: str) -> Graph:
                 return _NEXT_STEP[ch], subject, predicate
             predicate = read_verb()
             sc.skip_ws_and_comments()
-        append(Triple(subject, predicate, read_term("object")))
+        append((subject, predicate, read_term("object")))
         sc.skip_ws_and_comments()
         ch = sc.peek()
         if ch == "," or ch == ";":
@@ -478,7 +495,7 @@ def parse_turtle(text: str) -> Graph:
         return 3, subject, predicate
 
     def name(m, g, k):
-        # the Iri of the IRI or prefixed name in groups k + 1 to k + 3 of m,
+        # the IRI text of the IRI or prefixed name in groups k + 1 to k + 3 of m,
         # whose groups() is g; KeyError if the prefix is undeclared
         value = g[k]
         if value is None:
@@ -498,7 +515,7 @@ def parse_turtle(text: str) -> Graph:
                 if k == 7:
                     subject = name(m, g, 0)
                 if k:
-                    predicate = _RDF_TYPE if g[k - 4] else name(m, g, k - 3)
+                    predicate = RDF_TYPE if g[k - 4] else name(m, g, k - 3)
                 lexical = g[k + 3]
                 if lexical is None:
                     obj = name(m, g, k)
@@ -506,7 +523,6 @@ def parse_turtle(text: str) -> Graph:
                     datatype = g[k + 4]
                     if datatype is None and g[k + 5] is not None:
                         datatype = prefixes[g[k + 5]] + g[k + 6]
-                    # a table key may hold the datatype's text: an Iri equals its str
                     obj = get_literal((lexical, datatype, g[k + 7]))
                     if obj is None:
                         if datatype is not None:
@@ -521,7 +537,7 @@ def parse_turtle(text: str) -> Graph:
                 break
             pos = sc.pos
         else:
-            append(Triple(subject, predicate, obj))
+            append((subject, predicate, obj))
             step = _NEXT_STEP[g[-1]]
             pos = m.end()
     return Graph(triples, prefixes)
@@ -533,4 +549,4 @@ def parse(text: str, format: str = "ntriples") -> Graph:
         return parse_ntriples(text)
     if format == "turtle":
         return parse_turtle(text)
-    raise RdfSyntaxError(f"unknown format {format!r}")
+    raise UnknownFormatError(format)

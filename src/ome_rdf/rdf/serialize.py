@@ -7,18 +7,19 @@ statements are grouped by subject and sorted at every level, with
 prefixed name under the longest namespace that leaves a safe local name,
 and in full ``<...>`` form when none does.  The Turtle writer works out
 each distinct term's text once per call, and the N-Triples writer each
-distinct literal's.
+distinct literal's.  Both read the exact built-in terms of a graph (see
+:mod:`ome_rdf.rdf.model`) and tell them apart by type: an IRI is an exact
+``str``, a literal a ``tuple``; :func:`term_to_ntriples` also takes an
+:class:`~ome_rdf.rdf.model.Iri` handle, and checks a ``str`` as an IRI.
 """
 
 from __future__ import annotations
 
 import re
 
-from ..errors import OmeRdfError
+from ..errors import UnknownFormatError
 from ..namespaces import RDF_TYPE, XSD_STRING
-from .model import BlankNode, Graph, Iri, Literal, Term, term_sort_key
-
-_FORMATS = ("turtle", "ntriples")
+from .model import BlankNode, Graph, Term, iri_text, term_sort_key
 
 # Conservative Turtle local-name subset: anything outside it is written in
 # full <...> form rather than risking an unparseable prefixed name.
@@ -31,9 +32,9 @@ def _escape_string(s: str) -> str:
 
 
 def _term_text(term: Term, iri) -> str:
-    """Render one term; ``iri`` maps an :class:`Iri` to its text.  A literal
-    of type xsd:string is written bare."""
-    if isinstance(term, Iri):
+    """Render one term; ``iri`` maps an IRI to its text.  A literal of type
+    xsd:string is written bare."""
+    if isinstance(term, str):
         return iri(term)
     if isinstance(term, BlankNode):
         return f"_:{term.label}"
@@ -50,8 +51,11 @@ _bracketed = "<{}>".format
 
 
 def term_to_ntriples(term: Term) -> str:
-    """Render one term in N-Triples syntax (bare literal means xsd:string)."""
-    if not isinstance(term, (Iri, BlankNode, Literal)):
+    """Render one term in N-Triples syntax (bare literal means xsd:string);
+    a ``str`` must pass the IRI check."""
+    if isinstance(term, str):
+        return _bracketed(iri_text(term))
+    if not isinstance(term, (BlankNode, tuple)):
         raise TypeError(f"not an RDF term: {term!r}")
     return _term_text(term, _bracketed)
 
@@ -66,16 +70,12 @@ class _NTriplesText(dict):
 
 def serialize_ntriples(g: Graph) -> str:
     # each distinct literal and blank node is rendered once per call; an IRI
-    # is only put in <>, which costs less than looking it up.  join takes an
-    # Iri as the str it is, where + and formatting take slower paths
+    # is only put in <>, which costs less than looking it up
     text = _NTriplesText()
     lines = [
-        "".join(
-            ("<", s, "> <", p, "> <", o, "> .\n") if o.__class__ is Iri
-            else ("<", s, "> <", p, "> ", text[o], " .\n")
-        )
-        if s.__class__ is Iri
-        else "".join((text[s], " <", p, "> ", text[o], " .\n"))
+        (f"<{s}> <{p}> <{o}> .\n" if o.__class__ is str else f"<{s}> <{p}> {text[o]} .\n")
+        if s.__class__ is str
+        else f"{text[s]} <{p}> {text[o]} .\n"
         for s, p, o in g
     ]
     # code-point order is UTF-8 byte order, so no encoded copy is needed
@@ -101,7 +101,7 @@ class _TurtleText(dict):
         self.namespaces = namespaces
 
     def __missing__(self, term: Term) -> str:
-        if isinstance(term, Iri):
+        if isinstance(term, str):
             text = _shorten(term, self.namespaces) or f"<{term}>"
         else:
             text = _term_text(term, self.__getitem__)
@@ -113,10 +113,10 @@ def _subject_key(s: Term) -> str:
     # term_sort_key's order on subjects: IRIs by text, then blank nodes by
     # label; an IRI starts with a letter, and letters sort before "~".  The
     # key is an exact str, which list.sort compares fastest.
-    return str(s) if s.__class__ is Iri else "~" + s.label
+    return s if s.__class__ is str else "~" + s.label
 
 
-def _verb_order(p: Iri) -> str:
+def _verb_order(p: str) -> str:
     return "" if p == RDF_TYPE else p
 
 
@@ -168,4 +168,4 @@ def serialize(g: Graph, format: str = "ntriples") -> str:
         return serialize_ntriples(g)
     if format == "turtle":
         return serialize_turtle(g)
-    raise OmeRdfError(f"unknown format {format!r}; expected one of {_FORMATS}")
+    raise UnknownFormatError(format)

@@ -40,7 +40,7 @@ def random_blank(rng: random.Random, max_blanks: int) -> BlankNode:
     return BlankNode("n" + str(rng.randrange(max_blanks)))
 
 
-def random_literal(rng: random.Random) -> Literal:
+def random_literal(rng: random.Random) -> tuple:
     kind = rng.randrange(5)
     if kind == 0:
         return Literal(rng.choice(_LEXICALS))
@@ -107,6 +107,6 @@ def rename_blanks(g: Graph, mapping: dict) -> Graph:
         return term
 
     return Graph(
-        (Triple(sub(t.subject), t.predicate, sub(t.object)) for t in g),
+        (Triple(sub(s), p, sub(o)) for s, p, o in g),
         dict(g.prefixes),
     )

@@ -12,7 +12,7 @@ from itertools import permutations
 
 from ome_rdf.errors import TooLargeForExactCheckError
 from ome_rdf.namespaces import RDF_TYPE, XSD_STRING
-from ome_rdf.rdf import BlankNode, Graph, Iri, Triple
+from ome_rdf.rdf import BlankNode, Graph, Triple
 from ome_rdf.rdf.model import Term, term_sort_key
 from ome_rdf.rdf.serialize import _escape_string, _shorten
 
@@ -21,7 +21,7 @@ def _split(g: Graph):
     """(ground triples, triples touching a blank node)."""
     ground, blankful = set(), []
     for t in g:
-        if isinstance(t.subject, BlankNode) or isinstance(t.object, BlankNode):
+        if isinstance(t[0], BlankNode) or isinstance(t[2], BlankNode):
             blankful.append(t)
         else:
             ground.add(t)
@@ -32,13 +32,13 @@ def _substitute(blankful, mapping):
     def sub(term):
         return BlankNode(mapping[term.label]) if isinstance(term, BlankNode) else term
 
-    return {Triple(sub(t.subject), t.predicate, sub(t.object)) for t in blankful}
+    return {Triple(sub(s), p, sub(o)) for s, p, o in blankful}
 
 
 def blank_labels(g: Graph) -> frozenset:
     """The labels of the blank nodes in ``g``."""
     return frozenset(
-        term.label for t in g for term in (t.subject, t.object)
+        term.label for s, _, o in g for term in (s, o)
         if isinstance(term, BlankNode)
     )
 
@@ -69,18 +69,19 @@ def brute_force_isomorphic(a: Graph, b: Graph, max_blanks: int = 8) -> bool:
 
 
 def _term_to_turtle(term: Term, namespaces: list) -> str:
-    if isinstance(term, Iri):
-        short = _shorten(term.value, namespaces)
-        return short if short is not None else f"<{term.value}>"
+    if isinstance(term, str):
+        short = _shorten(term, namespaces)
+        return short if short is not None else f"<{term}>"
     if isinstance(term, BlankNode):
         return f"_:{term.label}"
-    body = f'"{_escape_string(term.lexical)}"'
-    if term.language is not None:
-        return f"{body}@{term.language}"
-    if term.datatype.value == XSD_STRING:
+    lexical, datatype, language = term
+    body = f'"{_escape_string(lexical)}"'
+    if language is not None:
+        return f"{body}@{language}"
+    if datatype == XSD_STRING:
         return body
-    dt = _shorten(term.datatype.value, namespaces)
-    return f"{body}^^{dt}" if dt is not None else f"{body}^^<{term.datatype.value}>"
+    dt = _shorten(datatype, namespaces)
+    return f"{body}^^{dt}" if dt is not None else f"{body}^^<{datatype}>"
 
 
 def reference_serialize_turtle(g: Graph) -> str:
@@ -95,19 +96,19 @@ def reference_serialize_turtle(g: Graph) -> str:
         out.append(f"@prefix {name}: <{prefixes[name]}> .\n")
 
     by_subject: dict = {}
-    for t in g:
-        by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
+    for s, p, o in g:
+        by_subject.setdefault(s, {}).setdefault(p, []).append(o)
     if by_subject and out:
         out.append("\n")
 
-    def pred_key(p: Iri):
-        return "" if p.value == RDF_TYPE else p.value
+    def pred_key(p: str):
+        return "" if p == RDF_TYPE else p
 
     for subject in sorted(by_subject, key=term_sort_key):
         preds = by_subject[subject]
         lines = []
         for p in sorted(preds, key=pred_key):
-            verb = "a" if p.value == RDF_TYPE else _term_to_turtle(p, namespaces)
+            verb = "a" if p == RDF_TYPE else _term_to_turtle(p, namespaces)
             objs = ", ".join(
                 _term_to_turtle(o, namespaces)
                 for o in sorted(preds[p], key=term_sort_key)

@@ -31,7 +31,7 @@ from ome_rdf.ome_xml import (
     parse_sidecar,
 )
 from ome_rdf.ontology import build_core_ontology
-from ome_rdf.rdf import BlankNode, Graph, Iri, Literal, parse, serialize
+from ome_rdf.rdf import BlankNode, Graph, Iri, parse, serialize
 
 from oracle import reference_serialize_turtle
 
@@ -67,8 +67,7 @@ def golden_pair():
 
 
 def types_of(graph, subject):
-    return {t.object for t in graph
-            if t.subject == subject and t.predicate.value == RDF_TYPE}
+    return {o for s, p, o in graph if s == subject and p == RDF_TYPE}
 
 
 def golden_with(field, raw):
@@ -147,7 +146,7 @@ class TestMapPair:
         # by-hand enumeration: 1 type + 5 sizes + 1 name
         record = map_pair(minimal_image, None, registry, policy, links)
         assert len(record.graph) == 7
-        preds = sorted(t.predicate.value.rsplit("#", 1)[-1] for t in record.graph)
+        preds = sorted(p.rsplit("#", 1)[-1] for _, p, _ in record.graph)
         assert preds == ["name", "sizeC", "sizeT", "sizeX", "sizeY", "sizeZ", "type"]
         assert record.external_links == ()
 
@@ -157,10 +156,7 @@ class TestMapPair:
         sample_iri = Iri(BASE + "biosample/S1")
         strain_iri = Iri("http://metadb.riken.jp/metadb/db/rikenbrc_mouse/RBRC001")
         derived = registry.property_by_label("derivedFrom").iri
-        assert any(
-            t.subject == sample_iri and t.predicate == derived and t.object == strain_iri
-            for t in record.graph
-        )
+        assert (sample_iri, derived, strain_iri) in record.graph
         assert record.external_links == (strain_iri,)
 
     def test_golden_two_edge_path(self, golden_pair, registry, policy, links):
@@ -169,11 +165,10 @@ class TestMapPair:
         depicts = registry.property_by_label("depicts").iri
         derived = registry.property_by_label("derivedFrom").iri
         image_iri = Iri(BASE + "image/IMG001")
-        samples = {t.object for t in g if t.subject == image_iri and t.predicate == depicts}
+        samples = {o for s, p, o in g if s == image_iri and p == depicts}
         assert samples
-        hops = {t.object for t in g
-                if t.subject in samples and t.predicate == derived}
-        assert any(o.value.startswith(
+        hops = {o for s, p, o in g if s in samples and p == derived}
+        assert any(o.startswith(
             "http://metadb.riken.jp/metadb/db/rikenbrc_mouse/") for o in hops)
 
     def test_instrument_typed_electron_microscope(
@@ -187,8 +182,8 @@ class TestMapPair:
             self, golden_pair, registry, policy, links):
         img, ann = golden_pair
         g = map_pair(img, ann, registry, policy, links).graph
-        for subject in {t.subject for t in g}:
-            if subject.value.startswith(BASE):
+        for subject in {s for s, _, _ in g}:
+            if subject.startswith(BASE):
                 assert len(types_of(g, subject)) == 1, subject
 
     def test_deterministic_bytes(self, golden_pair, registry, policy, links):
@@ -219,8 +214,8 @@ class TestMapPair:
             self, golden_pair, registry, policy, links):
         img, ann = golden_pair
         g = map_pair(img, ann, registry, policy, links).graph
-        volts = [t.object.lexical for t in g
-                 if t.predicate == registry.property_by_label("accelerationVoltage").iri]
+        volts = [o[0] for _, p, o in g
+                 if p == registry.property_by_label("accelerationVoltage").iri]
         assert volts == ["5.0"]
 
     @pytest.mark.parametrize("field, label", [
@@ -240,8 +235,8 @@ class TestMapPair:
         doc, (ann,) = golden_with(field, raw)
         g = map_pair(doc.images[0], ann, registry, policy, links).graph
         prop = registry.property_by_label(label)
-        (obj,) = [t.object for t in g if t.predicate == prop.iri]
-        assert (obj.lexical, obj.datatype) == (lexical, prop.range)
+        (obj,) = [o for _, p, o in g if p == prop.iri]
+        assert obj == (lexical, prop.range, None)
 
     @pytest.mark.parametrize("char", ["\x0b", "\x1c", "\x85", "\u2028", "\u2029"])
     @pytest.mark.parametrize("fmt", ["ntriples", "turtle"])
@@ -250,7 +245,7 @@ class TestMapPair:
         doc, (ann,) = golden_with("stain", f"st{char}ain")
         g = map_pair(doc.images[0], ann, registry, policy, links).graph
         prop = registry.property_by_label("stainingMethod")
-        assert [t.object.lexical for t in g if t.predicate == prop.iri] == [f"st{char}ain"]
+        assert [o[0] for _, p, o in g if p == prop.iri] == [f"st{char}ain"]
         assert parse(serialize(g, fmt), fmt) == g
 
 
@@ -270,8 +265,7 @@ class TestMapAll:
         ]
         result = map_all(pairs, registry, policy, links)
         sample_iri = Iri(BASE + "biosample/S1")
-        type_triples = [t for t in result.graph
-                        if t.subject == sample_iri and t.predicate.value == RDF_TYPE]
+        type_triples = [t for t in result.graph if t[:2] == (sample_iri, RDF_TYPE)]
         assert len(type_triples) == 1
 
     def test_disjoint_records_sizes_add(self, registry, policy, links):
@@ -343,8 +337,7 @@ class TestMapDocument:
         anns = parse_sidecar((DATA / "golden.ann.tsv").read_text())
         g = map_document(doc, anns, registry, policy, links).graph
         assert len(g) > 0
-        assert not any(isinstance(term, BlankNode)
-                       for t in g for term in (t.subject, t.predicate, t.object))
+        assert not any(isinstance(term, BlankNode) for t in g for term in t)
 
     @pytest.mark.parametrize("source", ["golden", "generated-1", "generated-2"])
     def test_every_literal_datatype_is_the_property_range(
@@ -355,12 +348,12 @@ class TestMapDocument:
         else:
             doc, anns = generated_document(int(source.rsplit("-", 1)[1]))
         g = map_document(doc, anns, registry, policy, links).graph
-        literal_triples = [t for t in g if isinstance(t.object, Literal)]
+        literal_triples = [t for t in g if isinstance(t[2], tuple)]
         assert literal_triples
         for t in literal_triples:
-            prop = registry.lookup_property(t.predicate)
-            assert prop is not None, t.predicate
-            assert t.object.datatype == prop.range, t
+            prop = registry.lookup_property(t[1])
+            assert prop is not None, t[1]
+            assert t[2][1] == prop.range, t
 
     def test_orphans_skipped_in_lenient_mode(self, registry, policy, links):
         doc = parse_ome_document((DATA / "minimal.ome.xml").read_text())
@@ -415,8 +408,8 @@ class TestMapAllAgainstMapPair:
         contained = registry.property_by_label("containedIn").iri
         derived = registry.property_by_label("derivedFrom").iri
         s1 = Iri(BASE + "biosample/S1")
-        assert {t.object.value.rsplit("/", 1)[1] for t in result.graph
-                if t.subject == s1 and t.predicate in (contained, derived)} == {
+        assert {o.rsplit("/", 1)[1] for s, p, o in result.graph
+                if s == s1 and p in (contained, derived)} == {
             "C1", "C2", "RBRC00001", "RBRC00002"}
         assert [len(r.graph) for r in result.records][2] < len(
             map_pair(*pairs[2], registry, policy, links).graph)
@@ -432,7 +425,7 @@ class TestMapAllAgainstMapPair:
         result = self.check([(a, None), (b, None), (golden_image("C"), None)],
                             registry, policy, links, disjoint=False)
         full_name = registry.property_by_label("fullName").iri
-        assert {t.object.lexical for t in result.graph if t.predicate == full_name} == {
+        assert {o[0] for _, p, o in result.graph if p == full_name} == {
             "A. Imager", "B. Other"}
         assert types_of(result.graph, Iri(BASE + "instrument/I1")) == {
             registry.class_by_label(label).iri for label in ("ElectronMicroscope", "Instrument")}
@@ -449,7 +442,7 @@ class TestMapAllAgainstMapPair:
         for iri in ("biosample/S9", "samplecontainer/C9", "experimenter/E1",
                     "instrument/I1"):
             assert types_of(result.graph, Iri(BASE + iri)), iri
-        assert not any(t.subject.value.endswith("/A") for t in result.graph)
+        assert not any(s.endswith("/A") for s, _, _ in result.graph)
 
     def test_shared_entities_emitted_once(self, registry, policy, links):
         doc, anns = generated_document(3, n_images=40)

@@ -128,14 +128,12 @@ class TestRegistryToGraph:
         reg = OntologyRegistry(Iri(NS), (), ())
         g = registry_to_graph(reg)
         assert len(g) == 2
-        subjects = {t.subject.value for t in g}
+        subjects = {s for s, _, _ in g}
         assert subjects == {NS.rstrip("#")}
 
     def test_core_has_exactly_18_class_declarations(self, core):
         g = registry_to_graph(core)
-        decls = [t for t in g
-                 if t.predicate.value == RDF_TYPE and isinstance(t.object, Iri)
-                 and t.object.value == OWL_CLASS]
+        decls = [t for t in g if t[1:] == (RDF_TYPE, OWL_CLASS)]
         assert len(decls) == 18
 
     def test_triple_count_matches_counting_oracle(self, core):
@@ -147,7 +145,7 @@ class TestRegistryToGraph:
         for fmt in ("turtle", "ntriples"):
             g = parse(serialize(registry_to_graph(core), fmt), fmt)
             origin_p = annotation_iri(core, "origin").value
-            origins = [t.object.lexical for t in g if t.predicate.value == origin_p]
+            origins = [o[0] for _, p, o in g if p == origin_p]
             assert len(origins) == 18
             assert origins.count("extended") == 7
 
@@ -155,15 +153,15 @@ class TestRegistryToGraph:
         g = parse(serialize(registry_to_graph(core), "ntriples"), "ntriples")
         cat_p = annotation_iri(core, "category").value
         origin_p = annotation_iri(core, "origin").value
-        cats = {t.subject: t.object.lexical for t in g if t.predicate.value == cat_p}
-        origins = {t.subject: t.object.lexical for t in g if t.predicate.value == origin_p}
+        cats = {s: o[0] for s, p, o in g if p == cat_p}
+        origins = {s: o[0] for s, p, o in g if p == origin_p}
         for c in core.classes:
             assert cats[c.iri] == c.category.value
             assert origins[c.iri] == c.origin.value
 
     def test_labels_in_output(self, core):
         g = registry_to_graph(core)
-        labels = {t.object.lexical for t in g if t.predicate.value == RDFS_LABEL}
+        labels = {o[0] for _, p, o in g if p == RDFS_LABEL}
         assert {"BioSample", "Bioresource", "SampleContainer", "PhenotypeData",
                 "ImagingCondition", "Image"} <= labels
 

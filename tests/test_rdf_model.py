@@ -6,7 +6,7 @@ import sys
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ome_rdf.errors import (
@@ -70,11 +70,10 @@ class TestIri:
 
 class TestLiteral:
     def test_default_datatype_is_string(self):
-        assert Literal("hi").datatype.value == XSD_STRING
+        assert Literal("hi") == ("hi", XSD_STRING, None)
 
     def test_language_implies_langstring(self):
-        lit = Literal("hej", language="sv")
-        assert lit.datatype.value == RDF_LANGSTRING
+        assert Literal("hej", language="sv") == ("hej", RDF_LANGSTRING, "sv")
 
     def test_language_with_other_datatype_rejected(self):
         with pytest.raises(InvalidLiteralError):
@@ -120,7 +119,7 @@ class TestLiteral:
     @pytest.mark.parametrize("datatype", sorted(_LEXICAL_FORMS))
     def test_numeric_lexical_table(self, datatype):
         valid, invalid = self.LEXICAL_FORMS[datatype.rsplit("#", 1)[1]]
-        assert Literal(valid, Iri(datatype)).lexical == valid
+        assert Literal(valid, Iri(datatype))[0] == valid
         with pytest.raises(InvalidLiteralError, match="does not parse as"):
             Literal(invalid, Iri(datatype))
 
@@ -142,8 +141,8 @@ class TestLiteral:
     def test_integer_value_space(self, local):
         datatype = Iri(XSD_NS + local)
         least, greatest, below, above = self.INTEGER_BOUNDS[local]
-        assert Literal(least, datatype).lexical == least
-        assert Literal(greatest, datatype).lexical == greatest
+        assert Literal(least, datatype)[0] == least
+        assert Literal(greatest, datatype)[0] == greatest
         for outside in (below, above):
             if outside is not None:
                 with pytest.raises(InvalidLiteralError, match="outside the value space"):
@@ -165,14 +164,14 @@ class TestLiteral:
 
     def test_unbounded_integer_keeps_any_length(self):
         for lexical in ("-" + "9" * 5000, "0" * 5000 + "7"):
-            assert Literal(lexical, Iri(XSD_INTEGER)).lexical == lexical
+            assert Literal(lexical, Iri(XSD_INTEGER))[0] == lexical
 
     @pytest.mark.parametrize("lexical", [
         "2020-02-29T23:59:59Z", "2000-02-29T00:00:00+14:00", "0000-02-29T00:00:00-13:59",
         "12000-02-29T00:00:00", "-0001-12-31T00:00:00.000001Z", "2020-04-30T00:00:00",
     ])
     def test_datetime_in_value_space(self, lexical):
-        assert Literal(lexical, Iri(XSD_NS + "dateTime")).lexical == lexical
+        assert Literal(lexical, Iri(XSD_NS + "dateTime"))[0] == lexical
 
     @pytest.mark.parametrize("lexical", [
         "2019-02-29T00:00:00Z", "1900-02-29T00:00:00Z", "2020-04-31T00:00:00Z",
@@ -199,7 +198,7 @@ class TestLiteral:
         ("time", "00:00:00"), ("time", "23:59:59.000001-13:59"), ("time", "12:30:00Z"),
     ])
     def test_date_and_time_in_value_space(self, local, lexical):
-        assert Literal(lexical, Iri(XSD_NS + local)).lexical == lexical
+        assert Literal(lexical, Iri(XSD_NS + local))[0] == lexical
 
     @pytest.mark.parametrize("local, lexical", [
         ("date", "not a date"), ("date", "2020-13-01"), ("date", "2020-01-32"),
@@ -263,56 +262,56 @@ class TestGraphValue:
 
 
 def _fresh(term):
-    """A new object equal in value to ``term``, built through its constructor."""
-    if isinstance(term, Triple):
-        return Triple(_fresh(term.subject), _fresh(term.predicate), _fresh(term.object))
-    if isinstance(term, Iri):
-        return Iri(term.value)
-    if isinstance(term, Literal):
-        return Literal(term.lexical, _fresh(term.datatype), term.language)
-    return BlankNode(term.label)
+    """A new object equal in value to the graph term ``term``, built through
+    its constructor."""
+    if isinstance(term, str):
+        return Iri(term).value
+    if isinstance(term, BlankNode):
+        return BlankNode(term.label)
+    return Literal(*term)
 
 
 def _field_hash(term):
-    """The hash of the compared fields, worked out now."""
-    if isinstance(term, Iri):
-        return hash(term.value)
-    if isinstance(term, (Literal, Triple)):
-        return hash(tuple(term))
-    return hash(tuple(getattr(term, f.name) for f in fields(term) if f.compare))
+    """The hash of a blank node's compared fields, worked out now; a
+    built-in's own hash otherwise."""
+    if isinstance(term, BlankNode):
+        return hash(tuple(getattr(term, f.name) for f in fields(term) if f.compare))
+    return hash(term)
 
 
 class TestHashContract:
-    """Equal terms and triples hash equal; a cached hash is the hash of its fields."""
+    """Equal terms and triples hash equal, and as the built-ins of their values."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32))
     def test_equal_values_hash_equal(self, seed):
         g = random_graph(random.Random(seed), max_triples=20)
         for t in g:
-            for x in (t, t.subject, t.predicate, t.object):
-                copy = _fresh(x)
+            pairs = [(t, Triple(*map(_fresh, t)))] + [(x, _fresh(x)) for x in t]
+            for x, copy in pairs:
                 assert copy == x and copy is not x
                 assert hash(copy) == hash(x) == _field_hash(x)
 
     def test_pickle_rehashes_in_a_new_interpreter(self):
         # a str hash changes with PYTHONHASHSEED, so a copied hash would be
-        # stale in another interpreter
-        triple = Triple(Iri(EX + "s"), Iri(EX + "p"), Literal("v", language="en"))
-        code = ("import pickle, sys; from ome_rdf.rdf import Iri, Literal, Triple; "
-                f"sys.stdout.buffer.write(pickle.dumps({triple!r}))")
+        # stale in another interpreter; a graph triple is built-ins only, and
+        # an Iri handle is built again through its constructor
+        value = (Triple(Iri(EX + "s"), Iri(EX + "p"), Literal("v", language="en")),
+                 Iri(EX + "h"))
+        code = ("import pickle, sys; from ome_rdf.rdf import Iri; "
+                f"sys.stdout.buffer.write(pickle.dumps({value!r}))")
         dumped = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, check=True,
             env={"PYTHONPATH": ":".join(sys.path), "PYTHONHASHSEED": "12345",
                  "PYTHONDONTWRITEBYTECODE": "1"}).stdout
         loaded = pickle.loads(dumped)
-        assert loaded == triple
-        assert hash(loaded) == hash(triple) == _field_hash(loaded)
-        assert hash(loaded.object) == _field_hash(loaded.object)
+        assert loaded == value and type(loaded[1]) is Iri
+        assert hash(loaded) == hash(value)
 
 
 class TestBuiltinTerms:
-    """An Iri is a str, and a Literal or Triple a tuple, with checked items."""
+    """An Iri is a str; Literal and Triple return exact tuples of exact
+    built-ins, with every item checked."""
 
     def test_iri_is_its_text(self):
         iri = Iri(EX + "s")
@@ -325,19 +324,76 @@ class TestBuiltinTerms:
         assert lit == ("v", RDF_LANGSTRING, "en") and hash(lit) == hash(("v", RDF_LANGSTRING, "en"))
         triple = t("s", "p", "o")
         assert triple == (EX + "s", EX + "p", EX + "o")
-        assert triple.subject == EX + "s" and triple.object == EX + "o"
+        assert type(lit) is tuple and type(triple) is tuple
+        assert [type(x) for x in (*lit[:2], *triple)] == [str] * 5
 
     @pytest.mark.parametrize("position", range(3))
-    def test_triple_rejects_plain_str(self, position):
-        terms = [Iri(EX + "s"), Iri(EX + "p"), Iri(EX + "o")]
-        terms[position] = EX + "x"
-        with pytest.raises(TypeError):
+    def test_triple_copies_an_iri_to_its_text(self, position):
+        terms = [EX + "s", EX + "p", EX + "o"]
+        terms[position] = Iri(terms[position])
+        triple = Triple(*terms)
+        assert triple == (EX + "s", EX + "p", EX + "o")
+        assert [type(x) for x in triple] == [str] * 3
+
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("bad", ["no scheme", "nocolon", "http://a b", "http://a<b"])
+    def test_triple_checks_plain_str(self, position, bad):
+        terms = [EX + "s", EX + "p", EX + "o"]
+        assert Triple(*terms) == tuple(terms)
+        terms[position] = bad
+        with pytest.raises(InvalidIriError):
             Triple(*terms)
 
-    @pytest.mark.parametrize("datatype", [XSD_STRING, XSD_INTEGER, ("x",)])
+    @pytest.mark.parametrize("obj, error", [
+        (("fortytwo", XSD_INTEGER, None), InvalidLiteralError),
+        (("300", XSD_NS + "byte", None), InvalidLiteralError),
+        (("x", None, "not a tag"), InvalidLiteralError),
+        (("x", "no scheme", None), InvalidIriError),
+        (("x", XSD_STRING), TypeError),
+        (("x", XSD_STRING, None, None), TypeError),
+        (42, TypeError),
+    ])
+    def test_triple_checks_a_plain_object(self, obj, error):
+        with pytest.raises(error):
+            Triple(EX + "s", EX + "p", obj)
+
+    @pytest.mark.parametrize("subject, predicate", [
+        (("x", XSD_STRING, None), EX + "p"), (42, EX + "p"),
+        (EX + "s", BlankNode("b")), (EX + "s", ("x", XSD_STRING, None)), (EX + "s", 42),
+    ])
+    def test_triple_rejects_subject_or_predicate_of_another_kind(self, subject, predicate):
+        with pytest.raises(TypeError):
+            Triple(subject, predicate, EX + "o")
+
+    def test_triple_checks_a_plain_literal_through_literal(self):
+        triple = Triple(EX + "s", EX + "p", ("5", XSD_INTEGER, None))
+        assert triple == (EX + "s", EX + "p", Literal("5", Iri(XSD_INTEGER)))
+
+    @pytest.mark.parametrize("datatype", [42, b"http://ex.org/dt", ("x",)])
     def test_literal_rejects_non_iri_datatype(self, datatype):
         with pytest.raises(TypeError, match="literal datatype must be an Iri"):
             Literal("1", datatype)
+
+    def test_literal_checks_plain_str_datatype_as_an_iri(self):
+        assert Literal("1", XSD_INTEGER) == Literal("1", Iri(XSD_INTEGER))
+        assert type(Literal("1", Iri(XSD_INTEGER))[1]) is str
+        for bad in ("integer", "xsd:integer x", "http://a<b"):
+            with pytest.raises(InvalidIriError):
+                Literal("1", bad)
+        with pytest.raises(InvalidLiteralError, match="does not parse as"):
+            Literal("x", XSD_INTEGER)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_literal_of_a_literal_is_itself(self, data):
+        datatype = data.draw(st.sampled_from(sorted(_LEXICAL_FORMS)))
+        lexical = data.draw(st.from_regex(_LEXICAL_FORMS[datatype][0], fullmatch=True))
+        try:
+            lit = Literal(lexical, Iri(datatype))
+        except InvalidLiteralError:
+            assume(False)  # outside the value space
+        assert Literal(*lit) == lit == Literal(lexical, datatype)
+        assert type(Literal(*lit)) is tuple
 
     @pytest.mark.parametrize("term, field", [
         (Iri(EX + "s"), "value"),

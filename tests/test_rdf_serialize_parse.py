@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from ome_rdf.errors import OmeRdfError, RdfSyntaxError, UnsupportedConstructError
+from ome_rdf.errors import (
+    InvalidIriError, OmeRdfError, RdfSyntaxError, UnknownFormatError, UnsupportedConstructError,
+)
 from ome_rdf.namespaces import RDF_TYPE, XSD_INTEGER
 from ome_rdf.rdf import (
     BlankNode,
@@ -20,6 +22,7 @@ from ome_rdf.rdf import (
     parse_ntriples,
     parse_turtle,
     serialize,
+    term_to_ntriples,
 )
 
 from genutil import random_graph
@@ -37,6 +40,14 @@ def t(s, p, o):
 class TestNtriplesSerialize:
     def test_empty_graph_empty_document(self):
         assert serialize(Graph(), "ntriples") == ""
+
+    def test_term_to_ntriples_checks_its_term(self):
+        assert term_to_ntriples(EX + "s") == term_to_ntriples(Iri(EX + "s")) == f"<{EX}s>"
+        assert term_to_ntriples(Literal("5", Iri(XSD_INTEGER))) == f'"5"^^<{XSD_INTEGER}>'
+        with pytest.raises(InvalidIriError):
+            term_to_ntriples("no scheme")
+        with pytest.raises(TypeError):
+            term_to_ntriples(42)
 
     def test_single_ground_triple_single_line(self):
         text = serialize(Graph([t("s", "p", "o")]), "ntriples")
@@ -129,8 +140,8 @@ class TestParseNtriples:
 
     def test_uchar_escapes(self):
         g = parse(f'<{EX}s> <{EX}p> "\\u00e9\\U0001F600" .\n', "ntriples")
-        (triple,) = g
-        assert triple.object.lexical == "é\U0001F600"
+        ((_, _, (lexical, _, _)),) = g
+        assert lexical == "é\U0001F600"
 
     @pytest.mark.parametrize("escape", ["\\uD800", "\\uDFFF", "\\U0000DC00", "\\U00110000"])
     @pytest.mark.parametrize("where", ["literal", "iri"])
@@ -239,8 +250,8 @@ class TestParseTurtle:
 
     def test_boolean_lookalike_prefix_is_a_prefixed_name(self):
         g = parse("@prefix true: <http://ex.org/> .\ntrue:s true:p true:o .", "turtle")
-        (triple,) = g
-        assert triple.object.value == "http://ex.org/o"
+        ((_, _, o),) = g
+        assert o == "http://ex.org/o"
 
     def test_prefix_name_ending_in_dot_rejected(self):
         with pytest.raises(RdfSyntaxError) as err:
@@ -249,13 +260,13 @@ class TestParseTurtle:
 
     def test_percent_escape_in_local_name(self):
         g = parse("@prefix ex: <http://ex.org/> .\nex:s ex:p ex:o%41 .", "turtle")
-        (triple,) = g
-        assert triple.object.value == "http://ex.org/o%41"
+        ((_, _, o),) = g
+        assert o == "http://ex.org/o%41"
 
     def test_digit_leading_local_name(self):
         g = parse("@prefix ex: <http://ex.org/> .\nex:s ex:p ex:0a .", "turtle")
-        (triple,) = g
-        assert triple.object.value == "http://ex.org/0a"
+        ((_, _, o),) = g
+        assert o == "http://ex.org/0a"
 
 
 class TestRoundTrip:
@@ -281,27 +292,26 @@ class TestRoundTrip:
 
 def _writer_cases(g: Graph) -> set:
     """The cases the Turtle writer must get right that ``g`` holds."""
-    rdf_type = Iri(RDF_TYPE)
-    pairs = [(x.subject, x.predicate) for x in g]
+    pairs = [(s, p) for s, p, _ in g]
     cases = {"several objects"} if len(pairs) > len(set(pairs)) else set()
     if {"http://t.example/", "http://t.example/p"} <= set(g.prefixes.values()) and any(
-            x.predicate.value == "http://t.example/pred" for x in g):
+            p == "http://t.example/pred" for _, p, _ in g):
         cases.add("nested namespaces")
-    for x in g:
-        if x.predicate == rdf_type:
+    for s, p, o in g:
+        if p == RDF_TYPE:
             cases.add("rdf:type verb")
-        if x.object == rdf_type:
+        if o == RDF_TYPE:
             cases.add("rdf:type object")
-        if isinstance(x.subject, BlankNode):
+        if isinstance(s, BlankNode):
             cases.add("blank subject")
-        if isinstance(x.object, BlankNode):
+        if isinstance(o, BlankNode):
             cases.add("blank object")
-        if isinstance(x.object, Literal) and x.object.language:
+        if isinstance(o, tuple) and o[2]:
             cases.add("language")
-        if isinstance(x.object, Literal) and x.object.datatype.value.endswith("customType"):
+        if isinstance(o, tuple) and o[1].endswith("customType"):
             cases.add("custom datatype")
-        for term in (x.subject, x.predicate, x.object):
-            local = re.split("[/#:]", term.value)[-1] if isinstance(term, Iri) else None
+        for term in (s, p, o):
+            local = re.split("[/#:]", term)[-1] if isinstance(term, str) else None
             if local in ("x-y", "café", "9z", ""):
                 cases.add(f"local {local!r}")
     return cases
@@ -735,3 +745,26 @@ class TestFastPathsAgreeWithScanner:
             assert parse(serialize(g, fmt), fmt) == g
         # s0-s2, p0-p1, o, xsd:integer and Turtle's namespace of ex:; three literals
         assert calls == {"iri": 7 + (fmt == "turtle"), "literal": 3}
+
+    @pytest.mark.parametrize("parser", [parse_ntriples, parse_turtle])
+    def test_one_blank_node_per_label(self, parser):
+        # the escape sends the second statement to the scanner; N-Triples
+        # reads the others with its regex, Turtle every blank node with the
+        # scanner
+        text = f'_:b {_P} _:c .\n_:b {_P} "x\\ty" .\n_:c {_P} _:b .\n'
+        g = parser(text)
+        blanks = [term for s, _, o in g for term in (s, o) if isinstance(term, BlankNode)]
+        assert len(g) == 3 and len(blanks) == 5
+        assert len({id(b) for b in blanks}) == 2
+
+
+class TestUnknownFormat:
+    @pytest.mark.parametrize("call", [
+        lambda: parse("", "rdfxml"), lambda: serialize(Graph(), "rdfxml"),
+    ], ids=["parse", "serialize"])
+    def test_one_coded_error_from_both(self, call):
+        with pytest.raises(UnknownFormatError) as err:
+            call()
+        assert err.value.code == "UnknownFormat" and err.value.format == "rdfxml"
+        assert isinstance(err.value, ValueError) and not isinstance(err.value, RdfSyntaxError)
+        assert str(err.value) == "unknown format 'rdfxml'; expected 'ntriples' or 'turtle'"
