@@ -1,10 +1,11 @@
 """Core RDF data model: terms, triples, and immutable graphs.
 
 Graphs are immutable value objects, so they can be shared freely across
-threads.  Canonical text output is handled by :mod:`ome_rdf.rdf.serialize`;
-note that plain iteration over a graph is *not* deterministic across
-interpreter runs (string hash randomisation), which is why all serializers
-sort.
+threads.  Iterating a graph yields each distinct triple once, in the order
+it first arrived: producers build their triples in the order they emit or
+read them, so a loop over a graph walks memory in allocation order.
+Equality and hashing ignore that order, and the canonical writers of
+:mod:`ome_rdf.rdf.serialize` still sort, so their bytes never depend on it.
 
 Inside a graph every term is an exact built-in, except a
 :class:`BlankNode`: an IRI is a ``str``, a literal the tuple ``(lexical,
@@ -240,17 +241,23 @@ class Graph:
     """An immutable set of triples plus a prefix map.
 
     Equality compares triple sets only; prefix maps are serialization
-    hints.  Duplicate triples collapse (set semantics).
+    hints.  Duplicate triples collapse (set semantics).  Iteration follows
+    first insertion, for memory locality: the graph keeps its distinct
+    triples once more as a tuple in that order (8 bytes a triple).
     """
 
-    __slots__ = ("_triples", "_prefixes")
+    __slots__ = ("_triples", "_order", "_prefixes")
 
     def __init__(
         self,
         triples: Iterable[tuple] = (),
         prefixes: Optional[Mapping[str, str]] = None,
     ):
-        self._triples = frozenset(triples)
+        order = tuple(triples)
+        self._triples = frozenset(order)
+        if len(self._triples) != len(order):
+            order = tuple(dict.fromkeys(order))
+        self._order = order
         pfx = {}
         for name, ns in (prefixes or {}).items():
             if not _PREFIX_NAME_RE.fullmatch(name):
@@ -273,7 +280,7 @@ class Graph:
         return t in self._triples
 
     def __iter__(self) -> Iterator[tuple]:
-        return iter(self._triples)
+        return iter(self._order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -1,7 +1,8 @@
 """Canonical Turtle and N-Triples writers.
 
 Output is byte-stable for a given triple set regardless of construction
-order or thread schedule: N-Triples lines are sorted bytewise, Turtle
+order or thread schedule: the writers never rely on the order in which a
+graph yields its triples.  N-Triples lines are sorted bytewise, Turtle
 statements are grouped by subject and sorted at every level, with
 ``rdf:type`` written first as ``a``.  The Turtle writer writes an IRI as a
 prefixed name under the longest namespace that leaves a safe local name,

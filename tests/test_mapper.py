@@ -118,6 +118,14 @@ def generated_document(seed, n_images=12):
     return parse_ome_document("".join(parts)), parse_sidecar("\n".join(rows) + "\n")
 
 
+def document(source):
+    """The golden document and sidecar, or ``generated-N``'s."""
+    if source == "golden":
+        return (parse_ome_document((DATA / "golden.ome.xml").read_text()),
+                parse_sidecar((DATA / "golden.ann.tsv").read_text()))
+    return generated_document(int(source.rsplit("-", 1)[1]))
+
+
 class TestMintIri:
     def test_concatenation_rule(self, registry, policy):
         image_cls = registry.class_by_label("Image")
@@ -326,6 +334,31 @@ class TestMapDocument:
         g = map_document(doc, anns, registry, policy, links).graph
         assert serialize(g, fmt).encode("utf-8") == (DATA / name).read_bytes()
 
+    @pytest.mark.parametrize("reorder", ["reversed", "shuffled"])
+    def test_golden_output_bytes_do_not_depend_on_graph_order(
+            self, reorder, registry, policy, links):
+        mapped = map_document(*document("golden"), registry, policy, links).graph
+        golden = {fmt: (DATA / name).read_bytes().decode("utf-8")
+                  for fmt, name in [("ntriples", "golden.nt"), ("turtle", "golden.ttl")]}
+        sources = {"mapped": mapped, **{fmt: parse(text, fmt) for fmt, text in golden.items()}}
+        for source, g in sources.items():
+            triples = list(g)
+            if reorder == "reversed":
+                triples.reverse()
+            else:
+                random.Random(13).shuffle(triples)
+            h = Graph(triples, mapped.prefixes)
+            assert list(h) == triples and h == mapped, source
+            for fmt, text in golden.items():
+                assert serialize(h, fmt) == text, (source, fmt)
+
+    @pytest.mark.parametrize("source", ["golden", "generated-1", "generated-2"])
+    def test_graph_iterates_in_record_order(self, source, registry, policy, links):
+        # the writers walk the graph in the order the emitter built it
+        result = map_document(*document(source), registry, policy, links)
+        assert len(result.records) > 0
+        assert list(result.graph) == [t for r in result.records for t in r.triples]
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_turtle_same_as_reference_writer(self, seed, registry, policy, links):
         doc, anns = generated_document(seed)
@@ -342,12 +375,7 @@ class TestMapDocument:
     @pytest.mark.parametrize("source", ["golden", "generated-1", "generated-2"])
     def test_every_literal_datatype_is_the_property_range(
             self, source, registry, policy, links):
-        if source == "golden":
-            doc = parse_ome_document((DATA / "golden.ome.xml").read_text())
-            anns = parse_sidecar((DATA / "golden.ann.tsv").read_text())
-        else:
-            doc, anns = generated_document(int(source.rsplit("-", 1)[1]))
-        g = map_document(doc, anns, registry, policy, links).graph
+        g = map_document(*document(source), registry, policy, links).graph
         literal_triples = [t for t in g if isinstance(t[2], tuple)]
         assert literal_triples
         for t in literal_triples:

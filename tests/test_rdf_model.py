@@ -261,6 +261,44 @@ class TestGraphValue:
             Graph([], {"ex": "not an iri"})
 
 
+class TestGraphOrder:
+    """A graph yields each distinct triple once, in the order it first
+    arrived; equality, hashing and ``triples`` ignore that order."""
+
+    @staticmethod
+    def _inputs(seed):
+        """Triples of a random graph, some twice, in a random order."""
+        rng = random.Random(seed)
+        ts = list(random_graph(rng, max_triples=20))
+        ts += rng.choices(ts, k=len(ts) // 2)
+        rng.shuffle(ts)
+        return ts
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_iteration_follows_first_occurrence(self, seed, as_generator):
+        ts = self._inputs(seed)
+        g = Graph((x for x in ts) if as_generator else ts)
+        assert list(g) == list(dict.fromkeys(ts))
+        assert len(g) == len(set(ts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_equality_and_hash_ignore_order(self, seed):
+        ts = self._inputs(seed)
+        g, back = Graph(ts), Graph(reversed(ts))
+        assert g == back and hash(g) == hash(back)
+        assert type(g.triples) is frozenset and g.triples == frozenset(ts)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_pickle_keeps_equality_and_order(self, seed):
+        g = Graph(self._inputs(seed), {"ex": EX})
+        again = pickle.loads(pickle.dumps(g))
+        assert again == g and list(again) == list(g)
+        assert dict(again.prefixes) == {"ex": EX}
+
+
 def _fresh(term):
     """A new object equal in value to the graph term ``term``, built through
     its constructor."""

@@ -163,6 +163,15 @@ class TestParseNtriples:
             parse(f"{head}<{EX}o> .\n{head}{obj} .\n", fmt)
         assert (err.value.line, err.value.column) == (2, len(head) + 1)
 
+    @pytest.mark.parametrize("backwards", [False, True])
+    def test_graph_follows_line_order(self, backwards):
+        lines = (DATA / "golden.nt").read_text(encoding="utf-8").splitlines(keepends=True)
+        if backwards:
+            lines.reverse()
+        g = parse_ntriples("".join(lines))
+        assert len(g) == len(lines)
+        assert list(g) == [t for line in lines for t in parse_ntriples(line)]
+
 
 class TestParseTurtle:
     def test_prefix_and_three_statements(self):
