@@ -14,7 +14,8 @@ each distinct IRI and literal is built once,
 and each shared subgraph (an experimenter or instrument node with its
 literals, a biosample or container type triple, a ``containedIn`` or
 ``derivedFrom`` edge) is emitted by the first record that names it.  A
-record that raises takes back everything it emitted.
+record that raises takes back everything it emitted.  :func:`map_document`
+is the one place that pairs sidecar rows with images.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     UnresolvableStrainError,
 )
 from .namespaces import DEFAULT_INSTANCE_BASE, RDF_TYPE, XSD_NS
-from .ome_xml import EmAnnotation, InstrumentKind, OmeDocument, OmeImage, join_annotations
+from .ome_xml import EmAnnotation, InstrumentKind, OmeDocument, OmeImage
 from .ontology import OntologyClass, OntologyRegistry
 from .rdf import Graph, Iri, Literal
 
@@ -354,22 +355,20 @@ def map_document(
     links,
     skip_errors: bool = False,
 ) -> MapResult:
-    """Join a document with its sidecar annotations and map everything.
-
-    With ``skip_errors``, orphan annotations (rows naming unknown images)
-    are reported in ``skipped`` instead of raising.
-    """
+    """Pair each image with its sidecar row by image id, and map the pairs
+    with :func:`map_all` in ``doc.images`` order.  A row naming no image
+    raises :class:`OrphanAnnotationError` before anything maps; with
+    ``skip_errors`` it is skipped, ahead of the records that fail."""
+    by_id = dict.fromkeys(img.id for img in doc.images)
     skipped = []
-    if skip_errors:
-        known = {img.id for img in doc.images}
-        kept = []
-        for ann in annotations:
-            if ann.image_id in known:
-                kept.append(ann)
-            else:
-                err = OrphanAnnotationError(ann.image_id)
-                skipped.append(SkippedRecord(ann.image_id, err.code, str(err)))
-        annotations = kept
-    pairs = join_annotations(doc, annotations)
+    for ann in annotations:
+        if ann.image_id in by_id:
+            by_id[ann.image_id] = ann
+        elif skip_errors:
+            err = OrphanAnnotationError(ann.image_id)
+            skipped.append(SkippedRecord(ann.image_id, err.code, str(err)))
+        else:
+            raise OrphanAnnotationError(ann.image_id)
+    pairs = [(img, by_id[img.id]) for img in doc.images]
     result = map_all(pairs, registry, policy, links, skip_errors=skip_errors)
     return MapResult(result.graph, result.records, tuple(skipped) + result.skipped)

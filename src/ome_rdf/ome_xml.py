@@ -13,6 +13,9 @@ Timestamps must be in the ``xsd:dateTime`` lexical form with a timezone
 and are kept as the original lexical strings so downstream RDF output
 stays byte-stable.
 Decimal-valued fields use :class:`decimal.Decimal` for the same reason.
+Both XML readers, this one and :mod:`ome_rdf.xsd_translator`'s, take
+their root element from :func:`read_xml` and read integers by
+:func:`ascii_integer`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import (
     InvalidValueError,
     MalformedXmlError,
     MissingRequiredFieldError,
-    OrphanAnnotationError,
     UnknownColumnError,
 )
 from .namespaces import XSD_INTEGER
@@ -133,8 +135,33 @@ class EmAnnotation:
     phenotype_observations: tuple = field(default_factory=tuple)
 
 
-def _local(tag):
+def local_name(tag: str) -> str:
+    """An element tag without its ``{namespace}``."""
     return tag.rsplit("}", 1)[-1]
+
+
+def read_xml(text: str, root: str) -> ET.Element:
+    """The root element of the XML document ``text``, whose local name must
+    be ``root``.  Text that is not well-formed XML, or that holds a lone
+    surrogate, which has no UTF-8 form, raises :class:`MalformedXmlError`."""
+    try:
+        element = ET.fromstring(text)
+    except (ET.ParseError, UnicodeEncodeError) as e:
+        raise MalformedXmlError(f"not well-formed XML: {e}") from e
+    if local_name(element.tag) != root:
+        raise MalformedXmlError(
+            f"root element is {local_name(element.tag)!r}, expected {root}")
+    return element
+
+
+def ascii_integer(raw: str) -> int:
+    """``raw`` read as an integer in ASCII digits, with an optional sign and
+    space, tab, CR or LF around it.  Any other text, or more digits than
+    ``int()`` reads, raises ``ValueError``."""
+    # bare ASCII digits, the usual form, need no pattern
+    if not (raw.isdigit() and raw.isascii()) and _INTEGER_RE.fullmatch(raw) is None:
+        raise ValueError(raw)
+    return int(raw)
 
 
 def _number(raw, prop, error, where, what):
@@ -144,11 +171,8 @@ def _number(raw, prop, error, where, what):
     ``error(where, what, reason)``, so the message is built only then."""
     if prop.range == XSD_INTEGER:
         try:
-            # bare ASCII digits, the usual form, need no pattern
-            if not (raw.isdigit() and raw.isascii()) and _INTEGER_RE.fullmatch(raw) is None:
-                raise ValueError(raw)
-            value = int(raw)
-        except ValueError:  # also more digits than int() reads
+            value = ascii_integer(raw)
+        except ValueError:
             raise error(where, what, f"{raw!r} is not an integer") from None
     else:  # xsd:decimal
         try:
@@ -197,19 +221,12 @@ def parse_ome_document(text: str) -> OmeDocument:
     Duplicate ids and references to undeclared instruments/experimenters
     are errors; elements outside the supported subset are ignored.
     """
-    try:
-        root = ET.fromstring(text)
-    except (ET.ParseError, UnicodeEncodeError) as e:
-        # the encode error comes from a str holding a lone surrogate
-        raise MalformedXmlError(f"not well-formed XML: {e}") from e
-    if _local(root.tag) != "OME":
-        raise MalformedXmlError(f"root element is {_local(root.tag)!r}, expected OME")
-
+    root = read_xml(text, "OME")
     instruments: dict = {}
     experimenters: dict = {}
     raw_images = []
     for child in root:
-        tag = _local(child.tag)
+        tag = local_name(child.tag)
         if tag == "Instrument":
             iid = _require(child, "ID", "/OME/Instrument")
             if iid in instruments:
@@ -247,7 +264,7 @@ def parse_ome_document(text: str) -> OmeDocument:
         instrument_ref = None
         experimenter_ref = None
         for sub in el:
-            tag = _local(sub.tag)
+            tag = local_name(sub.tag)
             if tag == "Pixels":
                 pixels_el = sub
             elif tag == "AcquisitionDate":
@@ -359,19 +376,3 @@ def parse_sidecar(text: str) -> list:
             phenotype_observations=phenotypes,
         ))
     return records
-
-
-def join_annotations(doc: OmeDocument, annotations) -> list:
-    """Pair every image with its annotation by image id.
-
-    Output order and length follow ``doc.images``; images without a row
-    pair with ``None``.  An annotation whose image id is not in the
-    document raises :class:`OrphanAnnotationError`.
-    """
-    by_id = {}
-    image_ids = {img.id for img in doc.images}
-    for ann in annotations:
-        if ann.image_id not in image_ids:
-            raise OrphanAnnotationError(ann.image_id)
-        by_id[ann.image_id] = ann
-    return [(img, by_id.get(img.id)) for img in doc.images]

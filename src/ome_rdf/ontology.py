@@ -235,8 +235,11 @@ def build_core_ontology(namespace: str = DEFAULT_ONTOLOGY_NS) -> OntologyRegistr
     the OME model, 7 extensions), 5 categories, and the property set used
     by the instance mapper.
 
-    Images acquired with an electron microscope must carry exactly one
-    imaging-condition link; all other properties are optional.
+    No row sets a ``min_count``, but the OME-XML reader requires Image
+    ``Name``, ``SizeX`` to ``SizeT`` and Experimenter ``Name``.
+    ``conditional_rules`` declares that an Image acquired with an
+    ``ElectronMicroscope`` carries exactly one ``hasImagingCondition``;
+    nothing enforces that rule yet.
     """
     ns = Iri(namespace)
     classes = [

@@ -6,9 +6,11 @@ graph yields its triples.  N-Triples lines are sorted bytewise, Turtle
 statements are grouped by subject and sorted at every level, with
 ``rdf:type`` written first as ``a``.  The Turtle writer writes an IRI as a
 prefixed name under the longest namespace that leaves a safe local name,
-and in full ``<...>`` form when none does.  The Turtle writer works out
-each distinct term's text once per call, and the N-Triples writer each
-distinct literal's.  Both read the exact built-in terms of a graph (see
+and in full ``<...>`` form when none does.  One term table, made per call
+with the writer's rendering of an IRI, renders each distinct term once for
+both writers, a literal's datatype through the same table; the N-Triples
+writer puts a graph's IRIs in ``<>`` itself, which costs less than a
+lookup.  Both read the exact built-in terms of a graph (see
 :mod:`ome_rdf.rdf.model`) and tell them apart by type: an IRI is an exact
 ``str``, a literal a ``tuple``; :func:`term_to_ntriples` also takes an
 :class:`~ome_rdf.rdf.model.Iri` handle, and checks a ``str`` as an IRI.
@@ -17,6 +19,7 @@ distinct literal's.  Both read the exact built-in terms of a graph (see
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from ..errors import UnknownFormatError
 from ..namespaces import RDF_TYPE, XSD_STRING
@@ -28,24 +31,30 @@ _SAFE_LOCAL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$|^$")
 _STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
 
 
-def _escape_string(s: str) -> str:
-    return s.translate(_STRING_ESCAPES)
-
-
-def _term_text(term: Term, iri) -> str:
-    """Render one term; ``iri`` maps an IRI to its text.  A literal of type
+class _TermText(dict):
+    """Term -> text, rendered on first lookup and kept for one call.  ``iri``
+    renders an IRI: N-Triples puts it in ``<>``, Turtle shortens it.  A
+    literal's datatype is an IRI of the same table, and a literal of type
     xsd:string is written bare."""
-    if isinstance(term, str):
-        return iri(term)
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    lexical, datatype, language = term
-    body = f'"{_escape_string(lexical)}"'
-    if language is not None:
-        return f"{body}@{language}"
-    if datatype == XSD_STRING:
-        return body
-    return f"{body}^^{iri(datatype)}"
+
+    def __init__(self, iri):
+        super().__init__()
+        self.iri = iri
+
+    def __missing__(self, term: Term) -> str:
+        if isinstance(term, tuple):
+            lexical, datatype, language = term
+            text = f'"{lexical.translate(_STRING_ESCAPES)}"'
+            if language is not None:
+                text += f"@{language}"
+            elif datatype != XSD_STRING:
+                text += "^^" + self[datatype]
+        elif isinstance(term, BlankNode):
+            text = f"_:{term.label}"
+        else:
+            text = self.iri(term)
+        self[term] = text
+        return text
 
 
 _bracketed = "<{}>".format
@@ -55,24 +64,16 @@ def term_to_ntriples(term: Term) -> str:
     """Render one term in N-Triples syntax (bare literal means xsd:string);
     a ``str`` must pass the IRI check."""
     if isinstance(term, str):
-        return _bracketed(iri_text(term))
-    if not isinstance(term, (BlankNode, tuple)):
+        term = iri_text(term)
+    elif not isinstance(term, (BlankNode, tuple)):
         raise TypeError(f"not an RDF term: {term!r}")
-    return _term_text(term, _bracketed)
-
-
-class _NTriplesText(dict):
-    """Term -> N-Triples text, rendered on first lookup."""
-
-    def __missing__(self, term: Term) -> str:
-        text = self[term] = term_to_ntriples(term)
-        return text
+    return _TermText(_bracketed)[term]
 
 
 def serialize_ntriples(g: Graph) -> str:
     # each distinct literal and blank node is rendered once per call; an IRI
     # is only put in <>, which costs less than looking it up
-    text = _NTriplesText()
+    text = _TermText(_bracketed)
     lines = [
         (f"<{s}> <{p}> <{o}> .\n" if o.__class__ is str else f"<{s}> <{p}> {text[o]} .\n")
         if s.__class__ is str
@@ -84,30 +85,14 @@ def serialize_ntriples(g: Graph) -> str:
     return "".join(lines)
 
 
-def _shorten(iri_value: str, namespaces: list) -> str | None:
+def _shorten(namespaces: list, iri_value: str) -> str:
     # namespaces: (ns, prefix) sorted longest-ns-first for deterministic wins
     for ns, prefix in namespaces:
         if iri_value.startswith(ns):
             local = iri_value[len(ns):]
             if _SAFE_LOCAL_RE.match(local):
                 return f"{prefix}:{local}"
-    return None
-
-
-class _TurtleText(dict):
-    """Term -> Turtle text, rendered on first lookup."""
-
-    def __init__(self, namespaces: list):
-        super().__init__()
-        self.namespaces = namespaces
-
-    def __missing__(self, term: Term) -> str:
-        if isinstance(term, str):
-            text = _shorten(term, self.namespaces) or f"<{term}>"
-        else:
-            text = _term_text(term, self.__getitem__)
-        self[term] = text
-        return text
+    return f"<{iri_value}>"
 
 
 def _subject_key(s: Term) -> str:
@@ -131,7 +116,7 @@ def serialize_turtle(g: Graph) -> str:
     out = [f"@prefix {name}: <{prefixes[name]}> .\n" for name in sorted(prefixes)]
     # each distinct term is rendered once per call: predicates, classes,
     # datatypes and shared nodes recur on many subjects
-    text = _TurtleText(namespaces)
+    text = _TermText(partial(_shorten, namespaces))
 
     # grouped, then only the distinct subjects sorted
     groups: dict = {}

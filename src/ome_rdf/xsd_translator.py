@@ -7,16 +7,20 @@ extracts class and property candidates, and mints them into an
 shipped core ontology is hand-curated; this module exists to reproduce
 and audit the translation step, so unsupported schema constructs degrade
 to warnings instead of failures.
+The schema is read by the OME-XML reader's rules: its text by
+:func:`ome_rdf.ome_xml.read_xml`, an occurrence bound as an integer >= 0 by
+:func:`ome_rdf.ome_xml.ascii_integer`.  A bad bound reads as 1, and a
+maxOccurs below max(1, minOccurs) as that floor, each with a warning.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import EmptySchemaError, MalformedXmlError, NameCollisionError
 from .namespaces import XSD_NS, XSD_STRING
+from .ome_xml import ascii_integer, local_name, read_xml
 from .ontology import (
     Category,
     OntologyClass,
@@ -69,10 +73,6 @@ class XsdSubsetModel:
         return {ct.name for ct in self.complex_types}
 
 
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
 def _strip_prefix(ref: str) -> str:
     return ref.rsplit(":", 1)[-1]
 
@@ -86,25 +86,29 @@ class _RawType:
     attributes: list = field(default_factory=list)
 
 
+def _bound(el, attr: str, path: str, warnings: list) -> int:
+    raw = el.get(attr, "1")
+    try:
+        if (value := ascii_integer(raw)) >= 0:
+            return value
+    except ValueError:
+        pass
+    warnings.append((path, f"bad {attr} {raw!r}"))
+    return 1
+
+
 def _occurs(el, path, warnings) -> tuple:
-    try:
-        lo = int(el.get("minOccurs", "1"))
-    except ValueError:
-        warnings.append((path, f"bad minOccurs {el.get('minOccurs')!r}"))
-        lo = 1
-    raw_hi = el.get("maxOccurs", "1")
-    if raw_hi == "unbounded":
-        return lo, None
-    try:
-        return lo, int(raw_hi)
-    except ValueError:
-        warnings.append((path, f"bad maxOccurs {raw_hi!r}"))
-        return lo, 1
+    lo = _bound(el, "minOccurs", path, warnings)
+    hi = None if el.get("maxOccurs") == "unbounded" else _bound(el, "maxOccurs", path, warnings)
+    if hi is not None and hi < max(1, lo):
+        warnings.append((path, f"maxOccurs {hi} is below max(1, minOccurs {lo})"))
+        hi = max(1, lo)
+    return lo, hi
 
 
 def _parse_members(node, raw: _RawType, path: str, warnings: list, depth: int = 0):
     for child in node:
-        tag = _local(child.tag)
+        tag = local_name(child.tag)
         if tag in _SKIPPED_SILENTLY:
             continue
         if tag == "attribute":
@@ -121,7 +125,7 @@ def _parse_members(node, raw: _RawType, path: str, warnings: list, depth: int = 
                 warnings.append((f"{path}/sequence", "nested sequence"))
                 continue
             for el in child:
-                etag = _local(el.tag)
+                etag = local_name(el.tag)
                 epath = f"{path}/sequence/{etag}"
                 if etag in _SKIPPED_SILENTLY:
                     continue
@@ -141,7 +145,7 @@ def _parse_members(node, raw: _RawType, path: str, warnings: list, depth: int = 
                 raw.elements.append(XsdElement(name, _strip_prefix(type_ref), lo, hi))
         elif tag in ("complexContent", "simpleContent"):
             for inner in child:
-                itag = _local(inner.tag)
+                itag = local_name(inner.tag)
                 if itag == "extension":
                     base = inner.get("base")
                     if raw.extension_base is not None or not base:
@@ -164,17 +168,11 @@ def parse_xsd_subset(text: str) -> XsdSubsetModel:
     :class:`MalformedXmlError` for broken XML and :class:`EmptySchemaError`
     for schemas without any named complexType.
     """
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as e:
-        raise MalformedXmlError(f"not well-formed XML: {e}") from e
-    if _local(root.tag) != "schema":
-        raise MalformedXmlError(f"root element is {_local(root.tag)!r}, expected schema")
-
+    root = read_xml(text, "schema")
     warnings: list = []
     raw_types: dict = {}
     for child in root:
-        tag = _local(child.tag)
+        tag = local_name(child.tag)
         if tag in _SKIPPED_SILENTLY:
             continue
         if tag != "complexType":
@@ -313,10 +311,7 @@ def concepts_to_registry_fragment(concepts, namespace) -> OntologyRegistry:
             range_iri = Iri(ns.value + c.range_name)
         else:
             range_iri = _datatype_iri(c.range_name)
-        max_count = c.max_count
-        if max_count is not None and max_count < max(1, c.min_count):
-            max_count = max(1, c.min_count)
         properties[iri] = PropertyDef(
             iri, c.name, Iri(ns.value + c.domain_name), range_iri,
-            min_count=c.min_count, max_count=max_count)
+            min_count=c.min_count, max_count=c.max_count)
     return OntologyRegistry(ns, tuple(classes.values()), tuple(properties.values()))

@@ -5,16 +5,22 @@
 refined search; it shares no code with :mod:`ome_rdf.rdf.isomorphism`.
 ``reference_serialize_turtle`` is the straightforward Turtle writer that
 shortens an IRI every time it writes one; the library's writer must give
-the same text.
+the same text.  It shares no code with :mod:`ome_rdf.rdf.serialize`: it
+escapes strings and shortens IRIs by its own rules.
 """
 
+import string
 from itertools import permutations
 
 from ome_rdf.errors import TooLargeForExactCheckError
 from ome_rdf.namespaces import RDF_TYPE, XSD_STRING
 from ome_rdf.rdf import BlankNode, Graph, Triple
 from ome_rdf.rdf.model import Term, term_sort_key
-from ome_rdf.rdf.serialize import _escape_string, _shorten
+
+# the characters of a local name the writer may leave in a prefixed name:
+# a letter or "_" first, then letters, digits, "_" and "-"; or none at all
+_LOCAL_FIRST = set(string.ascii_letters + "_")
+_LOCAL_REST = _LOCAL_FIRST | set(string.digits + "-")
 
 
 def _split(g: Graph):
@@ -68,29 +74,41 @@ def brute_force_isomorphic(a: Graph, b: Graph, max_blanks: int = 8) -> bool:
     )
 
 
-def _term_to_turtle(term: Term, namespaces: list) -> str:
+def _escape(lexical: str) -> str:
+    # the backslash first, so the escapes added after it stay as they are
+    for ch, escaped in (("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"), ("\r", "\\r")):
+        lexical = lexical.replace(ch, escaped)
+    return lexical
+
+
+def _iri_to_turtle(iri: str, prefixes: dict) -> str:
+    """A prefixed name under the longest namespace that leaves a safe local
+    name, the smallest prefix among equally long ones; else ``<iri>``."""
+    names = []
+    for prefix, ns in prefixes.items():
+        local = iri[len(ns):]
+        if iri.startswith(ns) and (local == "" or (
+                local[0] in _LOCAL_FIRST and all(ch in _LOCAL_REST for ch in local))):
+            names.append((-len(ns), prefix, f"{prefix}:{local}"))
+    return min(names)[2] if names else f"<{iri}>"
+
+
+def _term_to_turtle(term: Term, prefixes: dict) -> str:
     if isinstance(term, str):
-        short = _shorten(term, namespaces)
-        return short if short is not None else f"<{term}>"
+        return _iri_to_turtle(term, prefixes)
     if isinstance(term, BlankNode):
         return f"_:{term.label}"
     lexical, datatype, language = term
-    body = f'"{_escape_string(lexical)}"'
+    body = f'"{_escape(lexical)}"'
     if language is not None:
         return f"{body}@{language}"
     if datatype == XSD_STRING:
         return body
-    dt = _shorten(datatype, namespaces)
-    return f"{body}^^{dt}" if dt is not None else f"{body}^^<{datatype}>"
+    return f"{body}^^{_iri_to_turtle(datatype, prefixes)}"
 
 
 def reference_serialize_turtle(g: Graph) -> str:
     prefixes = dict(g.prefixes)
-    # longest namespace wins; prefix name breaks ties deterministically
-    namespaces = sorted(
-        ((ns, p) for p, ns in prefixes.items()),
-        key=lambda item: (-len(item[0]), item[1]),
-    )
     out = []
     for name in sorted(prefixes):
         out.append(f"@prefix {name}: <{prefixes[name]}> .\n")
@@ -108,13 +126,13 @@ def reference_serialize_turtle(g: Graph) -> str:
         preds = by_subject[subject]
         lines = []
         for p in sorted(preds, key=pred_key):
-            verb = "a" if p == RDF_TYPE else _term_to_turtle(p, namespaces)
+            verb = "a" if p == RDF_TYPE else _term_to_turtle(p, prefixes)
             objs = ", ".join(
-                _term_to_turtle(o, namespaces)
+                _term_to_turtle(o, prefixes)
                 for o in sorted(preds[p], key=term_sort_key)
             )
             lines.append((verb, objs))
-        subj = _term_to_turtle(subject, namespaces)
+        subj = _term_to_turtle(subject, prefixes)
         for i, (verb, objs) in enumerate(lines):
             head = subj if i == 0 else "    "
             tail = " ." if i == len(lines) - 1 else " ;"

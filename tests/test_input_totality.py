@@ -1,6 +1,8 @@
 """Totality of the input parsers: a mutated OME-XML document or sidecar
 parses, or raises an ``OmeRdfError`` with a code; a pair that parses maps,
-record by record, or is skipped with a code."""
+record by record, or is skipped with a code.  A mutated XML schema
+translates into an ontology fragment whose graph reads back from Turtle,
+or raises an ``OmeRdfError`` with a code."""
 
 import random
 import re
@@ -14,12 +16,18 @@ from ome_rdf.errors import OmeRdfError
 from ome_rdf.links import LinkRegistry
 from ome_rdf.mapper import MintingPolicy, map_document
 from ome_rdf.ome_xml import parse_ome_document, parse_sidecar
-from ome_rdf.ontology import build_core_ontology
-from ome_rdf.rdf import parse_ntriples, serialize
+from ome_rdf.ontology import build_core_ontology, registry_to_graph
+from ome_rdf.rdf import parse_ntriples, parse_turtle, serialize
+from ome_rdf.xsd_translator import (
+    concepts_to_registry_fragment,
+    extract_concepts,
+    parse_xsd_subset,
+)
 
 DATA = Path(__file__).parent / "data"
 OME_XML = (DATA / "golden.ome.xml").read_text()
 SIDECAR = (DATA / "golden.ann.tsv").read_text()
+XSD = (DATA / "ome_subset.xsd").read_text()
 
 # Tokens that open, close or escape markup or a cell, values at the edges of
 # the fields' ranges, and characters no output may carry.
@@ -33,6 +41,12 @@ _SIDECAR_TOKENS = [
     "\t", "\n", "\r", "\r\n", ";", ":", " ", "", "0", "-1", "1e999", "NaN", "1E+999999999",
     "IMG001", "IMG002", "rikenbrc_mouse:", "nope:RBRC001", "\ud800", "\x00", " ", "\xa0",
     "\x85", "%", "<", '"', "\\",
+]
+# markup, and occurrence bounds that are negative, not ASCII, zero, or
+# unbounded where a number belongs
+_XSD_TOKENS = [
+    "<", ">", "/>", '"', "&", "\ud800", " ", "=", "name", "xs:", "-1", "\u0661", "0", "5",
+    "unbounded", 'minOccurs="2"', 'maxOccurs="0"',
 ]
 
 
@@ -98,3 +112,19 @@ def test_mutated_inputs_parse_and_map_or_raise_coded_errors(pipeline, rng):
         assert skipped.code != OmeRdfError.code, skipped
     # every emitted term is valid RDF that reads back the same
     assert parse_ntriples(serialize(result.graph, "ntriples")) == result.graph
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_mutated_schemas_translate_or_raise_coded_errors(rng):
+    # the occurrence bounds
+    xsd = _mutant(XSD, rng, _XSD_TOKENS, r'(?<=Occurs=")[^"]*')
+    note(repr(xsd))
+    try:
+        concepts = extract_concepts(parse_xsd_subset(xsd))
+        fragment = concepts_to_registry_fragment(concepts, "http://frag.example/o#")
+        graph = registry_to_graph(fragment)
+    except OmeRdfError as e:
+        assert e.code != OmeRdfError.code, repr(e)
+        return
+    assert parse_turtle(serialize(graph, "turtle")) == graph

@@ -52,6 +52,13 @@ class TestIsomorphic:
         assert not graph_isomorphic(g, h)
         assert not brute_force_isomorphic(g, h)
 
+    def test_blank_counts_differ(self):
+        # two blanks against one, with the same ground terms and triple count
+        g = Graph([bt("_:a", "p", "o"), bt("_:b", "p", "o")])
+        h = Graph([bt("_:c", "p", "o"), bt("_:c", "q", "o")])
+        assert not graph_isomorphic(g, h)
+        assert not brute_force_isomorphic(g, h)
+
     def test_self_loop_distinguished(self):
         g = Graph([bt("_:a", "p", "_:a"), bt("_:b", "p", "o")])
         h = Graph([bt("_:a", "p", "_:b"), bt("_:b", "p", "o")])

@@ -53,6 +53,10 @@ class TestRegistryFile:
         with pytest.raises(LinkRegistryError):
             LinkRegistry.loads("justone\n")
 
+    def test_bad_id_pattern(self):
+        with pytest.raises(LinkRegistryError, match="^bad id pattern for 'demo': "):
+            LinkRegistry.loads("demo\thttp://db.example/demo\t(\n")
+
     def test_lines_end_only_at_cr_or_lf(self):
         good = "demo\thttp://db.example/demo\t[0-9]{4}\x85?"
         # the U+0085 stays in the pattern: the id matches it, and only the

@@ -9,6 +9,7 @@ from ome_rdf.errors import (
     EmptyLocalIdError,
     InvalidIriError,
     MappingFailedError,
+    OrphanAnnotationError,
     UnknownClassInRegistryError,
     UnresolvableStrainError,
 )
@@ -26,7 +27,6 @@ from ome_rdf.ome_xml import (
     SIDECAR_COLUMNS,
     EmAnnotation,
     InstrumentKind,
-    join_annotations,
     parse_ome_document,
     parse_sidecar,
 )
@@ -116,6 +116,21 @@ def generated_document(seed, n_images=12):
             ]))
     parts.append("</OME>")
     return parse_ome_document("".join(parts)), parse_sidecar("\n".join(rows) + "\n")
+
+
+def bare_document(n_images):
+    """A document of images ``IMG0`` ... with pixels and nothing else."""
+    return parse_ome_document(
+        '<OME xmlns="http://www.openmicroscopy.org/Schemas/OME/2015-01">' + "".join(
+            f'<Image ID="IMG{i}" Name="n">'
+            '<Pixels SizeX="1" SizeY="1" SizeZ="1" SizeC="1" SizeT="1"/></Image>'
+            for i in range(n_images)) + "</OME>")
+
+
+def paired(doc, anns):
+    """(image, its row or None) for each image of ``doc``, in document order."""
+    by_id = {ann.image_id: ann for ann in anns}
+    return [(img, by_id.get(img.id)) for img in doc.images]
 
 
 def document(source):
@@ -390,6 +405,27 @@ class TestMapDocument:
         assert result.skipped[0].code == "OrphanAnnotation"
         assert len(result.records) == 1
 
+    def test_orphan_raises_without_skip_errors(self, registry, policy, links):
+        anns = [EmAnnotation("IMG0", "S"), EmAnnotation("GHOST", "S")]
+        with pytest.raises(OrphanAnnotationError) as err:
+            map_document(bare_document(1), anns, registry, policy, links)
+        assert str(err.value) == str(OrphanAnnotationError("GHOST"))
+
+    def test_records_follow_the_images_and_pair_rows_by_id(self, registry, policy, links):
+        # rows out of document order; images 1 and 3 have none
+        anns = [EmAnnotation(f"IMG{i}", f"S{i}") for i in (4, 0, 2)]
+        result = map_document(bare_document(5), anns, registry, policy, links)
+        assert [r.image_iri for r in result.records] == [
+            BASE + f"image/IMG{i}" for i in range(5)]
+        depicts = registry.property_by_label("depicts").iri
+        assert {(s, o) for s, p, o in result.graph if p == depicts} == {
+            (BASE + f"image/IMG{i}", BASE + f"biosample/S{i}") for i in (0, 2, 4)}
+        assert result.skipped == ()
+
+    def test_empty_document(self, registry, policy, links):
+        result = map_document(bare_document(0), [], registry, policy, links)
+        assert (result.records, result.skipped, len(result.graph)) == ((), (), 0)
+
 
 def golden_image(image_id):
     """The golden image, which names experimenter E1 and instrument I1, under another id."""
@@ -421,7 +457,7 @@ class TestMapAllAgainstMapPair:
         # every fourth row names a strain that does not resolve
         anns = [replace(a, strain_id="nosuch:X1") if i % 4 == 0 else a
                 for i, a in enumerate(anns)]
-        self.check(join_annotations(doc, anns), registry, policy, links)
+        self.check(paired(doc, anns), registry, policy, links)
 
     def test_one_sample_with_different_containers_and_strains(
             self, registry, policy, links):
@@ -474,7 +510,7 @@ class TestMapAllAgainstMapPair:
 
     def test_shared_entities_emitted_once(self, registry, policy, links):
         doc, anns = generated_document(3, n_images=40)
-        pairs = join_annotations(doc, anns)
+        pairs = paired(doc, anns)
         result = self.check(pairs, registry, policy, links)
         emitted_by_map_pair = sum(len(map_pair(img, ann, registry, policy, links).graph)
                                   for img, ann in pairs)

@@ -13,7 +13,6 @@ from ome_rdf.errors import (
     InvalidValueError,
     MalformedXmlError,
     MissingRequiredFieldError,
-    OrphanAnnotationError,
     UnknownColumnError,
 )
 from ome_rdf.namespaces import XSD_INTEGER
@@ -21,7 +20,6 @@ from ome_rdf.ome_xml import (
     EmAnnotation,
     InstrumentKind,
     SIDECAR_COLUMNS,
-    join_annotations,
     parse_ome_document,
     parse_sidecar,
 )
@@ -190,6 +188,23 @@ class TestParseOmeDocument:
         with pytest.raises(DanglingReferenceError) as err:
             parse_ome_document(doc(body))
         assert err.value.ref_id == "I9"
+
+    @pytest.mark.parametrize("text, cls, message", [
+        ("<Foo/>", MalformedXmlError, "root element is 'Foo', expected OME"),
+        (doc('<Instrument ID="I1"/><Instrument ID="I1" Kind="Electron"/>'),
+         DuplicateIdError, "duplicate id 'I1'"),
+        (doc('<Experimenter ID="E1" Name="a"/><Experimenter ID="E1" Name="b"/>'),
+         DuplicateIdError, "duplicate id 'E1'"),
+        (doc(IMG.replace(' SizeC="1"', "").format(id="I", z="1")),
+         MissingRequiredFieldError, "missing required field at /OME/Image[I]/Pixels@SizeC"),
+        (doc('<Experimenter ID="E1" Name="a"/>'
+             + IMG.replace("<Pixels", '<ExperimenterRef ID="E9"/><Pixels').format(id="I", z="1")),
+         DanglingReferenceError, "reference to undeclared id 'E9'"),
+    ], ids=["root", "instrument-id", "experimenter-id", "size-c", "experimenter-ref"])
+    def test_document_faults(self, text, cls, message):
+        with pytest.raises(cls) as err:
+            parse_ome_document(text)
+        assert str(err.value) == message
 
     def test_missing_pixels(self):
         with pytest.raises(MissingRequiredFieldError):
@@ -407,33 +422,3 @@ class TestParseSidecar:
     def test_empty_sidecar_is_bad_header(self):
         with pytest.raises(BadHeaderError):
             parse_sidecar("")
-
-
-class TestJoinAnnotations:
-    def _doc(self, n):
-        return parse_ome_document(doc("".join(
-            IMG.format(id=f"IMG{i}", z="1") for i in range(n))))
-
-    def _ann(self, image_id):
-        return EmAnnotation(image_id=image_id, sample_id="S")
-
-    def test_pairing(self):
-        pairs = join_annotations(self._doc(2), [self._ann("IMG0")])
-        assert len(pairs) == 2
-        assert pairs[0][1].image_id == "IMG0"
-        assert pairs[1][1] is None
-
-    def test_orphan_annotation(self):
-        with pytest.raises(OrphanAnnotationError):
-            join_annotations(self._doc(1), [self._ann("NOPE")])
-
-    def test_empty(self):
-        assert join_annotations(self._doc(0), []) == []
-
-    def test_output_length_and_uniqueness(self):
-        docu = self._doc(5)
-        anns = [self._ann(f"IMG{i}") for i in (0, 2, 4)]
-        pairs = join_annotations(docu, anns)
-        assert len(pairs) == 5
-        used = [a.image_id for _, a in pairs if a is not None]
-        assert sorted(used) == ["IMG0", "IMG2", "IMG4"]

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from ome_rdf.errors import ClassNotFoundError
-from ome_rdf.namespaces import OWL_CLASS, RDF_TYPE, RDFS_LABEL
+from ome_rdf.namespaces import OWL_CLASS, RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF, XSD_INTEGER
 from ome_rdf.ontology import (
     Category,
     ConditionalCardinality,
@@ -14,6 +16,11 @@ from ome_rdf.ontology import (
     registry_to_graph,
 )
 from ome_rdf.rdf import Iri, Literal, parse, serialize
+from ome_rdf.xsd_translator import (
+    concepts_to_registry_fragment,
+    extract_concepts,
+    parse_xsd_subset,
+)
 
 NS = "http://ome-rdf.org/schema#"
 
@@ -36,6 +43,22 @@ def expected_triple_count(registry):
 @pytest.fixture(scope="module")
 def core():
     return build_core_ontology()
+
+
+def translated_fragment():
+    """The translator's fragment of tests/data/ome_subset.xsd, and the
+    ``minCount`` triple of its ``hasPixels`` (Image/Pixels, minOccurs 1)."""
+    text = (Path(__file__).parent / "data" / "ome_subset.xsd").read_text()
+    frag = concepts_to_registry_fragment(extract_concepts(parse_xsd_subset(text)), NS)
+    return frag, (NS + "hasPixels", NS + "minCount", Literal("1", XSD_INTEGER))
+
+
+def subclassed_registry():
+    """A registry whose class B is a subclass of A, and that triple."""
+    a = OntologyClass(Iri(NS + "A"), "A", Category.IMAGE, Origin.TRANSLATED)
+    b = OntologyClass(Iri(NS + "B"), "B", Category.IMAGE, Origin.TRANSLATED,
+                      superclass=a.iri)
+    return OntologyRegistry(Iri(NS), (a, b), ()), (NS + "B", RDFS_SUBCLASSOF, NS + "A")
 
 
 class TestCoreRoster:
@@ -140,6 +163,14 @@ class TestRegistryToGraph:
         g = registry_to_graph(core)
         assert len(g) == expected_triple_count(core)
         assert len(g) == 201  # frozen from the oracle above
+
+    @pytest.mark.parametrize("build", [translated_fragment, subclassed_registry],
+                             ids=["minCount", "subClassOf"])
+    def test_optional_triples_match_counting_oracle(self, build):
+        registry, optional_triple = build()
+        g = registry_to_graph(registry)
+        assert optional_triple in g
+        assert len(g) == expected_triple_count(registry)
 
     def test_roundtrip_keeps_counts(self, core):
         for fmt in ("turtle", "ntriples"):

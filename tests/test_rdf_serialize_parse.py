@@ -454,6 +454,10 @@ class TestErrorPositions:
          UnsupportedConstructError, "unsupported construct: boolean literal shorthand", 5, 10),
         ("turtle", _TTL + 'ex:s ex:p """x""" .\n',
          UnsupportedConstructError, "unsupported construct: triple-quoted string", 4, 12),
+        ("turtle", _TTL + "ex:s ex:p 'x' .\n",
+         UnsupportedConstructError, "unsupported construct: single-quoted string", 4, 11),
+        ("ntriples", _NT + f'{_S} {_P} "x"@1 .\n', RdfSyntaxError, "bad language tag", 2, 46),
+        ("turtle", _TTL + f'{_S} {_P} "x"@1 .\n', RdfSyntaxError, "bad language tag", 4, 46),
         # '@prefix' and '@base' are case-sensitive
         ("turtle", _TTL + "@PREFIX ex: <http://a.example/> .\nex:s ex:p ex:o .\n",
          RdfSyntaxError, "unknown directive '@PREFIX'", 4, 8),

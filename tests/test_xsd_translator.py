@@ -76,6 +76,40 @@ class TestParseXsd:
         with pytest.raises(MalformedXmlError):
             parse_xsd_subset("<xs:schema>")
 
+    def test_lone_surrogate_is_malformed_xml(self):
+        with pytest.raises(MalformedXmlError, match="^not well-formed XML: "):
+            parse_xsd_subset(wrap('<xs:complexType name="A\ud800"/>'))
+
+    @pytest.mark.parametrize("lo, hi, bounds, reasons", [
+        ("0", "1", (0, 1), []),
+        (" 2 ", "+3", (2, 3), []),
+        ("2", "unbounded", (2, None), []),
+        ("-1", "1", (1, 1), ["bad minOccurs '-1'"]),
+        ("\u0661", "1", (1, 1), ["bad minOccurs '\u0661'"]),
+        ("unbounded", "unbounded", (1, None), ["bad minOccurs 'unbounded'"]),
+        pytest.param("9" * 5000, "unbounded", (1, None), [f"bad minOccurs '{'9' * 5000}'"],
+                     id="more-digits-than-int-reads"),
+        ("1", "-2", (1, 1), ["bad maxOccurs '-2'"]),
+        ("1", "0", (1, 1), ["maxOccurs 0 is below max(1, minOccurs 1)"]),
+        ("0", "0", (0, 1), ["maxOccurs 0 is below max(1, minOccurs 0)"]),
+        ("5", "2", (5, 5), ["maxOccurs 2 is below max(1, minOccurs 5)"]),
+    ])
+    def test_occurrence_bounds(self, lo, hi, bounds, reasons):
+        model = parse_xsd_subset(wrap(
+            '<xs:complexType name="Image"><xs:sequence>'
+            f'<xs:element name="Pixels" type="t:Pixels" minOccurs="{lo}" maxOccurs="{hi}"/>'
+            "</xs:sequence></xs:complexType>"
+            '<xs:complexType name="Pixels"/>'
+        ))
+        img = next(ct for ct in model.complex_types if ct.name == "Image")
+        (el,) = img.elements
+        assert (el.min_occurs, el.max_occurs) == bounds
+        path = "/schema/complexType[Image]/sequence/element[Pixels]"
+        assert list(model.warnings) == [(path, reason) for reason in reasons]
+        # every bound read is one the fragment's property takes as it is
+        (prop,) = concepts_to_registry_fragment(extract_concepts(model), NS).properties
+        assert (prop.min_count, prop.max_count) == bounds
+
     def test_non_schema_root(self):
         with pytest.raises(MalformedXmlError):
             parse_xsd_subset("<foo/>")
