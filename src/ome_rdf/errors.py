@@ -84,25 +84,25 @@ class OmeParseError(OmeRdfError):
 class DanglingReferenceError(OmeParseError):
     code = "DanglingReference"
 
-    def __init__(self, ref_id, message=None):
+    def __init__(self, ref_id):
         self.ref_id = ref_id
-        super().__init__(message or f"reference to undeclared id {ref_id!r}")
+        super().__init__(f"reference to undeclared id {ref_id!r}")
 
 
 class MissingRequiredFieldError(OmeParseError):
     code = "MissingRequiredField"
 
-    def __init__(self, path, message=None):
+    def __init__(self, path):
         self.path = path
-        super().__init__(message or f"missing required field at {path}")
+        super().__init__(f"missing required field at {path}")
 
 
 class InvalidDimensionError(OmeParseError):
     code = "InvalidDimension"
 
-    def __init__(self, path, message=None):
+    def __init__(self, path, reason):
         self.path = path
-        super().__init__(message or f"invalid dimension at {path}")
+        super().__init__(f"{path}: {reason}")
 
 
 class InvalidValueError(OmeParseError):

@@ -2,13 +2,14 @@
 
 The registry is a plain-text TSV config, one ``prefix<TAB>baseIri<TAB>
 idPattern`` line per partner database; the default ships with the RIKEN
-BioResource mouse-strain catalogue.
+BioResource mouse-strain catalogue.  A leading byte-order mark is ignored,
+and an id pattern that does not compile raises :class:`LinkRegistryError`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import (
@@ -27,14 +28,17 @@ class LinkEntry:
     prefix: str
     base_iri: Iri
     id_pattern: str
+    id_regex: re.Pattern = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not _PREFIX_RE.fullmatch(self.prefix):
             raise LinkRegistryError(f"bad prefix {self.prefix!r}")
         try:
-            re.compile(self.id_pattern)
-        except re.error as e:
+            regex = re.compile(self.id_pattern)
+        # deep nesting exhausts the compiler's recursion; a huge repeat overflows
+        except (re.error, RecursionError, OverflowError) as e:
             raise LinkRegistryError(f"bad id pattern for {self.prefix!r}: {e}") from e
+        object.__setattr__(self, "id_regex", regex)
 
 
 class LinkRegistry:
@@ -57,7 +61,7 @@ class LinkRegistry:
         entry = self._entries.get(prefix)
         if entry is None:
             raise UnknownPrefixError(prefix)
-        if not re.fullmatch(entry.id_pattern, local):
+        if not entry.id_regex.fullmatch(local):
             raise IdPatternMismatchError(curie, entry.id_pattern)
         return Iri(entry.base_iri.value + "/" + local)
 
@@ -65,6 +69,7 @@ class LinkRegistry:
 
     @classmethod
     def loads(cls, text: str) -> "LinkRegistry":
+        text = text.lstrip("\ufeff")
         # lines end at CRLF, CR or LF only; U+0085, U+2028 and the like stay
         # in their cell
         lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")

@@ -1,4 +1,4 @@
-"""Well-known RDF namespaces and the toolkit's own default bases."""
+"""Well-known RDF namespaces, the toolkit's vocabulary and its instance base."""
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -23,7 +23,7 @@ XSD_DOUBLE = XSD_NS + "double"
 XSD_FLOAT = XSD_NS + "float"
 XSD_DATETIME = XSD_NS + "dateTime"
 
-# Defaults for the toolkit's own vocabulary and minted instances.  Both are
-# overridable through the arguments of every function that uses them.
-DEFAULT_ONTOLOGY_NS = "http://ome-rdf.org/schema#"
+# The vocabulary is fixed, so that graphs from different sites merge; where
+# instances are minted is a deployment setting (``MintingPolicy.instance_base``).
+ONTOLOGY_NS = "http://ome-rdf.org/schema#"
 DEFAULT_INSTANCE_BASE = "http://ome-rdf.org/resource/"

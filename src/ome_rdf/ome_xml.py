@@ -6,8 +6,8 @@ their reference attributes; references are resolved during parsing, so an
 Sidecars are strict TSV files with a fixed header (see SIDECAR_COLUMNS);
 one row annotates one image with biosample and imaging-condition details.
 Every numeric value, a Pixels attribute or a voltage or wavelength cell, is
-read as the range of its ontology property row (``xsd:integer`` as ``int``,
-``xsd:decimal`` as ``Decimal``) within that row's bounds.
+read as the range of its core registry property (``xsd:integer`` as ``int``,
+``xsd:decimal`` as ``Decimal``) within that property's bounds.
 
 Timestamps must be in the ``xsd:dateTime`` lexical form with a timezone
 and are kept as the original lexical strings so downstream RDF output
@@ -40,7 +40,7 @@ from .errors import (
     UnknownColumnError,
 )
 from .namespaces import XSD_INTEGER
-from .ontology import core_property
+from .ontology import build_core_ontology
 from .rdf.model import _SURROGATE_RE, DATETIME_LEXICAL_RE, datetime_day_exists
 
 SIDECAR_COLUMNS = (
@@ -62,15 +62,17 @@ _DECIMAL_RE = re.compile(
     r"[ \t\r\n]*[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t\r\n]*"
 )
 
-# Pixels attribute, its ontology property, and whether it must be present,
-# in the order of OmePixels' fields
-_PIXELS_ATTRS = tuple((attr, core_property(label), required) for attr, label, required in [
-    ("SizeX", "sizeX", True), ("SizeY", "sizeY", True), ("SizeZ", "sizeZ", True),
-    ("SizeC", "sizeC", True), ("SizeT", "sizeT", True),
-    ("PhysicalSizeX", "physicalSizeX", False), ("PhysicalSizeY", "physicalSizeY", False),
-])
-_VOLTAGE = core_property("accelerationVoltage")
-_WAVELENGTH = core_property("electronWavelength")
+# Pixels attribute, its core registry property, and whether it must be
+# present, in the order of OmePixels' fields
+_PIXELS_ATTRS = tuple(
+    (attr, build_core_ontology().property_by_label(label), required)
+    for attr, label, required in [
+        ("SizeX", "sizeX", True), ("SizeY", "sizeY", True), ("SizeZ", "sizeZ", True),
+        ("SizeC", "sizeC", True), ("SizeT", "sizeT", True),
+        ("PhysicalSizeX", "physicalSizeX", False), ("PhysicalSizeY", "physicalSizeY", False),
+    ])
+_VOLTAGE = build_core_ontology().property_by_label("accelerationVoltage")
+_WAVELENGTH = build_core_ontology().property_by_label("electronWavelength")
 
 
 class InstrumentKind(enum.Enum):
@@ -194,7 +196,7 @@ def _number(raw, prop, error, where, what):
 
 
 def _dimension_error(path, attr, reason):
-    return InvalidDimensionError(f"{path}@{attr}", f"{path}@{attr}: {reason}")
+    return InvalidDimensionError(f"{path}@{attr}", reason)
 
 
 def _check_timestamp(raw, path):

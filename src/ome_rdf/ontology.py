@@ -2,14 +2,15 @@
 
 Eleven classes carried over from the OME data model plus seven extensions
 covering electron microscopy and biosample context, organised into five
-categories.  The registry is built once by :func:`build_core_ontology` and
-is immutable; :func:`registry_to_graph` renders it as RDF/OWL.
+categories.  :func:`build_core_ontology` builds the registry once, under
+the fixed vocabulary namespace ``ONTOLOGY_NS``; it is immutable, and
+:func:`registry_to_graph` renders it as RDF/OWL.
 
 The same :class:`OntologyRegistry` container also holds translator-built
 fragments.  The rows below are the one source of the core's categories,
-value ranges and value bounds: the XSD translator reads the categories,
-and the OME-XML and sidecar readers read every numeric value by its
-row's range and bounds (see :func:`core_property`).
+value ranges and value bounds, and only :func:`build_core_ontology` reads
+them: the XSD translator and the OME-XML and sidecar readers read the
+registry it returns.
 """
 
 from __future__ import annotations
@@ -17,19 +18,23 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import cache
 from typing import Optional
 
 from .errors import ClassNotFoundError
 from .namespaces import (
-    DEFAULT_ONTOLOGY_NS,
+    ONTOLOGY_NS,
     OWL_CLASS,
     OWL_DATATYPE_PROPERTY,
+    OWL_NS,
     OWL_OBJECT_PROPERTY,
     OWL_ONTOLOGY,
     RDF_LANGSTRING,
+    RDF_NS,
     RDF_TYPE,
     RDFS_DOMAIN,
     RDFS_LABEL,
+    RDFS_NS,
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
     XSD_DATETIME,
@@ -230,10 +235,12 @@ _PROPERTIES = [
 ]
 
 
-def build_core_ontology(namespace: str = DEFAULT_ONTOLOGY_NS) -> OntologyRegistry:
-    """Build the fixed registry: 18 upper-level classes (11 translated from
-    the OME model, 7 extensions), 5 categories, and the property set used
-    by the instance mapper.
+@cache
+def build_core_ontology() -> OntologyRegistry:
+    """The fixed registry: 18 upper-level classes (11 translated from the
+    OME model, 7 extensions), 5 categories, and the property set used by
+    the instance mapper, under :data:`~ome_rdf.namespaces.ONTOLOGY_NS`.
+    Every call returns the same registry.
 
     No row sets a ``min_count``, but the OME-XML reader requires Image
     ``Name``, ``SizeX`` to ``SizeT`` and Experimenter ``Name``.
@@ -241,42 +248,31 @@ def build_core_ontology(namespace: str = DEFAULT_ONTOLOGY_NS) -> OntologyRegistr
     ``ElectronMicroscope`` carries exactly one ``hasImagingCondition``;
     nothing enforces that rule yet.
     """
-    ns = Iri(namespace)
     classes = [
-        OntologyClass(Iri(ns.value + label), label, cat, Origin.TRANSLATED)
+        OntologyClass(Iri(ONTOLOGY_NS + label), label, cat, Origin.TRANSLATED)
         for label, cat in _TRANSLATED
     ] + [
-        OntologyClass(Iri(ns.value + label), label, cat, Origin.EXTENDED)
+        OntologyClass(Iri(ONTOLOGY_NS + label), label, cat, Origin.EXTENDED)
         for label, cat in _EXTENDED
     ]
-    class_iri = {c.label: c.iri for c in classes}
-    properties = [_property_def(ns.value, *row) for row in _PROPERTIES]
+    properties = [
+        # a range is a class label or a datatype IRI
+        PropertyDef(Iri(ONTOLOGY_NS + label), label, Iri(ONTOLOGY_NS + domain),
+                    Iri(rng if ":" in rng else ONTOLOGY_NS + rng),
+                    max_count=max_count, min_exclusive=lo, max_inclusive=hi)
+        for label, domain, rng, max_count, lo, hi in _PROPERTIES
+    ]
     rules = (
         ConditionalCardinality(
-            subject_class=class_iri["Image"],
-            via_property=Iri(ns.value + "acquiredWith"),
-            trigger_class=class_iri["ElectronMicroscope"],
-            property=Iri(ns.value + "hasImagingCondition"),
+            subject_class=Iri(ONTOLOGY_NS + "Image"),
+            via_property=Iri(ONTOLOGY_NS + "acquiredWith"),
+            trigger_class=Iri(ONTOLOGY_NS + "ElectronMicroscope"),
+            property=Iri(ONTOLOGY_NS + "hasImagingCondition"),
             min_count=1,
             max_count=1,
         ),
     )
-    return OntologyRegistry(ns, tuple(classes), tuple(properties), rules)
-
-
-def _property_def(ns, label, domain, rng, max_count, lo, hi) -> PropertyDef:
-    # a range is a class label or a datatype IRI
-    return PropertyDef(Iri(ns + label), label, Iri(ns + domain),
-                       Iri(rng if ":" in rng else ns + rng),
-                       max_count=max_count, min_exclusive=lo, max_inclusive=hi)
-
-
-def core_property(label: str) -> PropertyDef:
-    """The core property ``label`` as :func:`build_core_ontology` builds it
-    in the default namespace, made from its row alone: a reader takes a
-    value's range and bounds from here without building the registry."""
-    (row,) = [row for row in _PROPERTIES if row[0] == label]
-    return _property_def(DEFAULT_ONTOLOGY_NS, *row)
+    return OntologyRegistry(Iri(ONTOLOGY_NS), tuple(classes), tuple(properties), rules)
 
 
 def annotation_iri(registry: OntologyRegistry, name: str) -> Iri:
@@ -337,9 +333,9 @@ def registry_to_graph(registry: OntologyRegistry) -> Graph:
                                   Literal(format(p.max_inclusive, "f"), dec_dt)))
     prefixes = {
         "mo": ns,
-        "owl": "http://www.w3.org/2002/07/owl#",
-        "rdf": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
-        "rdfs": "http://www.w3.org/2000/01/rdf-schema#",
+        "owl": OWL_NS,
+        "rdf": RDF_NS,
+        "rdfs": RDFS_NS,
         "xsd": XSD_NS,
     }
     return Graph(triples, prefixes)

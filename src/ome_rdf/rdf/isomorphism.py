@@ -6,14 +6,14 @@ Otherwise it compares ground triples, then runs colour refinement over
 blank nodes and finishes with an exact backtracking search (up to
 ``BRUTE_FORCE_BOUND`` blanks).  Above the bound it only answers when
 refinement pins every blank down to a singleton class, otherwise it
-raises :class:`TooLargeForExactCheckError`.
+raises :class:`TooLargeForExactCheckError`.  Refinement orders ground
+neighbours by :func:`~ome_rdf.rdf.model.term_sort_key`, as the writers do.
 """
 
 from __future__ import annotations
 
 from ..errors import TooLargeForExactCheckError
-from .model import BlankNode, Graph
-from .serialize import term_to_ntriples
+from .model import BlankNode, Graph, term_sort_key
 
 BRUTE_FORCE_BOUND = 12
 
@@ -31,21 +31,21 @@ def _split(g: Graph):
 def _adjacency(blankful):
     """label -> list of (role, predicate, other) features.
 
-    ``other`` is ("g", ntriples-term) for ground neighbours and
-    ("b", label) for blank neighbours; "so" marks self-loops.
+    ``other`` is ("g", term_sort_key(term)) for ground neighbours and
+    ("b", label) for blank neighbours; "so" marks self-loops, with ("g", ()).
     """
     adj: dict = {}
     for s, p, o in blankful:
         s_blank = isinstance(s, BlankNode)
         o_blank = isinstance(o, BlankNode)
         if s_blank and o_blank and s.label == o.label:
-            adj.setdefault(s.label, []).append(("so", p, ("g", "")))
+            adj.setdefault(s.label, []).append(("so", p, ("g", ())))
             continue
         if s_blank:
-            other = ("b", o.label) if o_blank else ("g", term_to_ntriples(o))
+            other = ("b", o.label) if o_blank else ("g", term_sort_key(o))
             adj.setdefault(s.label, []).append(("s", p, other))
         if o_blank:
-            other = ("b", s.label) if s_blank else ("g", term_to_ntriples(s))
+            other = ("b", s.label) if s_blank else ("g", term_sort_key(s))
             adj.setdefault(o.label, []).append(("o", p, other))
     return adj
 
@@ -67,7 +67,7 @@ def _refine(adj_a: dict, adj_b: dict):
                     if kind == "g":
                         sig.append((role, pred, 0, other, -1))
                     else:
-                        sig.append((role, pred, 1, "", colors[other]))
+                        sig.append((role, pred, 1, (), colors[other]))
                 key = (colors[lbl], tuple(sorted(sig)))
                 result[lbl] = table.setdefault(key, len(table))
             return result

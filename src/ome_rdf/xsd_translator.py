@@ -106,7 +106,7 @@ def _occurs(el, path, warnings) -> tuple:
     return lo, hi
 
 
-def _parse_members(node, raw: _RawType, path: str, warnings: list, depth: int = 0):
+def _parse_members(node, raw: _RawType, path: str, warnings: list):
     for child in node:
         tag = local_name(child.tag)
         if tag in _SKIPPED_SILENTLY:
@@ -121,9 +121,6 @@ def _parse_members(node, raw: _RawType, path: str, warnings: list, depth: int = 
                              child.get("use") == "required")
             )
         elif tag == "sequence":
-            if depth > 0:
-                warnings.append((f"{path}/sequence", "nested sequence"))
-                continue
             for el in child:
                 etag = local_name(el.tag)
                 epath = f"{path}/sequence/{etag}"
@@ -152,7 +149,7 @@ def _parse_members(node, raw: _RawType, path: str, warnings: list, depth: int = 
                         warnings.append((f"{path}/{tag}/extension", "unusable extension"))
                         continue
                     raw.extension_base = _strip_prefix(base)
-                    _parse_members(inner, raw, f"{path}/{tag}/extension", warnings, depth)
+                    _parse_members(inner, raw, f"{path}/{tag}/extension", warnings)
                 elif itag not in _SKIPPED_SILENTLY:
                     warnings.append(
                         (f"{path}/{tag}/{itag}", f"{itag} is not supported"))
@@ -285,7 +282,7 @@ def concepts_to_registry_fragment(concepts, namespace) -> OntologyRegistry:
     every other class falls in ``Category.IMAGE``, a bucket that only
     labels the diff output.
     """
-    ns = Iri(namespace if isinstance(namespace, str) else namespace.value)
+    ns = Iri(namespace)
     categories = {c.label: c.category for c in build_core_ontology().classes
                   if c.origin is Origin.TRANSLATED}
     classes: dict = {}

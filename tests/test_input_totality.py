@@ -2,14 +2,16 @@
 parses, or raises an ``OmeRdfError`` with a code; a pair that parses maps,
 record by record, or is skipped with a code.  A mutated XML schema
 translates into an ontology fragment whose graph reads back from Turtle,
+or raises an ``OmeRdfError`` with a code.  A mutated link registry loads,
 or raises an ``OmeRdfError`` with a code."""
 
 import random
 import re
+from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, note, settings
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 from ome_rdf.errors import OmeRdfError
@@ -28,6 +30,8 @@ DATA = Path(__file__).parent / "data"
 OME_XML = (DATA / "golden.ome.xml").read_text()
 SIDECAR = (DATA / "golden.ann.tsv").read_text()
 XSD = (DATA / "ome_subset.xsd").read_text()
+LINKS = resources.files("ome_rdf").joinpath("data/link_registry.tsv").read_text(encoding="utf-8")
+LINK_PATTERN = LINKS.rstrip("\n").split("\t")[2]
 
 # Tokens that open, close or escape markup or a cell, values at the edges of
 # the fields' ranges, and characters no output may carry.
@@ -47,6 +51,14 @@ _SIDECAR_TOKENS = [
 _XSD_TOKENS = [
     "<", ">", "/>", '"', "&", "\ud800", " ", "=", "name", "xs:", "-1", "\u0661", "0", "5",
     "unbounded", 'minOccurs="2"', 'maxOccurs="0"',
+]
+
+# cell and line ends, a byte-order mark, and patterns that do not compile:
+# an unclosed set or escape, a repeat count past the compiler's limit and
+# nesting deeper than its recursion
+_LINK_TOKENS = [
+    "\ufeff", "\t", "\n", "\r\n", "\r", "\ud800", " ", "[", "]", "\\", "(", ")", "*", "?",
+    "{", "a{4294967296}", "(" * 2000, ":", "A_",
 ]
 
 
@@ -128,3 +140,17 @@ def test_mutated_schemas_translate_or_raise_coded_errors(rng):
         assert e.code != OmeRdfError.code, repr(e)
         return
     assert parse_turtle(serialize(graph, "turtle")) == graph
+
+
+@given(st.randoms(use_true_random=False).map(
+    lambda rng: _mutant(LINKS, rng, _LINK_TOKENS, r"[^\t\n]+")))
+@example(LINKS.replace(LINK_PATTERN, "(" * 2000 + ")" * 2000))
+@example(LINKS.replace(LINK_PATTERN, "a{4294967296}"))
+@settings(max_examples=150, deadline=None)
+# re warns of set syntax whose meaning may change, such as "[[" or "--",
+# which the mutants make often
+@pytest.mark.filterwarnings("ignore::FutureWarning")
+def test_mutated_link_registries_load_or_raise_coded_errors(text):
+    # only loaded: resolving an id under a mutated pattern such as (a+)+$
+    # could backtrack for a long time
+    _parsed(LinkRegistry.loads, text)

@@ -57,6 +57,17 @@ class TestRegistryFile:
         with pytest.raises(LinkRegistryError, match="^bad id pattern for 'demo': "):
             LinkRegistry.loads("demo\thttp://db.example/demo\t(\n")
 
+    def test_leading_byte_order_mark_is_ignored(self):
+        reg = LinkRegistry.loads("\ufeffdemo\thttp://db.example/demo\t[0-9]{4}\n")
+        assert reg.resolve("demo:0042").value == "http://db.example/demo/0042"
+
+    def test_entry_keeps_its_compiled_pattern(self):
+        entry = LinkEntry("p", Iri("http://x.example/"), "[0-9]+")
+        assert entry.id_regex.pattern == "[0-9]+"
+        # the compiled form is derived: equality and repr see only the three cells
+        assert entry == LinkEntry("p", Iri("http://x.example/"), "[0-9]+")
+        assert "id_regex" not in repr(entry)
+
     def test_lines_end_only_at_cr_or_lf(self):
         good = "demo\thttp://db.example/demo\t[0-9]{4}\x85?"
         # the U+0085 stays in the pattern: the id matches it, and only the

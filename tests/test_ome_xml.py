@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ome_rdf import ome_xml
 from ome_rdf.errors import (
     BadHeaderError,
     BadValueError,
@@ -179,6 +180,13 @@ class TestParseOmeDocument:
         bounded = {p.label for p in core.properties
                    if p.min_exclusive is not None or p.max_inclusive is not None}
         assert bounded == {label for _, label, _ in SIDECAR_ROWS + PIXELS_ROWS}
+
+    def test_reader_holds_the_registry_properties(self):
+        core = build_core_ontology()
+        held = [prop for _, prop, _ in ome_xml._PIXELS_ATTRS]
+        held += [ome_xml._VOLTAGE, ome_xml._WAVELENGTH]
+        assert [p.label for p in held] == [label for _, label, _ in PIXELS_ROWS + SIDECAR_ROWS]
+        assert all(p is core.property_by_label(p.label) for p in held)
 
     def test_dangling_instrument_reference(self):
         body = (

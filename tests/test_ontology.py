@@ -124,9 +124,10 @@ class TestCoreRoster:
         assert core.lookup_class(rule.trigger_class).label == "ElectronMicroscope"
         assert rule.min_count == 1 and rule.max_count == 1
 
-    def test_custom_namespace(self):
-        reg = build_core_ontology("http://other.example/v#")
-        assert reg.class_by_label("Image").iri.value == "http://other.example/v#Image"
+    def test_every_call_returns_the_same_registry(self, core):
+        assert build_core_ontology() is core
+        assert core.namespace == NS
+        assert core.class_by_label("Image").iri == NS + "Image"
 
 
 class TestLookup:
@@ -197,6 +198,10 @@ class TestRegistryToGraph:
                 "ImagingCondition", "Image"} <= labels
 
 
+_A = OntologyClass(Iri(NS + "A"), "A", Category.IMAGE, Origin.TRANSLATED)
+_P = PropertyDef(Iri(NS + "p"), "p", _A.iri, _A.iri)
+
+
 class TestRegistryInvariants:
     def test_duplicate_class_iri_rejected(self):
         c = OntologyClass(Iri(NS + "A"), "A", Category.IMAGE, Origin.TRANSLATED)
@@ -219,6 +224,22 @@ class TestRegistryInvariants:
                           Origin.TRANSLATED)
         with pytest.raises(ValueError):
             OntologyRegistry(Iri(NS), (c,), ())
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: OntologyClass(Iri(NS + "A"), "", Category.IMAGE, Origin.TRANSLATED),
+         "class label must be non-empty"),
+        (lambda: PropertyDef(Iri(NS + "p"), "", Iri(NS + "A"), Iri(NS + "B")),
+         "property label must be non-empty"),
+        (lambda: PropertyDef(Iri(NS + "p"), "p", Iri(NS + "A"), Iri(NS + "B"), min_count=-1),
+         "min_count must be non-negative"),
+        (lambda: OntologyRegistry(Iri(NS), (_A,), (_P, _P)), f"duplicate IRI {NS}p"),
+        # a property may not take the IRI of a class either
+        (lambda: OntologyRegistry(Iri(NS), (_A,), (PropertyDef(_A.iri, "A", _A.iri, _A.iri),)),
+         f"duplicate IRI {NS}A"),
+    ], ids=["class-label", "property-label", "min-count", "property-iri", "class-iri"])
+    def test_bad_definition_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
     def test_bad_cardinality_rejected(self):
         with pytest.raises(ValueError):

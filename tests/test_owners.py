@@ -1,11 +1,14 @@
 """Each rule has one owner.  XML text becomes an element only in
 ``ome_xml.read_xml``, which maps every XML fault to ``MalformedXmlError``;
-and the Turtle oracle shares no code with the writer it checks."""
+the ontology rows become objects only in ``ontology.build_core_ontology``;
+graph comparison orders terms by the model's order, not by the writer's
+text; and the Turtle oracle shares no code with the writer it checks."""
 
 import ast
 from pathlib import Path
 
 import oracle
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 WRITER = "ome_rdf.rdf.serialize"
@@ -30,12 +33,37 @@ def _functions_naming(tree, module: str, name: str) -> set:
     return owners
 
 
-def test_each_rule_has_one_owner():
+def _owners_in_src(name: str) -> set:
+    """The functions and modules under ``src/`` whose own code names ``name``."""
     owners = set()
     for path in sorted((ROOT / "src").rglob("*.py")):
         module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
-        owners |= _functions_naming(ast.parse(path.read_text(), str(path)), module, "fromstring")
-    assert owners == {"ome_rdf.ome_xml.read_xml"}
+        owners |= _functions_naming(ast.parse(path.read_text(), str(path)), module, name)
+    return owners
+
+
+@pytest.mark.parametrize("rows", ["_PROPERTIES", "_TRANSLATED", "_EXTENDED"])
+def test_only_the_core_build_reads_the_ontology_rows(rows):
+    assert _owners_in_src(rows) == {"ome_rdf.ontology", "ome_rdf.ontology.build_core_ontology"}
+
+
+def test_graph_comparison_names_nothing_of_the_writer():
+    writer = ast.parse((ROOT / "src" / "ome_rdf" / "rdf" / "serialize.py").read_text())
+    defined = {"serialize"}
+    for node in writer.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    assert "term_to_ntriples" in defined
+    tree = ast.parse((ROOT / "src" / "ome_rdf" / "rdf" / "isomorphism.py").read_text())
+    assert not {name for name in defined
+                if _functions_naming(tree, "ome_rdf.rdf.isomorphism", name)}
+
+
+def test_each_rule_has_one_owner():
+    assert _owners_in_src("fromstring") == {"ome_rdf.ome_xml.read_xml"}
 
     tree = ast.parse((ROOT / "tests" / "oracle.py").read_text())
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}

@@ -407,6 +407,8 @@ class TestErrorPositions:
               ("maybe", "boolean", f"lexical form 'maybe' does not parse as {_XSD}boolean"),
               ("not a date", "date", f"lexical form 'not a date' does not parse as {_XSD}date"),
               ("25:99", "time", f"lexical form '25:99' does not parse as {_XSD}time")]],
+        ("ntriples", _NT + f'{_S} {_P} "x"^^ex:t .\n',
+         RdfSyntaxError, "prefixed names are not allowed in N-Triples", 2, 48),
         ("ntriples", _NT + f"{_S} {_P} <http://a.example/o",
          RdfSyntaxError, "unterminated IRI", 2, 62),
         ("ntriples", _NT + f'{_S} {_P} "abc',

@@ -110,6 +110,40 @@ class TestParseXsd:
         (prop,) = concepts_to_registry_fragment(extract_concepts(model), NS).properties
         assert (prop.min_count, prop.max_count) == bounds
 
+    @pytest.mark.parametrize("body, path, reason", [
+        ('<xs:complexType name="A"><xs:attribute type="xs:string"/></xs:complexType>',
+         "/schema/complexType[A]/attribute", "attribute without a name"),
+        ('<xs:complexType name="A"><xs:sequence><xs:sequence/></xs:sequence></xs:complexType>',
+         "/schema/complexType[A]/sequence/sequence", "sequence inside sequence is not supported"),
+        ('<xs:complexType name="A"><xs:sequence><xs:choice/></xs:sequence></xs:complexType>',
+         "/schema/complexType[A]/sequence/choice", "choice inside sequence is not supported"),
+        ('<xs:complexType name="A"><xs:sequence><xs:element ref="t:B"/></xs:sequence>'
+         "</xs:complexType>",
+         "/schema/complexType[A]/sequence/element", "element without a name (ref?)"),
+        ('<xs:complexType name="A"><xs:sequence><xs:element name="E"/></xs:sequence>'
+         "</xs:complexType>",
+         "/schema/complexType[A]/sequence/element[E]", "anonymous element type"),
+        ('<xs:complexType name="A"><xs:complexContent><xs:extension/></xs:complexContent>'
+         "</xs:complexType>",
+         "/schema/complexType[A]/complexContent/extension", "unusable extension"),
+        ('<xs:complexType name="A"><xs:complexContent><xs:restriction base="t:B"/>'
+         "</xs:complexContent></xs:complexType>",
+         "/schema/complexType[A]/complexContent/restriction", "restriction is not supported"),
+        ('<xs:complexType name="A"><xs:choice/></xs:complexType>',
+         "/schema/complexType[A]/choice", "choice is not supported"),
+        ('<xs:simpleType name="S"/><xs:complexType name="A"/>',
+         "/schema/simpleType", "top-level simpleType is not supported"),
+        ('<xs:complexType/><xs:complexType name="A"/>',
+         "/schema/complexType", "anonymous top-level complexType"),
+    ], ids=["attribute-name", "nested-sequence", "non-element-in-sequence", "element-name",
+            "element-type", "extension", "complexContent-child", "complexType-child",
+            "top-level-item", "top-level-name"])
+    def test_unsupported_construct_warns_and_is_skipped(self, body, path, reason):
+        model = parse_xsd_subset(wrap(body))
+        assert model.warnings == ((path, reason),)
+        (ct,) = model.complex_types
+        assert (ct.name, ct.elements, ct.attributes) == ("A", (), ())
+
     def test_non_schema_root(self):
         with pytest.raises(MalformedXmlError):
             parse_xsd_subset("<foo/>")
