@@ -20,7 +20,7 @@ from .errors import (
 )
 from .rdf import Iri
 
-_PREFIX_RE = re.compile(r"[a-z][a-z0-9_]*")
+PREFIX_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class LinkEntry:
     id_regex: re.Pattern = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not _PREFIX_RE.fullmatch(self.prefix):
+        if not PREFIX_RE.fullmatch(self.prefix):
             raise LinkRegistryError(f"bad prefix {self.prefix!r}")
         try:
             regex = re.compile(self.id_pattern)

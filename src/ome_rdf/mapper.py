@@ -10,12 +10,13 @@ and one phenotype-observation node per recorded observation.
 
 One call (:func:`map_pair` or :func:`map_all`) maps its records into one
 list of exact triple tuples (see :mod:`ome_rdf.rdf.model`).  Within a call
-each distinct IRI and literal is built once,
-and each shared subgraph (an experimenter or instrument node with its
-literals, a biosample or container type triple, a ``containedIn`` or
-``derivedFrom`` edge) is emitted by the first record that names it.  A
-record that raises takes back everything it emitted.  :func:`map_document`
-is the one place that pairs sidecar rows with images.
+each distinct IRI and literal is built once, and each shared subgraph (an
+experimenter or instrument node with its literals, a biosample or container
+type triple, a ``containedIn`` or ``derivedFrom`` edge) is emitted by the
+first record that names it.  A record that raises takes back everything it
+emitted.  :func:`map_document` is the one place that pairs sidecar rows with
+images.  The mapper reads the core ontology once, at import, as the readers
+of :mod:`ome_rdf.ome_xml` do.
 """
 
 from __future__ import annotations
@@ -37,15 +38,23 @@ from .errors import (
 )
 from .namespaces import DEFAULT_INSTANCE_BASE, RDF_TYPE, XSD_NS
 from .ome_xml import EmAnnotation, InstrumentKind, OmeDocument, OmeImage
-from .ontology import OntologyClass, OntologyRegistry
+from .ontology import OntologyClass, OntologyRegistry, build_core_ontology
 from .rdf import Graph, Iri, Literal
 
 _XSD = Iri(XSD_NS)
+_CORE = build_core_ontology()
+_CLASS = {c.label: c.iri.value for c in _CORE.classes}
+_PROPERTY = {p.label: p.iri.value for p in _CORE.properties}
+_RANGE = {p.label: p.range.value for p in _CORE.properties}
 
-# One table per node shape: (property label, getter) rows.  A row whose
-# getter returns None emits nothing; the literal's datatype is always the
-# property's range in the registry.
-_IMAGE = (
+
+# One table per node shape: (property IRI, range IRI, getter) rows.  A row
+# whose getter returns None emits nothing; a literal's datatype is the range.
+def _shape(*rows):
+    return tuple((_PROPERTY[label], _RANGE[label], get) for label, get in rows)
+
+
+_IMAGE = _shape(
     ("name", attrgetter("name")),
     ("sizeX", attrgetter("pixels.size_x")),
     ("sizeY", attrgetter("pixels.size_y")),
@@ -56,15 +65,15 @@ _IMAGE = (
     ("physicalSizeY", attrgetter("pixels.physical_size_y")),
     ("acquisitionDate", attrgetter("acquisition_date")),
 )
-_EXPERIMENTER = (("fullName", attrgetter("name")), ("email", attrgetter("email")))
-_INSTRUMENT = (("model", attrgetter("model")),)
-_PREPARATION = (("stainingMethod", attrgetter("staining_method")),)
-_CONDITION = (
+_EXPERIMENTER = _shape(("fullName", attrgetter("name")), ("email", attrgetter("email")))
+_INSTRUMENT = _shape(("model", attrgetter("model")))
+_PREPARATION = _shape(("stainingMethod", attrgetter("staining_method")))
+_CONDITION = _shape(
     ("accelerationVoltage", attrgetter("acceleration_voltage_kv")),
     ("electronGunType", attrgetter("electron_gun_type")),
     ("electronWavelength", attrgetter("electron_wavelength_pm")),
 )
-_PHENOTYPE = (("description", str),)
+_PHENOTYPE = _shape(("description", str))
 
 
 @dataclass(frozen=True)
@@ -84,15 +93,23 @@ class MintingPolicy:
             raise ValueError("instance base must end with '/' or '#'")
 
 
-def mint_iri(policy: MintingPolicy, cls: OntologyClass, local_id: str) -> Iri:
-    """``instanceBase + lowercased class label + "/" + percent-encoded id``."""
+def _base(policy: MintingPolicy, label: str) -> str:
+    return policy.instance_base.value + label.lower() + "/"
+
+
+def _encoded(local_id: str) -> str:
+    """``local_id`` as unreserved characters and ``%XX``: no IRI check fails on it."""
     if local_id == "":
         raise EmptyLocalIdError("cannot mint an IRI from an empty local id")
     try:
-        local = quote(local_id, safe="")
+        return quote(local_id, safe="")
     except UnicodeEncodeError as e:  # a lone surrogate has no UTF-8 form
         raise InvalidIriError(f"cannot percent-encode local id {local_id!r}") from e
-    return Iri(policy.instance_base + cls.label.lower() + "/" + local)
+
+
+def mint_iri(policy: MintingPolicy, cls: OntologyClass, local_id: str) -> Iri:
+    """``instanceBase + lowercased class label + "/" + percent-encoded id``."""
+    return Iri(_base(policy, cls.label) + _encoded(local_id))
 
 
 @dataclass(frozen=True)
@@ -122,45 +139,25 @@ class MappedRecord:
         return Graph(self.triples, self.prefixes)
 
 
-class _Resolved(dict):
-    """Label -> ``texts`` of its registry entry, looked up on first use.  A
-    label the registry lacks raises in the record that first needs it, and
-    on every later use."""
-
-    def __init__(self, lookup, kind: str, texts):
-        super().__init__()
-        self.lookup = lookup
-        self.kind = kind
-        self.texts = texts
-
-    def __missing__(self, label: str):
-        entry = self.lookup(label)
-        if entry is None:
-            raise UnknownClassInRegistryError(f"registry has no {label!r} {self.kind}")
-        texts = self[label] = self.texts(entry)
-        return texts
-
-
 class _Emitter:
     """Maps the records of one call into one triple list.
 
     Its tables live as long as the call and hold what the graph holds,
-    exact ``str`` IRIs and literal tuples: (class IRI, class) and (property
-    IRI, range) pairs by label, minted IRIs by (class label, local id),
-    literals by (lexical, datatype), resolved strains by CURIE (successes
-    only); and the keys of the shared subgraphs already emitted.  A key
-    holds every value that its subgraph's triples come from, never the
-    node's IRI alone, so two rows that give one sample different containers
-    or strains emit both edges.
+    exact ``str`` IRIs and literal tuples: the minting base of each core
+    class, the IRIs of the shared nodes (experimenter, instrument, biosample,
+    container) by (class label, local id), literals by (lexical, datatype),
+    resolved strains by CURIE (successes only); and the keys of the shared
+    subgraphs already emitted.  A key holds every value that its subgraph's
+    triples come from, never the node's IRI alone, so two rows that give one
+    sample different containers or strains emit both edges.
     """
 
     def __init__(self, registry: OntologyRegistry, policy: MintingPolicy, links):
-        self.classes = _Resolved(registry.class_by_label, "class", lambda c: (c.iri.value, c))
-        self.props = _Resolved(registry.property_by_label, "property",
-                               lambda p: (p.iri.value, p.range.value))
-        self.policy = policy
+        if registry is not _CORE and registry != _CORE:
+            raise UnknownClassInRegistryError(f"{registry.namespace} is not the core ontology")
+        self.bases = {label: _base(policy, label) for label in _CLASS}
         self.links = links
-        self.prefixes = {"mo": registry.namespace, "res": policy.instance_base, "xsd": _XSD}
+        self.prefixes = {"mo": _CORE.namespace, "res": policy.instance_base, "xsd": _XSD}
         self.triples = []
         self._iris = {}
         self._literals = {}
@@ -194,25 +191,24 @@ class _Emitter:
         key = (label, local_id)
         iri = self._iris.get(key)
         if iri is None:
-            iri = self._iris[key] = mint_iri(self.policy, self.classes[label][1], local_id).value
+            iri = self._iris[key] = self.bases[label] + _encoded(local_id)
         return iri
 
     def typed(self, iri: str, label: str):
-        self.triples.append((iri, RDF_TYPE, self.classes[label][0]))
+        self.triples.append((iri, RDF_TYPE, _CLASS[label]))
 
-    def node(self, label: str, local_id: str) -> str:
-        iri = self.mint(label, local_id)
+    def node(self, label: str, encoded: str) -> str:
+        iri = self.bases[label] + encoded
         self.typed(iri, label)
         return iri
 
     def link(self, subject: str, label: str, obj: str):
-        self.triples.append((subject, self.props[label][0], obj))
+        self.triples.append((subject, _PROPERTY[label], obj))
 
     def literals(self, subject: str, table, record):
-        for label, get in table:
+        for p, datatype, get in table:
             value = get(record)
             if value is not None:
-                p, datatype = self.props[label]
                 lexical = format(value, "f") if isinstance(value, Decimal) else str(value)
                 key = (lexical, datatype)
                 literal = self._literals.get(key)
@@ -231,7 +227,9 @@ class _Emitter:
         return iri
 
     def _emit(self, img: OmeImage, ann: Optional[EmAnnotation]):
-        image_iri = self.node("Image", img.id)
+        # the image, its preparation, condition and observations share one id
+        encoded = _encoded(img.id)
+        image_iri = self.node("Image", encoded)
         self.literals(image_iri, _IMAGE, img)
 
         exp = img.experimenter
@@ -272,15 +270,15 @@ class _Emitter:
                     self.link(sample_iri, "derivedFrom", strain_iri)
                 external = (strain_iri,)
             if ann.staining_method is not None:
-                prep_iri = self.node("SamplePreparation", img.id)
+                prep_iri = self.node("SamplePreparation", encoded)
                 self.link(sample_iri, "preparedBy", prep_iri)
                 self.literals(prep_iri, _PREPARATION, ann)
-            if any(get(ann) is not None for _, get in _CONDITION):
-                cond_iri = self.node("ImagingCondition", img.id)
+            if any(get(ann) is not None for _, _, get in _CONDITION):
+                cond_iri = self.node("ImagingCondition", encoded)
                 self.link(image_iri, "hasImagingCondition", cond_iri)
                 self.literals(cond_iri, _CONDITION, ann)
             for i, observation in enumerate(ann.phenotype_observations):
-                pheno_iri = self.node("PhenotypeData", f"{img.id}-p{i}")
+                pheno_iri = self.node("PhenotypeData", f"{encoded}-p{i}")
                 self.link(image_iri, "hasObservation", pheno_iri)
                 self.literals(pheno_iri, _PHENOTYPE, observation)
         return image_iri, external
@@ -298,7 +296,7 @@ def map_pair(
     Pure and deterministic; the annotation, when given, must belong to the
     image.  Strain CURIEs resolve through ``links`` and surface in
     ``external_links``; resolution failures raise
-    :class:`UnresolvableStrainError`.
+    :class:`UnresolvableStrainError`.  ``registry`` must be the core.
     """
     return _Emitter(registry, policy, links).record(img, ann)
 
@@ -331,7 +329,9 @@ def map_all(
     relabelling), but each shared subgraph is emitted only once.  Record
     order follows the input.  Without ``skip_errors`` the first failure
     raises :class:`MappingFailedError`; with it, failures become
-    :class:`SkippedRecord` entries.
+    :class:`SkippedRecord` entries.  ``registry`` must be the core ontology
+    or equal to it; any other raises :class:`UnknownClassInRegistryError`
+    before any record maps, even with ``skip_errors``.
     """
     emitter = _Emitter(registry, policy, links)
     records = []
@@ -358,7 +358,8 @@ def map_document(
     """Pair each image with its sidecar row by image id, and map the pairs
     with :func:`map_all` in ``doc.images`` order.  A row naming no image
     raises :class:`OrphanAnnotationError` before anything maps; with
-    ``skip_errors`` it is skipped, ahead of the records that fail."""
+    ``skip_errors`` it is skipped, ahead of the records that fail.
+    ``registry`` must be the core, as for :func:`map_all`."""
     by_id = dict.fromkeys(img.id for img in doc.images)
     skipped = []
     for ann in annotations:

@@ -39,6 +39,7 @@ from .errors import (
     MissingRequiredFieldError,
     UnknownColumnError,
 )
+from .links import PREFIX_RE
 from .namespaces import XSD_INTEGER
 from .ontology import build_core_ontology
 from .rdf.model import _SURROGATE_RE, DATETIME_LEXICAL_RE, datetime_day_exists
@@ -48,7 +49,7 @@ SIDECAR_COLUMNS = (
     "voltage_kv", "gun_type", "wavelength_pm", "phenotypes",
 )
 
-_CURIE_RE = re.compile(r"^[a-z][a-z0-9_]*:\S+$")
+_CURIE_RE = re.compile(rf"^{PREFIX_RE.pattern}:\S+$")
 
 # Decimals are written out in full (no exponent), so an exponent must stay
 # small: "1E+999999999" would expand to a gigabyte of digits.

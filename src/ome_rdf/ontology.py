@@ -9,8 +9,8 @@ the fixed vocabulary namespace ``ONTOLOGY_NS``; it is immutable, and
 The same :class:`OntologyRegistry` container also holds translator-built
 fragments.  The rows below are the one source of the core's categories,
 value ranges and value bounds, and only :func:`build_core_ontology` reads
-them: the XSD translator and the OME-XML and sidecar readers read the
-registry it returns.
+them.  The XSD translator reads the registry it returns; the OME-XML and
+sidecar readers and the instance mapper read it once, at import.
 """
 
 from __future__ import annotations

@@ -291,8 +291,6 @@ def concepts_to_registry_fragment(concepts, namespace) -> OntologyRegistry:
     for c in ordered:
         if c.kind == "class":
             iri = Iri(ns.value + c.name)
-            if iri in properties:
-                raise NameCollisionError(f"{c.name!r} already minted as a property")
             classes.setdefault(iri, OntologyClass(
                 iri, c.name, categories.get(c.name, Category.IMAGE),
                 Origin.TRANSLATED))

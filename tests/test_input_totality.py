@@ -46,6 +46,8 @@ _SIDECAR_TOKENS = [
     "IMG001", "IMG002", "rikenbrc_mouse:", "nope:RBRC001", "\ud800", "\x00", " ", "\xa0",
     "\x85", "%", "<", '"', "\\",
 ]
+# the cells of the sidecar's last row
+_SIDECAR_VALUES = r"[^\t\n]+(?=[^\n]*\n?\Z)"
 # markup, and occurrence bounds that are negative, not ASCII, zero, or
 # unbounded where a number belongs
 _XSD_TOKENS = [
@@ -77,9 +79,14 @@ def _mutate(text: str, rng: random.Random, tokens) -> str:
 
 def _mutate_values(text: str, rng: random.Random, tokens, values: str) -> str:
     """``text`` with one or two of the spans ``values`` matches mutated: the
-    markup around them stays whole, so more mutants reach the mapper."""
+    markup around them stays whole, so more mutants reach the mapper.  A
+    first mutation can leave no span to match (a sidecar whose last row it
+    emptied), and then the second is not made."""
     for _ in range(rng.randint(1, 2)):
-        lo, hi = rng.choice([m.span() for m in re.finditer(values, text)])
+        spans = [m.span() for m in re.finditer(values, text)]
+        if not spans:
+            break
+        lo, hi = rng.choice(spans)
         text = text[:lo] + _mutate(text[lo:hi], rng, tokens) + text[hi:]
     return text
 
@@ -113,7 +120,7 @@ def test_mutated_inputs_parse_and_map_or_raise_coded_errors(pipeline, rng):
     registry, policy, links = pipeline
     # attribute values and element text; the cells of the data row
     ome_xml = _mutant(OME_XML, rng, _XML_TOKENS, r'(?<==")[^"]*|(?<=>)[^<>]+(?=<)')
-    sidecar = _mutant(SIDECAR, rng, _SIDECAR_TOKENS, r"[^\t\n]+(?=[^\n]*\n?\Z)")
+    sidecar = _mutant(SIDECAR, rng, _SIDECAR_TOKENS, _SIDECAR_VALUES)
     note(repr((ome_xml, sidecar)))
     doc = _parsed(parse_ome_document, ome_xml)
     annotations = _parsed(parse_sidecar, sidecar)
@@ -124,6 +131,15 @@ def test_mutated_inputs_parse_and_map_or_raise_coded_errors(pipeline, rng):
         assert skipped.code != OmeRdfError.code, skipped
     # every emitted term is valid RDF that reads back the same
     assert parse_ntriples(serialize(result.graph, "ntriples")) == result.graph
+
+
+@pytest.mark.parametrize("seed", [1581, 2277, 19134])
+def test_value_mutation_stops_when_no_cell_is_left(seed):
+    # the first mutation ends the sidecar with an empty row, so the cells of
+    # the last row are gone before a second mutation can pick one
+    sidecar = _mutate_values(SIDECAR, random.Random(seed), _SIDECAR_TOKENS, _SIDECAR_VALUES)
+    assert sidecar.endswith("\n\n") and re.search(_SIDECAR_VALUES, sidecar) is None
+    _parsed(parse_sidecar, sidecar)
 
 
 @given(st.randoms(use_true_random=False))

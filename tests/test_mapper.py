@@ -4,6 +4,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ome_rdf.errors import (
     EmptyLocalIdError,
@@ -27,11 +29,20 @@ from ome_rdf.ome_xml import (
     SIDECAR_COLUMNS,
     EmAnnotation,
     InstrumentKind,
+    OmeExperimenter,
+    OmeImage,
+    OmeInstrument,
+    OmePixels,
     parse_ome_document,
     parse_sidecar,
 )
-from ome_rdf.ontology import build_core_ontology
+from ome_rdf.ontology import OntologyRegistry, build_core_ontology
 from ome_rdf.rdf import BlankNode, Graph, Iri, parse, serialize
+from ome_rdf.xsd_translator import (
+    concepts_to_registry_fragment,
+    extract_concepts,
+    parse_xsd_subset,
+)
 
 from oracle import reference_serialize_turtle
 
@@ -146,9 +157,13 @@ class TestMintIri:
         image_cls = registry.class_by_label("Image")
         assert mint_iri(policy, image_cls, "IMG001").value == BASE + "image/IMG001"
 
-    def test_percent_encoding(self, registry, policy):
+    @pytest.mark.parametrize("local_id, encoded", [
+        ("a b", "a%20b"), ("a/b", "a%2Fb"), ("a#b", "a%23b"), ("\xe9", "%C3%A9"),
+        ("x-p0", "x-p0"), ("~._-", "~._-"),
+    ])
+    def test_percent_encoding(self, local_id, encoded, registry, policy):
         cls = registry.class_by_label("BioSample")
-        assert mint_iri(policy, cls, "a b").value.endswith("biosample/a%20b")
+        assert mint_iri(policy, cls, local_id).value == BASE + "biosample/" + encoded
 
     def test_empty_local_id(self, registry, policy):
         with pytest.raises(EmptyLocalIdError):
@@ -226,12 +241,6 @@ class TestMapPair:
                            strain_id="nosuch:X1")
         with pytest.raises(UnresolvableStrainError):
             map_pair(minimal_image, ann, registry, policy, links)
-
-    def test_registry_without_needed_class(self, minimal_image, policy, links):
-        from ome_rdf.ontology import OntologyRegistry
-        empty = OntologyRegistry(Iri("http://ns.example/#"), (), ())
-        with pytest.raises(UnknownClassInRegistryError):
-            map_pair(minimal_image, None, empty, policy, links)
 
     def test_voltage_literal_keeps_lexical_form(
             self, golden_pair, registry, policy, links):
@@ -515,3 +524,115 @@ class TestMapAllAgainstMapPair:
         emitted_by_map_pair = sum(len(map_pair(img, ann, registry, policy, links).graph)
                                   for img, ann in pairs)
         assert emitted_by_map_pair > len(result.graph)
+
+
+# ids with reserved, non-ASCII and "-p"-like characters, and any text that
+# UTF-8 can encode
+LOCAL_IDS = st.one_of(
+    st.sampled_from(["a b", "a/b", "a#b", "a?b=c", "%41", "é", "\U0001f52c", "x-p0", "-p1",
+                     "~._-", "<>", '"', "\\", "\x00", "\u2028"]),
+    st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=12),
+)
+NODES = ("image", "experimenter", "instrument", "sample", "container")
+
+
+def full_pair(ids, kind=InstrumentKind.ELECTRON):
+    """An image and its row that name every node the mapper mints, each
+    under its id in ``ids`` (keyed by ``NODES``), with two observations."""
+    image_id = ids["image"]
+    img = OmeImage(image_id, "n", OmePixels(1, 1, 1, 1, 1),
+                   instrument=OmeInstrument(ids["instrument"], kind, "M"),
+                   experimenter=OmeExperimenter(ids["experimenter"], "A. Imager"))
+    ann = EmAnnotation(image_id, ids["sample"], ids["container"], staining_method="osmium",
+                       electron_gun_type="field emission",
+                       phenotype_observations=("liver cells", "nucleus"))
+    return img, ann
+
+
+class TestMinting:
+    """The emitter mints each node's IRI from one encoded id per image, and
+    that IRI is the one :func:`mint_iri` gives."""
+
+    @given(ids=st.lists(LOCAL_IDS, min_size=len(NODES), max_size=len(NODES)),
+           kind=st.sampled_from(list(InstrumentKind)))
+    @settings(max_examples=150, deadline=None)
+    def test_emitted_iris_are_mint_iri(self, ids, kind, registry, policy, links):
+        ids = dict(zip(NODES, ids))
+        record = map_pair(*full_pair(ids, kind), registry, policy, links)
+        typed = {}
+        for s, p, o in record.triples:
+            if p == RDF_TYPE:
+                typed.setdefault(registry.lookup_class(Iri(o)).label, set()).add(s)
+
+        def mint(label, local_id):
+            return mint_iri(policy, registry.class_by_label(label), local_id)
+
+        electron = kind is InstrumentKind.ELECTRON
+        assert typed == {
+            "Image": {mint("Image", ids["image"])},
+            "Experimenter": {mint("Experimenter", ids["experimenter"])},
+            "ElectronMicroscope" if electron else "Instrument": {
+                mint("Instrument", ids["instrument"])},
+            "BioSample": {mint("BioSample", ids["sample"])},
+            "SampleContainer": {mint("SampleContainer", ids["container"])},
+            "SamplePreparation": {mint("SamplePreparation", ids["image"])},
+            "ImagingCondition": {mint("ImagingCondition", ids["image"])},
+            "PhenotypeData": {mint("PhenotypeData", f"{ids['image']}-p{i}") for i in (0, 1)},
+        }
+        assert record.image_iri == mint("Image", ids["image"])
+        assert isinstance(record.image_iri, Iri)
+
+    @given(local_id=LOCAL_IDS, node=st.sampled_from(NODES))
+    @settings(max_examples=50, deadline=None)
+    def test_lone_surrogate_is_skipped_as_invalid_iri(
+            self, local_id, node, registry, policy, links):
+        ids = dict.fromkeys(NODES, "X") | {node: local_id[:1] + "\ud800" + local_id[1:]}
+        result = map_all([full_pair(ids)], registry, policy, links, skip_errors=True)
+        assert (result.records, len(result.graph)) == ((), 0)
+        assert [(s.image_id, s.code) for s in result.skipped] == [(ids["image"], "InvalidIri")]
+
+    @pytest.mark.parametrize("node", NODES)
+    def test_empty_id_is_an_error(self, node, registry, policy, links):
+        ids = dict.fromkeys(NODES, "X") | {node: ""}
+        with pytest.raises(EmptyLocalIdError):
+            map_pair(*full_pair(ids), registry, policy, links)
+
+
+def other_registries():
+    """Registries that are not the core: empty, a translated fragment, and
+    the core without one of its properties."""
+    core = build_core_ontology()
+    concepts = extract_concepts(parse_xsd_subset((DATA / "ome_subset.xsd").read_text()))
+    return {
+        "empty": OntologyRegistry(Iri("http://ns.example/#"), (), ()),
+        "fragment": concepts_to_registry_fragment(concepts, "http://frag.example/o#"),
+        "core-less-one-property": replace(core, properties=core.properties[:-1]),
+    }
+
+
+class TestRegistry:
+    """The mapper maps under the core only, which it reads at import."""
+
+    @pytest.mark.parametrize("name", ["empty", "fragment", "core-less-one-property"])
+    def test_other_registry_raises_once_before_any_record(self, name, policy, links):
+        other = other_registries()[name]
+        doc, anns = generated_document(1)
+        calls = [
+            lambda: map_pair(*paired(doc, anns)[0], other, policy, links),
+            lambda: map_all(paired(doc, anns), other, policy, links, skip_errors=True),
+            lambda: map_document(doc, anns, other, policy, links, skip_errors=True),
+        ]
+        for call in calls:
+            with pytest.raises(UnknownClassInRegistryError) as err:
+                call()
+            assert str(err.value) == f"{other.namespace} is not the core ontology"
+
+    @pytest.mark.parametrize("fmt, name", [("ntriples", "golden.nt"), ("turtle", "golden.ttl")])
+    def test_registry_rebuilt_from_the_core_rows_maps_the_same_bytes(
+            self, fmt, name, registry, policy, links):
+        rebuilt = OntologyRegistry(
+            Iri(registry.namespace.value), tuple(replace(c) for c in registry.classes),
+            tuple(replace(p) for p in registry.properties), registry.conditional_rules)
+        assert rebuilt is not registry
+        g = map_document(*document("golden"), rebuilt, policy, links).graph
+        assert serialize(g, fmt).encode("utf-8") == (DATA / name).read_bytes()

@@ -331,6 +331,14 @@ class TestParseSidecar:
         with pytest.raises(BadHeaderError):
             parse_sidecar("\t".join(SIDECAR_COLUMNS[:-1]) + "\n")
 
+    @pytest.mark.parametrize("column", ["image_id", "sample_id"])
+    def test_empty_key_cell_rejected(self, column):
+        cells = ["IMG1", "S1"] + [""] * (len(SIDECAR_COLUMNS) - 2)
+        cells[SIDECAR_COLUMNS.index(column)] = ""
+        with pytest.raises(BadValueError, match="must not be empty") as err:
+            parse_sidecar(HEADER + "\n" + "\t".join(cells) + "\n")
+        assert (err.value.row, err.value.column) == (2, column)
+
     def test_wrong_cell_count(self):
         with pytest.raises(BadValueError):
             parse_sidecar(HEADER + "\nIMG1\tS1\n")

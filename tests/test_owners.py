@@ -1,8 +1,10 @@
 """Each rule has one owner.  XML text becomes an element only in
 ``ome_xml.read_xml``, which maps every XML fault to ``MalformedXmlError``;
-the ontology rows become objects only in ``ontology.build_core_ontology``;
-graph comparison orders terms by the model's order, not by the writer's
-text; and the Turtle oracle shares no code with the writer it checks."""
+the ontology rows become objects only in ``ontology.build_core_ontology``,
+and labels resolve against the core only at import; the CURIE prefix
+grammar is stated only in ``links``; graph comparison orders terms by the
+model's order, not by the writer's text; and the Turtle oracle shares no
+code with the writer it checks."""
 
 import ast
 from pathlib import Path
@@ -45,6 +47,21 @@ def _owners_in_src(name: str) -> set:
 @pytest.mark.parametrize("rows", ["_PROPERTIES", "_TRANSLATED", "_EXTENDED"])
 def test_only_the_core_build_reads_the_ontology_rows(rows):
     assert _owners_in_src(rows) == {"ome_rdf.ontology", "ome_rdf.ontology.build_core_ontology"}
+
+
+@pytest.mark.parametrize("lookup", ["class_by_label", "property_by_label"])
+def test_labels_resolve_against_the_core_at_import(lookup):
+    # outside the ontology, only module code looks labels up, on the core it
+    # imports: no call resolves a label on a registry passed in at call time
+    owners = {o for o in _owners_in_src(lookup)
+              if o != "ome_rdf.ontology" and not o.startswith("ome_rdf.ontology.")}
+    assert owners <= {"ome_rdf.ome_xml", "ome_rdf.mapper"}
+
+
+def test_curie_prefix_grammar_has_one_owner():
+    grammar = "[a-z][a-z0-9_]*"
+    holders = [p.name for p in sorted((ROOT / "src").rglob("*.py")) if grammar in p.read_text()]
+    assert holders == ["links.py"]
 
 
 def test_graph_comparison_names_nothing_of_the_writer():

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from ome_rdf.errors import EmptySchemaError, MalformedXmlError, NameCollisionError
+from ome_rdf.namespaces import XSD_DATETIME, XSD_NS, XSD_STRING
 from ome_rdf.ontology import Category, Origin, build_core_ontology
 from ome_rdf.xsd_translator import (
     CandidateConcept,
@@ -135,9 +136,12 @@ class TestParseXsd:
          "/schema/simpleType", "top-level simpleType is not supported"),
         ('<xs:complexType/><xs:complexType name="A"/>',
          "/schema/complexType", "anonymous top-level complexType"),
+        ('<xs:complexType name="A"><xs:complexContent><xs:extension base="t:B"/>'
+         "</xs:complexContent></xs:complexType>",
+         "/schema/complexType[A]", "extension base 'B' not found"),
     ], ids=["attribute-name", "nested-sequence", "non-element-in-sequence", "element-name",
             "element-type", "extension", "complexContent-child", "complexType-child",
-            "top-level-item", "top-level-name"])
+            "top-level-item", "top-level-name", "extension-base"])
     def test_unsupported_construct_warns_and_is_skipped(self, body, path, reason):
         model = parse_xsd_subset(wrap(body))
         assert model.warnings == ((path, reason),)
@@ -281,6 +285,19 @@ class TestFragment:
         ]
         frag = concepts_to_registry_fragment(concepts, NS)
         assert len(frag.classes) == 1
+
+    @pytest.mark.parametrize("xsd_type, range_iri", [
+        ("xs:dateTime", XSD_DATETIME),
+        ("xs:int", XSD_NS + "int"),
+        # a type that is not an XSD primitive reads as a string
+        ("t:Custom", XSD_STRING),
+    ])
+    def test_attribute_range(self, xsd_type, range_iri):
+        model = parse_xsd_subset(wrap(
+            f'<xs:complexType name="A"><xs:attribute name="V" type="{xsd_type}"/>'
+            "</xs:complexType>"))
+        (prop,) = concepts_to_registry_fragment(extract_concepts(model), NS).properties
+        assert (prop.label, prop.range) == ("v", range_iri)
 
     def test_name_collision(self):
         concepts = [
