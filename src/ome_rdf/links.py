@@ -2,8 +2,9 @@
 
 The registry is a plain-text TSV config, one ``prefix<TAB>baseIri<TAB>
 idPattern`` line per partner database; the default ships with the RIKEN
-BioResource mouse-strain catalogue.  A leading byte-order mark is ignored,
-and an id pattern that does not compile raises :class:`LinkRegistryError`.
+BioResource mouse-strain catalogue.  A leading byte-order mark is ignored;
+a file that is not UTF-8, or an id pattern that does not compile, raises
+:class:`LinkRegistryError`.
 """
 
 from __future__ import annotations
@@ -86,8 +87,12 @@ class LinkRegistry:
 
     @classmethod
     def load(cls, path) -> "LinkRegistry":
-        with open(path, encoding="utf-8") as fh:
-            return cls.loads(fh.read())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as e:
+            raise LinkRegistryError(f"{path} is not UTF-8 text: {e}") from e
+        return cls.loads(text)
 
     @classmethod
     def default(cls) -> "LinkRegistry":

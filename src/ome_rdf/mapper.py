@@ -8,15 +8,15 @@ when annotated, the chain image -> biosample -> external strain IRI
 together with sample container, sample preparation, imaging condition,
 and one phenotype-observation node per recorded observation.
 
-One call (:func:`map_pair` or :func:`map_all`) maps its records into one
-list of exact triple tuples (see :mod:`ome_rdf.rdf.model`).  Within a call
-each distinct IRI and literal is built once, and each shared subgraph (an
-experimenter or instrument node with its literals, a biosample or container
-type triple, a ``containedIn`` or ``derivedFrom`` edge) is emitted by the
-first record that names it.  A record that raises takes back everything it
-emitted.  :func:`map_document` is the one place that pairs sidecar rows with
-images.  The mapper reads the core ontology once, at import, as the readers
-of :mod:`ome_rdf.ome_xml` do.
+One call to :func:`map_document`, the one mapping entry point, pairs the
+sidecar rows with the images and maps its records into one list of exact
+triple tuples (see :mod:`ome_rdf.rdf.model`).  Within a call each distinct
+IRI and literal is built once, and each shared subgraph (an experimenter or
+instrument node with its literals, a biosample or container type triple, a
+``containedIn`` or ``derivedFrom`` edge) is emitted by the first record that
+names it.  A record that raises takes back everything it emitted.  The
+mapper reads the core ontology once, at import, as the readers of
+:mod:`ome_rdf.ome_xml` do.
 """
 
 from __future__ import annotations
@@ -87,10 +87,12 @@ class MintingPolicy:
     instance_base: Iri = Iri(DEFAULT_INSTANCE_BASE)
 
     def __post_init__(self):
-        if isinstance(self.instance_base, str):
-            object.__setattr__(self, "instance_base", Iri(self.instance_base))
-        if not self.instance_base.value.endswith(("/", "#")):
-            raise ValueError("instance base must end with '/' or '#'")
+        base = self.instance_base
+        if not isinstance(base, str):
+            raise InvalidIriError(f"instance base must be text, not {type(base).__name__}")
+        object.__setattr__(self, "instance_base", Iri(base))
+        if not base.endswith(("/", "#")):
+            raise InvalidIriError(f"instance base {base!r} must end with '/' or '#'")
 
 
 def _base(policy: MintingPolicy, label: str) -> str:
@@ -117,21 +119,17 @@ class MappedRecord:
     """One mapped image and the triples it added to its call's output.
 
     ``image_iri`` is the image's typed :class:`Iri` handle.  ``triples``
-    and ``external_links`` hold what the graph holds: exact triple tuples
-    and the exact ``str`` IRIs of the strains the record linked to.
-    ``triples`` holds the triples this record added: the image's own, and
+    holds what the graph holds, exact triple tuples: the image's own, and
     those of the shared nodes and edges (experimenter, instrument,
     biosample, container, strain link) that no earlier record of the same
-    call emitted.  A :func:`map_pair` record therefore holds the image's
-    whole graph.  The records of one :func:`map_all` call repeat no triple
-    as long as each experimenter and instrument id stands for one set of
-    values, as in any parsed document.  ``graph`` builds a :class:`Graph`
-    of ``triples`` on each access.
+    call emitted.  The records of one call repeat no triple as long as each
+    experimenter and instrument id stands for one set of values, as in any
+    parsed document.  ``graph`` builds a :class:`Graph` of ``triples`` on
+    each access.
     """
 
     image_iri: Iri
     triples: tuple
-    external_links: tuple
     prefixes: dict = field(repr=False, compare=False)
 
     @property
@@ -167,17 +165,15 @@ class _Emitter:
 
     def record(self, img: OmeImage, ann: Optional[EmAnnotation]) -> MappedRecord:
         """Emit one record; one that raises takes back its triples and keys."""
-        if ann is not None and ann.image_id != img.id:
-            raise ValueError(f"annotation {ann.image_id!r} does not belong to image {img.id!r}")
         mark = len(self.triples)
         self._new_keys = []
         try:
-            image_iri, external = self._emit(img, ann)
+            image_iri = self._emit(img, ann)
         except BaseException:
             del self.triples[mark:]
             self._emitted.difference_update(self._new_keys)
             raise
-        return MappedRecord(Iri(image_iri), tuple(self.triples[mark:]), external, self.prefixes)
+        return MappedRecord(Iri(image_iri), tuple(self.triples[mark:]), self.prefixes)
 
     def _first(self, key) -> bool:
         """True the first time ``key`` is seen in this call."""
@@ -251,7 +247,6 @@ class _Emitter:
                 self.typed(instr_iri, "ElectronMicroscope" if electron else "Instrument")
                 self.literals(instr_iri, _INSTRUMENT, instr)
 
-        external = ()
         if ann is not None:
             sample = ann.sample_id
             sample_iri = self.mint("BioSample", sample)
@@ -268,7 +263,6 @@ class _Emitter:
                 strain_iri = self.strain(ann.strain_id)
                 if self._first(("derivedFrom", sample, strain_iri)):
                     self.link(sample_iri, "derivedFrom", strain_iri)
-                external = (strain_iri,)
             if ann.staining_method is not None:
                 prep_iri = self.node("SamplePreparation", encoded)
                 self.link(sample_iri, "preparedBy", prep_iri)
@@ -281,24 +275,7 @@ class _Emitter:
                 pheno_iri = self.node("PhenotypeData", f"{encoded}-p{i}")
                 self.link(image_iri, "hasObservation", pheno_iri)
                 self.literals(pheno_iri, _PHENOTYPE, observation)
-        return image_iri, external
-
-
-def map_pair(
-    img: OmeImage,
-    ann: Optional[EmAnnotation],
-    registry: OntologyRegistry,
-    policy: MintingPolicy,
-    links,
-) -> MappedRecord:
-    """Convert one image (and its optional annotation) to a graph.
-
-    Pure and deterministic; the annotation, when given, must belong to the
-    image.  Strain CURIEs resolve through ``links`` and surface in
-    ``external_links``; resolution failures raise
-    :class:`UnresolvableStrainError`.  ``registry`` must be the core.
-    """
-    return _Emitter(registry, policy, links).record(img, ann)
+        return image_iri
 
 
 @dataclass(frozen=True)
@@ -315,38 +292,6 @@ class MapResult:
     skipped: tuple = ()
 
 
-def map_all(
-    pairs,
-    registry: OntologyRegistry,
-    policy: MintingPolicy,
-    links,
-    skip_errors: bool = False,
-) -> MapResult:
-    """Map many (image, annotation) pairs into one graph.
-
-    The graph equals the union of the :func:`map_pair` graphs of the
-    records that map (all nodes are skolem IRIs, so no blank node needs
-    relabelling), but each shared subgraph is emitted only once.  Record
-    order follows the input.  Without ``skip_errors`` the first failure
-    raises :class:`MappingFailedError`; with it, failures become
-    :class:`SkippedRecord` entries.  ``registry`` must be the core ontology
-    or equal to it; any other raises :class:`UnknownClassInRegistryError`
-    before any record maps, even with ``skip_errors``.
-    """
-    emitter = _Emitter(registry, policy, links)
-    records = []
-    skipped = []
-    for img, ann in pairs:
-        try:
-            records.append(emitter.record(img, ann))
-        except Exception as e:
-            if not skip_errors:
-                raise MappingFailedError(img.id, e) from e
-            skipped.append(SkippedRecord(img.id, getattr(e, "code", "Error"), str(e)))
-    graph = Graph(emitter.triples, emitter.prefixes)
-    return MapResult(graph, tuple(records), tuple(skipped))
-
-
 def map_document(
     doc: OmeDocument,
     annotations,
@@ -355,11 +300,13 @@ def map_document(
     links,
     skip_errors: bool = False,
 ) -> MapResult:
-    """Pair each image with its sidecar row by image id, and map the pairs
-    with :func:`map_all` in ``doc.images`` order.  A row naming no image
-    raises :class:`OrphanAnnotationError` before anything maps; with
-    ``skip_errors`` it is skipped, ahead of the records that fail.
-    ``registry`` must be the core, as for :func:`map_all`."""
+    """Pair each image with its sidecar row by image id, and map the pairs in
+    ``doc.images`` order into one graph: the union of the graphs of the
+    one-image documents, with each shared subgraph emitted once.  A row naming
+    no image raises :class:`OrphanAnnotationError` before anything maps, and a
+    failing record :class:`MappingFailedError`; ``skip_errors`` makes both
+    :class:`SkippedRecord` entries, orphans first.  A registry not equal to the
+    core raises :class:`UnknownClassInRegistryError` before any record maps."""
     by_id = dict.fromkeys(img.id for img in doc.images)
     skipped = []
     for ann in annotations:
@@ -370,6 +317,14 @@ def map_document(
             skipped.append(SkippedRecord(ann.image_id, err.code, str(err)))
         else:
             raise OrphanAnnotationError(ann.image_id)
-    pairs = [(img, by_id[img.id]) for img in doc.images]
-    result = map_all(pairs, registry, policy, links, skip_errors=skip_errors)
-    return MapResult(result.graph, result.records, tuple(skipped) + result.skipped)
+    emitter = _Emitter(registry, policy, links)
+    records = []
+    for img in doc.images:
+        try:
+            records.append(emitter.record(img, by_id[img.id]))
+        except Exception as e:
+            if not skip_errors:
+                raise MappingFailedError(img.id, e) from e
+            skipped.append(SkippedRecord(img.id, getattr(e, "code", "Error"), str(e)))
+    graph = Graph(emitter.triples, emitter.prefixes)
+    return MapResult(graph, tuple(records), tuple(skipped))

@@ -49,6 +49,18 @@ class TestRegistryFile:
         with pytest.raises(UnknownPrefixError):
             reg.resolve("rikenbrc_mouse:RBRC00001")
 
+    def test_file_that_is_not_utf8_is_a_registry_error(self, tmp_path):
+        path = tmp_path / "reg.tsv"
+        path.write_bytes(b"demo\thttp://db.example/\xff\t[0-9]{4}\n")
+        with pytest.raises(LinkRegistryError) as err:
+            LinkRegistry.load(path)
+        assert str(err.value).startswith(f"{path} is not UTF-8 text: ")
+        assert err.value.code == "LinkRegistryError"
+
+    def test_missing_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            LinkRegistry.load(tmp_path / "absent.tsv")
+
     def test_bad_line(self):
         with pytest.raises(LinkRegistryError):
             LinkRegistry.loads("justone\n")

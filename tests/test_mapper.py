@@ -16,19 +16,14 @@ from ome_rdf.errors import (
     UnresolvableStrainError,
 )
 from ome_rdf.links import LinkRegistry
-from ome_rdf.mapper import (
-    MapResult,
-    MintingPolicy,
-    map_all,
-    map_document,
-    map_pair,
-    mint_iri,
-)
+import ome_rdf.mapper
+from ome_rdf.mapper import MapResult, MintingPolicy, map_document, mint_iri
 from ome_rdf.namespaces import RDF_TYPE
 from ome_rdf.ome_xml import (
     SIDECAR_COLUMNS,
     EmAnnotation,
     InstrumentKind,
+    OmeDocument,
     OmeExperimenter,
     OmeImage,
     OmeInstrument,
@@ -144,6 +139,20 @@ def paired(doc, anns):
     return [(img, by_id.get(img.id)) for img in doc.images]
 
 
+def map_images(pairs, registry, policy, links, skip_errors=False):
+    """Map (image, row or None) pairs as one document: its images in order,
+    and its rows those that are not None."""
+    doc = OmeDocument(tuple(img for img, _ in pairs), (), ())
+    anns = [ann for _, ann in pairs if ann is not None]
+    return map_document(doc, anns, registry, policy, links, skip_errors)
+
+
+def map_one(img, ann, registry, policy, links):
+    """The record of the one-image document of ``img`` and ``ann``."""
+    (record,) = map_images([(img, ann)], registry, policy, links).records
+    return record
+
+
 def document(source):
     """The golden document and sidecar, or ``generated-N``'s."""
     if source == "golden":
@@ -177,29 +186,38 @@ class TestMintIri:
         with pytest.raises(ValueError):
             MintingPolicy(Iri("http://ex.org/noslash"))
 
+    @pytest.mark.parametrize("base", [None, 5, b"http://a/", "http://a/x", "no scheme/"])
+    def test_bad_policy_base_is_invalid_iri(self, base):
+        with pytest.raises(InvalidIriError):
+            MintingPolicy(base)
 
-class TestMapPair:
+    @pytest.mark.parametrize("base", ["http://a/", "http://a#", Iri("http://a/")])
+    def test_policy_base_is_an_iri(self, base):
+        policy = MintingPolicy(base)
+        assert type(policy.instance_base) is Iri and policy.instance_base == base
+
+
+class TestOneImage:
     def test_minimal_image_emits_exactly_seven_triples(
             self, minimal_image, registry, policy, links):
         # by-hand enumeration: 1 type + 5 sizes + 1 name
-        record = map_pair(minimal_image, None, registry, policy, links)
+        record = map_one(minimal_image, None, registry, policy, links)
         assert len(record.graph) == 7
         preds = sorted(p.rsplit("#", 1)[-1] for _, p, _ in record.graph)
         assert preds == ["name", "sizeC", "sizeT", "sizeX", "sizeY", "sizeZ", "type"]
-        assert record.external_links == ()
 
     def test_golden_strain_link(self, golden_pair, registry, policy, links):
         img, ann = golden_pair
-        record = map_pair(img, ann, registry, policy, links)
+        record = map_one(img, ann, registry, policy, links)
         sample_iri = Iri(BASE + "biosample/S1")
         strain_iri = Iri("http://metadb.riken.jp/metadb/db/rikenbrc_mouse/RBRC001")
         derived = registry.property_by_label("derivedFrom").iri
-        assert (sample_iri, derived, strain_iri) in record.graph
-        assert record.external_links == (strain_iri,)
+        assert [t for t in record.graph if t[1] == derived] == [
+            (sample_iri, derived, strain_iri)]
 
     def test_golden_two_edge_path(self, golden_pair, registry, policy, links):
         img, ann = golden_pair
-        g = map_pair(img, ann, registry, policy, links).graph
+        g = map_one(img, ann, registry, policy, links).graph
         depicts = registry.property_by_label("depicts").iri
         derived = registry.property_by_label("derivedFrom").iri
         image_iri = Iri(BASE + "image/IMG001")
@@ -212,40 +230,36 @@ class TestMapPair:
     def test_instrument_typed_electron_microscope(
             self, golden_pair, registry, policy, links):
         img, ann = golden_pair
-        g = map_pair(img, ann, registry, policy, links).graph
+        g = map_one(img, ann, registry, policy, links).graph
         instr_iri = Iri(BASE + "instrument/I1")
         assert types_of(g, instr_iri) == {registry.class_by_label("ElectronMicroscope").iri}
 
     def test_every_minted_subject_typed_exactly_once(
             self, golden_pair, registry, policy, links):
         img, ann = golden_pair
-        g = map_pair(img, ann, registry, policy, links).graph
+        g = map_one(img, ann, registry, policy, links).graph
         for subject in {s for s, _, _ in g}:
             if subject.startswith(BASE):
                 assert len(types_of(g, subject)) == 1, subject
 
     def test_deterministic_bytes(self, golden_pair, registry, policy, links):
         img, ann = golden_pair
-        a = serialize(map_pair(img, ann, registry, policy, links).graph, "ntriples")
-        b = serialize(map_pair(img, ann, registry, policy, links).graph, "ntriples")
+        a = serialize(map_one(img, ann, registry, policy, links).graph, "ntriples")
+        b = serialize(map_one(img, ann, registry, policy, links).graph, "ntriples")
         assert a == b
-
-    def test_annotation_for_other_image_rejected(
-            self, minimal_image, registry, policy, links):
-        ann = EmAnnotation(image_id="OTHER", sample_id="S")
-        with pytest.raises(ValueError):
-            map_pair(minimal_image, ann, registry, policy, links)
 
     def test_unresolvable_strain(self, minimal_image, registry, policy, links):
         ann = EmAnnotation(image_id=minimal_image.id, sample_id="S",
                            strain_id="nosuch:X1")
-        with pytest.raises(UnresolvableStrainError):
-            map_pair(minimal_image, ann, registry, policy, links)
+        with pytest.raises(MappingFailedError) as err:
+            map_one(minimal_image, ann, registry, policy, links)
+        assert (err.value.image_id, err.value.code) == (minimal_image.id, "UnresolvableStrain")
+        assert isinstance(err.value.__cause__, UnresolvableStrainError)
 
     def test_voltage_literal_keeps_lexical_form(
             self, golden_pair, registry, policy, links):
         img, ann = golden_pair
-        g = map_pair(img, ann, registry, policy, links).graph
+        g = map_one(img, ann, registry, policy, links).graph
         volts = [o[0] for _, p, o in g
                  if p == registry.property_by_label("accelerationVoltage").iri]
         assert volts == ["5.0"]
@@ -265,7 +279,7 @@ class TestMapPair:
     def test_decimal_lexical_form_is_canonical(
             self, field, label, raw, lexical, registry, policy, links):
         doc, (ann,) = golden_with(field, raw)
-        g = map_pair(doc.images[0], ann, registry, policy, links).graph
+        g = map_one(doc.images[0], ann, registry, policy, links).graph
         prop = registry.property_by_label(label)
         (obj,) = [o for _, p, o in g if p == prop.iri]
         assert obj == (lexical, prop.range, None)
@@ -275,19 +289,19 @@ class TestMapPair:
     def test_line_separator_in_cell_survives_round_trip(
             self, char, fmt, registry, policy, links):
         doc, (ann,) = golden_with("stain", f"st{char}ain")
-        g = map_pair(doc.images[0], ann, registry, policy, links).graph
+        g = map_one(doc.images[0], ann, registry, policy, links).graph
         prop = registry.property_by_label("stainingMethod")
         assert [o[0] for _, p, o in g if p == prop.iri] == [f"st{char}ain"]
         assert parse(serialize(g, fmt), fmt) == g
 
 
-class TestMapAll:
+class TestManyImages:
     def _image(self, image_id):
         text = (DATA / "minimal.ome.xml").read_text().replace("IMG-MIN", image_id)
         return parse_ome_document(text).images[0]
 
     def test_empty_input(self, registry, policy, links):
-        result = map_all([], registry, policy, links)
+        result = map_images([], registry, policy, links)
         assert len(result.graph) == 0 and result.records == ()
 
     def test_shared_sample_one_type_triple(self, registry, policy, links):
@@ -295,14 +309,14 @@ class TestMapAll:
             (self._image("A"), EmAnnotation(image_id="A", sample_id="S1")),
             (self._image("B"), EmAnnotation(image_id="B", sample_id="S1")),
         ]
-        result = map_all(pairs, registry, policy, links)
+        result = map_images(pairs, registry, policy, links)
         sample_iri = Iri(BASE + "biosample/S1")
         type_triples = [t for t in result.graph if t[:2] == (sample_iri, RDF_TYPE)]
         assert len(type_triples) == 1
 
     def test_disjoint_records_sizes_add(self, registry, policy, links):
         pairs = [(self._image(f"D{i}"), None) for i in range(3)]
-        result = map_all(pairs, registry, policy, links)
+        result = map_images(pairs, registry, policy, links)
         assert len(result.graph) == sum(len(r.graph) for r in result.records)
 
     def test_equals_union_of_record_graphs(self, registry, policy, links):
@@ -312,7 +326,7 @@ class TestMapAll:
                                             staining_method="osmium")),
             (self._image("C"), None),
         ]
-        result = map_all(pairs, registry, policy, links)
+        result = map_images(pairs, registry, policy, links)
         union = set()
         for record in result.records:
             union |= record.graph.triples
@@ -325,20 +339,26 @@ class TestMapAll:
             (self._image("B"), None),
         ]
         with pytest.raises(MappingFailedError) as err:
-            map_all(pairs, registry, policy, links)
+            map_images(pairs, registry, policy, links)
         assert err.value.image_id == "A"
         assert err.value.code == "UnresolvableStrain"
 
-        result = map_all(pairs, registry, policy, links, skip_errors=True)
+        result = map_images(pairs, registry, policy, links, skip_errors=True)
         assert len(result.records) == 1
         assert result.skipped[0].image_id == "A"
         assert result.skipped[0].code == "UnresolvableStrain"
 
     def test_lone_surrogate_local_id_skipped_as_invalid_iri(self, registry, policy, links):
         pairs = [(self._image("A"), EmAnnotation(image_id="A", sample_id="S\ud800"))]
-        result = map_all(pairs, registry, policy, links, skip_errors=True)
+        result = map_images(pairs, registry, policy, links, skip_errors=True)
         assert result.records == ()
         assert [(s.image_id, s.code) for s in result.skipped] == [("A", "InvalidIri")]
+
+
+def test_map_document_is_the_one_entry_point():
+    entry_points = {name for name in dir(ome_rdf.mapper)
+                    if name.startswith("map_") and callable(getattr(ome_rdf.mapper, name))}
+    assert entry_points == {"map_document"}
 
 
 class TestMapDocument:
@@ -420,6 +440,14 @@ class TestMapDocument:
             map_document(bare_document(1), anns, registry, policy, links)
         assert str(err.value) == str(OrphanAnnotationError("GHOST"))
 
+    def test_orphan_raises_before_a_failing_record_maps(self, registry, policy, links):
+        anns = [EmAnnotation("IMG0", "S", strain_id="nosuch:X1"), EmAnnotation("GHOST", "S")]
+        with pytest.raises(OrphanAnnotationError):
+            map_document(bare_document(1), anns, registry, policy, links)
+        result = map_document(bare_document(1), anns, registry, policy, links, skip_errors=True)
+        assert [(s.image_id, s.code) for s in result.skipped] == [
+            ("GHOST", "OrphanAnnotation"), ("IMG0", "UnresolvableStrain")]
+
     def test_records_follow_the_images_and_pair_rows_by_id(self, registry, policy, links):
         # rows out of document order; images 1 and 3 have none
         anns = [EmAnnotation(f"IMG{i}", f"S{i}") for i in (4, 0, 2)]
@@ -442,18 +470,17 @@ def golden_image(image_id):
     return parse_ome_document(text).images[0]
 
 
-class TestMapAllAgainstMapPair:
-    """``map_all`` emits each shared node once, yet its graph is the union of
-    the ``map_pair`` graphs of the records that map."""
+class TestUnionOfOneImageDocuments:
+    """A document's graph emits each shared node once, yet it is the union of
+    the graphs of its one-image documents."""
 
     def check(self, pairs, registry, policy, links, disjoint=True):
         union, failed = set(), []
-        for img, ann in pairs:
-            try:
-                union |= map_pair(img, ann, registry, policy, links).graph.triples
-            except Exception:
-                failed.append(img.id)
-        result = map_all(pairs, registry, policy, links, skip_errors=True)
+        for pair in pairs:
+            one = map_images([pair], registry, policy, links, skip_errors=True)
+            union |= one.graph.triples
+            failed += [s.image_id for s in one.skipped]
+        result = map_images(pairs, registry, policy, links, skip_errors=True)
         assert result.graph == Graph(union)
         assert [s.image_id for s in result.skipped] == failed
         if disjoint:  # no record re-emits a triple that an earlier one added
@@ -485,11 +512,11 @@ class TestMapAllAgainstMapPair:
                 if s == s1 and p in (contained, derived)} == {
             "C1", "C2", "RBRC00001", "RBRC00002"}
         assert [len(r.graph) for r in result.records][2] < len(
-            map_pair(*pairs[2], registry, policy, links).graph)
+            map_one(*pairs[2], registry, policy, links).graph)
 
     def test_one_experimenter_and_instrument_id_with_different_values(
             self, registry, policy, links):
-        # callers that build records themselves may give one id two sets of
+        # callers that build documents themselves may give one id two sets of
         # values; both are emitted, and the triples they share are emitted twice
         a = golden_image("A")
         b = replace(golden_image("B"),
@@ -521,9 +548,9 @@ class TestMapAllAgainstMapPair:
         doc, anns = generated_document(3, n_images=40)
         pairs = paired(doc, anns)
         result = self.check(pairs, registry, policy, links)
-        emitted_by_map_pair = sum(len(map_pair(img, ann, registry, policy, links).graph)
-                                  for img, ann in pairs)
-        assert emitted_by_map_pair > len(result.graph)
+        emitted_one_by_one = sum(len(map_one(img, ann, registry, policy, links).graph)
+                                 for img, ann in pairs)
+        assert emitted_one_by_one > len(result.graph)
 
 
 # ids with reserved, non-ASCII and "-p"-like characters, and any text that
@@ -558,7 +585,7 @@ class TestMinting:
     @settings(max_examples=150, deadline=None)
     def test_emitted_iris_are_mint_iri(self, ids, kind, registry, policy, links):
         ids = dict(zip(NODES, ids))
-        record = map_pair(*full_pair(ids, kind), registry, policy, links)
+        record = map_one(*full_pair(ids, kind), registry, policy, links)
         typed = {}
         for s, p, o in record.triples:
             if p == RDF_TYPE:
@@ -587,15 +614,17 @@ class TestMinting:
     def test_lone_surrogate_is_skipped_as_invalid_iri(
             self, local_id, node, registry, policy, links):
         ids = dict.fromkeys(NODES, "X") | {node: local_id[:1] + "\ud800" + local_id[1:]}
-        result = map_all([full_pair(ids)], registry, policy, links, skip_errors=True)
+        result = map_images([full_pair(ids)], registry, policy, links, skip_errors=True)
         assert (result.records, len(result.graph)) == ((), 0)
         assert [(s.image_id, s.code) for s in result.skipped] == [(ids["image"], "InvalidIri")]
 
     @pytest.mark.parametrize("node", NODES)
     def test_empty_id_is_an_error(self, node, registry, policy, links):
         ids = dict.fromkeys(NODES, "X") | {node: ""}
-        with pytest.raises(EmptyLocalIdError):
-            map_pair(*full_pair(ids), registry, policy, links)
+        with pytest.raises(MappingFailedError) as err:
+            map_one(*full_pair(ids), registry, policy, links)
+        assert (err.value.image_id, err.value.code) == (ids["image"], "EmptyLocalId")
+        assert isinstance(err.value.__cause__, EmptyLocalIdError)
 
 
 def other_registries():
@@ -614,18 +643,14 @@ class TestRegistry:
     """The mapper maps under the core only, which it reads at import."""
 
     @pytest.mark.parametrize("name", ["empty", "fragment", "core-less-one-property"])
-    def test_other_registry_raises_once_before_any_record(self, name, policy, links):
+    @pytest.mark.parametrize("skip_errors", [False, True])
+    def test_other_registry_raises_once_before_any_record(
+            self, name, skip_errors, policy, links):
         other = other_registries()[name]
         doc, anns = generated_document(1)
-        calls = [
-            lambda: map_pair(*paired(doc, anns)[0], other, policy, links),
-            lambda: map_all(paired(doc, anns), other, policy, links, skip_errors=True),
-            lambda: map_document(doc, anns, other, policy, links, skip_errors=True),
-        ]
-        for call in calls:
-            with pytest.raises(UnknownClassInRegistryError) as err:
-                call()
-            assert str(err.value) == f"{other.namespace} is not the core ontology"
+        with pytest.raises(UnknownClassInRegistryError) as err:
+            map_document(doc, anns, other, policy, links, skip_errors=skip_errors)
+        assert str(err.value) == f"{other.namespace} is not the core ontology"
 
     @pytest.mark.parametrize("fmt, name", [("ntriples", "golden.nt"), ("turtle", "golden.ttl")])
     def test_registry_rebuilt_from_the_core_rows_maps_the_same_bytes(
