@@ -14,9 +14,10 @@ triple tuples (see :mod:`ome_rdf.rdf.model`).  Within a call each distinct
 IRI and literal is built once, and each shared subgraph (an experimenter or
 instrument node with its literals, a biosample or container type triple, a
 ``containedIn`` or ``derivedFrom`` edge) is emitted by the first record that
-names it.  A record that raises takes back everything it emitted.  The
-mapper reads the core ontology once, at import, as the readers of
-:mod:`ome_rdf.ome_xml` do.
+names it, under a key tagged with its kind, since a reader record equals any
+tuple of its values.  A record that raises takes back everything it
+emitted.  The mapper reads the core ontology once, at import, as the
+readers of :mod:`ome_rdf.ome_xml` do.
 """
 
 from __future__ import annotations
@@ -145,9 +146,10 @@ class _Emitter:
     class, the IRIs of the shared nodes (experimenter, instrument, biosample,
     container) by (class label, local id), literals by (lexical, datatype),
     resolved strains by CURIE (successes only); and the keys of the shared
-    subgraphs already emitted.  A key holds every value that its subgraph's
-    triples come from, never the node's IRI alone, so two rows that give one
-    sample different containers or strains emit both edges.
+    subgraphs already emitted.  A key starts with its kind and holds every
+    value that its subgraph's triples come from, never the node's IRI alone,
+    so two rows that give one sample different containers or strains emit
+    both edges.
     """
 
     def __init__(self, registry: OntologyRegistry, policy: MintingPolicy, links):
@@ -232,7 +234,7 @@ class _Emitter:
         if exp is not None:
             exp_iri = self.mint("Experimenter", exp.id)
             self.link(image_iri, "acquiredBy", exp_iri)
-            if self._first(exp):
+            if self._first(("Experimenter", exp)):
                 self.typed(exp_iri, "Experimenter")
                 self.literals(exp_iri, _EXPERIMENTER, exp)
 
@@ -242,7 +244,7 @@ class _Emitter:
             # from the ref alone; the type triple carries the specific class
             instr_iri = self.mint("Instrument", instr.id)
             self.link(image_iri, "acquiredWith", instr_iri)
-            if self._first(instr):
+            if self._first(("Instrument", instr)):
                 electron = instr.kind is InstrumentKind.ELECTRON
                 self.typed(instr_iri, "ElectronMicroscope" if electron else "Instrument")
                 self.literals(instr_iri, _INSTRUMENT, instr)

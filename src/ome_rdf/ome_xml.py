@@ -7,7 +7,9 @@ Sidecars are strict TSV files with a fixed header (see SIDECAR_COLUMNS);
 one row annotates one image with biosample and imaging-condition details.
 Every numeric value, a Pixels attribute or a voltage or wavelength cell, is
 read as the range of its core registry property (``xsd:integer`` as ``int``,
-``xsd:decimal`` as ``Decimal``) within that property's bounds.
+``xsd:decimal`` as ``Decimal``) within that property's bounds.  The
+records are typed tuples (``NamedTuple``): each equals the plain tuple of
+its values, and ``_replace`` makes a changed copy.
 
 Timestamps must be in the ``xsd:dateTime`` lexical form with a timezone
 and are kept as the original lexical strings so downstream RDF output
@@ -23,9 +25,8 @@ from __future__ import annotations
 import enum
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     BadHeaderError,
@@ -81,8 +82,7 @@ class InstrumentKind(enum.Enum):
     ELECTRON = "electronMicroscope"
 
 
-@dataclass(frozen=True)
-class OmePixels:
+class OmePixels(NamedTuple):
     size_x: int
     size_y: int
     size_z: int
@@ -92,22 +92,19 @@ class OmePixels:
     physical_size_y: Optional[Decimal] = None
 
 
-@dataclass(frozen=True)
-class OmeInstrument:
+class OmeInstrument(NamedTuple):
     id: str
     kind: InstrumentKind
     model: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class OmeExperimenter:
+class OmeExperimenter(NamedTuple):
     id: str
     name: str
     email: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class OmeImage:
+class OmeImage(NamedTuple):
     id: str
     name: str
     pixels: OmePixels
@@ -116,15 +113,13 @@ class OmeImage:
     experimenter: Optional[OmeExperimenter] = None
 
 
-@dataclass(frozen=True)
-class OmeDocument:
+class OmeDocument(NamedTuple):
     images: tuple
     instruments: tuple
     experimenters: tuple
 
 
-@dataclass(frozen=True)
-class EmAnnotation:
+class EmAnnotation(NamedTuple):
     """One sidecar row: EM and biosample context for one image."""
 
     image_id: str
@@ -135,7 +130,7 @@ class EmAnnotation:
     acceleration_voltage_kv: Optional[Decimal] = None
     electron_gun_type: Optional[str] = None
     electron_wavelength_pm: Optional[Decimal] = None
-    phenotype_observations: tuple = field(default_factory=tuple)
+    phenotype_observations: tuple = ()
 
 
 def local_name(tag: str) -> str:
@@ -271,7 +266,8 @@ def parse_ome_document(text: str) -> OmeDocument:
             if tag == "Pixels":
                 pixels_el = sub
             elif tag == "AcquisitionDate":
-                acq_date = _check_timestamp((sub.text or "").strip(),
+                # XML whitespace only, as xsd:dateTime's whitespace collapse
+                acq_date = _check_timestamp((sub.text or "").strip(" \t\r\n"),
                                             f"{path}/AcquisitionDate")
             elif tag == "InstrumentRef":
                 instrument_ref = _require(sub, "ID", f"{path}/InstrumentRef")
@@ -286,22 +282,15 @@ def parse_ome_document(text: str) -> OmeDocument:
             if raw is None and required:
                 raise MissingRequiredFieldError(f"{ppath}@{attr}")
             values.append(raw if raw is None else _number(raw, prop, _dimension_error, ppath, attr))
-        pixels = OmePixels(*values)
         if instrument_ref is not None and instrument_ref not in instruments:
             raise DanglingReferenceError(instrument_ref)
         if experimenter_ref is not None and experimenter_ref not in experimenters:
             raise DanglingReferenceError(experimenter_ref)
-        images.append(OmeImage(
-            id=iid, name=name, pixels=pixels, acquisition_date=acq_date,
-            instrument=instruments.get(instrument_ref),
-            experimenter=experimenters.get(experimenter_ref),
-        ))
+        images.append(OmeImage(iid, name, OmePixels(*values), acq_date,
+                               instruments.get(instrument_ref),
+                               experimenters.get(experimenter_ref)))
     return OmeDocument(tuple(images), tuple(instruments.values()),
                        tuple(experimenters.values()))
-
-
-def _cell(value: str) -> Optional[str]:
-    return value if value != "" else None
 
 
 def parse_sidecar(text: str) -> list:
@@ -344,38 +333,30 @@ def parse_sidecar(text: str) -> list:
         if bad:
             column = SIDECAR_COLUMNS[line.count("\t", 0, bad.start())]
             raise BadValueError(lineno, column, f"lone surrogate {bad.group()!r}")
-        row = dict(zip(SIDECAR_COLUMNS, cells))
-        image_id = row["image_id"]
+        (image_id, sample_id, container, strain, stain,
+         voltage, gun, wavelength, phenotypes) = cells
         if not image_id:
             raise BadValueError(lineno, "image_id", "must not be empty")
         if image_id in seen:
             raise DuplicateImageIdError(image_id)
         seen.add(image_id)
-        if not row["sample_id"]:
+        if not sample_id:
             raise BadValueError(lineno, "sample_id", "must not be empty")
-        strain = _cell(row["strain_id"])
-        if strain is not None and not _CURIE_RE.match(strain):
+        if strain and not _CURIE_RE.match(strain):
             raise BadValueError(lineno, "strain_id",
                                 f"{strain!r} is not a prefix:localId CURIE")
-        voltage, wavelength = _cell(row["voltage_kv"]), _cell(row["wavelength_pm"])
-        if voltage is not None:
-            voltage = _number(voltage, _VOLTAGE, BadValueError, lineno, "voltage_kv")
-        if wavelength is not None:
-            wavelength = _number(wavelength, _WAVELENGTH, BadValueError, lineno, "wavelength_pm")
+        # an empty cell is None: a number's cell is tested as text, before it
+        # is read, since Decimal("0") is falsy too
+        voltage = (_number(voltage, _VOLTAGE, BadValueError, lineno, "voltage_kv")
+                   if voltage else None)
+        wavelength = (_number(wavelength, _WAVELENGTH, BadValueError, lineno, "wavelength_pm")
+                      if wavelength else None)
         # only space and tab are trimmed: any other character is data, as in
         # every other cell
         phenotypes = tuple(
-            p for p in (c.strip(" \t") for c in row["phenotypes"].split(";")) if p
+            p for p in (c.strip(" \t") for c in phenotypes.split(";")) if p
         )
         records.append(EmAnnotation(
-            image_id=image_id,
-            sample_id=row["sample_id"],
-            container_id=_cell(row["container_id"]),
-            strain_id=strain,
-            staining_method=_cell(row["stain"]),
-            acceleration_voltage_kv=voltage,
-            electron_gun_type=_cell(row["gun_type"]),
-            electron_wavelength_pm=wavelength,
-            phenotype_observations=phenotypes,
-        ))
+            image_id, sample_id, container or None, strain or None, stain or None,
+            voltage, gun or None, wavelength, phenotypes))
     return records

@@ -284,6 +284,17 @@ class TestOneImage:
         (obj,) = [o for _, p, o in g if p == prop.iri]
         assert obj == (lexical, prop.range, None)
 
+    # space, tab, CR and LF, which xsd:dateTime's whitespace collapse removes;
+    # CR is a character reference, which the XML parser does not turn into LF
+    @pytest.mark.parametrize("space", [" ", "\t", "&#13;", "\n", " \t&#13;\n"])
+    def test_date_wrapped_in_xml_whitespace_maps(self, space, registry, policy, links):
+        stamp = "2015-01-20T10:30:00Z"
+        xml = (DATA / "golden.ome.xml").read_text().replace(stamp, space + stamp + space)
+        (img,) = parse_ome_document(xml).images
+        g = map_one(img, None, registry, policy, links).graph
+        prop = registry.property_by_label("acquisitionDate")
+        assert [o for _, p, o in g if p == prop.iri] == [(stamp, prop.range, None)]
+
     @pytest.mark.parametrize("char", ["\x0b", "\x1c", "\x85", "\u2028", "\u2029"])
     @pytest.mark.parametrize("fmt", ["ntriples", "turtle"])
     def test_line_separator_in_cell_survives_round_trip(
@@ -463,6 +474,24 @@ class TestMapDocument:
         result = map_document(bare_document(0), [], registry, policy, links)
         assert (result.records, result.skipped, len(result.graph)) == ((), (), 0)
 
+    def test_equal_values_keep_their_literal_forms(self, registry, policy, links):
+        # one value in four forms, on four images and four rows of one call
+        raws = ["5.0", "5.00", "5", " 5.0"]
+        doc = parse_ome_document(
+            '<OME xmlns="http://www.openmicroscopy.org/Schemas/OME/2015-01">' + "".join(
+                f'<Image ID="IMG{i}" Name="n"><Pixels SizeX="1" SizeY="1" SizeZ="1" '
+                f'SizeC="1" SizeT="1" PhysicalSizeX="{raw}"/></Image>'
+                for i, raw in enumerate(raws)) + "</OME>")
+        anns = parse_sidecar("\t".join(SIDECAR_COLUMNS) + "\n" + "".join(
+            f"IMG{i}\tS\t\t\t\t{raw}\t\t\t\n" for i, raw in enumerate(raws)))
+        g = map_document(doc, anns, registry, policy, links).graph
+        for label, node in [("physicalSizeX", "image"), ("accelerationVoltage",
+                                                         "imagingcondition")]:
+            prop = registry.property_by_label(label)
+            lexical = {s: o[0] for s, p, o in g if p == prop.iri}
+            assert [lexical[f"{BASE}{node}/IMG{i}"] for i in range(4)] == [
+                "5.0", "5.00", "5", "5.0"], label
+
 
 def golden_image(image_id):
     """The golden image, which names experimenter E1 and instrument I1, under another id."""
@@ -491,7 +520,7 @@ class TestUnionOfOneImageDocuments:
     def test_generated_documents(self, seed, registry, policy, links):
         doc, anns = generated_document(seed, n_images=30)
         # every fourth row names a strain that does not resolve
-        anns = [replace(a, strain_id="nosuch:X1") if i % 4 == 0 else a
+        anns = [a._replace(strain_id="nosuch:X1") if i % 4 == 0 else a
                 for i, a in enumerate(anns)]
         self.check(paired(doc, anns), registry, policy, links)
 
@@ -519,9 +548,9 @@ class TestUnionOfOneImageDocuments:
         # callers that build documents themselves may give one id two sets of
         # values; both are emitted, and the triples they share are emitted twice
         a = golden_image("A")
-        b = replace(golden_image("B"),
-                    experimenter=replace(a.experimenter, name="B. Other", email=None),
-                    instrument=replace(a.instrument, kind=InstrumentKind.OPTICAL))
+        b = golden_image("B")._replace(
+            experimenter=a.experimenter._replace(name="B. Other", email=None),
+            instrument=a.instrument._replace(kind=InstrumentKind.OPTICAL))
         result = self.check([(a, None), (b, None), (golden_image("C"), None)],
                             registry, policy, links, disjoint=False)
         full_name = registry.property_by_label("fullName").iri
@@ -529,6 +558,23 @@ class TestUnionOfOneImageDocuments:
             "A. Imager", "B. Other"}
         assert types_of(result.graph, Iri(BASE + "instrument/I1")) == {
             registry.class_by_label(label).iri for label in ("ElectronMicroscope", "Instrument")}
+
+    @pytest.mark.parametrize("edge", ["containedIn", "derivedFrom"])
+    def test_experimenter_equal_to_an_edge_key(self, edge, registry, policy, links):
+        # a reader record is a tuple, so this experimenter equals the tuple
+        # (edge, "S1", target), which must not stand for S1's edge to target
+        strain = "rikenbrc_mouse:RBRC00001"
+        target = "C1" if edge == "containedIn" else links.resolve(strain).value
+        pixels = OmePixels(1, 1, 1, 1, 1)
+        pairs = [
+            (OmeImage("A", "n", pixels, experimenter=OmeExperimenter(edge, "S1", target)), None),
+            (OmeImage("B", "n", pixels), EmAnnotation("B", "S1", "C1", strain)),
+        ]
+        result = self.check(pairs, registry, policy, links)
+        s1 = BASE + "biosample/S1"
+        assert [o for s, p, o in result.graph
+                if s == s1 and p == registry.property_by_label(edge).iri] == [
+            BASE + "samplecontainer/C1" if edge == "containedIn" else target]
 
     def test_failed_record_does_not_hide_what_it_named_first(
             self, registry, policy, links):

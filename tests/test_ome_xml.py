@@ -2,6 +2,8 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ome_rdf import ome_xml
 from ome_rdf.errors import (
@@ -14,12 +16,18 @@ from ome_rdf.errors import (
     InvalidValueError,
     MalformedXmlError,
     MissingRequiredFieldError,
+    OmeRdfError,
     UnknownColumnError,
 )
 from ome_rdf.namespaces import XSD_INTEGER
 from ome_rdf.ome_xml import (
     EmAnnotation,
     InstrumentKind,
+    OmeDocument,
+    OmeExperimenter,
+    OmeImage,
+    OmeInstrument,
+    OmePixels,
     SIDECAR_COLUMNS,
     parse_ome_document,
     parse_sidecar,
@@ -254,6 +262,16 @@ class TestParseOmeDocument:
         (image,) = parse_ome_document(doc(DATED.format(stamp))).images
         assert image.acquisition_date == stamp
 
+    @pytest.mark.parametrize("space", ["\xa0", "\x85", "\u2028", "\u3000"])
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_timestamp_not_trimmed_of_other_space(self, space, where):
+        stamp = "2015-01-20T10:30:00Z"
+        raw = space + stamp if where == "before" else stamp + space
+        with pytest.raises(InvalidValueError) as err:
+            parse_ome_document(doc(DATED.format(raw)))
+        assert err.value.path == "/OME/Image[I]/AcquisitionDate"
+        assert str(err.value).startswith(f"/OME/Image[I]/AcquisitionDate: {raw!r} is not")
+
     def test_bad_instrument_kind(self):
         with pytest.raises(InvalidValueError):
             parse_ome_document(doc('<Instrument ID="I1" Kind="Sonic"/>' + IMG.format(id="I", z="1")))
@@ -438,3 +456,157 @@ class TestParseSidecar:
     def test_empty_sidecar_is_bad_header(self):
         with pytest.raises(BadHeaderError):
             parse_sidecar("")
+
+
+def pixels_image(i, attrs):
+    """Image ``I{i}`` whose Pixels carry the attribute texts of ``attrs``,
+    ``None`` for absent; every required size not given is 1."""
+    sizes = dict.fromkeys(["SizeX", "SizeY", "SizeZ", "SizeC", "SizeT"], "1") | attrs
+    body = " ".join(f'{a}="{v}"' for a, v in sizes.items() if v is not None)
+    return f'<Image ID="I{i}" Name="n"><Pixels {body}/></Image>'
+
+
+def pixels_doc(*attrs):
+    """A document of images ``I0`` ..., one per dict of attribute texts."""
+    return doc("".join(pixels_image(i, a) for i, a in enumerate(attrs)))
+
+
+def sidecar_row(i, volt, wave):
+    return f"IMG{i}\tS1\t\t\t\t{volt}\t\t{wave}\t\n"
+
+
+def sidecar(*rows):
+    """A sidecar of rows ``IMG0`` ..., one per (voltage, wavelength) pair of texts."""
+    return HEADER + "\n" + "".join(sidecar_row(i, *row) for i, row in enumerate(rows))
+
+
+class TestRepeatedTexts:
+    """A text repeated on several images or rows, or read by several
+    attributes or columns, is read at each place it stands: a faulty one
+    raises at its first place, with its class, code and message."""
+
+    @pytest.mark.parametrize("attrs, message", [
+        ([{"PhysicalSizeX": "5.0"}, {"PhysicalSizeX": "abc"}, {"PhysicalSizeX": "abc"}],
+         "/OME/Image[I1]/Pixels@PhysicalSizeX: 'abc' is not a decimal"),
+        ([{"SizeX": "2"}, {"SizeX": "0"}, {"SizeX": "2"}, {"SizeX": "0"}],
+         "/OME/Image[I1]/Pixels@SizeX: 0 violates sizeX > 0"),
+        ([{"SizeZ": "x"}, {"SizeZ": "x"}],
+         "/OME/Image[I0]/Pixels@SizeZ: 'x' is not an integer"),
+        # one text, read by two attributes of different ranges
+        ([{"PhysicalSizeY": "0.5"}, {"SizeC": "0.5"}],
+         "/OME/Image[I1]/Pixels@SizeC: '0.5' is not an integer"),
+    ], ids=["not-a-decimal", "out-of-bounds", "first-image", "other-attribute"])
+    def test_repeated_faulty_pixels_text_names_the_first(self, attrs, message):
+        with pytest.raises(InvalidDimensionError) as err:
+            parse_ome_document(pixels_doc(*attrs))
+        assert (err.value.code, str(err.value)) == ("InvalidDimension", message)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([("5.0", ""), ("fast", ""), ("fast", "")],
+         "row 3, column 'voltage_kv': 'fast' is not a decimal"),
+        ([("", "-1"), ("", "2"), ("", "-1")],
+         "row 2, column 'wavelength_pm': -1 violates electronWavelength > 0"),
+        # one text, read by two columns of different bounds
+        ([("", "1500"), ("1500", "1500")],
+         "row 3, column 'voltage_kv': 1500 violates accelerationVoltage <= 1000"),
+    ], ids=["not-a-decimal", "out-of-bounds", "other-column"])
+    def test_repeated_faulty_sidecar_text_names_the_first(self, rows, message):
+        with pytest.raises(BadValueError) as err:
+            parse_sidecar(sidecar(*rows))
+        assert (err.value.code, str(err.value)) == ("BadValue", message)
+
+    def test_one_text_in_two_attributes_takes_each_range(self):
+        (img,) = parse_ome_document(pixels_doc({"SizeX": "7", "PhysicalSizeX": "7"})).images
+        assert type(img.pixels.size_x) is int and type(img.pixels.physical_size_x) is Decimal
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of ``text``: the repr of its records, which
+    tells ``Decimal("5.0")`` from ``Decimal("5.00")``, or its error."""
+    try:
+        result = parse(text)
+    except OmeRdfError as e:
+        return type(e), e.code, str(e)
+    return [repr(r) for r in (result.images if isinstance(result, OmeDocument) else result)]
+
+
+def outcome_of_parts(parse, texts):
+    """The outcome of one text holding all of ``texts``' records, as read from
+    each record's own text: the records in order, or the first error."""
+    records = []
+    for text in texts:
+        one = outcome(parse, text)
+        if isinstance(one, tuple):
+            return one
+        records += one
+    return records
+
+
+# texts that each range takes: one value in several forms, and values that
+# only some bounds take; and texts that some attribute or column rejects
+INTEGER_POOL = ["5", "05", "+5", " 5 ", "1500"]
+DECIMAL_POOL = INTEGER_POOL + ["5.0", "5.00", " 5.0", "0.5", "1E+1"]
+FAULT_POOL = ["", "0", "-1", "abc", "0.5", "1500"]
+ATTRS = [attr for attr, _, _ in PIXELS_ROWS]
+# at most one fault per text: which record, which of its texts, and the fault
+FAULT = st.one_of(st.none(), st.tuples(st.integers(0, 5), st.integers(0, 6),
+                                       st.sampled_from(FAULT_POOL)))
+
+
+@given(st.lists(st.fixed_dictionaries(
+    {attr: st.sampled_from(INTEGER_POOL) for attr in ATTRS[:5]}
+    | {attr: st.sampled_from(DECIMAL_POOL + [None]) for attr in ATTRS[5:]}),
+    min_size=1, max_size=6), FAULT)
+@settings(max_examples=150, deadline=None)
+def test_pooled_pixels_parse_as_each_image_alone(attrs, fault):
+    if fault is not None:
+        i, attr, raw = fault
+        attrs[i % len(attrs)][ATTRS[attr]] = raw
+    alone = [doc(pixels_image(i, a)) for i, a in enumerate(attrs)]
+    assert (outcome(parse_ome_document, pixels_doc(*attrs))
+            == outcome_of_parts(parse_ome_document, alone))
+
+
+@given(st.lists(st.lists(st.sampled_from(DECIMAL_POOL + [""]), min_size=2, max_size=2),
+                min_size=1, max_size=6), FAULT)
+@settings(max_examples=150, deadline=None)
+def test_pooled_sidecar_cells_parse_as_each_row_alone(rows, fault):
+    if fault is not None:
+        i, column, raw = fault
+        rows[i % len(rows)][column % 2] = raw
+    # blank lines put each row at its row number in the whole sidecar
+    alone = [HEADER + "\n" * (i + 1) + sidecar_row(i, *row) for i, row in enumerate(rows)]
+    assert outcome(parse_sidecar, sidecar(*rows)) == outcome_of_parts(parse_sidecar, alone)
+
+
+class TestRecords:
+    """The readers' records are typed tuples with the fields, order and
+    defaults they had as frozen dataclasses."""
+
+    @pytest.mark.parametrize("cls, fields, defaults", [
+        (OmePixels, ("size_x", "size_y", "size_z", "size_c", "size_t",
+                     "physical_size_x", "physical_size_y"),
+         {"physical_size_x": None, "physical_size_y": None}),
+        (OmeInstrument, ("id", "kind", "model"), {"model": None}),
+        (OmeExperimenter, ("id", "name", "email"), {"email": None}),
+        (OmeImage, ("id", "name", "pixels", "acquisition_date", "instrument", "experimenter"),
+         {"acquisition_date": None, "instrument": None, "experimenter": None}),
+        (OmeDocument, ("images", "instruments", "experimenters"), {}),
+        (EmAnnotation, ("image_id", "sample_id", "container_id", "strain_id",
+                        "staining_method", "acceleration_voltage_kv", "electron_gun_type",
+                        "electron_wavelength_pm", "phenotype_observations"),
+         {"container_id": None, "strain_id": None, "staining_method": None,
+          "acceleration_voltage_kv": None, "electron_gun_type": None,
+          "electron_wavelength_pm": None, "phenotype_observations": ()}),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else "")
+    def test_fields_and_defaults(self, cls, fields, defaults):
+        assert issubclass(cls, tuple)
+        assert (cls._fields, cls._field_defaults) == (fields, defaults)
+
+    def test_keyword_construction_equality_and_immutability(self):
+        ann = EmAnnotation(image_id="I", sample_id="S", staining_method="osmium")
+        assert ann == ("I", "S", None, None, "osmium", None, None, None, ())
+        with pytest.raises(AttributeError):
+            ann.sample_id = "T"
+        changed = ann._replace(sample_id="T")
+        assert (changed.sample_id, ann.sample_id) == ("T", "S")
