@@ -15,6 +15,7 @@ from importlib import resources
 
 from .errors import (
     IdPatternMismatchError,
+    InvalidIriError,
     LinkRegistryError,
     MalformedCurieError,
     UnknownPrefixError,
@@ -53,7 +54,9 @@ class LinkRegistry:
             self._entries[entry.prefix] = entry
 
     def resolve(self, curie: str) -> Iri:
-        """Expand ``prefix:localId`` to ``baseIri + "/" + localId``."""
+        """Expand ``prefix:localId`` to ``baseIri + "/" + localId``.  A local
+        id that matches its pattern but gives no valid IRI raises
+        :class:`MalformedCurieError`."""
         if ":" not in curie:
             raise MalformedCurieError(f"{curie!r} has no prefix separator")
         prefix, local = curie.split(":", 1)
@@ -64,7 +67,10 @@ class LinkRegistry:
             raise UnknownPrefixError(prefix)
         if not entry.id_regex.fullmatch(local):
             raise IdPatternMismatchError(curie, entry.id_pattern)
-        return Iri(entry.base_iri.value + "/" + local)
+        try:
+            return Iri(entry.base_iri.value + "/" + local)
+        except InvalidIriError as e:
+            raise MalformedCurieError(f"{curie!r} does not give a valid IRI: {e}") from e
 
     # ---- file format
 

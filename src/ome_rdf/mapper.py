@@ -39,7 +39,7 @@ from .errors import (
 )
 from .namespaces import DEFAULT_INSTANCE_BASE, RDF_TYPE, XSD_NS
 from .ome_xml import EmAnnotation, InstrumentKind, OmeDocument, OmeImage
-from .ontology import OntologyClass, OntologyRegistry, build_core_ontology
+from .ontology import OntologyRegistry, build_core_ontology
 from .rdf import Graph, Iri, Literal
 
 _XSD = Iri(XSD_NS)
@@ -96,10 +96,6 @@ class MintingPolicy:
             raise InvalidIriError(f"instance base {base!r} must end with '/' or '#'")
 
 
-def _base(policy: MintingPolicy, label: str) -> str:
-    return policy.instance_base.value + label.lower() + "/"
-
-
 def _encoded(local_id: str) -> str:
     """``local_id`` as unreserved characters and ``%XX``: no IRI check fails on it."""
     if local_id == "":
@@ -108,11 +104,6 @@ def _encoded(local_id: str) -> str:
         return quote(local_id, safe="")
     except UnicodeEncodeError as e:  # a lone surrogate has no UTF-8 form
         raise InvalidIriError(f"cannot percent-encode local id {local_id!r}") from e
-
-
-def mint_iri(policy: MintingPolicy, cls: OntologyClass, local_id: str) -> Iri:
-    """``instanceBase + lowercased class label + "/" + percent-encoded id``."""
-    return Iri(_base(policy, cls.label) + _encoded(local_id))
 
 
 @dataclass(frozen=True)
@@ -155,7 +146,8 @@ class _Emitter:
     def __init__(self, registry: OntologyRegistry, policy: MintingPolicy, links):
         if registry is not _CORE and registry != _CORE:
             raise UnknownClassInRegistryError(f"{registry.namespace} is not the core ontology")
-        self.bases = {label: _base(policy, label) for label in _CLASS}
+        # a node's IRI: instance base + lowercased class label + "/" + encoded id
+        self.bases = {label: policy.instance_base.value + label.lower() + "/" for label in _CLASS}
         self.links = links
         self.prefixes = {"mo": _CORE.namespace, "res": policy.instance_base, "xsd": _XSD}
         self.triples = []

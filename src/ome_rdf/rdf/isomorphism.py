@@ -3,11 +3,12 @@
 :func:`graph_isomorphic` first compares the triple sets directly, which
 decides when they are equal or the first graph has no blank node.
 Otherwise it compares ground triples, then runs colour refinement over
-blank nodes and finishes with an exact backtracking search (up to
-``BRUTE_FORCE_BOUND`` blanks).  Above the bound it only answers when
-refinement pins every blank down to a singleton class, otherwise it
-raises :class:`TooLargeForExactCheckError`.  Refinement orders ground
-neighbours by :func:`~ome_rdf.rdf.model.term_sort_key`, as the writers do.
+blank nodes and finishes with one exact search.  A blank that refinement
+pins to a colour class of one is placed up front; only the blanks left in
+larger classes, the open ones, are searched, and more than
+``BRUTE_FORCE_BOUND`` open blanks raise :class:`TooLargeForExactCheckError`.
+Refinement orders ground neighbours by
+:func:`~ome_rdf.rdf.model.term_sort_key`, as the writers do.
 """
 
 from __future__ import annotations
@@ -83,66 +84,71 @@ def _refine(adj_a: dict, adj_b: dict):
     return colors_a, colors_b
 
 
-def _substitute(blankful, mapping):
-    out = set()
-    for s, p, o in blankful:
-        s = BlankNode(mapping[s.label]) if isinstance(s, BlankNode) else s
-        o = BlankNode(mapping[o.label]) if isinstance(o, BlankNode) else o
-        out.add((s, p, o))
-    return out
+def _search(blankful_a, blankful_b, candidates):
+    """Exact search for a bijection consistent with the candidate lists.
 
-
-def _backtrack(blankful_a, blankful_b, candidates):
-    """Exact search for a bijection consistent with the candidate sets."""
+    A blank whose class holds one candidate is pinned and placed up front;
+    only the open blanks are searched, one recursion level each.  Each
+    blankful triple of ``a`` is checked once, when its last blank is placed.
+    A full placement is a bijection onto ``blankful_b``: matching colour
+    multisets give each pinned blank a target that no other blank can take,
+    ``used`` keeps the open ones apart, and equal lengths and ground sets
+    give both graphs as many blankful triples, so the injective image of
+    ``blankful_a`` is all of ``blankful_b``.
+    """
     b_set = set(blankful_b)
-    triples_by_label: dict = {}
+    assignment = {lbl: c[0] for lbl, c in candidates.items() if len(c) == 1}
+    order = sorted((lbl for lbl in candidates if lbl not in assignment),
+                   key=lambda lbl: (len(candidates[lbl]), lbl))
+    if len(order) > BRUTE_FORCE_BOUND:
+        raise TooLargeForExactCheckError(
+            f"{len(order)} blank nodes that refinement leaves open exceed the "
+            f"exact-search bound ({BRUTE_FORCE_BOUND})"
+        )
+    # checks[k]: the triples whose last blank is order[k - 1] (k = 0: all
+    # pinned); they read no later level, so a failed level's entries go unread
+    level = {lbl: i + 1 for i, lbl in enumerate(order)}
+    checks = [[] for _ in range(len(order) + 1)]
     for t in blankful_a:
-        for term in (t[0], t[2]):
-            if isinstance(term, BlankNode):
-                triples_by_label.setdefault(term.label, []).append(t)
+        checks[max(level.get(term.label, 0) for term in (t[0], t[2])
+                   if isinstance(term, BlankNode))].append(t)
 
-    order = sorted(candidates, key=lambda lbl: (len(candidates[lbl]), lbl))
-    assignment: dict = {}
-    used: set = set()
-
-    def consistent(lbl) -> bool:
-        for s, p, o in triples_by_label[lbl]:
+    def holds(triples) -> bool:
+        for s, p, o in triples:
             if isinstance(s, BlankNode):
-                if s.label not in assignment:
-                    continue
                 s = BlankNode(assignment[s.label])
             if isinstance(o, BlankNode):
-                if o.label not in assignment:
-                    continue
                 o = BlankNode(assignment[o.label])
             if (s, p, o) not in b_set:
                 return False
         return True
 
+    used: set = set()
+
     def place(i) -> bool:
         if i == len(order):
-            return _substitute(blankful_a, assignment) == b_set
+            return True
         lbl = order[i]
-        for cand in sorted(candidates[lbl]):
+        for cand in candidates[lbl]:
             if cand in used:
                 continue
             assignment[lbl] = cand
             used.add(cand)
-            if consistent(lbl) and place(i + 1):
+            if holds(checks[i + 1]) and place(i + 1):
                 return True
-            del assignment[lbl]
             used.discard(cand)
         return False
 
-    return place(0)
+    return holds(checks[0]) and place(0)
 
 
 def graph_isomorphic(a: Graph, b: Graph) -> bool:
     """True iff some blank-node bijection makes the triple sets equal.
 
     Ground (blank-free) triples must match exactly.  Raises
-    :class:`TooLargeForExactCheckError` when there are more than
-    ``BRUTE_FORCE_BOUND`` blank nodes and refinement is inconclusive.
+    :class:`TooLargeForExactCheckError` when more than ``BRUTE_FORCE_BOUND``
+    blank nodes sit in colour classes that refinement leaves with more than
+    one member.
     """
     if len(a) != len(b):
         return False
@@ -163,23 +169,7 @@ def graph_isomorphic(a: Graph, b: Graph) -> bool:
     colors_a, colors_b = refined
 
     by_color_b: dict = {}
-    for lbl, c in colors_b.items():
-        by_color_b.setdefault(c, set()).add(lbl)
+    for lbl, c in sorted(colors_b.items()):
+        by_color_b.setdefault(c, []).append(lbl)
     # equal colour multisets: every colour of a also colours some blank of b
-    candidates = {lbl: by_color_b[c] for lbl, c in colors_a.items()}
-
-    n_blanks = len(adj_a)
-    if n_blanks <= BRUTE_FORCE_BOUND:
-        return _backtrack(blankful_a, blankful_b, candidates)
-
-    if all(len(c) == 1 for c in candidates.values()):
-        # refinement pinned every blank: the only colour-respecting
-        # bijection either works or no bijection does
-        mapping = {lbl: next(iter(c)) for lbl, c in candidates.items()}
-        return _substitute(blankful_a, mapping) == set(blankful_b)
-
-    raise TooLargeForExactCheckError(
-        f"{n_blanks} blank nodes exceed the exact-search bound "
-        f"({BRUTE_FORCE_BOUND}) and refinement is inconclusive"
-    )
-
+    return _search(blankful_a, blankful_b, {lbl: by_color_b[c] for lbl, c in colors_a.items()})

@@ -44,8 +44,12 @@ _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _IRI_FORBIDDEN_RE = re.compile(r'[\s<>"{}|^`\\\x00-\x20\ud800-\udfff]')
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
-_BLANK_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-_LANG_TAG_RE = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*")
+# the grammars of a blank node label and a language tag, which the parsers
+# compose into their own patterns
+BLANK_LABEL_PATTERN = r"[A-Za-z][A-Za-z0-9]*"
+LANG_TAG_PATTERN = r"[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*"
+_BLANK_LABEL_RE = re.compile(BLANK_LABEL_PATTERN)
+_LANG_TAG_RE = re.compile(LANG_TAG_PATTERN)
 _PREFIX_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.-]*[A-Za-z0-9_-]|[A-Za-z])?")
 
 _INTEGER_LEXICAL_RE = re.compile(r"[+-]?[0-9]+")

@@ -51,7 +51,7 @@ from ..errors import (
     UnsupportedConstructError,
 )
 from ..namespaces import RDF_TYPE
-from .model import BlankNode, Graph, Literal, iri_text
+from .model import BLANK_LABEL_PATTERN, LANG_TAG_PATTERN, BlankNode, Graph, Literal, iri_text
 
 _ECHAR = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
@@ -62,8 +62,9 @@ _PNAME_RE = re.compile(
     r"([A-Za-z][A-Za-z0-9_.-]*)?:"
     r"([A-Za-z0-9_][A-Za-z0-9_.-]*(?:%[0-9A-Fa-f]{2}[A-Za-z0-9_.-]*)*)?"
 )
-_BLANK_RE = re.compile(r"_:([A-Za-z][A-Za-z0-9]*)")
-_LANGTAG_RE = re.compile(r"@([A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*)")
+_BLANK_RE = re.compile(rf"_:({BLANK_LABEL_PATTERN})")
+_LANG = rf"@({LANG_TAG_PATTERN})"
+_LANGTAG_RE = re.compile(_LANG)
 _KEYWORD_RE = re.compile(r"[A-Za-z@]+")
 _BOOLEAN_RE = re.compile(r"(?:true|false)[.,;]*(?![^ \t\r\n])")
 _HEX_RE = re.compile(r"[0-9A-Fa-f]*")
@@ -82,11 +83,10 @@ _STRING_BODY_RE = re.compile(r'[^"\\\r\n]*')
 _WS = r"[ \t\r\n]*"
 _IRI = r'<([^<>"{}|^`\\\x00-\x20]*)>'
 _STRING = r'"([^"\\\r\n]*)"'
-_LANG = r"@([A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*)"
 _PNAME = (r"((?:[A-Za-z][A-Za-z0-9_.-]*)?):"
           r"((?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?(?!\.*[A-Za-z0-9_%-]))?)"
           r"(?![A-Za-z0-9_])")
-_NODE = rf"(?:{_IRI}|_:([A-Za-z][A-Za-z0-9]*))"
+_NODE = rf"(?:{_IRI}|_:({BLANK_LABEL_PATTERN}))"
 # groups: IRI, or prefix and local name
 _NAME = rf"(?:{_IRI}|{_PNAME})"
 # groups: the keyword "a", then a name

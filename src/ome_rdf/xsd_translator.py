@@ -3,7 +3,7 @@
 Reads a constrained slice of XSD (named complexTypes with sequences,
 elements, attributes, occurrence bounds, and single-level extensions),
 extracts class and property candidates, and mints them into an
-:class:`OntologyRegistry` fragment for inspection and diffing.  The
+:class:`OntologyRegistry` fragment for inspection.  The
 shipped core ontology is hand-curated; this module exists to reproduce
 and audit the translation step, so unsupported schema constructs degrade
 to warnings instead of failures.
@@ -279,8 +279,7 @@ def concepts_to_registry_fragment(concepts, namespace) -> OntologyRegistry:
     claimed as both class and property raises
     :class:`NameCollisionError`.  A class whose name is the label of one of
     the core ontology's translated classes takes that class's category;
-    every other class falls in ``Category.IMAGE``, a bucket that only
-    labels the diff output.
+    every other class falls in ``Category.IMAGE``.
     """
     ns = Iri(namespace)
     categories = {c.label: c.category for c in build_core_ontology().classes

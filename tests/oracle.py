@@ -1,6 +1,8 @@
 """Reference implementations that tests compare the library against.
 
 ``blank_labels`` lists a graph's blank node labels.
+``expected_iri`` is the IRI the mapper must mint for a node, worked out
+apart from the mapper's own minting code.
 ``brute_force_isomorphic`` is an independent oracle for the library's
 refined search; it shares no code with :mod:`ome_rdf.rdf.isomorphism`.
 ``reference_serialize_turtle`` is the straightforward Turtle writer that
@@ -11,6 +13,7 @@ escapes strings and shortens IRIs by its own rules.
 
 import string
 from itertools import permutations
+from urllib.parse import quote
 
 from ome_rdf.errors import TooLargeForExactCheckError
 from ome_rdf.namespaces import RDF_TYPE, XSD_STRING
@@ -47,6 +50,13 @@ def blank_labels(g: Graph) -> frozenset:
         term.label for s, _, o in g for term in (s, o)
         if isinstance(term, BlankNode)
     )
+
+
+def expected_iri(instance_base: str, class_label: str, local_id: str) -> str:
+    """``instance_base``, the class label in lower case, "/" and the local id
+    with every character but the unreserved ones percent-encoded as UTF-8."""
+    lowered = "".join(chr(ord(ch) + 32) if "A" <= ch <= "Z" else ch for ch in class_label)
+    return instance_base + lowered + "/" + quote(local_id, safe="")
 
 
 def brute_force_isomorphic(a: Graph, b: Graph, max_blanks: int = 8) -> bool:

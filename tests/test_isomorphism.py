@@ -109,6 +109,32 @@ class TestIsomorphic:
                      for i in range(20)])
         assert not graph_isomorphic(g, bad)
 
+    def test_open_blanks_bound_the_search_not_all_blanks(self):
+        # 20 pinned blanks and a p-cycle core that refinement cannot split:
+        # 26 blanks, 6 of them open, so the exact search decides
+        def graph(prefix, *cycles):
+            triples = [Triple(BlankNode(f"{prefix}{i}"), Iri(EX + "p"), Iri(EX + f"o{i}"))
+                       for i in range(20)]
+            for labels in cycles:
+                triples += [bt(f"_:{prefix}{x}", "p", f"_:{prefix}{y}")
+                            for x, y in zip(labels, labels[1:] + labels[:1])]
+            return Graph(triples)
+
+        g = graph("a", "bcdefg")
+        assert graph_isomorphic(g, graph("z", "uvwxyt"))
+        assert not graph_isomorphic(g, graph("z", "uvw", "xyt"))
+
+    @pytest.mark.parametrize("n", [3000, 20000])
+    def test_many_pinned_blanks_need_no_recursion(self, n):
+        def graph(prefix, last):
+            return Graph([Triple(BlankNode(f"{prefix}{i}"), Iri(EX + "p"),
+                                 Iri(EX + (f"o{i}" if i < n - 1 else last)))
+                          for i in range(n)])
+
+        g = graph("a", f"o{n - 1}")
+        assert graph_isomorphic(g, graph("z", f"o{n - 1}"))
+        assert not graph_isomorphic(g, graph("z", "other"))
+
 
 class TestEquivalenceAndAgreement:
     @given(st.integers(0, 2**32))
@@ -140,3 +166,18 @@ class TestEquivalenceAndAgreement:
         k = rename_blanks(h, {f"m{i}": f"k{i}" for i in range(len(labels))})
         assert graph_isomorphic(g, h) and graph_isomorphic(h, k)
         assert graph_isomorphic(g, k)
+
+    @given(st.integers(0, 2**32), st.integers(0, 2**32), st.integers(0, 30))
+    @settings(max_examples=50, deadline=None)
+    def test_pinned_blanks_leave_the_core_answer(self, s1, s2, n_pinned):
+        # each pinned blank has a ground neighbour of its own, so refinement
+        # places it, and the graphs are isomorphic iff their cores are
+        def with_pinned(core, prefix):
+            return Graph(list(core) + [
+                Triple(BlankNode(f"{prefix}{i}"), Iri(EX + "pinned"), Iri(EX + f"o{i}"))
+                for i in range(n_pinned)])
+
+        g = random_graph(random.Random(s1), max_triples=10, max_blanks=4)
+        h = random_graph(random.Random(s2), max_triples=10, max_blanks=4)
+        assert (graph_isomorphic(with_pinned(g, "pin"), with_pinned(h, "q"))
+                == brute_force_isomorphic(g, h))

@@ -83,11 +83,12 @@ class TestRegistryFile:
     def test_lines_end_only_at_cr_or_lf(self):
         good = "demo\thttp://db.example/demo\t[0-9]{4}\x85?"
         # the U+0085 stays in the pattern: the id matches it, and only the
-        # IRI, where no space may stand, refuses it
+        # IRI, where no space may stand, refuses it, so the CURIE is malformed
         reg = LinkRegistry.loads(good)
         assert reg.resolve("demo:1234").value == "http://db.example/demo/1234"
-        with pytest.raises(InvalidIriError):
+        with pytest.raises(MalformedCurieError, match="demo:1234") as err:
             reg.resolve("demo:1234\x85")
+        assert isinstance(err.value.__cause__, InvalidIriError)
         # CRLF and CR end lines too, so the bad line is line 3
         text = good + "\r\nother\thttp://db.example/o\t.*\rjustone\n"
         with pytest.raises(LinkRegistryError) as err:

@@ -2,7 +2,8 @@
 ``ome_xml.read_xml``, which maps every XML fault to ``MalformedXmlError``;
 the ontology rows become objects only in ``ontology.build_core_ontology``,
 and labels resolve against the core only at import; the CURIE prefix
-grammar is stated only in ``links``; graph comparison orders terms by the
+grammar is stated only in ``links``, and the blank node label and language
+tag grammars only in the RDF model; graph comparison orders terms by the
 model's order, not by the writer's text; and the Turtle oracle shares no
 code with the writer it checks."""
 
@@ -62,6 +63,15 @@ def test_curie_prefix_grammar_has_one_owner():
     grammar = "[a-z][a-z0-9_]*"
     holders = [p.name for p in sorted((ROOT / "src").rglob("*.py")) if grammar in p.read_text()]
     assert holders == ["links.py"]
+
+
+@pytest.mark.parametrize("grammar", [
+    "[A-Za-z][A-Za-z0-9]*",  # blank node label
+    "[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*",  # language tag
+])
+def test_term_grammars_have_one_owner(grammar):
+    holders = [p.name for p in sorted((ROOT / "src").rglob("*.py")) if grammar in p.read_text()]
+    assert holders == ["model.py"]
 
 
 def test_graph_comparison_names_nothing_of_the_writer():
