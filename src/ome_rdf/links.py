@@ -3,8 +3,9 @@
 The registry is a plain-text TSV config, one ``prefix<TAB>baseIri<TAB>
 idPattern`` line per partner database; the default ships with the RIKEN
 BioResource mouse-strain catalogue.  A leading byte-order mark is ignored;
-a file that is not UTF-8, or an id pattern that does not compile, raises
-:class:`LinkRegistryError`.
+a file that is not UTF-8 raises :class:`LinkRegistryError`, and so does a
+faulty line (wrong cell count, bad prefix, base IRI or id pattern, or a
+repeated prefix), with a message that starts ``line N:``.
 """
 
 from __future__ import annotations
@@ -49,9 +50,12 @@ class LinkRegistry:
     def __init__(self, entries):
         self._entries = {}
         for entry in entries:
-            if entry.prefix in self._entries:
-                raise LinkRegistryError(f"duplicate prefix {entry.prefix!r}")
-            self._entries[entry.prefix] = entry
+            self._add(entry)
+
+    def _add(self, entry: LinkEntry) -> None:
+        if entry.prefix in self._entries:
+            raise LinkRegistryError(f"duplicate prefix {entry.prefix!r}")
+        self._entries[entry.prefix] = entry
 
     def resolve(self, curie: str) -> Iri:
         """Expand ``prefix:localId`` to ``baseIri + "/" + localId``.  A local
@@ -82,14 +86,17 @@ class LinkRegistry:
         lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         if lines[-1] == "":
             lines.pop()  # the final line end
-        entries = []
+        registry = cls(())
         for lineno, line in enumerate(lines, start=1):
             cells = line.split("\t")
             if len(cells) != 3:
                 raise LinkRegistryError(
                     f"line {lineno}: expected prefix<TAB>baseIri<TAB>idPattern")
-            entries.append(LinkEntry(cells[0], Iri(cells[1]), cells[2]))
-        return cls(entries)
+            try:
+                registry._add(LinkEntry(cells[0], Iri(cells[1]), cells[2]))
+            except (InvalidIriError, LinkRegistryError) as e:
+                raise LinkRegistryError(f"line {lineno}: {e}") from e
+        return registry
 
     @classmethod
     def load(cls, path) -> "LinkRegistry":

@@ -6,7 +6,11 @@ graph yields its triples.  N-Triples lines are sorted bytewise, Turtle
 statements are grouped by subject and sorted at every level, with
 ``rdf:type`` written first as ``a``.  The Turtle writer writes an IRI as a
 prefixed name under the longest namespace that leaves a safe local name,
-and in full ``<...>`` form when none does.  One term table, made per call
+and in full ``<...>`` form when none does; one pattern, compiled per call
+from the prefix map, finds that namespace in one match.  Subjects whose
+triples carry the same predicates in the same order share one plan per
+call: the text of each verb, in verb order, and where its objects sit
+among the subject's triples.  One term table, made per call
 with the writer's rendering of an IRI, renders each distinct term once for
 both writers, a literal's datatype through the same table; the N-Triples
 writer puts a graph's IRIs in ``<>`` itself, which costs less than a
@@ -19,15 +23,12 @@ lookup.  Both read the exact built-in terms of a graph (see
 from __future__ import annotations
 
 import re
-from functools import partial
+from operator import itemgetter
 
 from ..errors import UnknownFormatError
 from ..namespaces import RDF_TYPE, XSD_STRING
 from .model import BlankNode, Graph, Term, iri_text, term_sort_key
 
-# Conservative Turtle local-name subset: anything outside it is written in
-# full <...> form rather than risking an unparseable prefixed name.
-_SAFE_LOCAL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$|^$")
 _STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
 
 
@@ -58,6 +59,7 @@ class _TermText(dict):
 
 
 _bracketed = "<{}>".format
+_predicate = itemgetter(1)
 
 
 def term_to_ntriples(term: Term) -> str:
@@ -85,16 +87,6 @@ def serialize_ntriples(g: Graph) -> str:
     return "".join(lines)
 
 
-def _shorten(namespaces: list, iri_value: str) -> str:
-    # namespaces: (ns, prefix) sorted longest-ns-first for deterministic wins
-    for ns, prefix in namespaces:
-        if iri_value.startswith(ns):
-            local = iri_value[len(ns):]
-            if _SAFE_LOCAL_RE.match(local):
-                return f"{prefix}:{local}"
-    return f"<{iri_value}>"
-
-
 def _subject_key(s: Term) -> str:
     # term_sort_key's order on subjects: IRIs by text, then blank nodes by
     # label; an IRI starts with a letter, and letters sort before "~".  The
@@ -102,8 +94,47 @@ def _subject_key(s: Term) -> str:
     return s if s.__class__ is str else "~" + s.label
 
 
-def _verb_order(p: str) -> str:
-    return "" if p == RDF_TYPE else p
+def _shortener(namespaces: list):
+    """IRI -> Turtle text: a prefixed name under the first of ``namespaces``
+    (``(ns, prefix)``, longest first) that leaves a safe local name, else
+    ``<iri>``.  One alternation holds every namespace in that order, each
+    followed by a group for the local name; ``fullmatch`` backtracks into
+    the next alternative when a local name is not safe, so the first safe
+    one wins, and ``lastindex`` names its prefix."""
+    if not namespaces:
+        return _bracketed
+    # conservative Turtle local-name subset: anything outside it is written
+    # in full <...> form rather than risking an unparseable prefixed name
+    fullmatch = re.compile("|".join(
+        re.escape(ns) + "((?:[A-Za-z_][A-Za-z0-9_-]*)?)" for ns, _ in namespaces)).fullmatch
+    heads = [None] + [prefix + ":" for _, prefix in namespaces]
+
+    def shorten(iri: str) -> str:
+        m = fullmatch(iri)
+        if m is None:
+            return f"<{iri}>"
+        i = m.lastindex
+        return heads[i] + m[i]
+
+    return shorten
+
+
+def _plan(predicates: tuple, text: _TermText) -> list:
+    """How to write a subject whose triples carry ``predicates`` in this
+    order: per verb, ``rdf:type`` first, then by IRI, the text before its
+    objects and the position of its one object or a tuple of positions."""
+    positions: dict = {}
+    for i, p in enumerate(predicates):
+        positions.setdefault(p, []).append(i)
+    plan = []
+    sep = " "
+    for p in sorted(positions, key=lambda p: "" if p == RDF_TYPE else p):
+        where = positions[p]
+        # "a" is only a verb: rdf:type elsewhere is written as an IRI
+        plan.append((sep + ("a" if p == RDF_TYPE else text[p]) + " ",
+                     where[0] if len(where) == 1 else tuple(where)))
+        sep = " ;\n     "
+    return plan
 
 
 def serialize_turtle(g: Graph) -> str:
@@ -116,7 +147,7 @@ def serialize_turtle(g: Graph) -> str:
     out = [f"@prefix {name}: <{prefixes[name]}> .\n" for name in sorted(prefixes)]
     # each distinct term is rendered once per call: predicates, classes,
     # datatypes and shared nodes recur on many subjects
-    text = _TermText(partial(_shorten, namespaces))
+    text = _TermText(_shortener(namespaces))
 
     # grouped, then only the distinct subjects sorted
     groups: dict = {}
@@ -125,26 +156,30 @@ def serialize_turtle(g: Graph) -> str:
     if groups and out:
         out.append("\n")
 
-    # statements go into out in small pieces: a whole statement is often
+    # many subjects carry the same predicates in the same order, so each
+    # distinct sequence is planned once per call; a plan holds rendered
+    # text, which depends on the prefix map, so it is never kept longer.
+    # Statements go into out in small pieces: a whole statement is often
     # over 512 bytes, which CPython takes from malloc, and such blocks left
     # cached between the large output buffers kept the heap from shrinking
     # (peak RSS up by about 20 MB in some runs)
+    plans: dict = {}
+    append = out.append
     for subject in sorted(groups, key=_subject_key):
-        by_predicate: dict = {}
-        for _, p, o in groups[subject]:
-            by_predicate.setdefault(p, []).append(o)
-        sep = text[subject] + " "
-        for p in sorted(by_predicate, key=_verb_order):
-            objs = by_predicate[p]
-            if len(objs) == 1:
-                objs_text = text[objs[0]]
+        triples = groups[subject]
+        predicates = tuple(map(_predicate, triples))
+        plan = plans.get(predicates)
+        if plan is None:
+            plan = plans[predicates] = _plan(predicates, text)
+        append(text[subject])
+        for verb, where in plan:
+            append(verb)
+            if where.__class__ is int:
+                append(text[triples[where][2]])
             else:
-                objs.sort(key=term_sort_key)
-                objs_text = ", ".join([text[o] for o in objs])
-            # "a" is only a verb: rdf:type elsewhere is written as an IRI
-            out += (sep, "a" if p == RDF_TYPE else text[p], " ", objs_text)
-            sep = " ;\n     "
-        out.append(" .\n")
+                objs = sorted([triples[i][2] for i in where], key=term_sort_key)
+                append(", ".join([text[o] for o in objs]))
+        append(" .\n")
     return "".join(out)
 
 

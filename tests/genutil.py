@@ -81,8 +81,13 @@ def random_graph(
         for _ in range(rng.choice((1, 1, 1, 2, 3))):
             triples.append(Triple(subject, predicate, random_term(rng, "object", max_blanks)))
     del triples[n:]
+    return Graph(triples, random_prefixes(rng) if with_prefixes else {})
+
+
+def random_prefixes(rng: random.Random) -> dict:
+    """A prefix map over the generators' namespaces, empty three times in ten."""
     prefixes = {}
-    if with_prefixes and rng.random() < 0.7:
+    if rng.random() < 0.7:
         prefixes["ex"] = "http://t.example/"
         if rng.random() < 0.5:
             prefixes["x"] = "http://x.example/ns#"
@@ -97,7 +102,29 @@ def random_graph(
             prefixes["ex2"] = "http://t.example/"  # same namespace: "ex" wins by name
         if rng.random() < 0.3:
             prefixes["rdf"] = RDF_NS
-    return Graph(triples, prefixes)
+    return prefixes
+
+
+def templated_graph(rng: random.Random, max_subjects: int = 40, max_blanks: int = 8) -> Graph:
+    """Many subjects over a few predicate templates, as the mapper writes
+    records: a template may repeat a predicate, and some subjects take
+    theirs in another order, so equal predicate sequences recur and equal
+    multisets come in different orders."""
+    templates = []
+    for _ in range(rng.randint(1, 3)):
+        template = [random_term(rng, "predicate", max_blanks) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            template += [rng.choice(template)] * rng.randint(1, 2)
+        templates.append(template)
+    triples = []
+    for k in range(rng.randrange(max_subjects + 1)):
+        subject = BlankNode(f"s{k}") if rng.random() < 0.3 else Iri(f"http://t.example/s{k}")
+        predicates = list(rng.choice(templates))
+        if rng.random() < 0.3:
+            rng.shuffle(predicates)
+        for predicate in predicates:
+            triples.append(Triple(subject, predicate, random_term(rng, "object", max_blanks)))
+    return Graph(triples, random_prefixes(rng))
 
 
 def rename_blanks(g: Graph, mapping: dict) -> Graph:

@@ -3,7 +3,7 @@ parses, or raises an ``OmeRdfError`` with a code; a pair that parses maps,
 record by record, or is skipped with a code.  A mutated XML schema
 translates into an ontology fragment whose graph reads back from Turtle,
 or raises an ``OmeRdfError`` with a code.  A mutated link registry loads,
-or raises an ``OmeRdfError`` with a code."""
+or raises a ``LinkRegistryError`` that names the faulty line."""
 
 import random
 import re
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
-from ome_rdf.errors import OmeRdfError
+from ome_rdf.errors import LinkRegistryError, OmeRdfError
 from ome_rdf.links import LinkRegistry
 from ome_rdf.mapper import MintingPolicy, map_document
 from ome_rdf.ome_xml import parse_ome_document, parse_sidecar
@@ -169,4 +169,8 @@ def test_mutated_schemas_translate_or_raise_coded_errors(rng):
 def test_mutated_link_registries_load_or_raise_coded_errors(text):
     # only loaded: resolving an id under a mutated pattern such as (a+)+$
     # could backtrack for a long time
-    _parsed(LinkRegistry.loads, text)
+    try:
+        LinkRegistry.loads(text)
+    except LinkRegistryError as e:
+        # every fault of a registry is a fault of one line, which it names
+        assert re.match("line [0-9]+: ", str(e)), repr(e)

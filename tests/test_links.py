@@ -66,8 +66,23 @@ class TestRegistryFile:
             LinkRegistry.loads("justone\n")
 
     def test_bad_id_pattern(self):
-        with pytest.raises(LinkRegistryError, match="^bad id pattern for 'demo': "):
+        with pytest.raises(LinkRegistryError, match="^line 1: bad id pattern for 'demo': "):
             LinkRegistry.loads("demo\thttp://db.example/demo\t(\n")
+
+    @pytest.mark.parametrize("bad_line, message, cause", [
+        ("demo\tnot an iri\t.*", "missing scheme in 'not an iri'", InvalidIriError),
+        ("Demo\thttp://db.example/demo\t.*", "bad prefix 'Demo'", LinkRegistryError),
+        ("demo\thttp://db.example/demo\t[", "bad id pattern for 'demo': ", LinkRegistryError),
+        ("ok\thttp://db.example/again\t.*", "duplicate prefix 'ok'", LinkRegistryError),
+    ])
+    def test_each_line_fault_names_its_line(self, bad_line, message, cause):
+        text = "ok\thttp://db.example/ok\t.*\n" + bad_line + "\n"
+        with pytest.raises(LinkRegistryError) as err:
+            LinkRegistry.loads(text)
+        assert str(err.value).startswith("line 2: " + message)
+        assert err.value.code == "LinkRegistryError"
+        assert type(err.value.__cause__) is cause
+        assert str(err.value) == "line 2: " + str(err.value.__cause__)
 
     def test_leading_byte_order_mark_is_ignored(self):
         reg = LinkRegistry.loads("\ufeffdemo\thttp://db.example/demo\t[0-9]{4}\n")

@@ -25,8 +25,8 @@ from ome_rdf.rdf import (
     term_to_ntriples,
 )
 
-from genutil import random_graph
-from oracle import blank_labels, brute_force_isomorphic, reference_serialize_turtle
+from genutil import random_graph, random_prefixes, templated_graph
+from oracle import _iri_to_turtle, blank_labels, brute_force_isomorphic, reference_serialize_turtle
 
 EX = "http://ex.org/"
 DATA = Path(__file__).parent / "data"
@@ -363,6 +363,133 @@ class TestTurtleWriter:
         text = serialize(g, "turtle")
         assert text.endswith("\ns: s:ub b:o .\n")
         assert text == reference_serialize_turtle(g)
+
+
+def _plan_cases(g: Graph) -> set:
+    """The cases of a reused plan that ``g`` holds."""
+    by_subject: dict = {}
+    for s, p, o in g:
+        by_subject.setdefault(s, []).append((p, o))
+    sequences = [tuple(p for p, _ in pos) for pos in by_subject.values()]
+    cases = set()
+    if len(set(sequences)) < len(sequences):
+        cases.add("reused sequence")
+    orders: dict = {}
+    for seq in set(sequences):
+        orders.setdefault(tuple(sorted(seq)), set()).add(seq)
+    if any(len(seqs) > 1 for seqs in orders.values()):
+        cases.add("multiset in another order")
+    for s, pos in by_subject.items():
+        if isinstance(s, BlankNode):
+            cases.add("blank subject")
+        for p, o in pos:
+            if p == RDF_TYPE:
+                cases.add("rdf:type verb")
+            if sum(q == p for q, _ in pos) > 1:
+                kind = "IRI" if isinstance(o, str) else (
+                    "blank" if isinstance(o, BlankNode) else "literal")
+                cases.add(f"repeated predicate, {kind} object")
+    return cases
+
+
+class TestTurtlePlans:
+    """Subjects that share a predicate sequence share one plan per call."""
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_same_text_as_reference(self, rng):
+        g = templated_graph(rng)
+        assert serialize(g, "turtle") == reference_serialize_turtle(g)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=50, deadline=None)
+    def test_same_shapes_under_other_prefixes(self, rng):
+        # one call's plans hold text rendered under its own prefix map
+        g = templated_graph(rng)
+        for prefixes in (g.prefixes, {}, random_prefixes(rng), {"": "http://t.example/"}):
+            h = Graph(g, prefixes)
+            assert serialize(h, "turtle") == reference_serialize_turtle(h)
+
+    def test_generator_covers_plan_cases(self):
+        cases = set()
+        for seed in range(50):
+            cases |= _plan_cases(templated_graph(random.Random(seed)))
+        assert cases == {
+            "reused sequence", "multiset in another order", "blank subject", "rdf:type verb",
+            "repeated predicate, IRI object", "repeated predicate, blank object",
+            "repeated predicate, literal object",
+        }
+
+
+# namespaces that hold regular-expression metacharacters, and IRIs that
+# would fall under them if those were read as patterns
+_META_NAMESPACES = [
+    "http://m.example/a.b/", "http://m.example/a+b/", "http://m.example/xa?b/",
+    "http://m.example/(c)/", "http://m.example/[d]/", "http://m.example/e$",
+    "http://m.example/f*/", "http://t.example/", "http://t.example/p",
+]
+_LOOKALIKES = [
+    "http://m.example/aXb/", "http://m.example/aab/", "http://m.example/xb/",
+    "http://m.example/c/", "http://m.example/d/", "http://m.example/e",
+    "http://m.example/ff/", "http://m.example//",
+]
+_LOCALS = ["", "o", "9z", "p9z", "x-y", "_u", "a.b", "café", "$", "(c)/o"]
+
+
+def _written(iri: str, prefixes: dict) -> str:
+    """How the Turtle writer writes ``iri`` as an object under ``prefixes``."""
+    g = Graph([Triple(Iri("urn:x:s"), Iri("urn:x:p"), Iri(iri))], prefixes)
+    text = serialize(g, "turtle")
+    assert text == reference_serialize_turtle(g)
+    return text.rsplit("\n", 2)[-2].removeprefix("<urn:x:s> <urn:x:p> ").removesuffix(" .")
+
+
+class TestIriShortening:
+    """The writer's one pattern against the oracle's loop over namespaces."""
+
+    @given(
+        st.dictionaries(st.sampled_from(["", "a", "b", "m", "ex"]),
+                        st.sampled_from(_META_NAMESPACES), max_size=5),
+        st.lists(st.tuples(st.sampled_from(_META_NAMESPACES + _LOOKALIKES),
+                           st.sampled_from(_LOCALS)), min_size=1, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_name_as_reference(self, prefixes, iris):
+        for base, local in iris:
+            assert _written(base + local, prefixes) == _iri_to_turtle(base + local, prefixes)
+
+    @pytest.mark.parametrize("prefixes, iri, expected", [
+        ({"m": "http://m.example/a.b/"}, "http://m.example/a.b/c", "m:c"),
+        ({"m": "http://m.example/a.b/"}, "http://m.example/aXb/c", "<http://m.example/aXb/c>"),
+        ({"m": "http://m.example/a+b/"}, "http://m.example/aab/c", "<http://m.example/aab/c>"),
+        ({"m": "http://m.example/xa?b/"}, "http://m.example/xb/c", "<http://m.example/xb/c>"),
+        # a "(" read as a group would shift the group that names "z"
+        ({"m": "http://m.example/(c)/", "z": "http://z.example/"}, "http://m.example/(c)/o",
+         "m:o"),
+        ({"m": "http://m.example/(c)/", "z": "http://z.example/"}, "http://z.example/o",
+         "z:o"),
+        ({"m": "http://m.example/[d]/"}, "http://m.example/d/o", "<http://m.example/d/o>"),
+        ({"m": "http://m.example/e$"}, "http://m.example/e", "<http://m.example/e>"),
+        ({"m": "http://m.example/e$"}, "http://m.example/e$", "m:"),
+        ({"m": "http://m.example/f*/"}, "http://m.example/ff/o", "<http://m.example/ff/o>"),
+        # the longest namespace leaves "9z", a shorter one the safe "p9z"
+        ({"ex": "http://t.example/", "p": "http://t.example/p"}, "http://t.example/p9z",
+         "ex:p9z"),
+        ({"ex": "http://t.example/", "p": "http://t.example/p"}, "http://t.example/pz", "p:z"),
+        # equally long: the smaller prefix name wins
+        ({"b": "http://t.example/", "a": "http://t.example/"}, "http://t.example/o", "a:o"),
+        ({"": "http://t.example/"}, "http://t.example/o", ":o"),
+        ({"ex": "http://t.example/"}, "http://t.example/", "ex:"),
+    ])
+    def test_written_name(self, prefixes, iri, expected):
+        assert _written(iri, prefixes) == expected
+
+    def test_no_prefixes_writes_every_iri_in_full(self):
+        g = Graph([Triple(Iri(EX + "s"), Iri(RDF_TYPE), Iri(EX + "C")),
+                   Triple(Iri(EX + "s"), Iri(EX + "n"), Literal("1", Iri(XSD_INTEGER)))])
+        assert serialize(g, "turtle") == (
+            f"<{EX}s> a <{EX}C> ;\n     <{EX}n> \"1\"^^<{XSD_INTEGER}> .\n")
+        assert serialize(g, "turtle") == reference_serialize_turtle(g)
 
 
 _S = "<http://a.example/s>"
