@@ -26,6 +26,13 @@ from .rdf import Iri
 PREFIX_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
+def tsv_lines(text: str) -> list:
+    """The lines of a TSV text, after any leading byte-order mark.  Lines
+    end at CRLF, CR or LF only: U+0085, U+2028 and the like stay in their
+    cell."""
+    return text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 @dataclass(frozen=True)
 class LinkEntry:
     prefix: str
@@ -80,10 +87,7 @@ class LinkRegistry:
 
     @classmethod
     def loads(cls, text: str) -> "LinkRegistry":
-        text = text.lstrip("\ufeff")
-        # lines end at CRLF, CR or LF only; U+0085, U+2028 and the like stay
-        # in their cell
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        lines = tsv_lines(text)
         if lines[-1] == "":
             lines.pop()  # the final line end
         registry = cls(())

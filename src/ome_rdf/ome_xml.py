@@ -40,10 +40,10 @@ from .errors import (
     MissingRequiredFieldError,
     UnknownColumnError,
 )
-from .links import PREFIX_RE
+from .links import PREFIX_RE, tsv_lines
 from .namespaces import XSD_INTEGER
 from .ontology import build_core_ontology
-from .rdf.model import _SURROGATE_RE, DATETIME_LEXICAL_RE, datetime_day_exists
+from .rdf.model import DATETIME_LEXICAL_RE, SURROGATE_RE, datetime_day_exists
 
 SIDECAR_COLUMNS = (
     "image_id", "sample_id", "container_id", "strain_id", "stain",
@@ -213,11 +213,18 @@ def _require(el, attr, path):
     return value
 
 
+def _repeated(path: str, tag: str) -> InvalidValueError:
+    # the schema allows each of an image's supported children at most once
+    return InvalidValueError(f"{path}/{tag}", "appears more than once")
+
+
 def parse_ome_document(text: str) -> OmeDocument:
     """Parse an OME-XML document into fully resolved records.
 
-    Duplicate ids and references to undeclared instruments/experimenters
-    are errors; elements outside the supported subset are ignored.
+    Duplicate ids, references to undeclared instruments/experimenters and
+    an image's second ``Pixels``, ``AcquisitionDate``, ``InstrumentRef`` or
+    ``ExperimenterRef`` are errors; elements outside the supported subset
+    are ignored.
     """
     root = read_xml(text, "OME")
     instruments: dict = {}
@@ -264,14 +271,22 @@ def parse_ome_document(text: str) -> OmeDocument:
         for sub in el:
             tag = local_name(sub.tag)
             if tag == "Pixels":
+                if pixels_el is not None:
+                    raise _repeated(path, tag)
                 pixels_el = sub
             elif tag == "AcquisitionDate":
+                if acq_date is not None:
+                    raise _repeated(path, tag)
                 # XML whitespace only, as xsd:dateTime's whitespace collapse
                 acq_date = _check_timestamp((sub.text or "").strip(" \t\r\n"),
                                             f"{path}/AcquisitionDate")
             elif tag == "InstrumentRef":
+                if instrument_ref is not None:
+                    raise _repeated(path, tag)
                 instrument_ref = _require(sub, "ID", f"{path}/InstrumentRef")
             elif tag == "ExperimenterRef":
+                if experimenter_ref is not None:
+                    raise _repeated(path, tag)
                 experimenter_ref = _require(sub, "ID", f"{path}/ExperimenterRef")
         if pixels_el is None:
             raise MissingRequiredFieldError(f"{path}/Pixels")
@@ -308,10 +323,9 @@ def parse_sidecar(text: str) -> list:
     DECIMAL_EXPONENT_MAX in size.
     Every fault raises :class:`BadValueError` naming its row and column.
     """
-    text = text.lstrip("\ufeff")
-    if not text:
+    lines = tsv_lines(text)
+    if lines == [""]:
         raise BadHeaderError("empty sidecar, expected a header row")
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     header = lines[0].split("\t")
     for name in header:
         if name not in SIDECAR_COLUMNS:
@@ -329,7 +343,7 @@ def parse_sidecar(text: str) -> list:
         if len(cells) != len(SIDECAR_COLUMNS):
             raise BadValueError(lineno, "row",
                                 f"expected {len(SIDECAR_COLUMNS)} cells, found {len(cells)}")
-        bad = _SURROGATE_RE.search(line)
+        bad = SURROGATE_RE.search(line)
         if bad:
             column = SIDECAR_COLUMNS[line.count("\t", 0, bad.start())]
             raise BadValueError(lineno, column, f"lone surrogate {bad.group()!r}")

@@ -12,10 +12,11 @@ Inside a graph every term is an exact built-in, except a
 datatype IRI text, language or None)`` and a triple the tuple ``(subject,
 predicate, object)``.  A reader tells the kinds apart by ``type(t) is
 str``, :class:`BlankNode` or ``tuple``.  CPython's cyclic garbage collector
-untracks such a tuple the first time it meets it, so a finished graph adds
-nothing to a collection.  :func:`Literal` and :func:`Triple` check their
-items and return these built-ins, which hash, compare and pickle as
-themselves.
+untracks such a tuple the first time it meets it, and a full collection
+then untracks the dict that a graph keeps them in, so a finished graph
+without blank nodes adds nothing to a collection.  :func:`Literal` and
+:func:`Triple` check their items and return these built-ins, which hash,
+compare and pickle as themselves.
 
 :class:`Iri` is the typed handle for an IRI outside a graph (the ontology
 rows, namespaces, minted image IRIs, resolved links): a checked ``str``
@@ -37,12 +38,15 @@ from ..namespaces import (
 )
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
-# Characters an IRI may never contain if it is to survive <...> quoting in
-# N-Triples: whitespace, angle brackets, quotes, braces, pipes, carets,
-# backquotes, backslashes, anything at or below U+0020, and lone surrogates,
-# which UTF-8 cannot encode.
-_IRI_FORBIDDEN_RE = re.compile(r'[\s<>"{}|^`\\\x00-\x20\ud800-\udfff]')
-_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+# The ASCII characters an IRI may never contain if it is to survive <...>
+# quoting in N-Triples, as the body of a character class: angle brackets,
+# quotes, braces, pipes, carets, backquotes, backslashes and anything at or
+# below U+0020.  The parsers compose it into their own patterns.
+IRI_FORBIDDEN_ASCII = r'<>"{}|^`\\\x00-\x20'
+# lone surrogates, which UTF-8 cannot encode
+_SURROGATES = r"\ud800-\udfff"
+_IRI_FORBIDDEN_RE = re.compile(rf"[\s{IRI_FORBIDDEN_ASCII}{_SURROGATES}]")
+SURROGATE_RE = re.compile(f"[{_SURROGATES}]")
 
 # the grammars of a blank node label and a language tag, which the parsers
 # compose into their own patterns
@@ -114,7 +118,14 @@ _LEXICAL_FORMS = {
     XSD_NS + "date": (re.compile(_DATE + _TIMEZONE), datetime_day_exists),
     XSD_NS + "time": (re.compile(_TIME + _TIMEZONE), None),
     XSD_NS + "boolean": (re.compile("true|false|1|0"), None),
+    XSD_NS + "hexBinary": (re.compile("(?:[0-9a-fA-F]{2})*"), None),
+    XSD_NS + "base64Binary": (re.compile(
+        "(?:(?:(?:[A-Za-z0-9+/] ?){4})*(?:(?:[A-Za-z0-9+/] ?){3}[A-Za-z0-9+/]"
+        "|(?:[A-Za-z0-9+/] ?){2}[AEIMQUYcgkosw048] ?=|[A-Za-z0-9+/] ?[AQgw] ?= ?=))?"), None),
 }
+# Every XSD datatype the toolkit knows: the checked ones, and the two whose
+# lexical space is any string.
+XSD_DATATYPES = frozenset(_LEXICAL_FORMS) | {XSD_STRING, XSD_NS + "anyURI"}
 
 
 def iri_text(value: str) -> str:
@@ -176,7 +187,7 @@ def Literal(lexical: str, datatype: Optional[str] = None,
     other datatype is rejected, as are lexical forms that do not match
     their datatype and integers outside their datatype's range.
     """
-    bad = _SURROGATE_RE.search(lexical)
+    bad = SURROGATE_RE.search(lexical)
     if bad:
         raise InvalidLiteralError(f"lone surrogate {bad[0]!r} in lexical form {lexical!r}")
     if language is not None and not _LANG_TAG_RE.fullmatch(language):
@@ -245,23 +256,19 @@ class Graph:
     """An immutable set of triples plus a prefix map.
 
     Equality compares triple sets only; prefix maps are serialization
-    hints.  Duplicate triples collapse (set semantics).  Iteration follows
-    first insertion, for memory locality: the graph keeps its distinct
-    triples once more as a tuple in that order (8 bytes a triple).
+    hints.  Duplicate triples collapse (set semantics).  The triples are
+    kept once, as the keys of a dict, so iteration follows first insertion,
+    for memory locality; :attr:`triples` builds a ``frozenset`` of them.
     """
 
-    __slots__ = ("_triples", "_order", "_prefixes")
+    __slots__ = ("_triples", "_prefixes")
 
     def __init__(
         self,
         triples: Iterable[tuple] = (),
         prefixes: Optional[Mapping[str, str]] = None,
     ):
-        order = tuple(triples)
-        self._triples = frozenset(order)
-        if len(self._triples) != len(order):
-            order = tuple(dict.fromkeys(order))
-        self._order = order
+        self._triples = dict.fromkeys(triples)
         pfx = {}
         for name, ns in (prefixes or {}).items():
             if not _PREFIX_NAME_RE.fullmatch(name):
@@ -271,7 +278,7 @@ class Graph:
 
     @property
     def triples(self) -> frozenset:
-        return self._triples
+        return frozenset(self._triples)
 
     @property
     def prefixes(self) -> Mapping[str, str]:
@@ -284,15 +291,16 @@ class Graph:
         return t in self._triples
 
     def __iter__(self) -> Iterator[tuple]:
-        return iter(self._order)
+        return iter(self._triples)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
+        # every value is None, so the dicts are equal iff their key sets are
         return self._triples == other._triples
 
     def __hash__(self):
-        return hash(self._triples)
+        return hash(frozenset(self._triples))
 
     def __repr__(self):
         return f"Graph({len(self._triples)} triples, {len(self._prefixes)} prefixes)"

@@ -51,7 +51,10 @@ from ..errors import (
     UnsupportedConstructError,
 )
 from ..namespaces import RDF_TYPE
-from .model import BLANK_LABEL_PATTERN, LANG_TAG_PATTERN, BlankNode, Graph, Literal, iri_text
+from .model import (
+    BLANK_LABEL_PATTERN, IRI_FORBIDDEN_ASCII, LANG_TAG_PATTERN, BlankNode, Graph, Literal,
+    iri_text,
+)
 
 _ECHAR = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
@@ -81,7 +84,7 @@ _STRING_BODY_RE = re.compile(r'[^"\\\r\n]*')
 # stops a shorter match where the scanner would read on).  A prefix group
 # always takes part in a prefixed name, so an empty prefix is "", not None.
 _WS = r"[ \t\r\n]*"
-_IRI = r'<([^<>"{}|^`\\\x00-\x20]*)>'
+_IRI = rf"<([^{IRI_FORBIDDEN_ASCII}]*)>"
 _STRING = r'"([^"\\\r\n]*)"'
 _PNAME = (r"((?:[A-Za-z][A-Za-z0-9_.-]*)?):"
           r"((?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?(?!\.*[A-Za-z0-9_%-]))?)"

@@ -30,14 +30,7 @@ from .ontology import (
     build_core_ontology,
 )
 from .rdf import Iri
-
-# XSD primitive locals we pass through as datatype ranges
-_XSD_PRIMITIVES = {
-    "string", "boolean", "decimal", "float", "double", "integer", "int",
-    "long", "short", "byte", "dateTime", "date", "time", "anyURI",
-    "nonNegativeInteger", "positiveInteger", "unsignedInt", "unsignedLong",
-    "hexBinary", "base64Binary",
-}
+from .rdf.model import XSD_DATATYPES
 
 _SKIPPED_SILENTLY = {"annotation", "documentation", "unique", "key", "keyref"}
 
@@ -267,7 +260,8 @@ def extract_concepts(model: XsdSubsetModel) -> list:
 
 
 def _datatype_iri(ref: Optional[str]) -> Iri:
-    if ref and ref in _XSD_PRIMITIVES:
+    # an XSD datatype the RDF model knows passes through as a range
+    if ref and XSD_NS + ref in XSD_DATATYPES:
         return Iri(XSD_NS + ref)
     return Iri(XSD_STRING)
 

@@ -272,6 +272,30 @@ class TestParseOmeDocument:
         assert err.value.path == "/OME/Image[I]/AcquisitionDate"
         assert str(err.value).startswith(f"/OME/Image[I]/AcquisitionDate: {raw!r} is not")
 
+    PIXELS = '<Pixels SizeX="1" SizeY="1" SizeZ="1" SizeC="1" SizeT="1"/>'
+
+    # the schema allows one Pixels and at most one of each other child: the
+    # second raises, and the first, even when faulty, is never read
+    @pytest.mark.parametrize("tag, first, second", [
+        ("Pixels", PIXELS.replace('SizeX="1"', 'SizeX="0"'), PIXELS),
+        ("AcquisitionDate", "<AcquisitionDate>2020-01-01T00:00:00Z</AcquisitionDate>",
+         "<AcquisitionDate>2021-01-01T00:00:00Z</AcquisitionDate>"),
+        ("InstrumentRef", '<InstrumentRef ID="nope"/>', '<InstrumentRef ID="I1"/>'),
+        ("ExperimenterRef", '<ExperimenterRef ID="E1"/>', '<ExperimenterRef ID="E1"/>'),
+    ])
+    def test_repeated_image_child(self, tag, first, second):
+        def image(*children):
+            pixels = "" if tag == "Pixels" else self.PIXELS
+            return doc('<Instrument ID="I1"/><Experimenter ID="E1" Name="e"/>'
+                       f'<Image ID="I" Name="n">{"".join(children)}{pixels}</Image>')
+
+        assert len(parse_ome_document(image(second)).images) == 1
+        with pytest.raises(InvalidValueError) as err:
+            parse_ome_document(image(first, second))
+        assert err.value.code == "InvalidValue"
+        assert err.value.path == f"/OME/Image[I]/{tag}"
+        assert str(err.value) == f"/OME/Image[I]/{tag}: appears more than once"
+
     def test_bad_instrument_kind(self):
         with pytest.raises(InvalidValueError):
             parse_ome_document(doc('<Instrument ID="I1" Kind="Sonic"/>' + IMG.format(id="I", z="1")))

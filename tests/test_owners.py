@@ -2,10 +2,12 @@
 ``ome_xml.read_xml``, which maps every XML fault to ``MalformedXmlError``;
 the ontology rows become objects only in ``ontology.build_core_ontology``,
 and labels resolve against the core only at import; the CURIE prefix
-grammar is stated only in ``links``, and the blank node label and language
-tag grammars only in the RDF model; graph comparison orders terms by the
-model's order, not by the writer's text; and the Turtle oracle shares no
-code with the writer it checks."""
+grammar and the TSV line rule are stated only in ``links``, and the blank
+node label and language tag grammars, the characters an IRI may not hold
+and the surrogate range only in the RDF model; no module imports another's
+private name; graph comparison orders terms by the model's order, not by
+the writer's text; and the Turtle oracle shares no code with the writer it
+checks."""
 
 import ast
 from pathlib import Path
@@ -68,10 +70,31 @@ def test_curie_prefix_grammar_has_one_owner():
 @pytest.mark.parametrize("grammar", [
     "[A-Za-z][A-Za-z0-9]*",  # blank node label
     "[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*",  # language tag
+    r'<>"{}|^`\\\x00-\x20',  # the ASCII characters an IRI may not hold
+    r"\ud800-\udfff",  # lone surrogates
 ])
 def test_term_grammars_have_one_owner(grammar):
     holders = [p.name for p in sorted((ROOT / "src").rglob("*.py")) if grammar in p.read_text()]
     assert holders == ["model.py"]
+
+
+def test_tsv_line_rule_has_one_owner():
+    # the sidecar and link registry readers split lines by links.tsv_lines
+    rule = r'.replace("\r\n", "\n").replace("\r", "\n")'
+    holders = [p.name for p in sorted((ROOT / "src").rglob("*.py")) if rule in p.read_text()]
+    assert holders == ["links.py"]
+    assert _owners_in_src("tsv_lines") >= {"ome_rdf.ome_xml.parse_sidecar",
+                                           "ome_rdf.links.LinkRegistry.loads"}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                private += [(path.name, node.module, alias.name) for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_graph_comparison_names_nothing_of_the_writer():

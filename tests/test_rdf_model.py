@@ -114,6 +114,8 @@ class TestLiteral:
         "date": ("-0044-03-15+01:00", "2020-01-01T00:00:00"),
         "time": ("23:59:59.5Z", "24:00:00"),
         "boolean": ("1", "True"),
+        "hexBinary": ("0fB7", "0FB"),
+        "base64Binary": ("Q UJ D", "QUJD "),
     }
 
     @pytest.mark.parametrize("datatype", sorted(_LEXICAL_FORMS))
@@ -122,6 +124,22 @@ class TestLiteral:
         assert Literal(valid, Iri(datatype))[0] == valid
         with pytest.raises(InvalidLiteralError, match="does not parse as"):
             Literal(invalid, Iri(datatype))
+
+    # XSD 1.1 part 2, 3.3.15 and 3.3.16: hex digits in pairs; base64 in
+    # groups of four, a single space allowed after any character but the
+    # last, the final group padded with "=" only after bits that end at zero
+    @pytest.mark.parametrize("local, valid, invalid", [
+        ("hexBinary", ["", "00", "0fB7", "FFff00"], ["0", "zz", "0x00", " 00", "00 "]),
+        ("base64Binary",
+         ["", "QUJD", "QUI=", "QQ==", "Q Q = =", "QUJD RA==", "+/9z"],
+         ["A", "QUJ", "Q===", "QR==", "QUK=", "!!!", "QUJD ", " QUJD", "QU  JD", "=QUJ"]),
+    ])
+    def test_binary_lexical_forms(self, local, valid, invalid):
+        for lexical in valid:
+            assert Literal(lexical, Iri(XSD_NS + local))[0] == lexical
+        for lexical in invalid:
+            with pytest.raises(InvalidLiteralError, match="does not parse as"):
+                Literal(lexical, Iri(XSD_NS + local))
 
     # the least and greatest value of each bounded integer type, as XSD 1.1
     # defines them, and the values just past them

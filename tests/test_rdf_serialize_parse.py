@@ -533,7 +533,10 @@ class TestErrorPositions:
                f"lexical form '2020-13-45T99:00:00Z' does not parse as {_XSD}dateTime"),
               ("maybe", "boolean", f"lexical form 'maybe' does not parse as {_XSD}boolean"),
               ("not a date", "date", f"lexical form 'not a date' does not parse as {_XSD}date"),
-              ("25:99", "time", f"lexical form '25:99' does not parse as {_XSD}time")]],
+              ("25:99", "time", f"lexical form '25:99' does not parse as {_XSD}time"),
+              ("zz", "hexBinary", f"lexical form 'zz' does not parse as {_XSD}hexBinary"),
+              ("!!!", "base64Binary",
+               f"lexical form '!!!' does not parse as {_XSD}base64Binary")]],
         ("ntriples", _NT + f'{_S} {_P} "x"^^ex:t .\n',
          RdfSyntaxError, "prefixed names are not allowed in N-Triples", 2, 48),
         ("ntriples", _NT + f"{_S} {_P} <http://a.example/o",

@@ -10,7 +10,7 @@ from ome_rdf.links import LinkRegistry
 from ome_rdf.mapper import MintingPolicy, map_document
 from ome_rdf.ome_xml import parse_ome_document, parse_sidecar
 from ome_rdf.ontology import build_core_ontology, registry_to_graph
-from ome_rdf.rdf import BlankNode, parse_ntriples, parse_turtle
+from ome_rdf.rdf import BlankNode, Graph, parse_ntriples, parse_turtle
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,3 +57,6 @@ def test_graph_is_never_walked(source):
         for triple in g:
             assert not gc.is_tracked(triple), triple
             assert not gc.is_tracked(triple[2]), triple
+        # nor is the container that holds them, once a full collection met it
+        held = [r for r in gc.get_referents(g) if r is not Graph]
+        assert held and not [type(r) for r in held if gc.is_tracked(r)]

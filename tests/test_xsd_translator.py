@@ -7,6 +7,7 @@ import pytest
 from ome_rdf.errors import EmptySchemaError, MalformedXmlError, NameCollisionError
 from ome_rdf.namespaces import XSD_DATETIME, XSD_NS, XSD_STRING
 from ome_rdf.ontology import Category, Origin, build_core_ontology
+from ome_rdf.rdf.model import XSD_DATATYPES
 from ome_rdf.xsd_translator import (
     CandidateConcept,
     XsdSubsetModel,
@@ -289,6 +290,7 @@ class TestFragment:
     @pytest.mark.parametrize("xsd_type, range_iri", [
         ("xs:dateTime", XSD_DATETIME),
         ("xs:int", XSD_NS + "int"),
+        ("xs:hexBinary", XSD_NS + "hexBinary"),
         # a type that is not an XSD primitive reads as a string
         ("t:Custom", XSD_STRING),
     ])
@@ -298,6 +300,27 @@ class TestFragment:
             "</xs:complexType>"))
         (prop,) = concepts_to_registry_fragment(extract_concepts(model), NS).properties
         assert (prop.label, prop.range) == ("v", range_iri)
+
+    def test_pass_through_types_are_the_model_datatypes(self):
+        # every XSD 1.1 built-in type: those the RDF model knows pass through
+        # as ranges, and each of the others reads as a string
+        builtins = (
+            "anyAtomicType anySimpleType anyURI base64Binary boolean byte date dateTime "
+            "dateTimeStamp dayTimeDuration decimal double duration ENTITIES ENTITY float "
+            "gDay gMonth gMonthDay gYear gYearMonth hexBinary ID IDREF IDREFS int integer "
+            "language long Name NCName negativeInteger NMTOKEN NMTOKENS nonNegativeInteger "
+            "nonPositiveInteger normalizedString NOTATION positiveInteger QName short string "
+            "time token unsignedByte unsignedInt unsignedLong unsignedShort "
+            "yearMonthDuration").split()
+        model = parse_xsd_subset(wrap(
+            '<xs:complexType name="A">'
+            + "".join(f'<xs:attribute name="V{i}" type="xs:{t}"/>' for i, t in enumerate(builtins))
+            + "</xs:complexType>"))
+        ranges = {p.label: p.range.value for p in
+                  concepts_to_registry_fragment(extract_concepts(model), NS).properties}
+        assert ranges == {f"v{i}": XSD_NS + t if XSD_NS + t in XSD_DATATYPES else XSD_STRING
+                          for i, t in enumerate(builtins)}
+        assert set(ranges.values()) == XSD_DATATYPES
 
     def test_name_collision(self):
         concepts = [
