@@ -75,11 +75,13 @@ _PIXELS_ATTRS = tuple(
     ])
 _VOLTAGE = build_core_ontology().property_by_label("accelerationVoltage")
 _WAVELENGTH = build_core_ontology().property_by_label("electronWavelength")
+# the children of an <Image> that are read; the schema allows each at most once
+_IMAGE_CHILDREN = frozenset({"Pixels", "AcquisitionDate", "InstrumentRef", "ExperimenterRef"})
 
 
 class InstrumentKind(enum.Enum):
-    OPTICAL = "opticalMicroscope"
-    ELECTRON = "electronMicroscope"
+    OPTICAL = "optical"
+    ELECTRON = "electron"
 
 
 class OmePixels(NamedTuple):
@@ -213,11 +215,6 @@ def _require(el, attr, path):
     return value
 
 
-def _repeated(path: str, tag: str) -> InvalidValueError:
-    # the schema allows each of an image's supported children at most once
-    return InvalidValueError(f"{path}/{tag}", "appears more than once")
-
-
 def parse_ome_document(text: str) -> OmeDocument:
     """Parse an OME-XML document into fully resolved records.
 
@@ -238,9 +235,8 @@ def parse_ome_document(text: str) -> OmeDocument:
                 raise DuplicateIdError(iid)
             kind_raw = child.get("Kind", "Optical")
             try:
-                kind = {"optical": InstrumentKind.OPTICAL,
-                        "electron": InstrumentKind.ELECTRON}[kind_raw.lower()]
-            except KeyError:
+                kind = InstrumentKind(kind_raw.lower())  # each value is a lower-cased Kind
+            except ValueError:
                 raise InvalidValueError(
                     f"/OME/Instrument[{iid}]@Kind",
                     f"{kind_raw!r} is not Optical or Electron") from None
@@ -268,25 +264,23 @@ def parse_ome_document(text: str) -> OmeDocument:
         acq_date = None
         instrument_ref = None
         experimenter_ref = None
+        seen_children = set()
         for sub in el:
             tag = local_name(sub.tag)
+            if tag not in _IMAGE_CHILDREN:
+                continue
+            if tag in seen_children:
+                raise InvalidValueError(f"{path}/{tag}", "appears more than once")
+            seen_children.add(tag)
             if tag == "Pixels":
-                if pixels_el is not None:
-                    raise _repeated(path, tag)
                 pixels_el = sub
             elif tag == "AcquisitionDate":
-                if acq_date is not None:
-                    raise _repeated(path, tag)
                 # XML whitespace only, as xsd:dateTime's whitespace collapse
                 acq_date = _check_timestamp((sub.text or "").strip(" \t\r\n"),
                                             f"{path}/AcquisitionDate")
             elif tag == "InstrumentRef":
-                if instrument_ref is not None:
-                    raise _repeated(path, tag)
                 instrument_ref = _require(sub, "ID", f"{path}/InstrumentRef")
-            elif tag == "ExperimenterRef":
-                if experimenter_ref is not None:
-                    raise _repeated(path, tag)
+            else:
                 experimenter_ref = _require(sub, "ID", f"{path}/ExperimenterRef")
         if pixels_el is None:
             raise MissingRequiredFieldError(f"{path}/Pixels")

@@ -16,7 +16,7 @@ sidecar readers and the instance mapper read it once, at import.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache
 from typing import Optional
@@ -127,10 +127,6 @@ class OntologyRegistry:
     classes: tuple
     properties: tuple
     conditional_rules: tuple = ()
-    _class_by_iri: dict = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
-    _class_by_label: dict = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
-    _property_by_iri: dict = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
-    _property_by_label: dict = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self):
         by_iri, by_label = {}, {}
@@ -152,6 +148,7 @@ class OntologyRegistry:
                 raise ValueError(f"domain {p.domain} of {p.iri} not registered")
             p_by_iri[p.iri] = p
             p_by_label.setdefault(p.label, p)
+        # the lookup indexes are attributes, not fields, so no caller passes them
         object.__setattr__(self, "_class_by_iri", by_iri)
         object.__setattr__(self, "_class_by_label", by_label)
         object.__setattr__(self, "_property_by_iri", p_by_iri)
@@ -214,8 +211,8 @@ _PROPERTIES = [
     ("sizeT", "Image", XSD_INTEGER, 1, Decimal("0"), None),
     ("physicalSizeX", "Image", XSD_DECIMAL, 1, Decimal("0"), None),
     ("physicalSizeY", "Image", XSD_DECIMAL, 1, Decimal("0"), None),
-    ("acquiredBy", "Image", "Experimenter", None, None, None),
-    ("acquiredWith", "Image", "Instrument", None, None, None),
+    ("acquiredBy", "Image", "Experimenter", 1, None, None),
+    ("acquiredWith", "Image", "Instrument", 1, None, None),
     ("depicts", "Image", "BioSample", None, None, None),
     ("hasImagingCondition", "Image", "ImagingCondition", None, None, None),
     ("hasObservation", "Image", "PhenotypeData", None, None, None),

@@ -195,6 +195,14 @@ class _Scanner:
             node = self.blanks[label] = BlankNode(label)
         return node
 
+    def read_blank(self) -> BlankNode:
+        """The blank node token ``_:label`` at ``pos``; an error at its ``_``
+        if the label is bad."""
+        m = self.match_re(_BLANK_RE)
+        if not m:
+            self.error("bad blank node label")
+        return self.blank(m.group(1))
+
     def read_uchar(self) -> str:
         # positioned after the backslash, on "u", "U" or the end of the text
         kind = self.peek()
@@ -289,10 +297,7 @@ def _read_node(sc: _Scanner):
     if ch == "<":
         return sc.read_iriref()
     if ch == "_":
-        m = sc.match_re(_BLANK_RE)
-        if not m:
-            sc.error("bad blank node label")
-        return sc.blank(m.group(1))
+        return sc.read_blank()
     sc.error(f"expected IRI or blank node, found {ch!r}")
 
 
@@ -405,10 +410,7 @@ def parse_turtle(text: str) -> Graph:
         if ch == "<":
             return sc.read_iriref()
         if ch == "_" and sc.text.startswith("_:", sc.pos):
-            m = sc.match_re(_BLANK_RE)
-            if not m:
-                sc.error("bad blank node label")
-            return sc.blank(m.group(1))
+            return sc.read_blank()
         if position == "object":
             if ch == '"':
                 return _read_literal(sc, resolve_pname)
@@ -455,10 +457,8 @@ def parse_turtle(text: str) -> Graph:
         sc.skip_ws_and_comments()
         ns = sc.read_iriref()
         sc.skip_ws_and_comments()
-        if keyword == "@prefix":
+        if keyword == "@prefix":  # SPARQL's PREFIX takes no dot
             sc.expect(".")
-        elif sc.peek() == ".":  # tolerate SPARQL PREFIX with trailing dot
-            sc.pos += 1
         prefixes[name] = ns
 
     def scan_step(step, subject, predicate):

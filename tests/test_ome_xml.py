@@ -300,6 +300,21 @@ class TestParseOmeDocument:
         with pytest.raises(InvalidValueError):
             parse_ome_document(doc('<Instrument ID="I1" Kind="Sonic"/>' + IMG.format(id="I", z="1")))
 
+    @pytest.mark.parametrize("raw, kind", [
+        ("OPTICAL", InstrumentKind.OPTICAL), ("Electron", InstrumentKind.ELECTRON),
+        ("eLeCtRoN", InstrumentKind.ELECTRON),
+    ])
+    def test_instrument_kind_ignores_case(self, raw, kind):
+        parsed = parse_ome_document(
+            doc(f'<Instrument ID="I1" Kind="{raw}"/>' + IMG.format(id="I", z="1")))
+        assert parsed.instruments[0].kind is kind
+
+    def test_bad_instrument_kind_names_its_text(self):
+        with pytest.raises(InvalidValueError) as err:
+            parse_ome_document(doc('<Instrument ID="I1" Kind="Sonic"/>' + IMG.format(id="I", z="1")))
+        assert err.value.path == "/OME/Instrument[I1]@Kind"
+        assert str(err.value) == "/OME/Instrument[I1]@Kind: 'Sonic' is not Optical or Electron"
+
     def test_instrument_kind_defaults_to_optical(self):
         parsed = parse_ome_document(doc('<Instrument ID="I1"/>' + IMG.format(id="I", z="1")))
         assert parsed.instruments[0].kind is InstrumentKind.OPTICAL

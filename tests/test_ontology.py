@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from pathlib import Path
 
 import pytest
@@ -118,6 +120,11 @@ class TestCoreRoster:
         p = core.property_by_label("accelerationVoltage")
         assert p.min_exclusive == 0.0 and p.max_inclusive == 1000.0
 
+    @pytest.mark.parametrize("label", ["acquiredBy", "acquiredWith"])
+    def test_image_reference_is_at_most_one(self, core, label):
+        # the OME-XML reader rejects an image's second InstrumentRef or ExperimenterRef
+        assert core.property_by_label(label).max_count == 1
+
     def test_em_conditional_rule(self, core):
         (rule,) = core.conditional_rules
         assert core.lookup_class(rule.subject_class).label == "Image"
@@ -163,7 +170,7 @@ class TestRegistryToGraph:
     def test_triple_count_matches_counting_oracle(self, core):
         g = registry_to_graph(core)
         assert len(g) == expected_triple_count(core)
-        assert len(g) == 201  # frozen from the oracle above
+        assert len(g) == 203  # frozen from the oracle above
 
     @pytest.mark.parametrize("build", [translated_fragment, subclassed_registry],
                              ids=["minCount", "subClassOf"])
@@ -240,6 +247,27 @@ class TestRegistryInvariants:
     def test_bad_definition_rejected(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()
+
+    def test_lookup_indexes_are_not_fields(self):
+        names = [f.name for f in dataclasses.fields(OntologyRegistry)]
+        assert names == ["namespace", "classes", "properties", "conditional_rules"]
+        with pytest.raises(TypeError):
+            OntologyRegistry(Iri(NS), (), (), (), {"junk": 1})
+
+    @pytest.mark.parametrize("copy", [
+        lambda r: pickle.loads(pickle.dumps(r)),
+        lambda r: dataclasses.replace(r, conditional_rules=()),
+    ], ids=["pickle", "replace"])
+    def test_copies_answer_lookups(self, core, copy):
+        registry = copy(core)
+        image = core.class_by_label("Image")
+        size_x = core.property_by_label("sizeX")
+        assert registry.lookup_class(image.iri) == image
+        assert registry.class_by_label("Image") == image
+        assert registry.lookup_property(size_x.iri) == size_x
+        assert registry.property_by_label("sizeX") == size_x
+        with pytest.raises(ClassNotFoundError):
+            registry.lookup_class(Iri(NS + "Missing"))
 
     def test_bad_cardinality_rejected(self):
         with pytest.raises(ValueError):

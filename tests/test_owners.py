@@ -87,6 +87,17 @@ def test_tsv_line_rule_has_one_owner():
                                            "ome_rdf.links.LinkRegistry.loads"}
 
 
+@pytest.mark.parametrize("message, owner", [
+    ("appears more than once", "ome_xml.py"),  # an <Image>'s repeated child
+    ("bad blank node label", "parse.py"),  # a parser's blank node token
+])
+def test_message_is_raised_in_one_place(message, owner):
+    holders = [p.name for p in sorted((ROOT / "src").rglob("*.py"))
+               for node in ast.walk(ast.parse(p.read_text(), str(p)))
+               if isinstance(node, ast.Constant) and node.value == message]
+    assert holders == [owner]
+
+
 def test_no_module_imports_a_private_name_of_another():
     private = []
     for path in sorted((ROOT / "src").rglob("*.py")):

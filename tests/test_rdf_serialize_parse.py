@@ -227,6 +227,15 @@ class TestParseTurtle:
             g = parse(f"{keyword} ex: <http://ex.org/>\nex:s ex:p ex:o .", "turtle")
             assert len(g) == 1
 
+    def test_sparql_prefix_takes_no_dot(self):
+        # Turtle 1.1: sparqlPrefix ::= "PREFIX" PNAME_NS IRIREF, so the dot
+        # stands where the next subject should
+        text = "PREFIX ex: <http://a.example/> .\nex:s ex:p ex:o ."
+        for outcome in (_outcome(parse_turtle, text), _scanner_only(parse_turtle, text)):
+            assert outcome[0] is RdfSyntaxError
+            assert outcome[2:] == (1, 32)
+            assert "expected subject term, found '.'" in outcome[1]
+
     def test_undeclared_prefix_is_error(self):
         with pytest.raises(RdfSyntaxError):
             parse("ex:s ex:p ex:o .", "turtle")
