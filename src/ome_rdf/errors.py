@@ -10,6 +10,7 @@ class OmeRdfError(Exception):
 
     #: short machine-readable code; a skipped record carries it
     code = "Error"
+    __str__ = Exception.__str__  # the plain message, not a KeyError's quoted one
 
 
 # ---------------------------------------------------------------- rdf model
@@ -27,7 +28,7 @@ class InvalidBlankNodeError(OmeRdfError, ValueError):
 
 
 class TooLargeForExactCheckError(OmeRdfError):
-    """Isomorphism could not be decided exactly within the configured bounds."""
+    """More blank nodes than the fixed ``BRUTE_FORCE_BOUND`` stay open after refinement."""
 
     code = "TooLargeForExactCheck"
 

@@ -44,6 +44,7 @@ from .namespaces import (
     XSD_STRING,
 )
 from .rdf import Graph, Iri, Literal, Triple
+from .rdf.model import XSD_DATATYPES
 
 
 class Category(enum.Enum):
@@ -146,6 +147,9 @@ class OntologyRegistry:
                 raise ValueError(f"duplicate IRI {p.iri}")
             if p.domain not in by_iri:
                 raise ValueError(f"domain {p.domain} of {p.iri} not registered")
+            if p.range.value.startswith(self.namespace.value) and p.range not in by_iri or (
+                    p.range.value.startswith(XSD_NS) and p.range not in XSD_DATATYPES):
+                raise ValueError(f"range {p.range} of {p.iri} not registered")
             p_by_iri[p.iri] = p
             p_by_label.setdefault(p.label, p)
         # the lookup indexes are attributes, not fields, so no caller passes them

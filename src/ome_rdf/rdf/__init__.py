@@ -1,9 +1,9 @@
 """Deterministic RDF core: terms, graphs, canonical Turtle/N-Triples.
 
-A graph holds exact built-ins: ``str`` IRIs, ``(lexical, datatype,
-language)`` literal tuples and ``(subject, predicate, object)`` triple
-tuples, with :class:`BlankNode` the one class of its own.  :func:`Literal`
-and :func:`Triple` check their items and return those built-ins;
+A graph holds exact built-ins only: a ``str`` is an IRI, the 1-tuple
+``(label,)`` a blank node, the 3-tuple ``(lexical, datatype, language)`` a
+literal and ``(subject, predicate, object)`` a triple.  :func:`BlankNode`,
+:func:`Literal` and :func:`Triple` check their items and return them;
 :class:`Iri` is the typed handle for an IRI outside a graph.
 
 :func:`graph_isomorphic` compares graphs read back in; a conversion never

@@ -1,28 +1,35 @@
 """Blank-node-aware graph equality.
 
 :func:`graph_isomorphic` first compares the triple sets directly, which
-decides when they are equal or the first graph has no blank node.
-Otherwise it compares ground triples, then runs colour refinement over
-blank nodes and finishes with one exact search.  A blank that refinement
+decides when they are equal, then the ground triples, which decides when
+the first graph has no blank node.  Otherwise it runs colour refinement
+over blank nodes and finishes with one exact search.  A blank that refinement
 pins to a colour class of one is placed up front; only the blanks left in
 larger classes, the open ones, are searched, and more than
 ``BRUTE_FORCE_BOUND`` open blanks raise :class:`TooLargeForExactCheckError`.
 Refinement orders ground neighbours by
-:func:`~ome_rdf.rdf.model.term_sort_key`, as the writers do.
+:func:`~ome_rdf.rdf.model.term_sort_key`, as the writers do.  By the
+model's one rule a ``str`` is an IRI, a 1-tuple a blank node and a 3-tuple
+a literal; the blank nodes themselves key the adjacency, the colours and
+the assignment.
 """
 
 from __future__ import annotations
 
 from ..errors import TooLargeForExactCheckError
-from .model import BlankNode, Graph, term_sort_key
+from .model import Graph, term_sort_key
 
 BRUTE_FORCE_BOUND = 12
+
+
+def _is_blank(term) -> bool:
+    return term.__class__ is tuple and len(term) == 1
 
 
 def _split(g: Graph):
     ground, blankful = set(), []
     for t in g:
-        if isinstance(t[0], BlankNode) or isinstance(t[2], BlankNode):
+        if _is_blank(t[0]) or _is_blank(t[2]):
             blankful.append(t)
         else:
             ground.add(t)
@@ -30,47 +37,46 @@ def _split(g: Graph):
 
 
 def _adjacency(blankful):
-    """label -> list of (role, predicate, other) features.
+    """blank node -> list of (role, predicate, other) features.
 
     ``other`` is ("g", term_sort_key(term)) for ground neighbours and
-    ("b", label) for blank neighbours; "so" marks self-loops, with ("g", ()).
+    ("b", node) for blank neighbours; "so" marks self-loops, with ("g", ()).
     """
     adj: dict = {}
     for s, p, o in blankful:
-        s_blank = isinstance(s, BlankNode)
-        o_blank = isinstance(o, BlankNode)
-        if s_blank and o_blank and s.label == o.label:
-            adj.setdefault(s.label, []).append(("so", p, ("g", ())))
+        s_blank, o_blank = _is_blank(s), _is_blank(o)
+        if s_blank and o_blank and s == o:
+            adj.setdefault(s, []).append(("so", p, ("g", ())))
             continue
         if s_blank:
-            other = ("b", o.label) if o_blank else ("g", term_sort_key(o))
-            adj.setdefault(s.label, []).append(("s", p, other))
+            other = ("b", o) if o_blank else ("g", term_sort_key(o))
+            adj.setdefault(s, []).append(("s", p, other))
         if o_blank:
-            other = ("b", s.label) if s_blank else ("g", term_sort_key(s))
-            adj.setdefault(o.label, []).append(("o", p, other))
+            other = ("b", s) if s_blank else ("g", term_sort_key(s))
+            adj.setdefault(o, []).append(("o", p, other))
     return adj
 
 
 def _refine(adj_a: dict, adj_b: dict):
     """Joint colour refinement.  Returns (colors_a, colors_b) or None when
     the colour multisets diverge (graphs cannot be isomorphic)."""
-    colors_a = {lbl: 0 for lbl in adj_a}
-    colors_b = {lbl: 0 for lbl in adj_b}
+    colors_a = {node: 0 for node in adj_a}
+    colors_b = {node: 0 for node in adj_b}
     n = len(colors_a)
     for _ in range(n + 1):
         table: dict = {}
 
         def recolor(adj, colors):
             result = {}
-            for lbl, feats in adj.items():
+            for node, feats in adj.items():
                 sig = []
                 for role, pred, (kind, other) in feats:
                     if kind == "g":
                         sig.append((role, pred, 0, other, -1))
                     else:
                         sig.append((role, pred, 1, (), colors[other]))
-                key = (colors[lbl], tuple(sorted(sig)))
-                result[lbl] = table.setdefault(key, len(table))
+                key = (colors[node], tuple(sorted(sig)))
+                result[node] = table.setdefault(key, len(table))
             return result
 
         new_a = recolor(adj_a, colors_a)
@@ -97,9 +103,9 @@ def _search(blankful_a, blankful_b, candidates):
     ``blankful_a`` is all of ``blankful_b``.
     """
     b_set = set(blankful_b)
-    assignment = {lbl: c[0] for lbl, c in candidates.items() if len(c) == 1}
-    order = sorted((lbl for lbl in candidates if lbl not in assignment),
-                   key=lambda lbl: (len(candidates[lbl]), lbl))
+    assignment = {node: c[0] for node, c in candidates.items() if len(c) == 1}
+    order = sorted((node for node in candidates if node not in assignment),
+                   key=lambda node: (len(candidates[node]), node))
     if len(order) > BRUTE_FORCE_BOUND:
         raise TooLargeForExactCheckError(
             f"{len(order)} blank nodes that refinement leaves open exceed the "
@@ -107,32 +113,25 @@ def _search(blankful_a, blankful_b, candidates):
         )
     # checks[k]: the triples whose last blank is order[k - 1] (k = 0: all
     # pinned); they read no later level, so a failed level's entries go unread
-    level = {lbl: i + 1 for i, lbl in enumerate(order)}
+    level = {node: i + 1 for i, node in enumerate(order)}
     checks = [[] for _ in range(len(order) + 1)]
     for t in blankful_a:
-        checks[max(level.get(term.label, 0) for term in (t[0], t[2])
-                   if isinstance(term, BlankNode))].append(t)
+        checks[max(level.get(t[0], 0), level.get(t[2], 0))].append(t)
 
     def holds(triples) -> bool:
-        for s, p, o in triples:
-            if isinstance(s, BlankNode):
-                s = BlankNode(assignment[s.label])
-            if isinstance(o, BlankNode):
-                o = BlankNode(assignment[o.label])
-            if (s, p, o) not in b_set:
-                return False
-        return True
+        mapped = assignment.get
+        return all((mapped(s, s), p, mapped(o, o)) in b_set for s, p, o in triples)
 
     used: set = set()
 
     def place(i) -> bool:
         if i == len(order):
             return True
-        lbl = order[i]
-        for cand in candidates[lbl]:
+        node = order[i]
+        for cand in candidates[node]:
             if cand in used:
                 continue
-            assignment[lbl] = cand
+            assignment[node] = cand
             used.add(cand)
             if holds(checks[i + 1]) and place(i + 1):
                 return True
@@ -154,12 +153,10 @@ def graph_isomorphic(a: Graph, b: Graph) -> bool:
         return False
     if a == b:
         return True  # the identity is a bijection
-    if not any(isinstance(s, BlankNode) or isinstance(o, BlankNode) for s, _, o in a):
-        return False  # no bijection to find: only equal sets match
     ground_a, blankful_a = _split(a)
     ground_b, blankful_b = _split(b)
     if ground_a != ground_b:
-        return False
+        return False  # also when a has no blank node, as then a == ground_a
     adj_a, adj_b = _adjacency(blankful_a), _adjacency(blankful_b)
     if len(adj_a) != len(adj_b):
         return False
@@ -169,7 +166,7 @@ def graph_isomorphic(a: Graph, b: Graph) -> bool:
     colors_a, colors_b = refined
 
     by_color_b: dict = {}
-    for lbl, c in sorted(colors_b.items()):
-        by_color_b.setdefault(c, []).append(lbl)
+    for node, c in sorted(colors_b.items()):
+        by_color_b.setdefault(c, []).append(node)
     # equal colour multisets: every colour of a also colours some blank of b
-    return _search(blankful_a, blankful_b, {lbl: by_color_b[c] for lbl, c in colors_a.items()})
+    return _search(blankful_a, blankful_b, {node: by_color_b[c] for node, c in colors_a.items()})

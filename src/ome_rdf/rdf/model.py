@@ -7,14 +7,13 @@ read them, so a loop over a graph walks memory in allocation order.
 Equality and hashing ignore that order, and the canonical writers of
 :mod:`ome_rdf.rdf.serialize` still sort, so their bytes never depend on it.
 
-Inside a graph every term is an exact built-in, except a
-:class:`BlankNode`: an IRI is a ``str``, a literal the tuple ``(lexical,
-datatype IRI text, language or None)`` and a triple the tuple ``(subject,
-predicate, object)``.  A reader tells the kinds apart by ``type(t) is
-str``, :class:`BlankNode` or ``tuple``.  CPython's cyclic garbage collector
-untracks such a tuple the first time it meets it, and a full collection
-then untracks the dict that a graph keeps them in, so a finished graph
-without blank nodes adds nothing to a collection.  :func:`Literal` and
+Inside a graph every term is an exact built-in, told apart by one rule: a
+``str`` is an IRI, a 1-tuple ``(label,)`` a blank node and a 3-tuple
+``(lexical, datatype IRI text, language or None)`` a literal; a triple is
+the tuple ``(subject, predicate, object)``.  CPython's cyclic garbage
+collector untracks such a tuple the first time it meets it, and a full
+collection then untracks the dict that a graph keeps them in, so a finished
+graph adds nothing to a collection.  :func:`BlankNode`, :func:`Literal` and
 :func:`Triple` check their items and return these built-ins, which hash,
 compare and pickle as themselves.
 
@@ -28,7 +27,6 @@ text once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -162,18 +160,12 @@ class Iri(str):
         return f"Iri(value={str.__repr__(self)})"
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
-    """A graph-local node.  Labels match ``[A-Za-z][A-Za-z0-9]*``."""
-
-    label: str
-
-    def __post_init__(self):
-        if not _BLANK_LABEL_RE.fullmatch(self.label):
-            raise InvalidBlankNodeError(f"bad blank node label {self.label!r}")
-
-    def __str__(self):
-        return "_:" + self.label
+def BlankNode(label: str) -> tuple:
+    """A graph-local node: the exact 1-tuple ``(label,)``, whose label
+    matches ``[A-Za-z][A-Za-z0-9]*``."""
+    if not _BLANK_LABEL_RE.fullmatch(label):
+        raise InvalidBlankNodeError(f"bad blank node label {label!r}")
+    return (str.__str__(label),)
 
 
 def Literal(lexical: str, datatype: Optional[str] = None,
@@ -214,15 +206,15 @@ def Literal(lexical: str, datatype: Optional[str] = None,
     return (lexical, datatype, language)
 
 
-Term = Union[str, BlankNode, tuple]
+Term = Union[str, tuple]
 
 
 def term_sort_key(t: Term):
     """Total order over terms: IRIs, then blank nodes, then literals."""
     if isinstance(t, str):
         return (0, t, "", "")
-    if isinstance(t, BlankNode):
-        return (1, t.label, "", "")
+    if len(t) == 1:
+        return (1, t[0], "", "")
     return (2, t[0], t[1], t[2] or "")
 
 
@@ -230,24 +222,26 @@ def Triple(subject: Term, predicate: str, object: Term) -> tuple:
     """One RDF statement: the exact tuple ``(subject, predicate, object)``.
 
     An IRI item is an :class:`Iri`, or a ``str`` that is checked as one.
-    The subject is an IRI or a :class:`BlankNode`, never a literal; the
-    predicate is an IRI.  The object may also be a blank node or a literal
-    3-tuple, which goes through :func:`Literal`.
+    The subject is an IRI or a blank node, never a literal; the predicate is
+    an IRI; the object may also be a literal.  A blank node 1-tuple goes
+    through :func:`BlankNode` and a literal 3-tuple through :func:`Literal`.
     """
     if isinstance(subject, str):
         subject = iri_text(subject)
-    elif isinstance(subject, tuple):
-        raise TypeError("triple subject cannot be a literal")
-    elif not isinstance(subject, BlankNode):
+    elif not isinstance(subject, tuple):
         raise TypeError(f"bad subject {subject!r}")
+    elif len(subject) == 1:
+        subject = BlankNode(*subject)
+    else:
+        raise TypeError("triple subject cannot be a literal")
     if not isinstance(predicate, str):
         raise TypeError("triple predicate must be an IRI")
     predicate = iri_text(predicate)
     if isinstance(object, str):
         object = iri_text(object)
-    elif isinstance(object, tuple) and len(object) == 3:
-        object = Literal(*object)
-    elif not isinstance(object, BlankNode):
+    elif isinstance(object, tuple) and len(object) in (1, 3):
+        object = Literal(*object) if len(object) == 3 else BlankNode(*object)
+    else:
         raise TypeError(f"bad object {object!r}")
     return (subject, predicate, object)
 

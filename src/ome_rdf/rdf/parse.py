@@ -32,9 +32,9 @@ its ``<`` or ``"`` (a prefixed name just after its end), wherever it recurs.
 The regex paths read the tables with ``dict.get`` and call the scanner's
 :meth:`_Scanner.iri`, :meth:`_Scanner.literal` or :meth:`_Scanner.blank`
 only for a term not yet in them, so the offset of an error is worked out
-only then.  The graph holds the tables' values: exact ``str`` IRIs, exact
-literal tuples and one :class:`BlankNode` per label, in exact triple
-tuples (see :mod:`ome_rdf.rdf.model`).
+only then.  The graph holds the tables' values, in exact triple tuples:
+exact ``str`` IRIs, literal 3-tuples and one blank node 1-tuple
+``(label,)`` per label (see :mod:`ome_rdf.rdf.model`).
 
 Whitespace is what the grammars allow, not what ``str.isspace`` accepts:
 space and tab between the terms of an N-Triples statement; space, tab,
@@ -114,17 +114,18 @@ _TTL_OBJECT_RE = re.compile(rf"{_WS}{_OBJECT}{_WS}([,;.])")
 class _Scanner:
     """A cursor over the text; positions are worked out only for errors.
 
-    Three per-call tables hold the terms built so far, each value an
-    object the graph holds: ``iris`` maps each valid IRI text to itself as
-    an exact ``str``, ``literals`` maps each valid (lexical form, datatype
-    text or None, language) to its exact literal tuple, and ``blanks`` maps
-    each label to its :class:`BlankNode`.  So a recurring term is built,
-    validated and hashed once, whether the scanner or a regex path read it.
-    Invalid terms never enter them, so each one is reported where it
-    occurs.  The regex paths look terms up in the tables themselves and
-    call :meth:`iri`, :meth:`literal` and :meth:`blank` only on a miss.
-    The scanner reads the text from ``pos`` one token at a time, each with
-    one compiled regex.
+    Three per-call tables hold the terms built so far, each value the exact
+    built-in the graph holds, by the model's one rule that a ``str`` is an
+    IRI, a 1-tuple a blank node and a 3-tuple a literal: ``iris`` maps each
+    valid IRI text to itself, ``literals`` maps each valid (lexical form,
+    datatype text or None, language) to its 3-tuple, and ``blanks`` maps
+    each label to its 1-tuple from :func:`BlankNode`.  So a recurring term
+    is built, validated and hashed once, whether the scanner or a regex path
+    read it.  Invalid terms never enter them, so each one is reported where
+    it occurs.  The regex paths look terms up in the tables themselves and
+    call :meth:`iri`, :meth:`literal` and :meth:`blank` only on a miss.  The
+    scanner reads the text from ``pos`` one token at a time, each with one
+    compiled regex.
     """
 
     def __init__(self, text: str):
@@ -188,14 +189,14 @@ class _Scanner:
                 raise RdfSyntaxError(str(e), *self.position(at)) from e
         return literal
 
-    def blank(self, label: str) -> BlankNode:
-        """The :class:`BlankNode` of a label that matched ``_BLANK_RE``."""
+    def blank(self, label: str) -> tuple:
+        """The blank node ``(label,)`` of a label that matched ``_BLANK_RE``."""
         node = self.blanks.get(label)
         if node is None:
             node = self.blanks[label] = BlankNode(label)
         return node
 
-    def read_blank(self) -> BlankNode:
+    def read_blank(self) -> tuple:
         """The blank node token ``_:label`` at ``pos``; an error at its ``_``
         if the label is bad."""
         m = self.match_re(_BLANK_RE)

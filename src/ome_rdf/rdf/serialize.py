@@ -15,9 +15,9 @@ with the writer's rendering of an IRI, renders each distinct term once for
 both writers, a literal's datatype through the same table; the N-Triples
 writer puts a graph's IRIs in ``<>`` itself, which costs less than a
 lookup.  Both read the exact built-in terms of a graph (see
-:mod:`ome_rdf.rdf.model`) and tell them apart by type: an IRI is an exact
-``str``, a literal a ``tuple``; :func:`term_to_ntriples` also takes an
-:class:`~ome_rdf.rdf.model.Iri` handle, and checks a ``str`` as an IRI.
+:mod:`ome_rdf.rdf.model`) and tell them apart by one rule: a ``str`` is an
+IRI, a 1-tuple a blank node and a 3-tuple a literal; :func:`term_to_ntriples`
+also takes an :class:`~ome_rdf.rdf.model.Iri` handle, and checks its term.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from operator import itemgetter
 
 from ..errors import UnknownFormatError
 from ..namespaces import RDF_TYPE, XSD_STRING
-from .model import BlankNode, Graph, Term, iri_text, term_sort_key
+from .model import BlankNode, Graph, Literal, Term, iri_text, term_sort_key
 
 _STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
 
@@ -43,17 +43,17 @@ class _TermText(dict):
         self.iri = iri
 
     def __missing__(self, term: Term) -> str:
-        if isinstance(term, tuple):
+        if isinstance(term, str):
+            text = self.iri(term)
+        elif len(term) == 1:
+            text = "_:" + term[0]
+        else:
             lexical, datatype, language = term
             text = f'"{lexical.translate(_STRING_ESCAPES)}"'
             if language is not None:
                 text += f"@{language}"
             elif datatype != XSD_STRING:
                 text += "^^" + self[datatype]
-        elif isinstance(term, BlankNode):
-            text = f"_:{term.label}"
-        else:
-            text = self.iri(term)
         self[term] = text
         return text
 
@@ -63,11 +63,13 @@ _predicate = itemgetter(1)
 
 
 def term_to_ntriples(term: Term) -> str:
-    """Render one term in N-Triples syntax (bare literal means xsd:string);
-    a ``str`` must pass the IRI check."""
+    """Render one term in N-Triples syntax (bare literal means xsd:string),
+    checked as :func:`~ome_rdf.rdf.model.Triple` checks an object."""
     if isinstance(term, str):
         term = iri_text(term)
-    elif not isinstance(term, (BlankNode, tuple)):
+    elif isinstance(term, tuple) and len(term) in (1, 3):
+        term = Literal(*term) if len(term) == 3 else BlankNode(*term)
+    else:
         raise TypeError(f"not an RDF term: {term!r}")
     return _TermText(_bracketed)[term]
 
@@ -91,7 +93,7 @@ def _subject_key(s: Term) -> str:
     # term_sort_key's order on subjects: IRIs by text, then blank nodes by
     # label; an IRI starts with a letter, and letters sort before "~".  The
     # key is an exact str, which list.sort compares fastest.
-    return s if s.__class__ is str else "~" + s.label
+    return s if s.__class__ is str else "~" + s[0]
 
 
 def _shortener(namespaces: list):

@@ -5,6 +5,8 @@ import random
 from ome_rdf.namespaces import RDF_NS, RDF_TYPE, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
 from ome_rdf.rdf import BlankNode, Graph, Iri, Literal, Triple
 
+from oracle import is_blank
+
 # "café", "9z" and "a.b" are not safe Turtle local names; "" is written as
 # "ex:"; "end-" and "end_" end a local name where a "." could not
 _IRI_TOKENS = [
@@ -36,7 +38,7 @@ def random_iri(rng: random.Random) -> Iri:
     return Iri(rng.choice(_IRI_BASES) + rng.choice(_IRI_TOKENS))
 
 
-def random_blank(rng: random.Random, max_blanks: int) -> BlankNode:
+def random_blank(rng: random.Random, max_blanks: int) -> tuple:
     return BlankNode("n" + str(rng.randrange(max_blanks)))
 
 
@@ -129,8 +131,8 @@ def templated_graph(rng: random.Random, max_subjects: int = 40, max_blanks: int 
 
 def rename_blanks(g: Graph, mapping: dict) -> Graph:
     def sub(term):
-        if isinstance(term, BlankNode):
-            return BlankNode(mapping.get(term.label, term.label))
+        if is_blank(term):
+            return BlankNode(mapping.get(term[0], term[0]))
         return term
 
     return Graph(

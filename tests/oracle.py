@@ -1,5 +1,7 @@
 """Reference implementations that tests compare the library against.
 
+``is_blank`` tells a blank node from the other terms, by the model's rule
+that a blank node is a 1-tuple.
 ``blank_labels`` lists a graph's blank node labels.
 ``expected_iri`` is the IRI the mapper must mint for a node, worked out
 apart from the mapper's own minting code.
@@ -26,11 +28,17 @@ _LOCAL_FIRST = set(string.ascii_letters + "_")
 _LOCAL_REST = _LOCAL_FIRST | set(string.digits + "-")
 
 
+def is_blank(term) -> bool:
+    """Whether ``term`` is a blank node: an IRI is a ``str``, a blank node a
+    1-tuple and a literal a 3-tuple."""
+    return type(term) is tuple and len(term) == 1
+
+
 def _split(g: Graph):
     """(ground triples, triples touching a blank node)."""
     ground, blankful = set(), []
     for t in g:
-        if isinstance(t[0], BlankNode) or isinstance(t[2], BlankNode):
+        if is_blank(t[0]) or is_blank(t[2]):
             blankful.append(t)
         else:
             ground.add(t)
@@ -39,7 +47,7 @@ def _split(g: Graph):
 
 def _substitute(blankful, mapping):
     def sub(term):
-        return BlankNode(mapping[term.label]) if isinstance(term, BlankNode) else term
+        return BlankNode(mapping[term[0]]) if is_blank(term) else term
 
     return {Triple(sub(s), p, sub(o)) for s, p, o in blankful}
 
@@ -47,8 +55,8 @@ def _substitute(blankful, mapping):
 def blank_labels(g: Graph) -> frozenset:
     """The labels of the blank nodes in ``g``."""
     return frozenset(
-        term.label for s, _, o in g for term in (s, o)
-        if isinstance(term, BlankNode)
+        term[0] for s, _, o in g for term in (s, o)
+        if is_blank(term)
     )
 
 
@@ -106,8 +114,8 @@ def _iri_to_turtle(iri: str, prefixes: dict) -> str:
 def _term_to_turtle(term: Term, prefixes: dict) -> str:
     if isinstance(term, str):
         return _iri_to_turtle(term, prefixes)
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
+    if is_blank(term):
+        return f"_:{term[0]}"
     lexical, datatype, language = term
     body = f'"{_escape(lexical)}"'
     if language is not None:

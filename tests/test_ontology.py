@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from ome_rdf.errors import ClassNotFoundError
-from ome_rdf.namespaces import OWL_CLASS, RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF, XSD_INTEGER
+from ome_rdf.namespaces import (
+    OWL_CLASS, RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF, XSD_INTEGER, XSD_NS,
+)
 from ome_rdf.ontology import (
     Category,
     ConditionalCardinality,
@@ -153,6 +155,13 @@ class TestLookup:
         with pytest.raises(ClassNotFoundError):
             core.lookup_class(Iri(NS + "Banana"))
 
+    def test_not_found_message_is_plain(self, core):
+        # a KeyError's str would quote the message
+        with pytest.raises(ClassNotFoundError) as err:
+            core.lookup_class(Iri(NS + "Banana"))
+        assert isinstance(err.value, KeyError)
+        assert str(err.value) == f"no class registered for {NS}Banana"
+
 
 class TestRegistryToGraph:
     def test_empty_registry_only_header(self):
@@ -243,7 +252,16 @@ class TestRegistryInvariants:
         # a property may not take the IRI of a class either
         (lambda: OntologyRegistry(Iri(NS), (_A,), (PropertyDef(_A.iri, "A", _A.iri, _A.iri),)),
          f"duplicate IRI {NS}A"),
-    ], ids=["class-label", "property-label", "min-count", "property-iri", "class-iri"])
+        # a range in the registry's namespace names a registered class, and
+        # one under XSD a known datatype
+        (lambda: OntologyRegistry(Iri(NS), (_A,), (
+            PropertyDef(Iri(NS + "q"), "q", _A.iri, Iri(NS + "Nowhere")),)),
+         f"range {NS}Nowhere of {NS}q not registered"),
+        (lambda: OntologyRegistry(Iri(NS), (_A,), (
+            PropertyDef(Iri(NS + "q"), "q", _A.iri, Iri(XSD_NS + "nosuch")),)),
+         f"range {XSD_NS}nosuch of {NS}q not registered"),
+    ], ids=["class-label", "property-label", "min-count", "property-iri", "class-iri",
+            "class-range", "datatype-range"])
     def test_bad_definition_rejected(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()

@@ -3,7 +3,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import fields
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +20,7 @@ from ome_rdf.rdf import (
     Iri,
     Literal,
     Triple,
+    term_sort_key,
 )
 from ome_rdf.rdf.model import _LEXICAL_FORMS
 
@@ -246,6 +246,26 @@ class TestBlankNode:
             with pytest.raises(InvalidBlankNodeError):
                 BlankNode(bad)
 
+    def test_is_the_exact_1_tuple_of_its_label(self):
+        class Label(str):
+            pass
+
+        for label in ("a1", Label("a1")):
+            node = BlankNode(label)
+            assert node == ("a1",) and type(node) is tuple and type(node[0]) is str
+
+    def test_triple_checks_a_1_tuple_subject_through_blank_node(self):
+        assert Triple(("b",), EX + "p", ("c",)) == (("b",), EX + "p", ("c",))
+        with pytest.raises(InvalidBlankNodeError):
+            Triple(("a b",), EX + "p", EX + "o")
+        with pytest.raises(TypeError):
+            Triple((5,), EX + "p", EX + "o")
+
+    def test_sorts_after_iris_and_before_literals(self):
+        terms = [Literal("a"), BlankNode("z"), EX + "z", BlankNode("a"), EX + "a"]
+        assert sorted(terms, key=term_sort_key) == [
+            EX + "a", EX + "z", BlankNode("a"), BlankNode("z"), Literal("a")]
+
 
 class TestTriple:
     def test_literal_subject_rejected(self):
@@ -322,16 +342,16 @@ def _fresh(term):
     its constructor."""
     if isinstance(term, str):
         return Iri(term).value
-    if isinstance(term, BlankNode):
-        return BlankNode(term.label)
+    if len(term) == 1:
+        return BlankNode(term[0])
     return Literal(*term)
 
 
 def _field_hash(term):
-    """The hash of a blank node's compared fields, worked out now; a
-    built-in's own hash otherwise."""
-    if isinstance(term, BlankNode):
-        return hash(tuple(getattr(term, f.name) for f in fields(term) if f.compare))
+    """The hash of a blank node's label in a fresh 1-tuple, worked out now;
+    an IRI's or a literal's own hash otherwise."""
+    if type(term) is tuple and len(term) == 1:
+        return hash((term[0],))
     return hash(term)
 
 
@@ -408,6 +428,9 @@ class TestBuiltinTerms:
         (("x", XSD_STRING), TypeError),
         (("x", XSD_STRING, None, None), TypeError),
         (42, TypeError),
+        # a 1-tuple goes through BlankNode
+        (("a b",), InvalidBlankNodeError),
+        ((5,), TypeError),
     ])
     def test_triple_checks_a_plain_object(self, obj, error):
         with pytest.raises(error):

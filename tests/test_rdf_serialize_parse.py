@@ -9,7 +9,8 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from ome_rdf.errors import (
-    InvalidIriError, OmeRdfError, RdfSyntaxError, UnknownFormatError, UnsupportedConstructError,
+    InvalidBlankNodeError, InvalidIriError, InvalidLiteralError, OmeRdfError, RdfSyntaxError,
+    UnknownFormatError, UnsupportedConstructError,
 )
 from ome_rdf.namespaces import RDF_TYPE, XSD_INTEGER
 from ome_rdf.rdf import (
@@ -26,7 +27,9 @@ from ome_rdf.rdf import (
 )
 
 from genutil import random_graph, random_prefixes, templated_graph
-from oracle import _iri_to_turtle, blank_labels, brute_force_isomorphic, reference_serialize_turtle
+from oracle import (
+    _iri_to_turtle, blank_labels, brute_force_isomorphic, is_blank, reference_serialize_turtle,
+)
 
 EX = "http://ex.org/"
 DATA = Path(__file__).parent / "data"
@@ -44,10 +47,24 @@ class TestNtriplesSerialize:
     def test_term_to_ntriples_checks_its_term(self):
         assert term_to_ntriples(EX + "s") == term_to_ntriples(Iri(EX + "s")) == f"<{EX}s>"
         assert term_to_ntriples(Literal("5", Iri(XSD_INTEGER))) == f'"5"^^<{XSD_INTEGER}>'
-        with pytest.raises(InvalidIriError):
-            term_to_ntriples("no scheme")
-        with pytest.raises(TypeError):
-            term_to_ntriples(42)
+        assert term_to_ntriples(BlankNode("b1")) == term_to_ntriples(("b1",)) == "_:b1"
+        for term, error in [
+            ("no scheme", InvalidIriError),
+            (42, TypeError),
+            # a 1-tuple goes through BlankNode, a 3-tuple through Literal
+            (("bad label",), InvalidBlankNodeError),
+            ((5,), TypeError),
+            (("x", 5, None), TypeError),
+            (("x", "not an iri", None), InvalidIriError),
+            (("x", XSD_INTEGER, None), InvalidLiteralError),
+            (("x", None, "not a tag"), InvalidLiteralError),
+        ]:
+            with pytest.raises(error):
+                term_to_ntriples(term)
+        # any other tuple is no term
+        for term in [(), ("x", XSD_INTEGER), ("x", XSD_INTEGER, None, None)]:
+            with pytest.raises(TypeError, match="^not an RDF term"):
+                term_to_ntriples(term)
 
     def test_single_ground_triple_single_line(self):
         text = serialize(Graph([t("s", "p", "o")]), "ntriples")
@@ -320,13 +337,13 @@ def _writer_cases(g: Graph) -> set:
             cases.add("rdf:type verb")
         if o == RDF_TYPE:
             cases.add("rdf:type object")
-        if isinstance(s, BlankNode):
+        if is_blank(s):
             cases.add("blank subject")
-        if isinstance(o, BlankNode):
+        if is_blank(o):
             cases.add("blank object")
-        if isinstance(o, tuple) and o[2]:
+        if type(o) is tuple and len(o) == 3 and o[2]:
             cases.add("language")
-        if isinstance(o, tuple) and o[1].endswith("customType"):
+        if type(o) is tuple and len(o) == 3 and o[1].endswith("customType"):
             cases.add("custom datatype")
         for term in (s, p, o):
             local = re.split("[/#:]", term)[-1] if isinstance(term, str) else None
@@ -389,14 +406,14 @@ def _plan_cases(g: Graph) -> set:
     if any(len(seqs) > 1 for seqs in orders.values()):
         cases.add("multiset in another order")
     for s, pos in by_subject.items():
-        if isinstance(s, BlankNode):
+        if is_blank(s):
             cases.add("blank subject")
         for p, o in pos:
             if p == RDF_TYPE:
                 cases.add("rdf:type verb")
             if sum(q == p for q, _ in pos) > 1:
                 kind = "IRI" if isinstance(o, str) else (
-                    "blank" if isinstance(o, BlankNode) else "literal")
+                    "blank" if is_blank(o) else "literal")
                 cases.add(f"repeated predicate, {kind} object")
     return cases
 
@@ -907,7 +924,7 @@ class TestFastPathsAgreeWithScanner:
         # scanner
         text = f'_:b {_P} _:c .\n_:b {_P} "x\\ty" .\n_:c {_P} _:b .\n'
         g = parser(text)
-        blanks = [term for s, _, o in g for term in (s, o) if isinstance(term, BlankNode)]
+        blanks = [term for s, _, o in g for term in (s, o) if is_blank(term)]
         assert len(g) == 3 and len(blanks) == 5
         assert len({id(b) for b in blanks}) == 2
 

@@ -10,9 +10,16 @@ from ome_rdf.links import LinkRegistry
 from ome_rdf.mapper import MintingPolicy, map_document
 from ome_rdf.ome_xml import parse_ome_document, parse_sidecar
 from ome_rdf.ontology import build_core_ontology, registry_to_graph
-from ome_rdf.rdf import BlankNode, Graph, parse_ntriples, parse_turtle
+from ome_rdf.rdf import BlankNode, Graph, Literal, Triple, parse_ntriples, parse_turtle
 
 DATA = Path(__file__).parent / "data"
+EX = "http://ex.org/"
+# blank subjects and objects beside IRIs and literals; the escape sends one
+# statement to the N-Triples scanner, and Turtle reads every blank node there
+_BLANK_NT = (f'_:b1 <{EX}p> _:b2 .\n_:b1 <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> _:b1 .\n'
+             f'_:b2 <{EX}q> "x" .\n_:b2 <{EX}q> "tab\\there"@en .\n<{EX}s> <{EX}q> "y" .\n')
+_BLANK_TTL = (f"@prefix ex: <{EX}> .\n_:b1 ex:p _:b2, ex:o .\nex:s ex:p _:b1 ; ex:q \"y\" .\n"
+              '_:b2 ex:q "x", "tab\\there"@en .\n')
 
 
 def _mapped():
@@ -28,6 +35,14 @@ GRAPHS = {
     "parse_ntriples": lambda: [parse_ntriples((DATA / "golden.nt").read_text(encoding="utf-8"))],
     "parse_turtle": lambda: [parse_turtle((DATA / "golden.ttl").read_text(encoding="utf-8"))],
     "registry_to_graph": lambda: [registry_to_graph(build_core_ontology())],
+    "parse_ntriples_blanks": lambda: [parse_ntriples(_BLANK_NT)],
+    "parse_turtle_blanks": lambda: [parse_turtle(_BLANK_TTL)],
+    "Graph_blanks": lambda: [Graph([
+        Triple(BlankNode("b1"), EX + "p", BlankNode("b2")),
+        Triple(BlankNode("b1"), EX + "p", EX + "o"),
+        Triple(EX + "s", EX + "p", BlankNode("b1")),
+        Triple(BlankNode("b2"), EX + "q", Literal("x")),
+    ])],
 }
 
 
@@ -38,9 +53,13 @@ def test_graph_terms_are_exact_builtins(source):
         for triple in g:
             assert type(triple) is tuple and len(triple) == 3
             s, p, o = triple
-            assert type(s) in (str, BlankNode) and type(p) is str
-            assert type(o) in (str, BlankNode, tuple)
-            if type(o) is tuple:
+            assert type(s) in (str, tuple) and type(p) is str and type(o) in (str, tuple)
+            # a blank node is the 1-tuple of its label, a literal a 3-tuple
+            if type(s) is tuple:
+                assert len(s) == 1 and type(s[0]) is str
+            if type(o) is tuple and len(o) == 1:
+                assert type(o[0]) is str
+            elif type(o) is tuple:
                 lexical, datatype, language = o
                 assert type(lexical) is str and type(datatype) is str
                 assert language is None or type(language) is str
@@ -56,6 +75,7 @@ def test_graph_is_never_walked(source):
     for g in graphs:
         for triple in g:
             assert not gc.is_tracked(triple), triple
+            assert not gc.is_tracked(triple[0]), triple
             assert not gc.is_tracked(triple[2]), triple
         # nor is the container that holds them, once a full collection met it
         held = [r for r in gc.get_referents(g) if r is not Graph]
