@@ -38,12 +38,10 @@ class RdfSyntaxError(OmeRdfError):
 
     code = "SyntaxError"
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line, column):
         self.line = line
         self.column = column
-        if line is not None:
-            message = f"line {line}, column {column}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line}, column {column}: {message}")
 
 
 class UnsupportedConstructError(RdfSyntaxError):

@@ -15,13 +15,15 @@ collector untracks such a tuple the first time it meets it, and a full
 collection then untracks the dict that a graph keeps them in, so a finished
 graph adds nothing to a collection.  :func:`BlankNode`, :func:`Literal` and
 :func:`Triple` check their items and return these built-ins, which hash,
-compare and pickle as themselves.
+compare and pickle as themselves.  One function, :func:`checked_term`,
+checks a term by that rule for both :func:`Triple` and the writers'
+:func:`~ome_rdf.rdf.serialize.term_to_ntriples`.
 
 :class:`Iri` is the typed handle for an IRI outside a graph (the ontology
 rows, namespaces, minted image IRIs, resolved links): a checked ``str``
 subclass with ``.value``, equal to its text, which pickles through its
-constructor.  :func:`Triple` and :func:`Literal` copy an ``Iri`` to its
-text once.
+constructor.  Every ``str`` a term is built from, an ``Iri`` included, is
+checked and copied to an exact ``str``.
 """
 
 from __future__ import annotations
@@ -127,10 +129,7 @@ XSD_DATATYPES = frozenset(_LEXICAL_FORMS) | {XSD_STRING, XSD_NS + "anyURI"}
 
 
 def iri_text(value: str) -> str:
-    """``value`` as an exact ``str``, once it passes the IRI check; an
-    :class:`Iri`, checked when it was built, is only copied to its text."""
-    if value.__class__ is Iri:
-        return str.__str__(value)
+    """``value`` as an exact ``str``, once it passes the IRI check."""
     if not value:
         raise InvalidIriError("empty IRI")
     if not _SCHEME_RE.match(value):
@@ -182,8 +181,10 @@ def Literal(lexical: str, datatype: Optional[str] = None,
     bad = SURROGATE_RE.search(lexical)
     if bad:
         raise InvalidLiteralError(f"lone surrogate {bad[0]!r} in lexical form {lexical!r}")
-    if language is not None and not _LANG_TAG_RE.fullmatch(language):
-        raise InvalidLiteralError(f"bad language tag {language!r}")
+    if language is not None:
+        if not _LANG_TAG_RE.fullmatch(language):
+            raise InvalidLiteralError(f"bad language tag {language!r}")
+        language = str.__str__(language)
     if datatype is None:
         datatype = XSD_STRING if language is None else RDF_LANGSTRING
     elif not isinstance(datatype, str):
@@ -203,10 +204,24 @@ def Literal(lexical: str, datatype: Optional[str] = None,
             raise InvalidLiteralError(f"lexical form {lexical!r} does not parse as {datatype}")
         if in_value_space is not None and not in_value_space(m):
             raise InvalidLiteralError(f"{lexical!r} is outside the value space of {datatype}")
-    return (lexical, datatype, language)
+    return (str.__str__(lexical), datatype, language)
 
 
 Term = Union[str, tuple]
+
+
+def checked_term(term) -> Term:
+    """``term`` as a graph holds it: a ``str`` through :func:`iri_text`, a
+    1-tuple through :func:`BlankNode` and a 3-tuple through :func:`Literal`;
+    anything else is a :class:`TypeError`."""
+    if isinstance(term, str):
+        return iri_text(term)
+    if isinstance(term, tuple):
+        if len(term) == 1:
+            return BlankNode(*term)
+        if len(term) == 3:
+            return Literal(*term)
+    raise TypeError(f"not an RDF term: {term!r}")
 
 
 def term_sort_key(t: Term):
@@ -221,29 +236,16 @@ def term_sort_key(t: Term):
 def Triple(subject: Term, predicate: str, object: Term) -> tuple:
     """One RDF statement: the exact tuple ``(subject, predicate, object)``.
 
-    An IRI item is an :class:`Iri`, or a ``str`` that is checked as one.
     The subject is an IRI or a blank node, never a literal; the predicate is
-    an IRI; the object may also be a literal.  A blank node 1-tuple goes
-    through :func:`BlankNode` and a literal 3-tuple through :func:`Literal`.
+    an IRI; the object may also be a literal.  Subject and object go through
+    :func:`checked_term`, and the predicate through :func:`iri_text`.
     """
-    if isinstance(subject, str):
-        subject = iri_text(subject)
-    elif not isinstance(subject, tuple):
-        raise TypeError(f"bad subject {subject!r}")
-    elif len(subject) == 1:
-        subject = BlankNode(*subject)
-    else:
+    if isinstance(subject, tuple) and len(subject) == 3:
         raise TypeError("triple subject cannot be a literal")
+    subject = checked_term(subject)
     if not isinstance(predicate, str):
         raise TypeError("triple predicate must be an IRI")
-    predicate = iri_text(predicate)
-    if isinstance(object, str):
-        object = iri_text(object)
-    elif isinstance(object, tuple) and len(object) in (1, 3):
-        object = Literal(*object) if len(object) == 3 else BlankNode(*object)
-    else:
-        raise TypeError(f"bad object {object!r}")
-    return (subject, predicate, object)
+    return (subject, iri_text(predicate), checked_term(object))
 
 
 class Graph:

@@ -13,28 +13,31 @@ Each parser reads a triple with one compiled-regex match, from the
 whitespace before it: N-Triples a whole statement up to its line end;
 Turtle a step up to and with the ``,``, ``;`` or ``.`` that ends it, which
 picks the next step: an object after ``,``, a verb and an object after
-``;``, and a subject, a verb and an object after ``.``.  Those regexes take
-no escapes, no blank node in Turtle and no comment but one after an
-N-Triples statement's dot, and a term they take is one the scanner would
-read the same way.  Whatever they do not take (comments, escapes, blank
-nodes in Turtle, directives, repeated ``;``, an undeclared prefix, any
-malformed text) goes to the token scanner from the same offset and in the
-same step.  The scanner is the only reader of everything else and the
-only source of errors: it consumes each token (whitespace and comments,
-names, the runs of IRI and string bodies between escapes) with one
-compiled regex, and counts line and column from the text only when an
-error is raised.
+``;``, and a subject, a verb and an object after ``.``.  Both regexes take
+one set of terms, each one the scanner would read the same way: IRIs and
+strings without escapes, a string with its datatype or language tag, and
+prefixed names in the writer's own form, a local name of
+``[A-Za-z_][A-Za-z0-9_-]*`` followed by whitespace, ``,`` or ``;``.
+Whatever else a text holds (blank nodes, comments, escapes, dotted,
+``%XX`` or digit-led local names, directives, repeated ``;``, an
+undeclared prefix, any malformed text) goes to the token scanner from the
+same offset and in the same step.  The scanner is the only reader of
+everything else and the only source of errors: it consumes each token
+(whitespace and comments, names, the runs of IRI and string bodies between
+escapes) with one compiled regex, and counts line and column from the text
+only when an error is raised.
 
 Both readers build terms through the same three per-call tables, of
 IRIs, literals and blank nodes, so each distinct term is validated once,
 in textual order; an invalid term never enters a table and is reported at
 its ``<`` or ``"`` (a prefixed name just after its end), wherever it recurs.
-The regex paths read the tables with ``dict.get`` and call the scanner's
-:meth:`_Scanner.iri`, :meth:`_Scanner.literal` or :meth:`_Scanner.blank`
-only for a term not yet in them, so the offset of an error is worked out
-only then.  The graph holds the tables' values, in exact triple tuples:
-exact ``str`` IRIs, literal 3-tuples and one blank node 1-tuple
-``(label,)`` per label (see :mod:`ome_rdf.rdf.model`).
+The regex paths read the IRI and literal tables with ``dict.get`` and
+call the scanner's :meth:`_Scanner.iri` or :meth:`_Scanner.literal` only
+for a term not yet in them, so the offset of an error is worked out only
+then; blank nodes are the scanner's alone.  The graph holds the tables'
+values, in exact triple tuples: exact ``str`` IRIs, literal 3-tuples and
+one blank node 1-tuple ``(label,)`` per label (see
+:mod:`ome_rdf.rdf.model`).
 
 Whitespace is what the grammars allow, not what ``str.isspace`` accepts:
 space and tab between the terms of an N-Triples statement; space, tab,
@@ -78,18 +81,17 @@ _SKIP_INLINE_RE = re.compile(r"(?:[ \t]+|#[^\r\n]*)*")
 _IRI_BODY_RE = re.compile(r"[^>\\]*")
 _STRING_BODY_RE = re.compile(r'[^"\\\r\n]*')
 
-# The fast paths' terms: an IRI body without escapes or the ASCII characters
-# an IRI may not hold, a string without escapes, and a prefixed name whose
-# local part is the scanner's once trailing dots are stripped (the lookahead
-# stops a shorter match where the scanner would read on).  A prefix group
-# always takes part in a prefixed name, so an empty prefix is "", not None.
+# The fast paths' terms, the one set both regexes take: an IRI body without
+# escapes or the ASCII characters an IRI may not hold, a string without
+# escapes, and a prefixed name in the writer's form, whose local part has no
+# dot and no "%" and is followed by whitespace, "," or ";" (as the writer
+# always follows it), so the scanner would end the name at the same place.
+# A prefix group always takes part in a prefixed name, so an empty prefix is
+# "", not None.
 _WS = r"[ \t\r\n]*"
 _IRI = rf"<([^{IRI_FORBIDDEN_ASCII}]*)>"
 _STRING = r'"([^"\\\r\n]*)"'
-_PNAME = (r"((?:[A-Za-z][A-Za-z0-9_.-]*)?):"
-          r"((?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?(?!\.*[A-Za-z0-9_%-]))?)"
-          r"(?![A-Za-z0-9_])")
-_NODE = rf"(?:{_IRI}|_:({BLANK_LABEL_PATTERN}))"
+_PNAME = r"((?:[A-Za-z][A-Za-z0-9_.-]*)?):((?:[A-Za-z_][A-Za-z0-9_-]*)?)(?=[ \t\r\n,;])"
 # groups: IRI, or prefix and local name
 _NAME = rf"(?:{_IRI}|{_PNAME})"
 # groups: the keyword "a", then a name
@@ -97,11 +99,10 @@ _VERB = rf"(?:(a)(?![^ \t\r\n<#])|{_NAME})"
 # groups: a name, lexical form, a name for the datatype, language
 _OBJECT = rf"(?:{_NAME}|{_STRING}(?:\^\^{_NAME}|{_LANG})?)"
 # the whitespace before a statement and the statement up to its line end;
-# groups: subject IRI or label, predicate, object IRI or label, lexical
-# form, datatype, language
+# groups: subject, predicate, object IRI, lexical form, datatype, language
 _NT_STATEMENT_RE = re.compile(
-    rf"{_WS}{_NODE}[ \t]*{_IRI}[ \t]*(?:{_NODE}|{_STRING}(?:\^\^{_IRI}|{_LANG})?)"
-    r"[ \t]*\.[ \t]*(?:#[^\r\n]*)?(?![^\r\n])"
+    rf"{_WS}{_IRI}[ \t]*{_IRI}[ \t]*(?:{_IRI}|{_STRING}(?:\^\^{_IRI}|{_LANG})?)"
+    r"[ \t]*\.[ \t]*(?![^\r\n])"
 )
 # One Turtle step each, from the whitespace before its first term to the
 # ",", ";" or "." after its object, which is the last group: a subject, verb
@@ -122,10 +123,10 @@ class _Scanner:
     each label to its 1-tuple from :func:`BlankNode`.  So a recurring term
     is built, validated and hashed once, whether the scanner or a regex path
     read it.  Invalid terms never enter them, so each one is reported where
-    it occurs.  The regex paths look terms up in the tables themselves and
-    call :meth:`iri`, :meth:`literal` and :meth:`blank` only on a miss.  The
-    scanner reads the text from ``pos`` one token at a time, each with one
-    compiled regex.
+    it occurs.  The regex paths look IRIs and literals up in the tables
+    themselves and call :meth:`iri` and :meth:`literal` only on a miss;
+    only :meth:`read_blank` makes blank nodes.  The scanner reads the text
+    from ``pos`` one token at a time, each with one compiled regex.
     """
 
     def __init__(self, text: str):
@@ -189,20 +190,17 @@ class _Scanner:
                 raise RdfSyntaxError(str(e), *self.position(at)) from e
         return literal
 
-    def blank(self, label: str) -> tuple:
-        """The blank node ``(label,)`` of a label that matched ``_BLANK_RE``."""
-        node = self.blanks.get(label)
-        if node is None:
-            node = self.blanks[label] = BlankNode(label)
-        return node
-
     def read_blank(self) -> tuple:
         """The blank node token ``_:label`` at ``pos``; an error at its ``_``
         if the label is bad."""
         m = self.match_re(_BLANK_RE)
         if not m:
             self.error("bad blank node label")
-        return self.blank(m.group(1))
+        label = m.group(1)
+        node = self.blanks.get(label)
+        if node is None:
+            node = self.blanks[label] = BlankNode(label)
+        return node
 
     def read_uchar(self) -> str:
         # positioned after the backslash, on "u", "U" or the end of the text
@@ -330,7 +328,6 @@ def parse_ntriples(text: str) -> Graph:
     statement = _NT_STATEMENT_RE.match
     get_iri = sc.iris.get
     get_literal = sc.literals.get
-    get_blank = sc.blanks.get
     iri = sc.iri
     triples = []
     append = triples.append
@@ -348,22 +345,17 @@ def parse_ntriples(text: str) -> Graph:
                 append(_read_statement(sc))
                 pos = sc.pos
                 continue
-        s, s_label, p, o, o_label, lexical, datatype, language = m.groups()
-        if s is None:
-            subject = get_blank(s_label) or sc.blank(s_label)
-        else:
-            subject = get_iri(s) or iri(s, m.start(1) - 1)
-        predicate = get_iri(p) or iri(p, m.start(3) - 1)
-        if o is not None:
-            obj = get_iri(o) or iri(o, m.start(4) - 1)
-        elif lexical is None:
-            obj = get_blank(o_label) or sc.blank(o_label)
+        s, p, o, lexical, datatype, language = m.groups()
+        subject = get_iri(s) or iri(s, m.start(1) - 1)
+        predicate = get_iri(p) or iri(p, m.start(2) - 1)
+        if lexical is None:
+            obj = get_iri(o) or iri(o, m.start(3) - 1)
         else:
             obj = get_literal((lexical, datatype, language))
             if obj is None:
                 if datatype is not None:
-                    datatype = get_iri(datatype) or iri(datatype, m.start(7) - 1)
-                obj = sc.literal(lexical, datatype, language, m.start(6) - 1)
+                    datatype = get_iri(datatype) or iri(datatype, m.start(5) - 1)
+                obj = sc.literal(lexical, datatype, language, m.start(4) - 1)
         append((subject, predicate, obj))
         pos = m.end()
     return Graph(triples)

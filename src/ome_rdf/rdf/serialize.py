@@ -27,7 +27,7 @@ from operator import itemgetter
 
 from ..errors import UnknownFormatError
 from ..namespaces import RDF_TYPE, XSD_STRING
-from .model import BlankNode, Graph, Literal, Term, iri_text, term_sort_key
+from .model import Graph, Term, checked_term, term_sort_key
 
 _STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
 
@@ -64,14 +64,8 @@ _predicate = itemgetter(1)
 
 def term_to_ntriples(term: Term) -> str:
     """Render one term in N-Triples syntax (bare literal means xsd:string),
-    checked as :func:`~ome_rdf.rdf.model.Triple` checks an object."""
-    if isinstance(term, str):
-        term = iri_text(term)
-    elif isinstance(term, tuple) and len(term) in (1, 3):
-        term = Literal(*term) if len(term) == 3 else BlankNode(*term)
-    else:
-        raise TypeError(f"not an RDF term: {term!r}")
-    return _TermText(_bracketed)[term]
+    checked by :func:`~ome_rdf.rdf.model.checked_term`."""
+    return _TermText(_bracketed)[checked_term(term)]
 
 
 def serialize_ntriples(g: Graph) -> str:

@@ -90,6 +90,7 @@ def test_tsv_line_rule_has_one_owner():
 @pytest.mark.parametrize("message, owner", [
     ("appears more than once", "ome_xml.py"),  # an <Image>'s repeated child
     ("bad blank node label", "parse.py"),  # a parser's blank node token
+    ("not an RDF term: ", "model.py"),  # the one term check
 ])
 def test_message_is_raised_in_one_place(message, owner):
     holders = [p.name for p in sorted((ROOT / "src").rglob("*.py"))

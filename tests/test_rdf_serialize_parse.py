@@ -789,6 +789,30 @@ def _relayout(tokens: list, rng: random.Random) -> str:
     return "".join(out)
 
 
+_SOUP_HEAD = ("@prefix ex: <http://ex.org/> .\n@prefix e.x: <http://e.x/> .\n"
+              "@prefix : <http://d.example/> .\n")
+# the tokens the writer writes, and the ones it never writes: prefixed names
+# with dots, "%XX", leading digits or glued punctuation, bad IRIs and blank
+# nodes, comments and lone punctuation
+_SOUP_TOKENS = (
+    ["ex:s", "ex:p", "ex:o_1", "ex:", ":x", f"<{EX}i>", '"x"', '""', '"1"^^ex:int',
+     f'"1"^^<{XSD_INTEGER}>', '"y"@en-GB', "a", "_:b1"],
+    ["e.x:o", "ex:a.b", "ex:a..b", "ex:a.", "ex:a%41", "ex:a.%41", "ex:%4", "ex:9", "ex:-x",
+     "ex:o.", "ex:o,", "ex:o;", "ex:a:b", "undeclared:x", "<>", "<a b>", '"1"^^ex:t.x',
+     '"z"@en.', "_:", "# note", ".", ",", ";"],
+)
+_SOUP_GAPS = ["", " ", " ", "\t", "\n", "\r\n", " # c\n"]
+
+
+def _soup(rng: random.Random) -> str:
+    """Statements of three tokens and a ".", "," or ";", each after a
+    random gap; a token is as often one the writer never writes as not."""
+    def token():
+        return rng.choice(_SOUP_GAPS) + rng.choice(rng.choice(_SOUP_TOKENS))
+    return "".join(token() + token() + token() + rng.choice(_SOUP_GAPS) + rng.choice(".,;")
+                   for _ in range(rng.randint(1, 6)))
+
+
 class TestFastPathsAgreeWithScanner:
     """The per-triple regexes give what the scanner alone gives: the same
     graph and prefixes, or the same error class, message and place."""
@@ -834,6 +858,10 @@ class TestFastPathsAgreeWithScanner:
         "ex:s ex:p ex:%41 .", "ex:s ex:p ex:.", "ex:s ex:p. ex:o .", "ex:s ex:p ex:a.%41 .",
         'ex:s ex:p "1"^^ex:t.x .', 'ex:s ex:p "1"^^ex:t., "2"@en-GB.',
         "ex:s a:b ex:o, ex:o-, ex:_ .",
+        # local names outside the writer's form, and names glued to "," or ";"
+        "ex:s ex:p ex:9 .", "ex:s ex:p ex:a:b .",
+        "@prefix e.x: <http://e.x/> .\ne.x:s e.x:p e.x:o .",
+        "ex:s ex:p ex:o;ex:p ex:q .", "ex:s ex:p ex:o,ex:p .", "ex:s ex:p ex:- .",
     ])
     def test_prefixed_names_end_where_the_scanner_ends_them(self, statement):
         text = "@prefix ex: <http://ex.org/> .\n" + statement
@@ -843,6 +871,7 @@ class TestFastPathsAgreeWithScanner:
     @pytest.mark.parametrize("statement", [
         f'{_S} {_P} "x"^^<> .', f"<> {_P} {_O} .", f"{_S} <> {_O} .", f"{_S} {_P} <> .",
         f'{_S}{_P}""@en.', f"_:a{_P}_:b.", f'{_S} {_P} "x"^^<{_XSD}boolean> .',
+        f"_:a {_P} _:b .\n", f"{_S} {_P} {_O} . # a comment\n",
     ])
     @pytest.mark.parametrize("parser", [parse_ntriples, parse_turtle])
     def test_terms_read_as_the_scanner_reads_them(self, statement, parser):
@@ -894,6 +923,41 @@ class TestFastPathsAgreeWithScanner:
         # each scanner read is in a directive, but for the skip of the last line end
         assert at and all(pos < body for pos in at[:-1]) and at[-1] == len(text) - 1
 
+    def test_canonical_blank_node_statements_read_with_the_scanner(self):
+        # the N-Triples regex takes no blank node, so each statement that
+        # holds one, and only those, goes to the scanner
+        ex = "http://a.example/"
+        g = Graph([
+            Triple(BlankNode("b1"), Iri(ex + "p"), BlankNode("b2")),
+            Triple(BlankNode("b1"), Iri(ex + "p"), Iri(ex + "o")),
+            Triple(Iri(ex + "s"), Iri(ex + "p"), BlankNode("b1")),
+            Triple(BlankNode("b2"), Iri(ex + "q"), Literal("x", language="en")),
+            Triple(Iri(ex + "s"), Iri(ex + "q"), Literal("5", Iri(XSD_INTEGER))),
+            Triple(Iri(ex + "s"), Iri(ex + "p"), Iri(ex + "o")),
+        ])
+        read_statement = _PARSE_MODULE._read_statement
+        read = []
+
+        def counted(sc):
+            read.append(read_statement(sc))
+            return read[-1]
+
+        with mock.patch.object(_PARSE_MODULE, "_read_statement", counted):
+            assert parse_ntriples(serialize(g, "ntriples")) == g
+        assert sorted(read, key=repr) == sorted(
+            (t for t in g if is_blank(t[0]) or is_blank(t[2])), key=repr)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_token_soup_reads_as_the_scanner_reads_it(self, rng):
+        # the regexes read the writer's tokens up to an odd one, where the
+        # scanner takes over; Turtle has the soup's prefixes declared
+        for _ in range(5):
+            soup = _soup(rng)
+            note(repr(soup))
+            for parser, text in ((parse_ntriples, soup), (parse_turtle, _SOUP_HEAD + soup)):
+                assert _outcome(parser, text) == _scanner_only(parser, text)
+
     @pytest.mark.parametrize("fmt", ["ntriples", "turtle"])
     def test_scanner_builds_each_distinct_term_once(self, fmt):
         # the readers look recurring terms up in the tables themselves
@@ -919,9 +983,8 @@ class TestFastPathsAgreeWithScanner:
 
     @pytest.mark.parametrize("parser", [parse_ntriples, parse_turtle])
     def test_one_blank_node_per_label(self, parser):
-        # the escape sends the second statement to the scanner; N-Triples
-        # reads the others with its regex, Turtle every blank node with the
-        # scanner
+        # both parsers read every blank node with the scanner, which keeps
+        # one per label for the call
         text = f'_:b {_P} _:c .\n_:b {_P} "x\\ty" .\n_:c {_P} _:b .\n'
         g = parser(text)
         blanks = [term for s, _, o in g for term in (s, o) if is_blank(term)]

@@ -8,14 +8,21 @@ import pytest
 
 from ome_rdf.links import LinkRegistry
 from ome_rdf.mapper import MintingPolicy, map_document
+from ome_rdf.namespaces import XSD_NS
 from ome_rdf.ome_xml import parse_ome_document, parse_sidecar
 from ome_rdf.ontology import build_core_ontology, registry_to_graph
-from ome_rdf.rdf import BlankNode, Graph, Literal, Triple, parse_ntriples, parse_turtle
+from ome_rdf.rdf import BlankNode, Graph, Iri, Literal, Triple, parse_ntriples, parse_turtle
 
 DATA = Path(__file__).parent / "data"
 EX = "http://ex.org/"
-# blank subjects and objects beside IRIs and literals; the escape sends one
-# statement to the N-Triples scanner, and Turtle reads every blank node there
+
+
+class _Text(str):
+    __slots__ = ()
+
+
+# blank subjects and objects beside IRIs and literals; both parsers read
+# every blank node with the scanner
 _BLANK_NT = (f'_:b1 <{EX}p> _:b2 .\n_:b1 <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> _:b1 .\n'
              f'_:b2 <{EX}q> "x" .\n_:b2 <{EX}q> "tab\\there"@en .\n<{EX}s> <{EX}q> "y" .\n')
 _BLANK_TTL = (f"@prefix ex: <{EX}> .\n_:b1 ex:p _:b2, ex:o .\nex:s ex:p _:b1 ; ex:q \"y\" .\n"
@@ -42,6 +49,11 @@ GRAPHS = {
         Triple(BlankNode("b1"), EX + "p", EX + "o"),
         Triple(EX + "s", EX + "p", BlankNode("b1")),
         Triple(BlankNode("b2"), EX + "q", Literal("x")),
+    ])],
+    # str subclasses given for a literal's lexical form and language
+    "Literal_subclass_parts": lambda: [Graph([
+        Triple(EX + "s", EX + "p", Literal(Iri(EX + "x"), XSD_NS + "anyURI")),
+        Triple(EX + "s", EX + "q", Literal("x", language=_Text("en"))),
     ])],
 }
 
