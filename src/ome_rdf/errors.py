@@ -4,6 +4,8 @@ Keeping them in one module avoids circular imports between the parsing and
 mapping layers.
 """
 
+import copyreg
+
 
 class OmeRdfError(Exception):
     """Base class for all toolkit errors."""
@@ -11,6 +13,11 @@ class OmeRdfError(Exception):
     #: short machine-readable code; a skipped record carries it
     code = "Error"
     __str__ = Exception.__str__  # the plain message, not a KeyError's quoted one
+
+    def __reduce__(self):
+        # rebuilt from its class, message and attributes without __init__,
+        # whose arguments differ from class to class
+        return copyreg.__newobj__, (self.__class__, *self.args), self.__dict__
 
 
 # ---------------------------------------------------------------- rdf model

@@ -17,7 +17,12 @@ instrument node with its literals, a biosample or container type triple, a
 names it, under a key tagged with its kind, since a reader record equals any
 tuple of its values.  A record that raises takes back everything it
 emitted.  The mapper reads the core ontology once, at import, as the
-readers of :mod:`ome_rdf.ome_xml` do.
+readers of :mod:`ome_rdf.ome_xml` do, and takes its vocabulary (the class,
+property, range and ``rdf:type`` IRIs) from
+:func:`~ome_rdf.rdf.model.iri_text`: a mapped graph holds the same IRI
+objects as every graph parsed or built in the process, and a literal's
+datatype is already the interned text.  The instance IRIs it mints are
+never checked and not interned.
 """
 
 from __future__ import annotations
@@ -41,12 +46,14 @@ from .namespaces import DEFAULT_INSTANCE_BASE, RDF_TYPE, XSD_NS
 from .ome_xml import EmAnnotation, InstrumentKind, OmeDocument, OmeImage
 from .ontology import OntologyRegistry, build_core_ontology
 from .rdf import Graph, Iri, Literal
+from .rdf.model import iri_text
 
 _XSD = Iri(XSD_NS)
 _CORE = build_core_ontology()
-_CLASS = {c.label: c.iri.value for c in _CORE.classes}
-_PROPERTY = {p.label: p.iri.value for p in _CORE.properties}
-_RANGE = {p.label: p.range.value for p in _CORE.properties}
+_TYPE = iri_text(RDF_TYPE)
+_CLASS = {c.label: iri_text(c.iri) for c in _CORE.classes}
+_PROPERTY = {p.label: iri_text(p.iri) for p in _CORE.properties}
+_RANGE = {p.label: iri_text(p.range) for p in _CORE.properties}
 
 
 # One table per node shape: (property IRI, range IRI, getter) rows.  A row
@@ -185,7 +192,7 @@ class _Emitter:
         return iri
 
     def typed(self, iri: str, label: str):
-        self.triples.append((iri, RDF_TYPE, _CLASS[label]))
+        self.triples.append((iri, _TYPE, _CLASS[label]))
 
     def node(self, label: str, encoded: str) -> str:
         iri = self.bases[label] + encoded

@@ -22,13 +22,19 @@ checks a term by that rule for both :func:`Triple` and the writers'
 :class:`Iri` is the typed handle for an IRI outside a graph (the ontology
 rows, namespaces, minted image IRIs, resolved links): a checked ``str``
 subclass with ``.value``, equal to its text, which pickles through its
-constructor.  Every ``str`` a term is built from, an ``Iri`` included, is
-checked and copied to an exact ``str``.
+constructor.  Every IRI a term is built from, an ``Iri`` included, is
+checked and becomes, through :func:`iri_text`, the one exact ``str`` the
+process holds for its text (:func:`sys.intern`), so graphs from every
+producer (the parsers, the mapper, :func:`Triple`) share their IRI objects
+and compare them by pointer.  An ``Iri`` is checked by the same rule but
+not interned: it holds its own copy of its text.  Every other ``str`` a
+term is built from is checked and copied to an exact ``str``.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -128,7 +134,7 @@ _LEXICAL_FORMS = {
 XSD_DATATYPES = frozenset(_LEXICAL_FORMS) | {XSD_STRING, XSD_NS + "anyURI"}
 
 
-def iri_text(value: str) -> str:
+def _checked_iri(value: str) -> str:
     """``value`` as an exact ``str``, once it passes the IRI check."""
     if not value:
         raise InvalidIriError("empty IRI")
@@ -140,9 +146,22 @@ def iri_text(value: str) -> str:
     return value if value.__class__ is str else str.__str__(value)
 
 
+def iri_text(value: str) -> str:
+    """``value`` as the process's one exact ``str`` of its text, once it
+    passes the IRI check: :func:`sys.intern` of it, so that the IRIs of
+    graphs from different producers are the same objects and compare by
+    pointer."""
+    return sys.intern(_checked_iri(value))
+
+
+# the datatypes of a literal given none, as the objects iri_text gives
+_XSD_STRING, _RDF_LANGSTRING = iri_text(XSD_STRING), iri_text(RDF_LANGSTRING)
+
+
 class Iri(str):
-    """An absolute IRI, validated on construction: the typed handle for an
-    IRI outside a graph.
+    """An absolute IRI, validated on construction by the rule of
+    :func:`iri_text` but not interned: the typed handle for an IRI outside
+    a graph.
 
     An ``Iri`` is the ``str`` of its text, so it hashes and compares as that
     text: ``Iri(v) == v``.  ``value`` is the text as a plain ``str``.
@@ -151,7 +170,7 @@ class Iri(str):
     __slots__ = ()
 
     def __new__(cls, value: str):
-        return str.__new__(cls, iri_text(value))
+        return str.__new__(cls, _checked_iri(value))
 
     value = property(str.__str__, doc="The IRI text as a plain ``str``.")
 
@@ -186,15 +205,15 @@ def Literal(lexical: str, datatype: Optional[str] = None,
             raise InvalidLiteralError(f"bad language tag {language!r}")
         language = str.__str__(language)
     if datatype is None:
-        datatype = XSD_STRING if language is None else RDF_LANGSTRING
+        datatype = _XSD_STRING if language is None else _RDF_LANGSTRING
     elif not isinstance(datatype, str):
         raise TypeError(f"literal datatype must be an Iri or its text, not {datatype!r}")
     else:
         datatype = iri_text(datatype)
         if language is not None:
-            if datatype != RDF_LANGSTRING:
+            if datatype is not _RDF_LANGSTRING:
                 raise InvalidLiteralError("language tag requires the rdf:langString datatype")
-        elif datatype == RDF_LANGSTRING:
+        elif datatype is _RDF_LANGSTRING:
             raise InvalidLiteralError("rdf:langString requires a language tag")
     checked = _LEXICAL_FORMS.get(datatype)
     if checked is not None:

@@ -35,9 +35,12 @@ The regex paths read the IRI and literal tables with ``dict.get`` and
 call the scanner's :meth:`_Scanner.iri` or :meth:`_Scanner.literal` only
 for a term not yet in them, so the offset of an error is worked out only
 then; blank nodes are the scanner's alone.  The graph holds the tables'
-values, in exact triple tuples: exact ``str`` IRIs, literal 3-tuples and
-one blank node 1-tuple ``(label,)`` per label (see
-:mod:`ome_rdf.rdf.model`).
+values, in exact triple tuples: literal 3-tuples, one blank node 1-tuple
+``(label,)`` per label, and exact ``str`` IRIs from
+:func:`~ome_rdf.rdf.model.iri_text`, the one object the process holds for
+each IRI text, so a graph read here shares its IRIs (and its literals'
+datatypes) with the graphs of every other producer and is compared with
+them by pointer (see :mod:`ome_rdf.rdf.model`).
 
 Whitespace is what the grammars allow, not what ``str.isspace`` accepts:
 space and tab between the terms of an N-Triples statement; space, tab,
@@ -110,6 +113,8 @@ _NT_STATEMENT_RE = re.compile(
 _TTL_TRIPLE_RE = re.compile(rf"{_WS}{_NAME}{_WS}{_VERB}{_WS}{_OBJECT}{_WS}([,;.])")
 _TTL_VERB_OBJECT_RE = re.compile(rf"{_WS}{_VERB}{_WS}{_OBJECT}{_WS}([,;.])")
 _TTL_OBJECT_RE = re.compile(rf"{_WS}{_OBJECT}{_WS}([,;.])")
+# the predicate the keyword "a" stands for
+_A = iri_text(RDF_TYPE)
 
 
 class _Scanner:
@@ -118,9 +123,10 @@ class _Scanner:
     Three per-call tables hold the terms built so far, each value the exact
     built-in the graph holds, by the model's one rule that a ``str`` is an
     IRI, a 1-tuple a blank node and a 3-tuple a literal: ``iris`` maps each
-    valid IRI text to itself, ``literals`` maps each valid (lexical form,
-    datatype text or None, language) to its 3-tuple, and ``blanks`` maps
-    each label to its 1-tuple from :func:`BlankNode`.  So a recurring term
+    valid IRI text to the one object :func:`iri_text` keeps for it,
+    ``literals`` maps each valid (lexical form, datatype text or None,
+    language) to its 3-tuple, and ``blanks`` maps each label to its 1-tuple
+    from :func:`BlankNode`.  So a recurring term
     is built, validated and hashed once, whether the scanner or a regex path
     read it.  Invalid terms never enter them, so each one is reported where
     it occurs.  The regex paths look IRIs and literals up in the tables
@@ -425,7 +431,7 @@ def parse_turtle(text: str) -> Graph:
             nxt = sc.text[sc.pos + 1: sc.pos + 2]
             if nxt == "" or nxt in " \t\r\n<#":
                 sc.pos += 1
-                return RDF_TYPE
+                return _A
         term = read_term("predicate")
         if term.__class__ is not str:
             sc.error("predicate must be an IRI")
@@ -511,7 +517,7 @@ def parse_turtle(text: str) -> Graph:
                 if k == 7:
                     subject = name(m, g, 0)
                 if k:
-                    predicate = RDF_TYPE if g[k - 4] else name(m, g, k - 3)
+                    predicate = _A if g[k - 4] else name(m, g, k - 3)
                 lexical = g[k + 3]
                 if lexical is None:
                     obj = name(m, g, k)

@@ -4,10 +4,10 @@ the ontology rows become objects only in ``ontology.build_core_ontology``,
 and labels resolve against the core only at import; the CURIE prefix
 grammar and the TSV line rule are stated only in ``links``, and the blank
 node label and language tag grammars, the characters an IRI may not hold
-and the surrogate range only in the RDF model; no module imports another's
-private name; graph comparison orders terms by the model's order, not by
-the writer's text; and the Turtle oracle shares no code with the writer it
-checks."""
+and the surrogate range only in the RDF model, whose ``iri_text`` alone
+interns; no module imports another's private name; graph comparison
+orders terms by the model's order, not by the writer's text; and the
+Turtle oracle shares no code with the writer it checks."""
 
 import ast
 from pathlib import Path
@@ -126,6 +126,8 @@ def test_graph_comparison_names_nothing_of_the_writer():
 
 def test_each_rule_has_one_owner():
     assert _owners_in_src("fromstring") == {"ome_rdf.ome_xml.read_xml"}
+    # one table of shared IRI objects: only iri_text interns
+    assert _owners_in_src("intern") == {"ome_rdf.rdf.model.iri_text"}
 
     tree = ast.parse((ROOT / "tests" / "oracle.py").read_text())
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}

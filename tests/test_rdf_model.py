@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,16 +14,22 @@ from ome_rdf.errors import (
     InvalidIriError,
     InvalidLiteralError,
 )
-from ome_rdf.namespaces import RDF_LANGSTRING, XSD_INTEGER, XSD_NS, XSD_STRING
+from ome_rdf.links import LinkRegistry
+from ome_rdf.mapper import MintingPolicy, map_document
+from ome_rdf.namespaces import RDF_LANGSTRING, RDF_TYPE, XSD_INTEGER, XSD_NS, XSD_STRING
+from ome_rdf.ome_xml import parse_ome_document, parse_sidecar
+from ome_rdf.ontology import build_core_ontology
 from ome_rdf.rdf import (
     BlankNode,
     Graph,
     Iri,
     Literal,
     Triple,
+    parse_ntriples,
+    parse_turtle,
     term_sort_key,
 )
-from ome_rdf.rdf.model import _LEXICAL_FORMS
+from ome_rdf.rdf.model import _IRI_FORBIDDEN_RE, _LEXICAL_FORMS, iri_text
 
 from genutil import random_graph
 
@@ -493,3 +500,84 @@ class TestBuiltinTerms:
     def test_repr_evaluates_to_an_equal_term(self, term):
         copy = eval(repr(term))
         assert copy == term and type(copy) is type(term)
+
+
+DATA = Path(__file__).parent / "data"
+# a valid IRI text: a scheme, then no character the IRI check forbids
+_VALID_IRI = st.builds(
+    "{}:{}".format,
+    st.from_regex(r"[A-Za-z][A-Za-z0-9+.-]*", fullmatch=True),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
+                          blacklist_characters='<>"{}|^`\\')),
+).filter(lambda text: not _IRI_FORBIDDEN_RE.search(text))
+
+
+class _Text(str):
+    __slots__ = ()
+
+
+def _copy(text: str) -> str:
+    """A new exact ``str`` of ``text``, never the object passed in."""
+    return "".join(list(text))
+
+
+def _mapped_golden():
+    doc = parse_ome_document((DATA / "golden.ome.xml").read_text(encoding="utf-8"))
+    anns = parse_sidecar((DATA / "golden.ann.tsv").read_text(encoding="utf-8"))
+    return map_document(doc, anns, build_core_ontology(), MintingPolicy(Iri("http://ex.org/i/")),
+                        LinkRegistry.default())
+
+
+class TestSharedIriObjects:
+    """Every checked IRI text is one object for the whole process, whichever
+    producer checked it; Iri handles and minted instance IRIs are not."""
+
+    def test_every_producer_holds_one_object_per_text(self):
+        text = _copy(EX + "shared")
+        nt = parse_ntriples(f'<{text}> <{text}> <{text}> .\n<{EX}s> <{EX}p> "1"^^<{text}> .\n')
+        (nt_s, nt_p, nt_o), (_, _, (_, nt_datatype, _)) = nt
+        prefix = f"@prefix ex: <{EX}> .\n"
+        # the two forms in two calls, so that no per-call table joins them
+        [(ttl_iri, _, _)] = parse_turtle(f'{prefix}<{text}> ex:p "1" .\n')
+        [(ttl_pname, _, _)] = parse_turtle(f'{prefix}ex:shared ex:p "1" .\n')
+        built = Triple(_copy(text), _copy(EX + "p"), _copy(EX + "o"))[0]
+        datatype = Literal("1", _copy(text))[1]
+        prefix_ns = Graph((), {"x": _Text(text)}).prefixes["x"]
+        held = [nt_s, nt_p, nt_o, nt_datatype, ttl_iri, ttl_pname, built, datatype, prefix_ns]
+        assert all(obj is nt_s for obj in held)
+
+    @pytest.mark.parametrize("parse, name", [(parse_ntriples, "golden.nt"),
+                                             (parse_turtle, "golden.ttl")])
+    def test_a_mapped_graph_shares_its_vocabulary_with_a_parsed_one(self, parse, name):
+        mapped = _mapped_golden().graph
+        parsed = parse((DATA / name).read_text(encoding="utf-8"))
+        assert mapped == parsed
+        # the parsed graph's object for each predicate, class and datatype text
+        vocabulary = {}
+        for _, p, o in parsed:
+            vocabulary[p] = p
+            if p == RDF_TYPE:
+                vocabulary[o] = o
+            elif type(o) is tuple:
+                vocabulary[o[1]] = o[1]
+        shared = [p for _, p, _ in mapped]
+        shared += [o for _, p, o in mapped if p == RDF_TYPE]
+        shared += [o[1] for _, _, o in mapped if type(o) is tuple]
+        assert all(vocabulary[x] is x for x in shared)
+
+    def test_minted_iris_and_iri_handles_are_not_interned(self):
+        for record in _mapped_golden().records:
+            minted = record.triples[0][0]  # the image's own IRI
+            assert minted == record.image_iri
+            assert sys.intern(_copy(minted)) is not minted
+        text = _copy(EX + "a-handle-only")
+        Iri(text)
+        assert sys.intern(_copy(text)) is not text
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VALID_IRI, st.sampled_from([str, _Text, Iri]))
+    def test_iri_text_is_one_exact_str_per_text(self, text, kind):
+        value = kind(text)
+        shared = iri_text(value)
+        assert type(shared) is str and shared == value
+        assert shared is iri_text("".join(value))
