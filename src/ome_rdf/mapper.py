@@ -17,12 +17,12 @@ instrument node with its literals, a biosample or container type triple, a
 names it, under a key tagged with its kind, since a reader record equals any
 tuple of its values.  A record that raises takes back everything it
 emitted.  The mapper reads the core ontology once, at import, as the
-readers of :mod:`ome_rdf.ome_xml` do, and takes its vocabulary (the class,
-property, range and ``rdf:type`` IRIs) from
-:func:`~ome_rdf.rdf.model.iri_text`: a mapped graph holds the same IRI
-objects as every graph parsed or built in the process, and a literal's
-datatype is already the interned text.  The instance IRIs it mints are
-never checked and not interned.
+readers of :mod:`ome_rdf.ome_xml` do, and takes its class, property,
+range and ``rdf:type`` IRIs from :func:`~ome_rdf.rdf.model.iri_text`
+rather than from the ontology's and namespaces' objects, so that, where that
+interns, a mapped graph holds the same IRI objects as every graph parsed
+or built in the process.  The instance IRIs it mints are never checked and
+not interned.
 """
 
 from __future__ import annotations

@@ -75,9 +75,8 @@ _PIXELS_ATTRS = tuple(
     ])
 _VOLTAGE = build_core_ontology().property_by_label("accelerationVoltage")
 _WAVELENGTH = build_core_ontology().property_by_label("electronWavelength")
-# the children of an <Image> that are read, each with its bit in the mask of
-# those seen so far; the schema allows each at most once
-_IMAGE_CHILDREN = {"Pixels": 1, "AcquisitionDate": 2, "InstrumentRef": 4, "ExperimenterRef": 8}
+# the children of an <Image> that are read; the schema allows each at most once
+_IMAGE_CHILDREN = frozenset({"Pixels", "AcquisitionDate", "InstrumentRef", "ExperimenterRef"})
 
 
 class InstrumentKind(enum.Enum):
@@ -265,15 +264,14 @@ def parse_ome_document(text: str) -> OmeDocument:
         acq_date = None
         instrument_ref = None
         experimenter_ref = None
-        seen = 0
+        seen_children = set()
         for sub in el:
             tag = local_name(sub.tag)
-            bit = _IMAGE_CHILDREN.get(tag)
-            if bit is None:
+            if tag not in _IMAGE_CHILDREN:
                 continue
-            if seen & bit:
+            if tag in seen_children:
                 raise InvalidValueError(f"{path}/{tag}", "appears more than once")
-            seen |= bit
+            seen_children.add(tag)
             if tag == "Pixels":
                 pixels_el = sub
             elif tag == "AcquisitionDate":

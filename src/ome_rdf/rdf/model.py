@@ -26,9 +26,13 @@ constructor.  Every IRI a term is built from, an ``Iri`` included, is
 checked and becomes, through :func:`iri_text`, the one exact ``str`` the
 process holds for its text (:func:`sys.intern`), so graphs from every
 producer (the parsers, the mapper, :func:`Triple`) share their IRI objects
-and compare them by pointer.  An ``Iri`` is checked by the same rule but
-not interned: it holds its own copy of its text.  Every other ``str`` a
-term is built from is checked and copied to an exact ``str``.
+and compare them by pointer.  That holds only where the runtime frees an
+interned string once nothing else holds it; where it keeps them all for
+good (CPython 3.12), the IRIs a reader sees would stay in memory forever,
+so there :func:`iri_text` interns nothing.  Sharing is never needed for a
+correct result, only for a fast one.  An ``Iri`` is checked by the same
+rule but not interned: it holds its own copy of its text.  Every other
+``str`` a term is built from is checked and copied to an exact ``str``.
 """
 
 from __future__ import annotations
@@ -146,15 +150,32 @@ def _checked_iri(value: str) -> str:
     return value if value.__class__ is str else str.__str__(value)
 
 
+def _frees_interned_strings() -> bool:
+    """Whether this runtime frees an interned string once nothing else
+    holds it.  CPython 3.12 makes every interned string immortal, and an
+    immortal object reports a reference count in the billions."""
+    probe = sys.intern(f"ome_rdf interning probe {id(object())}")
+    return sys.getrefcount(probe) < 1 << 20
+
+
+# Whether iri_text interns: only where that cannot keep every IRI a reader
+# has seen for the life of the process.
+_SHARED = _frees_interned_strings()
+
+
 def iri_text(value: str) -> str:
-    """``value`` as the process's one exact ``str`` of its text, once it
-    passes the IRI check: :func:`sys.intern` of it, so that the IRIs of
+    """``value`` as an exact ``str``, once it passes the IRI check.
+
+    Where the runtime frees interned strings, it is :func:`sys.intern` of
+    that ``str``, the process's one object for its text, so that the IRIs of
     graphs from different producers are the same objects and compare by
     pointer."""
-    return sys.intern(_checked_iri(value))
+    text = _checked_iri(value)
+    return sys.intern(text) if _SHARED else text
 
 
-# the datatypes of a literal given none, as the objects iri_text gives
+# the datatypes of a literal given none, as iri_text gives them: the namespace
+# constants are not those objects if other code interned the texts first
 _XSD_STRING, _RDF_LANGSTRING = iri_text(XSD_STRING), iri_text(RDF_LANGSTRING)
 
 
@@ -211,9 +232,9 @@ def Literal(lexical: str, datatype: Optional[str] = None,
     else:
         datatype = iri_text(datatype)
         if language is not None:
-            if datatype is not _RDF_LANGSTRING:
+            if datatype != RDF_LANGSTRING:
                 raise InvalidLiteralError("language tag requires the rdf:langString datatype")
-        elif datatype is _RDF_LANGSTRING:
+        elif datatype == RDF_LANGSTRING:
             raise InvalidLiteralError("rdf:langString requires a language tag")
     checked = _LEXICAL_FORMS.get(datatype)
     if checked is not None:

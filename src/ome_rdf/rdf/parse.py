@@ -37,10 +37,10 @@ for a term not yet in them, so the offset of an error is worked out only
 then; blank nodes are the scanner's alone.  The graph holds the tables'
 values, in exact triple tuples: literal 3-tuples, one blank node 1-tuple
 ``(label,)`` per label, and exact ``str`` IRIs from
-:func:`~ome_rdf.rdf.model.iri_text`, the one object the process holds for
-each IRI text, so a graph read here shares its IRIs (and its literals'
-datatypes) with the graphs of every other producer and is compared with
-them by pointer (see :mod:`ome_rdf.rdf.model`).
+:func:`~ome_rdf.rdf.model.iri_text`.  Where that interns, each is the one
+object the process holds for its text, so a graph read here shares its
+IRIs (and its literals' datatypes) with the graphs of every other producer
+and is compared with them by pointer (see :mod:`ome_rdf.rdf.model`).
 
 Whitespace is what the grammars allow, not what ``str.isspace`` accepts:
 space and tab between the terms of an N-Triples statement; space, tab,
@@ -113,7 +113,8 @@ _NT_STATEMENT_RE = re.compile(
 _TTL_TRIPLE_RE = re.compile(rf"{_WS}{_NAME}{_WS}{_VERB}{_WS}{_OBJECT}{_WS}([,;.])")
 _TTL_VERB_OBJECT_RE = re.compile(rf"{_WS}{_VERB}{_WS}{_OBJECT}{_WS}([,;.])")
 _TTL_OBJECT_RE = re.compile(rf"{_WS}{_OBJECT}{_WS}([,;.])")
-# the predicate the keyword "a" stands for
+# the predicate the keyword "a" stands for, as iri_text gives it: the
+# namespace constant is not that object if other code interned the text first
 _A = iri_text(RDF_TYPE)
 
 
@@ -123,7 +124,7 @@ class _Scanner:
     Three per-call tables hold the terms built so far, each value the exact
     built-in the graph holds, by the model's one rule that a ``str`` is an
     IRI, a 1-tuple a blank node and a 3-tuple a literal: ``iris`` maps each
-    valid IRI text to the one object :func:`iri_text` keeps for it,
+    valid IRI text to the ``str`` :func:`iri_text` gives for it,
     ``literals`` maps each valid (lexical form, datatype text or None,
     language) to its 3-tuple, and ``blanks`` maps each label to its 1-tuple
     from :func:`BlankNode`.  So a recurring term

@@ -1,8 +1,10 @@
+import gc
 import pickle
 import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,8 @@ from ome_rdf.rdf import (
     parse_turtle,
     term_sort_key,
 )
-from ome_rdf.rdf.model import _IRI_FORBIDDEN_RE, _LEXICAL_FORMS, iri_text
+from ome_rdf.rdf import model
+from ome_rdf.rdf.model import _IRI_FORBIDDEN_RE, _LEXICAL_FORMS, _SHARED, iri_text
 
 from genutil import random_graph
 
@@ -528,10 +531,18 @@ def _mapped_golden():
                         LinkRegistry.default())
 
 
+# the tests of sharing itself; a runtime that never frees an interned string
+# shares nothing, and the tests of memory still run there
+_shares = pytest.mark.skipif(
+    not _SHARED, reason="this runtime keeps interned strings for good, so iri_text interns nothing")
+
+
 class TestSharedIriObjects:
     """Every checked IRI text is one object for the whole process, whichever
-    producer checked it; Iri handles and minted instance IRIs are not."""
+    producer checked it; Iri handles and minted instance IRIs are not; and
+    the IRIs a reader has seen go with the last graph that holds them."""
 
+    @_shares
     def test_every_producer_holds_one_object_per_text(self):
         text = _copy(EX + "shared")
         nt = parse_ntriples(f'<{text}> <{text}> <{text}> .\n<{EX}s> <{EX}p> "1"^^<{text}> .\n')
@@ -546,6 +557,7 @@ class TestSharedIriObjects:
         held = [nt_s, nt_p, nt_o, nt_datatype, ttl_iri, ttl_pname, built, datatype, prefix_ns]
         assert all(obj is nt_s for obj in held)
 
+    @_shares
     @pytest.mark.parametrize("parse, name", [(parse_ntriples, "golden.nt"),
                                              (parse_turtle, "golden.ttl")])
     def test_a_mapped_graph_shares_its_vocabulary_with_a_parsed_one(self, parse, name):
@@ -565,6 +577,25 @@ class TestSharedIriObjects:
         shared += [o[1] for _, _, o in mapped if type(o) is tuple]
         assert all(vocabulary[x] is x for x in shared)
 
+    @_shares
+    def test_vocabulary_is_shared_when_other_code_interned_it_first(self):
+        # then the namespace constants are not the process's objects for
+        # their texts, but the keyword "a", the mapper's rdf:type and a
+        # literal's default datatype still are
+        code = (f"import sys; a_type, a_string = map(sys.intern, map(''.join, "
+                f"{[[RDF_TYPE[:-4], 'type'], [XSD_STRING[:-6], 'string']]!r}))\n"
+                "import test_rdf_model as t\n"
+                "[(_, a, (_, string, _))] = t.parse_turtle('<a:s> a \"x\" .')\n"
+                "mapped = t._mapped_golden().graph\n"
+                "types = {id(p) for _, p, _ in mapped if p == a_type}\n"
+                "strings = {id(o[1]) for _, _, o in mapped if type(o) is tuple and o[1] == a_string}\n"
+                "print(t.RDF_TYPE is not a_type, t.XSD_STRING is not a_string, a is a_type,\n"
+                "      string is a_string, types == {id(a_type)}, strings == {id(a_string)})\n")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": ":".join(sys.path), "PYTHONDONTWRITEBYTECODE": "1"}).stdout
+        assert out.split() == ["True"] * 6
+
     def test_minted_iris_and_iri_handles_are_not_interned(self):
         for record in _mapped_golden().records:
             minted = record.triples[0][0]  # the image's own IRI
@@ -580,4 +611,35 @@ class TestSharedIriObjects:
         value = kind(text)
         shared = iri_text(value)
         assert type(shared) is str and shared == value
-        assert shared is iri_text("".join(value))
+        if _SHARED:
+            assert shared is iri_text("".join(value))
+
+    def test_reading_fresh_iris_keeps_memory_bounded(self):
+        # a long-running reader of ever new IRIs must not keep them, on any
+        # supported runtime: CPython 3.12 would, if iri_text interned there
+        def read(n):
+            text = "".join(f"<{EX}{n}/s{i}> <{EX}p> <{EX}{n}/o{i}> .\n" for i in range(500))
+            parse_ntriples(text)
+            parse_turtle(text)
+
+        def held():
+            # the model's own allocations are left out: sys.intern resizes the
+            # process's table of interned strings now and then, to a size set
+            # by everything interned so far, not by what is still held
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(False, model.__file__)])
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            for n in range(10):
+                read(n)
+            before = held()
+            for n in range(10, 60):
+                read(n)
+            grown = held() - before
+        finally:
+            tracemalloc.stop()
+        # the 50 texts read last hold 50,000 fresh IRIs, over 4 MB if kept
+        assert grown < 200_000
