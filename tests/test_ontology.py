@@ -181,6 +181,12 @@ class TestRegistryToGraph:
         assert len(g) == expected_triple_count(core)
         assert len(g) == 203  # frozen from the oracle above
 
+    def test_export_bytes_are_the_golden_file(self, core):
+        # every change to the export is a reviewed diff of this file
+        text = serialize(registry_to_graph(core), "turtle")
+        golden = Path(__file__).parent / "data" / "ontology.ttl"
+        assert text.encode("utf-8") == golden.read_bytes()
+
     @pytest.mark.parametrize("build", [translated_fragment, subclassed_registry],
                              ids=["minCount", "subClassOf"])
     def test_optional_triples_match_counting_oracle(self, build):
