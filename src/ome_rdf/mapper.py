@@ -21,8 +21,10 @@ readers of :mod:`ome_rdf.ome_xml` do, and takes its class, property,
 range and ``rdf:type`` IRIs from :func:`~ome_rdf.rdf.model.iri_text`
 rather than from the ontology's and namespaces' objects, so that, where that
 interns, a mapped graph holds the same IRI objects as every graph parsed
-or built in the process.  The instance IRIs it mints are never checked and
-not interned.
+or built in the process.  The instance IRIs it mints are not interned.  A
+minted IRI goes into the graph unchecked; only each image's IRI is checked,
+once per record, since :attr:`MappedRecord.image_iri` is a public
+:class:`~ome_rdf.rdf.Iri` handle.
 """
 
 from __future__ import annotations
@@ -64,13 +66,13 @@ def _shape(*rows):
 
 _IMAGE = _shape(
     ("name", attrgetter("name")),
-    ("sizeX", attrgetter("pixels.size_x")),
-    ("sizeY", attrgetter("pixels.size_y")),
-    ("sizeZ", attrgetter("pixels.size_z")),
-    ("sizeC", attrgetter("pixels.size_c")),
-    ("sizeT", attrgetter("pixels.size_t")),
-    ("physicalSizeX", attrgetter("pixels.physical_size_x")),
-    ("physicalSizeY", attrgetter("pixels.physical_size_y")),
+    ("sizeX", attrgetter("size_x")),
+    ("sizeY", attrgetter("size_y")),
+    ("sizeZ", attrgetter("size_z")),
+    ("sizeC", attrgetter("size_c")),
+    ("sizeT", attrgetter("size_t")),
+    ("physicalSizeX", attrgetter("physical_size_x")),
+    ("physicalSizeY", attrgetter("physical_size_y")),
     ("acquisitionDate", attrgetter("acquisition_date")),
 )
 _EXPERIMENTER = _shape(("fullName", attrgetter("name")), ("email", attrgetter("email")))

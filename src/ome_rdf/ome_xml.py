@@ -3,6 +3,10 @@
 The OME-XML subset covers Image/Pixels/Instrument/Experimenter elements and
 their reference attributes; references are resolved during parsing, so an
 :class:`OmeImage` carries the resolved instrument and experimenter records.
+The core rows put every Pixels value on ``Image``, so an :class:`OmeImage`
+holds them too.  Each attribute that maps to a core property is read by
+that property's row, and the row's ``min_count`` alone decides whether the
+attribute is required.
 Sidecars are strict TSV files with a fixed header (see SIDECAR_COLUMNS);
 one row annotates one image with biosample and imaging-condition details.
 Every numeric value, a Pixels attribute or a voltage or wavelength cell, is
@@ -41,7 +45,7 @@ from .errors import (
     UnknownColumnError,
 )
 from .links import PREFIX_RE, tsv_lines
-from .namespaces import XSD_INTEGER
+from .namespaces import XSD_INTEGER, XSD_STRING
 from .ontology import build_core_ontology
 from .rdf.model import DATETIME_LEXICAL_RE, SURROGATE_RE, datetime_day_exists
 
@@ -64,14 +68,17 @@ _DECIMAL_RE = re.compile(
     r"[ \t\r\n]*[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t\r\n]*"
 )
 
-# Pixels attribute, its core registry property, and whether it must be
-# present, in the order of OmePixels' fields
-_PIXELS_ATTRS = tuple(
-    (attr, build_core_ontology().property_by_label(label), required)
-    for attr, label, required in [
-        ("SizeX", "sizeX", True), ("SizeY", "sizeY", True), ("SizeZ", "sizeZ", True),
-        ("SizeC", "sizeC", True), ("SizeT", "sizeT", True),
-        ("PhysicalSizeX", "physicalSizeX", False), ("PhysicalSizeY", "physicalSizeY", False),
+# One table per element: each attribute read and its core registry
+# property, in the order of the record's fields
+_INSTRUMENT_ATTRS, _EXPERIMENTER_ATTRS, _IMAGE_ATTRS, _PIXELS_ATTRS = (
+    tuple((attr, build_core_ontology().property_by_label(label)) for attr, label in table)
+    for table in [
+        [("Model", "model")],
+        [("Name", "fullName"), ("Email", "email")],
+        [("Name", "name")],
+        [("SizeX", "sizeX"), ("SizeY", "sizeY"), ("SizeZ", "sizeZ"), ("SizeC", "sizeC"),
+         ("SizeT", "sizeT"), ("PhysicalSizeX", "physicalSizeX"),
+         ("PhysicalSizeY", "physicalSizeY")],
     ])
 _VOLTAGE = build_core_ontology().property_by_label("accelerationVoltage")
 _WAVELENGTH = build_core_ontology().property_by_label("electronWavelength")
@@ -82,16 +89,6 @@ _IMAGE_CHILDREN = frozenset({"Pixels", "AcquisitionDate", "InstrumentRef", "Expe
 class InstrumentKind(enum.Enum):
     OPTICAL = "optical"
     ELECTRON = "electron"
-
-
-class OmePixels(NamedTuple):
-    size_x: int
-    size_y: int
-    size_z: int
-    size_c: int
-    size_t: int
-    physical_size_x: Optional[Decimal] = None  # micrometres
-    physical_size_y: Optional[Decimal] = None
 
 
 class OmeInstrument(NamedTuple):
@@ -109,7 +106,13 @@ class OmeExperimenter(NamedTuple):
 class OmeImage(NamedTuple):
     id: str
     name: str
-    pixels: OmePixels
+    size_x: int
+    size_y: int
+    size_z: int
+    size_c: int
+    size_t: int
+    physical_size_x: Optional[Decimal] = None  # micrometres
+    physical_size_y: Optional[Decimal] = None
     acquisition_date: Optional[str] = None  # ISO-8601 with timezone
     instrument: Optional[OmeInstrument] = None
     experimenter: Optional[OmeExperimenter] = None
@@ -215,6 +218,23 @@ def _require(el, attr, path):
     return value
 
 
+def _values(el, table, path):
+    """The values of ``el``'s attributes in ``table``, each read by its row:
+    an absent attribute, or an empty one on an ``xsd:string`` row, raises
+    :class:`MissingRequiredFieldError` where the row's ``min_count`` is 1
+    or more, and is otherwise kept as written (``None`` when absent); a
+    present numeric attribute is read by :func:`_number`."""
+    values = []
+    for attr, prop in table:
+        raw = el.get(attr)
+        string = prop.range == XSD_STRING
+        if prop.min_count and (raw is None or string and raw == ""):
+            raise MissingRequiredFieldError(f"{path}@{attr}")
+        values.append(raw if raw is None or string
+                      else _number(raw, prop, _dimension_error, path, attr))
+    return values
+
+
 def parse_ome_document(text: str) -> OmeDocument:
     """Parse an OME-XML document into fully resolved records.
 
@@ -240,14 +260,14 @@ def parse_ome_document(text: str) -> OmeDocument:
                 raise InvalidValueError(
                     f"/OME/Instrument[{iid}]@Kind",
                     f"{kind_raw!r} is not Optical or Electron") from None
-            instruments[iid] = OmeInstrument(iid, kind, child.get("Model"))
+            instruments[iid] = OmeInstrument(
+                iid, kind, *_values(child, _INSTRUMENT_ATTRS, f"/OME/Instrument[{iid}]"))
         elif tag == "Experimenter":
             eid = _require(child, "ID", "/OME/Experimenter")
             if eid in experimenters:
                 raise DuplicateIdError(eid)
             experimenters[eid] = OmeExperimenter(
-                eid, _require(child, "Name", f"/OME/Experimenter[{eid}]"),
-                child.get("Email"))
+                eid, *_values(child, _EXPERIMENTER_ATTRS, f"/OME/Experimenter[{eid}]"))
         elif tag == "Image":
             raw_images.append(child)
 
@@ -259,7 +279,7 @@ def parse_ome_document(text: str) -> OmeDocument:
         if iid in seen_images:
             raise DuplicateIdError(iid)
         seen_images.add(iid)
-        name = _require(el, "Name", path)
+        values = _values(el, _IMAGE_ATTRS, path)
         pixels_el = None
         acq_date = None
         instrument_ref = None
@@ -284,18 +304,12 @@ def parse_ome_document(text: str) -> OmeDocument:
                 experimenter_ref = _require(sub, "ID", f"{path}/ExperimenterRef")
         if pixels_el is None:
             raise MissingRequiredFieldError(f"{path}/Pixels")
-        ppath = f"{path}/Pixels"
-        values = []
-        for attr, prop, required in _PIXELS_ATTRS:
-            raw = pixels_el.get(attr)
-            if raw is None and required:
-                raise MissingRequiredFieldError(f"{ppath}@{attr}")
-            values.append(raw if raw is None else _number(raw, prop, _dimension_error, ppath, attr))
+        values += _values(pixels_el, _PIXELS_ATTRS, f"{path}/Pixels")
         if instrument_ref is not None and instrument_ref not in instruments:
             raise DanglingReferenceError(instrument_ref)
         if experimenter_ref is not None and experimenter_ref not in experimenters:
             raise DanglingReferenceError(experimenter_ref)
-        images.append(OmeImage(iid, name, OmePixels(*values), acq_date,
+        images.append(OmeImage(iid, *values, acq_date,
                                instruments.get(instrument_ref),
                                experimenters.get(experimenter_ref)))
     return OmeDocument(tuple(images), tuple(instruments.values()),

@@ -8,8 +8,8 @@ the fixed vocabulary namespace ``ONTOLOGY_NS``; it is immutable, and
 
 The same :class:`OntologyRegistry` container also holds translator-built
 fragments.  The rows below are the one source of the core's categories,
-value ranges and value bounds, and only :func:`build_core_ontology` reads
-them.  The XSD translator reads the registry it returns; the OME-XML and
+required values, value ranges and value bounds, and only
+:func:`build_core_ontology` reads them.  The XSD translator reads the registry it returns; the OME-XML and
 sidecar readers and the instance mapper read it once, at import.
 """
 
@@ -204,35 +204,35 @@ _EXTENDED = [
     ("ElectronMicroscope", Category.INSTRUMENT),
 ]
 
-# label, domain label, range (class label or xsd iri), max_count, bounds
+# label, domain label, range (class label or xsd iri), min_count, max_count, bounds
 _PROPERTIES = [
-    ("name", "Image", XSD_STRING, 1, None, None),
-    ("acquisitionDate", "Image", XSD_DATETIME, 1, None, None),
-    ("sizeX", "Image", XSD_INTEGER, 1, Decimal("0"), None),
-    ("sizeY", "Image", XSD_INTEGER, 1, Decimal("0"), None),
-    ("sizeZ", "Image", XSD_INTEGER, 1, Decimal("0"), None),
-    ("sizeC", "Image", XSD_INTEGER, 1, Decimal("0"), None),
-    ("sizeT", "Image", XSD_INTEGER, 1, Decimal("0"), None),
-    ("physicalSizeX", "Image", XSD_DECIMAL, 1, Decimal("0"), None),
-    ("physicalSizeY", "Image", XSD_DECIMAL, 1, Decimal("0"), None),
-    ("acquiredBy", "Image", "Experimenter", 1, None, None),
-    ("acquiredWith", "Image", "Instrument", 1, None, None),
-    ("depicts", "Image", "BioSample", None, None, None),
-    ("hasImagingCondition", "Image", "ImagingCondition", None, None, None),
-    ("hasObservation", "Image", "PhenotypeData", None, None, None),
-    ("containedIn", "BioSample", "SampleContainer", None, None, None),
-    ("derivedFrom", "BioSample", "Bioresource", None, None, None),
-    ("preparedBy", "BioSample", "SamplePreparation", None, None, None),
+    ("name", "Image", XSD_STRING, 1, 1, None, None),
+    ("acquisitionDate", "Image", XSD_DATETIME, 0, 1, None, None),
+    ("sizeX", "Image", XSD_INTEGER, 1, 1, Decimal("0"), None),
+    ("sizeY", "Image", XSD_INTEGER, 1, 1, Decimal("0"), None),
+    ("sizeZ", "Image", XSD_INTEGER, 1, 1, Decimal("0"), None),
+    ("sizeC", "Image", XSD_INTEGER, 1, 1, Decimal("0"), None),
+    ("sizeT", "Image", XSD_INTEGER, 1, 1, Decimal("0"), None),
+    ("physicalSizeX", "Image", XSD_DECIMAL, 0, 1, Decimal("0"), None),
+    ("physicalSizeY", "Image", XSD_DECIMAL, 0, 1, Decimal("0"), None),
+    ("acquiredBy", "Image", "Experimenter", 0, 1, None, None),
+    ("acquiredWith", "Image", "Instrument", 0, 1, None, None),
+    ("depicts", "Image", "BioSample", 0, None, None, None),
+    ("hasImagingCondition", "Image", "ImagingCondition", 0, None, None, None),
+    ("hasObservation", "Image", "PhenotypeData", 0, None, None, None),
+    ("containedIn", "BioSample", "SampleContainer", 0, None, None, None),
+    ("derivedFrom", "BioSample", "Bioresource", 0, None, None, None),
+    ("preparedBy", "BioSample", "SamplePreparation", 0, None, None, None),
     # acceleration voltage in kilovolts; SEM/TEM hardware tops out at 1 MV
-    ("accelerationVoltage", "ImagingCondition", XSD_DECIMAL, 1, Decimal("0"), Decimal("1000")),
-    ("electronGunType", "ImagingCondition", XSD_STRING, 1, None, None),
+    ("accelerationVoltage", "ImagingCondition", XSD_DECIMAL, 0, 1, Decimal("0"), Decimal("1000")),
+    ("electronGunType", "ImagingCondition", XSD_STRING, 0, 1, None, None),
     # electron wavelength in picometres
-    ("electronWavelength", "ImagingCondition", XSD_DECIMAL, 1, Decimal("0"), None),
-    ("stainingMethod", "SamplePreparation", XSD_STRING, 1, None, None),
-    ("description", "PhenotypeData", XSD_STRING, 1, None, None),
-    ("model", "Instrument", XSD_STRING, 1, None, None),
-    ("fullName", "Experimenter", XSD_STRING, 1, None, None),
-    ("email", "Experimenter", XSD_STRING, 1, None, None),
+    ("electronWavelength", "ImagingCondition", XSD_DECIMAL, 0, 1, Decimal("0"), None),
+    ("stainingMethod", "SamplePreparation", XSD_STRING, 0, 1, None, None),
+    ("description", "PhenotypeData", XSD_STRING, 0, 1, None, None),
+    ("model", "Instrument", XSD_STRING, 0, 1, None, None),
+    ("fullName", "Experimenter", XSD_STRING, 1, 1, None, None),
+    ("email", "Experimenter", XSD_STRING, 0, 1, None, None),
 ]
 
 
@@ -243,8 +243,6 @@ def build_core_ontology() -> OntologyRegistry:
     the instance mapper, under :data:`~ome_rdf.namespaces.ONTOLOGY_NS`.
     Every call returns the same registry.
 
-    No row sets a ``min_count``, but the OME-XML reader requires Image
-    ``Name``, ``SizeX`` to ``SizeT`` and Experimenter ``Name``.
     ``conditional_rules`` declares that an Image acquired with an
     ``ElectronMicroscope`` carries exactly one ``hasImagingCondition``;
     nothing enforces that rule yet.
@@ -260,8 +258,8 @@ def build_core_ontology() -> OntologyRegistry:
         # a range is a class label or a datatype IRI
         PropertyDef(Iri(ONTOLOGY_NS + label), label, Iri(ONTOLOGY_NS + domain),
                     Iri(rng if ":" in rng else ONTOLOGY_NS + rng),
-                    max_count=max_count, min_exclusive=lo, max_inclusive=hi)
-        for label, domain, rng, max_count, lo, hi in _PROPERTIES
+                    min_count, max_count, lo, hi)
+        for label, domain, rng, min_count, max_count, lo, hi in _PROPERTIES
     ]
     rules = (
         ConditionalCardinality(

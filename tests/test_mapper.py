@@ -28,7 +28,6 @@ from ome_rdf.ome_xml import (
     OmeExperimenter,
     OmeImage,
     OmeInstrument,
-    OmePixels,
     parse_ome_document,
     parse_sidecar,
 )
@@ -558,10 +557,10 @@ class TestUnionOfOneImageDocuments:
         # (edge, "S1", target), which must not stand for S1's edge to target
         strain = "rikenbrc_mouse:RBRC00001"
         target = "C1" if edge == "containedIn" else links.resolve(strain).value
-        pixels = OmePixels(1, 1, 1, 1, 1)
+        pixels = (1, 1, 1, 1, 1)  # sizeX to sizeT
         pairs = [
-            (OmeImage("A", "n", pixels, experimenter=OmeExperimenter(edge, "S1", target)), None),
-            (OmeImage("B", "n", pixels), EmAnnotation("B", "S1", "C1", strain)),
+            (OmeImage("A", "n", *pixels, experimenter=OmeExperimenter(edge, "S1", target)), None),
+            (OmeImage("B", "n", *pixels), EmAnnotation("B", "S1", "C1", strain)),
         ]
         result = self.check(pairs, registry, policy, links)
         s1 = BASE + "biosample/S1"
@@ -606,7 +605,7 @@ def full_pair(ids, kind=InstrumentKind.ELECTRON):
     """An image and its row that name every node the mapper mints, each
     under its id in ``ids`` (keyed by ``NODES``), with two observations."""
     image_id = ids["image"]
-    img = OmeImage(image_id, "n", OmePixels(1, 1, 1, 1, 1),
+    img = OmeImage(image_id, "n", 1, 1, 1, 1, 1,
                    instrument=OmeInstrument(ids["instrument"], kind, "M"),
                    experimenter=OmeExperimenter(ids["experimenter"], "A. Imager"))
     ann = EmAnnotation(image_id, ids["sample"], ids["container"], staining_method="osmium",

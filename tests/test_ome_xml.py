@@ -27,7 +27,6 @@ from ome_rdf.ome_xml import (
     OmeExperimenter,
     OmeImage,
     OmeInstrument,
-    OmePixels,
     SIDECAR_COLUMNS,
     parse_ome_document,
     parse_sidecar,
@@ -107,8 +106,8 @@ class TestParseOmeDocument:
         assert len(parsed.images) == 1
         img = parsed.images[0]
         assert img.id == "IMG-MIN"
-        assert (img.pixels.size_x, img.pixels.size_y, img.pixels.size_z,
-                img.pixels.size_c, img.pixels.size_t) == (512, 512, 1, 1, 1)
+        assert (img.size_x, img.size_y, img.size_z,
+                img.size_c, img.size_t) == (512, 512, 1, 1, 1)
         assert img.acquisition_date is None
         assert img.instrument is None and img.experimenter is None
 
@@ -118,7 +117,7 @@ class TestParseOmeDocument:
         assert img.instrument.kind is InstrumentKind.ELECTRON
         assert img.instrument.model == "SEM-1400"
         assert img.experimenter.name == "A. Imager"
-        assert img.pixels.physical_size_x == Decimal("0.004")
+        assert img.physical_size_x == Decimal("0.004")
         assert img.acquisition_date == "2015-01-20T10:30:00Z"
 
     def test_zero_dimension_rejected(self):
@@ -150,7 +149,7 @@ class TestParseOmeDocument:
     @pytest.mark.parametrize("raw", [" 7 ", "+7", "007", "&#9;7&#10;", "&#13;7"])
     def test_ascii_integer_forms_accepted(self, raw):
         (img,) = parse_ome_document(doc(IMG.format(id="I", z=raw))).images
-        assert img.pixels.size_z == 7
+        assert img.size_z == 7
 
     @pytest.mark.parametrize("raw", NOT_ASCII_NUMBER + NOT_ASCII_DECIMAL)
     def test_non_ascii_physical_size_rejected(self, raw):
@@ -165,7 +164,7 @@ class TestParseOmeDocument:
         body = ('<Image ID="I" Name="n"><Pixels SizeX="1" SizeY="1" SizeZ="1" SizeC="1" '
                 f'SizeT="1" PhysicalSizeX="{raw}"/></Image>')
         (img,) = parse_ome_document(doc(body)).images
-        assert img.pixels.physical_size_x == Decimal("0.5")
+        assert img.physical_size_x == Decimal("0.5")
 
     @pytest.mark.parametrize("attr, label, field, value, kept", PIXELS_BOUND_CASES)
     def test_bounds_are_the_ontology_bounds(self, attr, label, field, value, kept):
@@ -177,7 +176,7 @@ class TestParseOmeDocument:
         text = doc(f'<Image ID="I" Name="n"><Pixels {body}/></Image>')
         if kept:
             (img,) = parse_ome_document(text).images
-            assert getattr(img.pixels, field) == value
+            assert getattr(img, field) == value
         else:
             with pytest.raises(InvalidDimensionError, match=label) as err:
                 parse_ome_document(text)
@@ -191,7 +190,7 @@ class TestParseOmeDocument:
 
     def test_reader_holds_the_registry_properties(self):
         core = build_core_ontology()
-        held = [prop for _, prop, _ in ome_xml._PIXELS_ATTRS]
+        held = [prop for _, prop in ome_xml._PIXELS_ATTRS]
         held += [ome_xml._VOLTAGE, ome_xml._WAVELENGTH]
         assert [p.label for p in held] == [label for _, label, _ in PIXELS_ROWS + SIDECAR_ROWS]
         assert all(p is core.property_by_label(p.label) for p in held)
@@ -556,7 +555,7 @@ class TestRepeatedTexts:
 
     def test_one_text_in_two_attributes_takes_each_range(self):
         (img,) = parse_ome_document(pixels_doc({"SizeX": "7", "PhysicalSizeX": "7"})).images
-        assert type(img.pixels.size_x) is int and type(img.pixels.physical_size_x) is Decimal
+        assert type(img.size_x) is int and type(img.physical_size_x) is Decimal
 
 
 def outcome(parse, text):
@@ -623,13 +622,13 @@ class TestRecords:
     defaults they had as frozen dataclasses."""
 
     @pytest.mark.parametrize("cls, fields, defaults", [
-        (OmePixels, ("size_x", "size_y", "size_z", "size_c", "size_t",
-                     "physical_size_x", "physical_size_y"),
-         {"physical_size_x": None, "physical_size_y": None}),
         (OmeInstrument, ("id", "kind", "model"), {"model": None}),
         (OmeExperimenter, ("id", "name", "email"), {"email": None}),
-        (OmeImage, ("id", "name", "pixels", "acquisition_date", "instrument", "experimenter"),
-         {"acquisition_date": None, "instrument": None, "experimenter": None}),
+        (OmeImage, ("id", "name", "size_x", "size_y", "size_z", "size_c", "size_t",
+                    "physical_size_x", "physical_size_y", "acquisition_date", "instrument",
+                    "experimenter"),
+         {"physical_size_x": None, "physical_size_y": None, "acquisition_date": None,
+          "instrument": None, "experimenter": None}),
         (OmeDocument, ("images", "instruments", "experimenters"), {}),
         (EmAnnotation, ("image_id", "sample_id", "container_id", "strain_id",
                         "staining_method", "acceleration_voltage_kv", "electron_gun_type",

@@ -179,7 +179,7 @@ class TestRegistryToGraph:
     def test_triple_count_matches_counting_oracle(self, core):
         g = registry_to_graph(core)
         assert len(g) == expected_triple_count(core)
-        assert len(g) == 203  # frozen from the oracle above
+        assert len(g) == 210  # frozen from the oracle above
 
     def test_export_bytes_are_the_golden_file(self, core):
         # every change to the export is a reviewed diff of this file
