@@ -123,8 +123,8 @@ class _Scanner:
 
     Three per-call tables hold the terms built so far, each value the exact
     built-in the graph holds, by the model's one rule that a ``str`` is an
-    IRI, a 1-tuple a blank node and a 3-tuple a literal: ``iris`` maps each
-    valid IRI text to the ``str`` :func:`iri_text` gives for it,
+    IRI, a 1-tuple a blank node and a 3-tuple a literal: ``iris`` maps the
+    ``str`` :func:`iri_text` gives for each valid IRI text to itself,
     ``literals`` maps each valid (lexical form, datatype text or None,
     language) to its 3-tuple, and ``blanks`` maps each label to its 1-tuple
     from :func:`BlankNode`.  So a recurring term
@@ -181,9 +181,12 @@ class _Scanner:
         iri = self.iris.get(value)
         if iri is None:
             try:
-                iri = self.iris[value] = iri_text(value)
+                iri = iri_text(value)
             except InvalidIriError as e:
                 raise RdfSyntaxError(str(e), *self.position(at)) from e
+            # keyed by the shared object, so the table holds no second copy
+            # of the text; an equal slice still finds it
+            self.iris[iri] = iri
         return iri
 
     def literal(self, lexical: str, datatype, language, at: int) -> tuple:

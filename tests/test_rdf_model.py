@@ -33,6 +33,7 @@ from ome_rdf.rdf import (
 )
 from ome_rdf.rdf import model
 from ome_rdf.rdf.model import _IRI_FORBIDDEN_RE, _LEXICAL_FORMS, _SHARED, iri_text
+from ome_rdf.rdf.parse import _Scanner
 
 from genutil import random_graph
 
@@ -613,6 +614,14 @@ class TestSharedIriObjects:
         assert type(shared) is str and shared == value
         if _SHARED:
             assert shared is iri_text("".join(value))
+
+    def test_a_reader_keeps_one_string_per_iri(self):
+        # a reader's IRI table is keyed by the object it maps to, not by the
+        # slice of text that first found it, so it holds one string per IRI
+        shared = iri_text(_copy(EX + "in-the-table"))
+        scanner = _Scanner("")
+        assert scanner.iri(_copy(shared), 0) == shared
+        assert all(key is value for key, value in scanner.iris.items())
 
     def test_reading_fresh_iris_keeps_memory_bounded(self):
         # a long-running reader of ever new IRIs must not keep them, on any
