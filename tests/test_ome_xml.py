@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from ome_rdf.errors import (
     OmeRdfError,
     UnknownColumnError,
 )
-from ome_rdf.namespaces import XSD_INTEGER
+from ome_rdf.namespaces import XSD_INTEGER, XSD_STRING
 from ome_rdf.ome_xml import (
     EmAnnotation,
     InstrumentKind,
@@ -615,6 +616,56 @@ def test_pooled_sidecar_cells_parse_as_each_row_alone(rows, fault):
     # blank lines put each row at its row number in the whole sidecar
     alone = [HEADER + "\n" * (i + 1) + sidecar_row(i, *row) for i, row in enumerate(rows)]
     assert outcome(parse_sidecar, sidecar(*rows)) == outcome_of_parts(parse_sidecar, alone)
+
+
+# the reader's row tables: the element each reads, its path in messages, and
+# the record that holds its values
+ROW_TABLES = [
+    ("Instrument", ome_xml._INSTRUMENT_ATTRS, "/OME/Instrument[I1]", lambda d: d.instruments[0]),
+    ("Experimenter", ome_xml._EXPERIMENTER_ATTRS, "/OME/Experimenter[E1]",
+     lambda d: d.experimenters[0]),
+    ("Image", ome_xml._IMAGE_ATTRS, "/OME/Image[I]", lambda d: d.images[0]),
+    ("Pixels", ome_xml._PIXELS_ATTRS, "/OME/Image[I]/Pixels", lambda d: d.images[0]),
+]
+# what the reader has always required, which the rows must now say
+REQUIRED = {("Image", "Name"), ("Experimenter", "Name")} | {
+    ("Pixels", f"Size{d}") for d in "XYZCT"}
+
+
+def row_tables_doc(tag, attr, raw):
+    """A document that gives every attribute of the row tables a valid text,
+    except ``tag``'s ``attr``, which is ``raw`` (``None``: absent)."""
+    attrs = {t: {a: "s" if p.range == XSD_STRING else "1" for a, p in table}
+             for t, table, _, _ in ROW_TABLES}
+    attrs[tag][attr] = raw
+    at = {t: "".join(f' {a}="{v}"' for a, v in texts.items() if v is not None)
+          for t, texts in attrs.items()}
+    return doc(f'<Instrument ID="I1"{at["Instrument"]}/>'
+               f'<Experimenter ID="E1"{at["Experimenter"]}/>'
+               f'<Image ID="I"{at["Image"]}><InstrumentRef ID="I1"/><ExperimenterRef ID="E1"/>'
+               f'<Pixels{at["Pixels"]}/></Image>')
+
+
+def _row_cases():
+    for tag, table, path, record in ROW_TABLES:
+        for attr, prop in table:
+            # an empty text counts as absent on a string row only
+            for raw in [None, ""] if prop.range == XSD_STRING else [None]:
+                yield pytest.param(tag, attr, prop, path, record, raw,
+                                   id=f"{tag}@{attr}-{'absent' if raw is None else 'empty'}")
+
+
+@pytest.mark.parametrize("tag, attr, prop, path, record, raw", list(_row_cases()))
+def test_the_rows_alone_decide_what_is_required(tag, attr, prop, path, record, raw):
+    assert (prop.min_count >= 1) == ((tag, attr) in REQUIRED)
+    text = row_tables_doc(tag, attr, raw)
+    if prop.min_count >= 1:
+        with pytest.raises(MissingRequiredFieldError) as err:
+            parse_ome_document(text)
+        assert err.value.path == f"{path}@{attr}"
+    else:
+        field = re.sub(r"(?<!^)(?=[A-Z])", "_", attr).lower()  # PhysicalSizeX: physical_size_x
+        assert getattr(record(parse_ome_document(text)), field) == raw
 
 
 class TestRecords:

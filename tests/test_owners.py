@@ -1,11 +1,12 @@
 """Each rule has one owner.  XML text becomes an element only in
 ``ome_xml.read_xml``, which maps every XML fault to ``MalformedXmlError``;
 the ontology rows become objects only in ``ontology.build_core_ontology``,
-and labels resolve against the core only at import; the CURIE prefix
-grammar and the TSV line rule are stated only in ``links``, and the blank
-node label and language tag grammars, the characters an IRI may not hold
-and the surrogate range only in the RDF model, whose ``iri_text`` alone
-interns; no module imports another's private name; graph comparison
+and labels resolve against the core only at import, where the OME-XML
+reader takes from the rows' ``min_count`` alone which attributes are
+required; the CURIE prefix grammar and the TSV line rule are stated only
+in ``links``, and the blank node label and language tag grammars, the
+characters an IRI may not hold and the surrogate range only in the RDF
+model, whose ``iri_text`` alone interns; no module imports another's private name; graph comparison
 orders terms by the model's order, not by the writer's text; and the
 Turtle oracle shares no code with the writer it checks."""
 
@@ -59,6 +60,15 @@ def test_labels_resolve_against_the_core_at_import(lookup):
     owners = {o for o in _owners_in_src(lookup)
               if o != "ome_rdf.ontology" and not o.startswith("ome_rdf.ontology.")}
     assert owners <= {"ome_rdf.ome_xml", "ome_rdf.mapper"}
+
+
+def test_only_the_rows_make_an_attribute_required():
+    # _require reads ids and references, which map to no property: every
+    # other attribute is required only by its row's min_count
+    tree = ast.parse((ROOT / "src" / "ome_rdf" / "ome_xml.py").read_text())
+    attrs = [ast.unparse(node.args[1]) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_require"]
+    assert attrs and set(attrs) == {"'ID'"}
 
 
 def test_curie_prefix_grammar_has_one_owner():
