@@ -21,10 +21,8 @@ readers of :mod:`ome_rdf.ome_xml` do, and takes its class, property,
 range and ``rdf:type`` IRIs from :func:`~ome_rdf.rdf.model.iri_text`
 rather than from the ontology's and namespaces' objects, so that, where that
 interns, a mapped graph holds the same IRI objects as every graph parsed
-or built in the process.  The instance IRIs it mints are not interned.  A
-minted IRI goes into the graph unchecked; only each image's IRI is checked,
-once per record, since :attr:`MappedRecord.image_iri` is a public
-:class:`~ome_rdf.rdf.Iri` handle.
+or built in the process.  Minted instance IRIs are not interned, and only an
+image's is checked, once per record: ``MappedRecord.image_iri`` is an ``Iri``.
 """
 
 from __future__ import annotations

@@ -2,18 +2,16 @@
 
 The OME-XML subset covers Image/Pixels/Instrument/Experimenter elements and
 their reference attributes; references are resolved during parsing, so an
-:class:`OmeImage` carries the resolved instrument and experimenter records.
-The core rows put every Pixels value on ``Image``, so an :class:`OmeImage`
-holds them too.  Each attribute that maps to a core property is read by
-that property's row, and the row's ``min_count`` alone decides whether the
-attribute is required.
-Sidecars are strict TSV files with a fixed header (see SIDECAR_COLUMNS);
-one row annotates one image with biosample and imaging-condition details.
-Every numeric value, a Pixels attribute or a voltage or wavelength cell, is
-read as the range of its core registry property (``xsd:integer`` as ``int``,
-``xsd:decimal`` as ``Decimal``) within that property's bounds.  The
-records are typed tuples (``NamedTuple``): each equals the plain tuple of
-its values, and ``_replace`` makes a changed copy.
+:class:`OmeImage` carries the resolved instrument and experimenter records,
+and its Pixels values, which the core rows put on ``Image``.  Sidecars are
+strict TSV files with a fixed header (see SIDECAR_COLUMNS); one row annotates
+one image with biosample and imaging-condition details.  An OME-XML attribute
+that maps to a core registry property is read by its row, whose ``min_count``
+alone makes it required; every numeric value, such an attribute or a voltage
+or wavelength cell, is read as the range of its property (``xsd:integer`` as
+``int``, ``xsd:decimal`` as ``Decimal``) within that property's bounds.  The
+records are typed tuples (``NamedTuple``): each equals the plain tuple of its
+values, and ``_replace`` makes a changed copy.
 
 Timestamps must be in the ``xsd:dateTime`` lexical form with a timezone
 and are kept as the original lexical strings so downstream RDF output
@@ -68,8 +66,7 @@ _DECIMAL_RE = re.compile(
     r"[ \t\r\n]*[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t\r\n]*"
 )
 
-# One table per element: each attribute read and its core registry
-# property, in the order of the record's fields
+# each element's attributes and their core properties, in its record's field order
 _INSTRUMENT_ATTRS, _EXPERIMENTER_ATTRS, _IMAGE_ATTRS, _PIXELS_ATTRS = (
     tuple((attr, build_core_ontology().property_by_label(label)) for attr, label in table)
     for table in [
@@ -219,18 +216,14 @@ def _require(el, attr, path):
 
 
 def _values(el, table, path):
-    """The values of ``el``'s attributes in ``table``, each read by its row:
-    an absent attribute, or an empty one on an ``xsd:string`` row, raises
-    :class:`MissingRequiredFieldError` where the row's ``min_count`` is 1
-    or more, and is otherwise kept as written (``None`` when absent); a
-    present numeric attribute is read by :func:`_number`."""
+    """``el``'s attributes in ``table``: one absent, or empty on a string row,
+    raises if its row's ``min_count`` is set; a number is read by its row."""
     values = []
     for attr, prop in table:
         raw = el.get(attr)
-        string = prop.range == XSD_STRING
-        if prop.min_count and (raw is None or string and raw == ""):
+        if prop.min_count and (raw is None or raw == "" and prop.range == XSD_STRING):
             raise MissingRequiredFieldError(f"{path}@{attr}")
-        values.append(raw if raw is None or string
+        values.append(raw if raw is None or prop.range == XSD_STRING
                       else _number(raw, prop, _dimension_error, path, attr))
     return values
 
@@ -309,8 +302,7 @@ def parse_ome_document(text: str) -> OmeDocument:
             raise DanglingReferenceError(instrument_ref)
         if experimenter_ref is not None and experimenter_ref not in experimenters:
             raise DanglingReferenceError(experimenter_ref)
-        images.append(OmeImage(iid, *values, acq_date,
-                               instruments.get(instrument_ref),
+        images.append(OmeImage(iid, *values, acq_date, instruments.get(instrument_ref),
                                experimenters.get(experimenter_ref)))
     return OmeDocument(tuple(images), tuple(instruments.values()),
                        tuple(experimenters.values()))

@@ -7,10 +7,10 @@ the fixed vocabulary namespace ``ONTOLOGY_NS``; it is immutable, and
 :func:`registry_to_graph` renders it as RDF/OWL.
 
 The same :class:`OntologyRegistry` container also holds translator-built
-fragments.  The rows below are the one source of the core's categories,
-required values, value ranges and value bounds, and only
-:func:`build_core_ontology` reads them.  The XSD translator reads the registry it returns; the OME-XML and
-sidecar readers and the instance mapper read it once, at import.
+fragments.  The rows below, which only :func:`build_core_ontology` reads,
+are the one source of the core's categories, required values, value ranges
+and value bounds.  The XSD translator reads the registry it returns; the
+OME-XML and sidecar readers and the instance mapper read it once, at import.
 """
 
 from __future__ import annotations

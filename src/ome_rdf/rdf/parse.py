@@ -184,8 +184,6 @@ class _Scanner:
                 iri = iri_text(value)
             except InvalidIriError as e:
                 raise RdfSyntaxError(str(e), *self.position(at)) from e
-            # keyed by the shared object, so the table holds no second copy
-            # of the text; an equal slice still finds it
             self.iris[iri] = iri
         return iri
 
