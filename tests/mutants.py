@@ -3,8 +3,9 @@
 Each row of ``MUTANTS`` is one deliberate fault: a file under ``src/``, an
 exact text that occurs once in it, the text that replaces it, and the
 tests that must each fail once it is replaced.  Tier-1 checks only that
-every old text still occurs once (``test_mutants.py``), so a refactor that
-moves the code must update its row.
+every old text still occurs once and every named test function still
+exists (``test_mutants.py``), so a refactor that moves either must update
+its row.
 
 Run ``python tests/mutants.py`` to apply the rows.  Each row gets its own
 copy of the repository under a temporary directory.  There its tests run
