@@ -14,11 +14,12 @@ whitespace before it: N-Triples a whole statement up to its line end;
 Turtle a step up to and with the ``,``, ``;`` or ``.`` that ends it, which
 picks the next step: an object after ``,``, a verb and an object after
 ``;``, and a subject, a verb and an object after ``.``.  Both regexes take
-one set of terms, each one the scanner would read the same way: IRIs and
-strings without escapes, a string with its datatype or language tag, and
-prefixed names in the writer's own form, a local name of
-``[A-Za-z_][A-Za-z0-9_-]*`` followed by whitespace, ``,`` or ``;``.
-Whatever else a text holds (blank nodes, comments, escapes, dotted,
+one set of terms: IRIs with any body up to their ``>``, strings without
+escapes, a string with its datatype or language tag, and prefixed names in
+the writer's own form, a local name of ``[A-Za-z_][A-Za-z0-9_-]*``
+followed by whitespace, ``,`` or ``;``.  No regex checks an IRI body: the
+check sits on a miss in the IRI table below.  Whatever else a text holds
+(blank nodes, comments, escapes or forbidden characters in an IRI, dotted,
 ``%XX`` or digit-led local names, directives, repeated ``;``, an
 undeclared prefix, any malformed text) goes to the token scanner from the
 same offset and in the same step.  The scanner is the only reader of
@@ -32,10 +33,10 @@ IRIs, literals and blank nodes, so each distinct term is validated once,
 in textual order; an invalid term never enters a table and is reported at
 its ``<`` or ``"`` (a prefixed name just after its end), wherever it recurs.
 The regex paths read the IRI and literal tables with ``dict.get`` and
-call the scanner's :meth:`_Scanner.iri` or :meth:`_Scanner.literal` only
-for a term not yet in them, so the offset of an error is worked out only
-then; blank nodes are the scanner's alone.  The graph holds the tables'
-values, in exact triple tuples: literal 3-tuples, one blank node 1-tuple
+call :meth:`_Scanner.iri_body` or :meth:`_Scanner.literal` only for a term
+not yet in them, so only then is an IRI body checked and the offset of an
+error worked out; blank nodes are the scanner's alone.  The graph holds
+the tables' values, in exact triple tuples: literal 3-tuples, one blank node 1-tuple
 ``(label,)`` per label, and exact ``str`` IRIs from
 :func:`~ome_rdf.rdf.model.iri_text`.  Where that interns, each is the one
 object the process holds for its text, so a graph read here shares its
@@ -83,16 +84,19 @@ _SKIP_INLINE_RE = re.compile(r"(?:[ \t]+|#[^\r\n]*)*")
 # the runs between escapes and terminators
 _IRI_BODY_RE = re.compile(r"[^>\\]*")
 _STRING_BODY_RE = re.compile(r'[^"\\\r\n]*')
+# an IRI body the scanner reads as it stands: no escape, no forbidden character
+_PLAIN_IRI_BODY_RE = re.compile(rf"[^{IRI_FORBIDDEN_ASCII}]*")
 
-# The fast paths' terms, the one set both regexes take: an IRI body without
-# escapes or the ASCII characters an IRI may not hold, a string without
-# escapes, and a prefixed name in the writer's form, whose local part has no
-# dot and no "%" and is followed by whitespace, "," or ";" (as the writer
-# always follows it), so the scanner would end the name at the same place.
-# A prefix group always takes part in a prefixed name, so an empty prefix is
-# "", not None.
+# The fast paths' terms, the one set both regexes take: an IRI body up to its
+# ">", unchecked (a table hit passed the check as it entered, and a miss is
+# checked by _Scanner.iri_body, which leaves escapes, forbidden characters and
+# "<<" to the scanner), a string without escapes, and a prefixed name in the
+# writer's form, whose local part has no dot and no "%" and is followed by
+# whitespace, "," or ";" (as the writer always follows it), so the scanner
+# would end the name at the same place.  A prefix group always takes part in
+# a prefixed name, so an empty prefix is "", not None.
 _WS = r"[ \t\r\n]*"
-_IRI = rf"<([^{IRI_FORBIDDEN_ASCII}]*)>"
+_IRI = r"<([^>]*)>"
 _STRING = r'"([^"\\\r\n]*)"'
 _PNAME = r"((?:[A-Za-z][A-Za-z0-9_.-]*)?):((?:[A-Za-z_][A-Za-z0-9_-]*)?)(?=[ \t\r\n,;])"
 # groups: IRI, or prefix and local name
@@ -131,7 +135,7 @@ class _Scanner:
     is built, validated and hashed once, whether the scanner or a regex path
     read it.  Invalid terms never enter them, so each one is reported where
     it occurs.  The regex paths look IRIs and literals up in the tables
-    themselves and call :meth:`iri` and :meth:`literal` only on a miss;
+    themselves and call :meth:`iri_body` and :meth:`literal` only on a miss;
     only :meth:`read_blank` makes blank nodes.  The scanner reads the text
     from ``pos`` one token at a time, each with one compiled regex.
     """
@@ -186,6 +190,13 @@ class _Scanner:
                 raise RdfSyntaxError(str(e), *self.position(at)) from e
             self.iris[iri] = iri
         return iri
+
+    def iri_body(self, value: str, at: int) -> str:
+        """:meth:`iri` of a body no table holds; ``KeyError`` if it has an escape
+        or a forbidden character, so that the scanner reads it."""
+        if _PLAIN_IRI_BODY_RE.fullmatch(value) is None:
+            raise KeyError(value)
+        return self.iri(value, at)
 
     def literal(self, lexical: str, datatype, language, at: int) -> tuple:
         """The literal tuple of its parts; an invalid one is an error at offset ``at``."""
@@ -336,7 +347,7 @@ def parse_ntriples(text: str) -> Graph:
     statement = _NT_STATEMENT_RE.match
     get_iri = sc.iris.get
     get_literal = sc.literals.get
-    iri = sc.iri
+    iri_body = sc.iri_body
     triples = []
     append = triples.append
     pos = 0
@@ -349,23 +360,27 @@ def parse_ntriples(text: str) -> Graph:
             if sc.eof():
                 break
             m = statement(text, sc.pos)
-            if m is None:
-                append(_read_statement(sc))
-                pos = sc.pos
+        if m is not None:
+            s, p, o, lexical, datatype, language = m.groups()
+            try:
+                subject = get_iri(s) or iri_body(s, m.start(1) - 1)
+                predicate = get_iri(p) or iri_body(p, m.start(2) - 1)
+                if lexical is None:
+                    obj = get_iri(o) or iri_body(o, m.start(3) - 1)
+                else:
+                    obj = get_literal((lexical, datatype, language))
+                    if obj is None:
+                        if datatype is not None:
+                            datatype = get_iri(datatype) or iri_body(datatype, m.start(5) - 1)
+                        obj = sc.literal(lexical, datatype, language, m.start(4) - 1)
+            except KeyError:  # an IRI body the scanner reads, from the subject on
+                sc.pos = m.start(1) - 1
+            else:
+                append((subject, predicate, obj))
+                pos = m.end()
                 continue
-        s, p, o, lexical, datatype, language = m.groups()
-        subject = get_iri(s) or iri(s, m.start(1) - 1)
-        predicate = get_iri(p) or iri(p, m.start(2) - 1)
-        if lexical is None:
-            obj = get_iri(o) or iri(o, m.start(3) - 1)
-        else:
-            obj = get_literal((lexical, datatype, language))
-            if obj is None:
-                if datatype is not None:
-                    datatype = get_iri(datatype) or iri(datatype, m.start(5) - 1)
-                obj = sc.literal(lexical, datatype, language, m.start(4) - 1)
-        append((subject, predicate, obj))
-        pos = m.end()
+        append(_read_statement(sc))
+        pos = sc.pos
     return Graph(triples)
 
 
@@ -387,7 +402,7 @@ def parse_turtle(text: str) -> Graph:
     append = triples.append
     get_iri = sc.iris.get
     get_literal = sc.literals.get
-    iri = sc.iri
+    iri_body = sc.iri_body
     # indexed by the terms a step reads
     fast = (None, _TTL_OBJECT_RE.match, _TTL_VERB_OBJECT_RE.match, _TTL_TRIPLE_RE.match)
 
@@ -500,12 +515,12 @@ def parse_turtle(text: str) -> Graph:
 
     def name(m, g, k):
         # the IRI text of the IRI or prefixed name in groups k + 1 to k + 3 of m,
-        # whose groups() is g; KeyError if the prefix is undeclared
+        # whose groups() is g; KeyError if the prefix is undeclared or iri_body refuses
         value = g[k]
         if value is None:
             value = prefixes[g[k + 1]] + g[k + 2]
-            return get_iri(value) or iri(value, m.end(k + 3))
-        return get_iri(value) or iri(value, m.start(k + 1) - 1)
+            return get_iri(value) or sc.iri(value, m.end(k + 3))
+        return get_iri(value) or iri_body(value, m.start(k + 1) - 1)
 
     step = 3
     subject = predicate = None
@@ -532,7 +547,7 @@ def parse_turtle(text: str) -> Graph:
                         if datatype is not None:
                             datatype = name(m, g, k + 4)
                         obj = sc.literal(lexical, datatype, g[k + 7], m.start(k + 4) - 1)
-            except KeyError:  # an undeclared prefix, which the scanner reports
+            except KeyError:  # an undeclared prefix or an IRI body for the scanner
                 m = None
         if m is None:
             sc.pos = pos

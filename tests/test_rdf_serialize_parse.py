@@ -26,6 +26,8 @@ from ome_rdf.rdf import (
     term_to_ntriples,
 )
 
+from ome_rdf.rdf.model import IRI_FORBIDDEN_ASCII
+
 from genutil import random_graph, random_prefixes, templated_graph
 from oracle import (
     _iri_to_turtle, blank_labels, brute_force_isomorphic, is_blank, reference_serialize_turtle,
@@ -813,6 +815,30 @@ def _soup(rng: random.Random) -> str:
                    for _ in range(rng.randint(1, 6)))
 
 
+# IRI bodies that the regexes take up to their ">" and that a reader must
+# leave to the scanner or check as it does: each ASCII character an IRI may
+# not hold (an LF spans lines), a leading "<", escapes good and bad, a raw
+# lone surrogate and a no-break space
+_ODD_IRI_BODIES = {
+    **{f"x{ord(c):02x}": f"http://a.example/x{c}y" for c in map(chr, range(128))
+       if re.fullmatch(f"[{IRI_FORBIDDEN_ASCII}]", c)},
+    "quoted-triple": "<http://a.example/s",
+    "u-escape": "http://a.example/\\u0041",
+    "U-escape": "http://a.example/\\U00000041",
+    "short-u-escape": "http://a.example/\\u12",
+    "q-escape": "http://a.example/\\q",
+    "surrogate": "http://a.example/\ud800",
+    "no-break-space": "http://a.example/\xa0",
+}
+# a statement with the IRI t in each place: the last two are Turtle's
+# verb-and-object and object steps, which N-Triples rejects
+_IRI_PLACES = {
+    "subject": "{t} {p} {o} .", "predicate": "{s} {t} {o} .", "object": "{s} {p} {t} .",
+    "datatype": '{s} {p} "1"^^{t} .', "verb-after-semicolon": "{s} {p} {o} ; {t} {o} .",
+    "object-after-comma": "{s} {p} {o} , {t} .",
+}
+
+
 class TestFastPathsAgreeWithScanner:
     """The per-triple regexes give what the scanner alone gives: the same
     graph and prefixes, or the same error class, message and place."""
@@ -958,6 +984,34 @@ class TestFastPathsAgreeWithScanner:
             for parser, text in ((parse_ntriples, soup), (parse_turtle, _SOUP_HEAD + soup)):
                 assert _outcome(parser, text) == _scanner_only(parser, text)
 
+    @pytest.mark.parametrize("place", _IRI_PLACES)
+    @pytest.mark.parametrize("body", _ODD_IRI_BODIES.values(), ids=_ODD_IRI_BODIES)
+    def test_odd_iri_bodies_read_as_the_scanner_reads_them(self, body, place):
+        statement = _IRI_PLACES[place].format(s=_S, p=_P, o=_O, t=f"<{body}>")
+        text = _NT + statement + "\n" + _NT
+        for parser in (parse_ntriples, parse_turtle):
+            assert _outcome(parser, text) == _scanner_only(parser, text)
+
+    @pytest.mark.parametrize("first, then", [("\\u0041", "A"), ("A", "\\u0041")],
+                             ids=["escaped-first", "raw-first"])
+    @pytest.mark.parametrize("parser", [parse_ntriples, parse_turtle])
+    def test_escaped_and_raw_iri_are_one_object(self, parser, first, then):
+        # the scanner reads the escaped body and a regex path the raw one, and
+        # whichever comes second finds the first's IRI in the table
+        text = f"<http://a.example/{first}> {_P} {_O} .\n<http://a.example/{then}> {_P} {_O2} .\n"
+        iri_text = _PARSE_MODULE.iri_text
+        built = []
+
+        def counted(value):
+            built.append(value)
+            return iri_text(value)
+
+        with mock.patch.object(_PARSE_MODULE, "iri_text", counted):
+            g = parser(text)
+        subjects = [s for s, _, _ in g]
+        assert subjects == ["http://a.example/A"] * 2 and subjects[0] is subjects[1]
+        assert built.count("http://a.example/A") == 1
+
     @pytest.mark.parametrize("fmt", ["ntriples", "turtle"])
     def test_scanner_builds_each_distinct_term_once(self, fmt):
         # the readers look recurring terms up in the tables themselves
@@ -966,7 +1020,7 @@ class TestFastPathsAgreeWithScanner:
                  Literal("y")]
         g = Graph([Triple(Iri(ex + f"s{i % 3}"), Iri(ex + f"p{i % 2}"), terms[i % 4])
                    for i in range(24)], {"ex": ex})
-        calls = {"iri": 0, "literal": 0}
+        calls = {"iri": 0, "iri_body": 0, "literal": 0}
         scanner = _PARSE_MODULE._Scanner
         originals = {name: getattr(scanner, name) for name in calls}
 
@@ -978,8 +1032,11 @@ class TestFastPathsAgreeWithScanner:
 
         with mock.patch.multiple(scanner, **{name: counting(name) for name in calls}):
             assert parse(serialize(g, fmt), fmt) == g
-        # s0-s2, p0-p1, o, xsd:integer and Turtle's namespace of ex:; three literals
-        assert calls == {"iri": 7 + (fmt == "turtle"), "literal": 3}
+        # s0-s2, p0-p1, o, xsd:integer and Turtle's namespace of ex:; three
+        # literals; a body is checked the first time only, and Turtle writes
+        # only xsd:integer in full
+        assert calls == {"iri": 7 + (fmt == "turtle"), "iri_body": 7 if fmt == "ntriples" else 1,
+                         "literal": 3}
 
     @pytest.mark.parametrize("parser", [parse_ntriples, parse_turtle])
     def test_one_blank_node_per_label(self, parser):
