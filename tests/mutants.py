@@ -36,6 +36,9 @@ class Mutant(NamedTuple):
     tests: tuple  # pytest ids, relative to the repository root
 
 
+_FAST_PATHS = "tests/test_rdf_serialize_parse.py::TestFastPathsAgreeWithScanner::"
+_ODD_BODY = _FAST_PATHS + "test_odd_iri_bodies_read_as_the_scanner_reads_them"
+
 MUTANTS = (
     Mutant(
         "sizeX-not-required", "src/ome_rdf/ontology.py",
@@ -58,6 +61,34 @@ MUTANTS = (
         "_A = RDF_TYPE",
         ("tests/test_rdf_model.py::TestSharedIriObjects"
          "::test_vocabulary_is_shared_when_other_code_interned_it_first",),
+    ),
+    Mutant(
+        "iri-body-miss-unchecked", "src/ome_rdf/rdf/parse.py",
+        "if _PLAIN_IRI_BODY_RE.fullmatch(value) is None:",
+        "if False:",
+        (_ODD_BODY + "[u-escape-subject]", _ODD_BODY + "[quoted-triple-subject]",
+         _FAST_PATHS + "test_escaped_and_raw_iri_are_one_object[parse_ntriples-raw-first]"),
+    ),
+    Mutant(
+        "iri-body-miss-checks-backslash-only", "src/ome_rdf/rdf/parse.py",
+        "if _PLAIN_IRI_BODY_RE.fullmatch(value) is None:",
+        'if "\\\\" in value:',
+        (_ODD_BODY + "[quoted-triple-subject]", _ODD_BODY + "[quoted-triple-object-after-comma]"),
+    ),
+    Mutant(
+        "shared-node-keys-untagged", "src/ome_rdf/mapper.py",
+        'if self._first(("Experimenter", exp)):',
+        "if self._first(exp):",
+        tuple(f"tests/test_mapper.py::TestUnionOfOneImageDocuments"
+              f"::test_experimenter_equal_to_an_edge_key[{edge}]"
+              for edge in ("containedIn", "derivedFrom")),
+    ),
+    Mutant(
+        "iri-text-keeps-every-string", "src/ome_rdf/rdf/model.py",
+        "return sys.intern(text) if _SHARED else text",
+        'return globals().setdefault("_KEPT", {}).setdefault(text, text)',
+        ("tests/test_rdf_model.py::TestSharedIriObjects"
+         "::test_reading_fresh_iris_keeps_memory_bounded",),
     ),
 )
 
