@@ -51,17 +51,19 @@ _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 # The ASCII characters an IRI may never contain if it is to survive <...>
 # quoting in N-Triples, as the body of a character class: angle brackets,
 # quotes, braces, pipes, carets, backquotes, backslashes and anything at or
-# below U+0020.  The parsers compose it into their own patterns.
+# below U+0020; the IRI check below composes it with the lone surrogates.
 IRI_FORBIDDEN_ASCII = r'<>"{}|^`\\\x00-\x20'
 # lone surrogates, which UTF-8 cannot encode
 _SURROGATES = r"\ud800-\udfff"
 _IRI_FORBIDDEN_RE = re.compile(rf"[\s{IRI_FORBIDDEN_ASCII}{_SURROGATES}]")
 SURROGATE_RE = re.compile(f"[{_SURROGATES}]")
 
-# the grammars of a blank node label and a language tag, which the parsers
-# compose into their own patterns
+# the grammars of a blank node label, a language tag and the local name the
+# Turtle writer writes (a conservative subset of Turtle's), which the parsers
+# and the writer compose into their own patterns
 BLANK_LABEL_PATTERN = r"[A-Za-z][A-Za-z0-9]*"
 LANG_TAG_PATTERN = r"[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*"
+LOCAL_NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_-]*"
 _BLANK_LABEL_RE = re.compile(BLANK_LABEL_PATTERN)
 _LANG_TAG_RE = re.compile(LANG_TAG_PATTERN)
 _PREFIX_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.-]*[A-Za-z0-9_-]|[A-Za-z])?")

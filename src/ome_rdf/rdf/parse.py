@@ -16,28 +16,26 @@ picks the next step: an object after ``,``, a verb and an object after
 ``;``, and a subject, a verb and an object after ``.``.  Both regexes take
 one set of terms: IRIs with any body up to their ``>``, strings without
 escapes, a string with its datatype or language tag, and prefixed names in
-the writer's own form, a local name of ``[A-Za-z_][A-Za-z0-9_-]*``
-followed by whitespace, ``,`` or ``;``.  No regex checks an IRI body: the
-check sits on a miss in the IRI table below.  Whatever else a text holds
-(blank nodes, comments, escapes or forbidden characters in an IRI, dotted,
-``%XX`` or digit-led local names, directives, repeated ``;``, an
-undeclared prefix, any malformed text) goes to the token scanner from the
-same offset and in the same step.  The scanner is the only reader of
-everything else and the only source of errors: it consumes each token
-(whitespace and comments, names, the runs of IRI and string bodies between
-escapes) with one compiled regex, and counts line and column from the text
-only when an error is raised.
+the writer's own form followed by whitespace, ``,`` or ``;``.  These fast
+paths only build terms.  Whatever else a text holds (blank nodes, comments,
+other local names, directives, repeated ``;``, any malformed text) goes to
+the token scanner from the same offset and in the same step, and so does a
+statement or step with a term the model refuses (an escape or a forbidden
+character in an IRI, a lexical form its datatype does not take) or an
+undeclared prefix.
+The scanner is the only reader of everything else and the only source of
+errors: it consumes each token (whitespace and comments, names, the runs
+of IRI and string bodies between escapes) with one compiled regex, and
+counts line and column from the text only when an error is raised.
 
-Both readers build terms through the same three per-call tables, of
-IRIs, literals and blank nodes, so each distinct term is validated once,
-in textual order; an invalid term never enters a table and is reported at
-its ``<`` or ``"`` (a prefixed name just after its end), wherever it recurs.
-The regex paths read the IRI and literal tables with ``dict.get`` and
-call :meth:`_Scanner.iri_body` or :meth:`_Scanner.literal` only for a term
-not yet in them, so only then is an IRI body checked and the offset of an
-error worked out; blank nodes are the scanner's alone.  The graph holds
-the tables' values, in exact triple tuples: literal 3-tuples, one blank node 1-tuple
-``(label,)`` per label, and exact ``str`` IRIs from
+Both readers build terms through the same three per-call tables, of IRIs,
+literals and blank nodes, so each distinct term is checked once, in
+textual order, by the model's own check (:func:`~ome_rdf.rdf.model.iri_text`
+or :func:`~ome_rdf.rdf.model.Literal`); an invalid term never enters a
+table and is reported at its ``<`` or ``"`` (a prefixed name just after
+its end), wherever it recurs.  The graph holds the tables' values, in
+exact triple tuples: literal 3-tuples, one blank node 1-tuple ``(label,)``
+per label, and exact ``str`` IRIs from
 :func:`~ome_rdf.rdf.model.iri_text`.  Where that interns, each is the one
 object the process holds for its text, so a graph read here shares its
 IRIs (and its literals' datatypes) with the graphs of every other producer
@@ -59,7 +57,7 @@ from ..errors import (
 )
 from ..namespaces import RDF_TYPE
 from .model import (
-    BLANK_LABEL_PATTERN, IRI_FORBIDDEN_ASCII, LANG_TAG_PATTERN, BlankNode, Graph, Literal,
+    BLANK_LABEL_PATTERN, LANG_TAG_PATTERN, LOCAL_NAME_PATTERN, BlankNode, Graph, Literal,
     iri_text,
 )
 
@@ -84,21 +82,18 @@ _SKIP_INLINE_RE = re.compile(r"(?:[ \t]+|#[^\r\n]*)*")
 # the runs between escapes and terminators
 _IRI_BODY_RE = re.compile(r"[^>\\]*")
 _STRING_BODY_RE = re.compile(r'[^"\\\r\n]*')
-# an IRI body the scanner reads as it stands: no escape, no forbidden character
-_PLAIN_IRI_BODY_RE = re.compile(rf"[^{IRI_FORBIDDEN_ASCII}]*")
 
 # The fast paths' terms, the one set both regexes take: an IRI body up to its
-# ">", unchecked (a table hit passed the check as it entered, and a miss is
-# checked by _Scanner.iri_body, which leaves escapes, forbidden characters and
-# "<<" to the scanner), a string without escapes, and a prefixed name in the
+# ">", unchecked (a table hit passed the model's check, and a miss meets it
+# as it is built), a string without escapes, and a prefixed name in the
 # writer's form, whose local part has no dot and no "%" and is followed by
 # whitespace, "," or ";" (as the writer always follows it), so the scanner
 # would end the name at the same place.  A prefix group always takes part in
 # a prefixed name, so an empty prefix is "", not None.
 _WS = r"[ \t\r\n]*"
 _IRI = r"<([^>]*)>"
-_STRING = r'"([^"\\\r\n]*)"'
-_PNAME = r"((?:[A-Za-z][A-Za-z0-9_.-]*)?):((?:[A-Za-z_][A-Za-z0-9_-]*)?)(?=[ \t\r\n,;])"
+_STRING = f'"({_STRING_BODY_RE.pattern})"'
+_PNAME = rf"((?:[A-Za-z][A-Za-z0-9_.-]*)?):((?:{LOCAL_NAME_PATTERN})?)(?=[ \t\r\n,;])"
 # groups: IRI, or prefix and local name
 _NAME = rf"(?:{_IRI}|{_PNAME})"
 # groups: the keyword "a", then a name
@@ -131,13 +126,13 @@ class _Scanner:
     ``str`` :func:`iri_text` gives for each valid IRI text to itself,
     ``literals`` maps each valid (lexical form, datatype text or None,
     language) to its 3-tuple, and ``blanks`` maps each label to its 1-tuple
-    from :func:`BlankNode`.  So a recurring term
-    is built, validated and hashed once, whether the scanner or a regex path
-    read it.  Invalid terms never enter them, so each one is reported where
-    it occurs.  The regex paths look IRIs and literals up in the tables
-    themselves and call :meth:`iri_body` and :meth:`literal` only on a miss;
-    only :meth:`read_blank` makes blank nodes.  The scanner reads the text
-    from ``pos`` one token at a time, each with one compiled regex.
+    from :func:`BlankNode`.  So a recurring term is built, checked and
+    hashed once, whether the scanner or a fast path read it.  Only
+    :meth:`new_iri`, :meth:`new_literal` and :meth:`read_blank` fill them.
+    The first two raise the model's own error for an invalid term, which a
+    fast path hands to the scanner, whose :meth:`iri` and :meth:`literal`
+    report it where the term occurs.  The scanner reads the text from
+    ``pos`` one token at a time, each with one compiled regex.
     """
 
     def __init__(self, text: str):
@@ -180,34 +175,36 @@ class _Scanner:
         else:
             self.error(f"expected {literal!r}")
 
-    def iri(self, value: str, at: int) -> str:
-        """The checked IRI text ``value``; an invalid one is an error at offset ``at``."""
-        iri = self.iris.get(value)
-        if iri is None:
-            try:
-                iri = iri_text(value)
-            except InvalidIriError as e:
-                raise RdfSyntaxError(str(e), *self.position(at)) from e
-            self.iris[iri] = iri
+    def new_iri(self, value: str) -> str:
+        """The IRI of the text ``value``, which ``iris`` does not hold yet,
+        added to it; ``InvalidIriError`` if :func:`iri_text` refuses it."""
+        iri = iri_text(value)
+        self.iris[iri] = iri
         return iri
 
-    def iri_body(self, value: str, at: int) -> str:
-        """:meth:`iri` of a body no table holds; ``KeyError`` if it has an escape
-        or a forbidden character, so that the scanner reads it."""
-        if _PLAIN_IRI_BODY_RE.fullmatch(value) is None:
-            raise KeyError(value)
-        return self.iri(value, at)
+    def new_literal(self, lexical: str, datatype, language) -> tuple:
+        """The literal of its parts, which ``literals`` does not hold yet,
+        added to it, and its datatype's IRI to ``iris``; ``InvalidIriError``
+        or ``InvalidLiteralError`` if the model refuses either."""
+        if datatype is not None:
+            datatype = self.iris.get(datatype) or self.new_iri(datatype)
+        literal = self.literals[lexical, datatype, language] = Literal(lexical, datatype, language)
+        return literal
+
+    def iri(self, value: str, at: int) -> str:
+        """The IRI of the text ``value``; an invalid one is an error at offset ``at``."""
+        try:
+            return self.iris.get(value) or self.new_iri(value)
+        except InvalidIriError as e:
+            raise RdfSyntaxError(str(e), *self.position(at)) from e
 
     def literal(self, lexical: str, datatype, language, at: int) -> tuple:
         """The literal tuple of its parts; an invalid one is an error at offset ``at``."""
-        key = (lexical, datatype, language)
-        literal = self.literals.get(key)
-        if literal is None:
-            try:
-                literal = self.literals[key] = Literal(lexical, datatype, language)
-            except InvalidLiteralError as e:
-                raise RdfSyntaxError(str(e), *self.position(at)) from e
-        return literal
+        try:
+            return (self.literals.get((lexical, datatype, language))
+                    or self.new_literal(lexical, datatype, language))
+        except InvalidLiteralError as e:
+            raise RdfSyntaxError(str(e), *self.position(at)) from e
 
     def read_blank(self) -> tuple:
         """The blank node token ``_:label`` at ``pos``; an error at its ``_``
@@ -259,10 +256,8 @@ class _Scanner:
 
     def read_string(self) -> str:
         self.expect('"')
-        if self.text.startswith('""', self.pos):
-            # empty string unless a third quote follows (long string form)
-            if self.text.startswith('"""', self.pos - 1):
-                self.unsupported("triple-quoted string")
+        if self.text.startswith('""', self.pos):  # the third quote of a long string
+            self.unsupported("triple-quoted string")
         chars = []
         while True:
             chars.append(self.match_re(_STRING_BODY_RE).group())
@@ -347,7 +342,8 @@ def parse_ntriples(text: str) -> Graph:
     statement = _NT_STATEMENT_RE.match
     get_iri = sc.iris.get
     get_literal = sc.literals.get
-    iri_body = sc.iri_body
+    new_iri = sc.new_iri
+    new_literal = sc.new_literal
     triples = []
     append = triples.append
     pos = 0
@@ -363,17 +359,15 @@ def parse_ntriples(text: str) -> Graph:
         if m is not None:
             s, p, o, lexical, datatype, language = m.groups()
             try:
-                subject = get_iri(s) or iri_body(s, m.start(1) - 1)
-                predicate = get_iri(p) or iri_body(p, m.start(2) - 1)
+                subject = get_iri(s) or new_iri(s)
+                predicate = get_iri(p) or new_iri(p)
                 if lexical is None:
-                    obj = get_iri(o) or iri_body(o, m.start(3) - 1)
+                    obj = get_iri(o) or new_iri(o)
                 else:
-                    obj = get_literal((lexical, datatype, language))
-                    if obj is None:
-                        if datatype is not None:
-                            datatype = get_iri(datatype) or iri_body(datatype, m.start(5) - 1)
-                        obj = sc.literal(lexical, datatype, language, m.start(4) - 1)
-            except KeyError:  # an IRI body the scanner reads, from the subject on
+                    obj = (get_literal((lexical, datatype, language))
+                           or new_literal(lexical, datatype, language))
+            except (InvalidIriError, InvalidLiteralError):
+                # a refused term: the scanner reads it, from the subject's "<" on
                 sc.pos = m.start(1) - 1
             else:
                 append((subject, predicate, obj))
@@ -402,7 +396,8 @@ def parse_turtle(text: str) -> Graph:
     append = triples.append
     get_iri = sc.iris.get
     get_literal = sc.literals.get
-    iri_body = sc.iri_body
+    new_iri = sc.new_iri
+    new_literal = sc.new_literal
     # indexed by the terms a step reads
     fast = (None, _TTL_OBJECT_RE.match, _TTL_VERB_OBJECT_RE.match, _TTL_TRIPLE_RE.match)
 
@@ -513,14 +508,13 @@ def parse_turtle(text: str) -> Graph:
         sc.expect(".")
         return 3, subject, predicate
 
-    def name(m, g, k):
-        # the IRI text of the IRI or prefixed name in groups k + 1 to k + 3 of m,
-        # whose groups() is g; KeyError if the prefix is undeclared or iri_body refuses
+    def name(g, k):
+        # the IRI of the IRI or prefixed name in a step's groups g[k:k + 3];
+        # KeyError if the prefix is undeclared, InvalidIriError if refused
         value = g[k]
         if value is None:
             value = prefixes[g[k + 1]] + g[k + 2]
-            return get_iri(value) or sc.iri(value, m.end(k + 3))
-        return get_iri(value) or iri_body(value, m.start(k + 1) - 1)
+        return get_iri(value) or new_iri(value)
 
     step = 3
     subject = predicate = None
@@ -532,22 +526,20 @@ def parse_turtle(text: str) -> Graph:
             k = len(g) - 9  # the object's first group: 7, 4 or 0
             try:
                 if k == 7:
-                    subject = name(m, g, 0)
+                    subject = name(g, 0)
                 if k:
-                    predicate = _A if g[k - 4] else name(m, g, k - 3)
+                    predicate = _A if g[k - 4] else name(g, k - 3)
                 lexical = g[k + 3]
                 if lexical is None:
-                    obj = name(m, g, k)
+                    obj = name(g, k)
                 else:
                     datatype = g[k + 4]
                     if datatype is None and g[k + 5] is not None:
                         datatype = prefixes[g[k + 5]] + g[k + 6]
-                    obj = get_literal((lexical, datatype, g[k + 7]))
-                    if obj is None:
-                        if datatype is not None:
-                            datatype = name(m, g, k + 4)
-                        obj = sc.literal(lexical, datatype, g[k + 7], m.start(k + 4) - 1)
-            except KeyError:  # an undeclared prefix or an IRI body for the scanner
+                    obj = (get_literal((lexical, datatype, g[k + 7]))
+                           or new_literal(lexical, datatype, g[k + 7]))
+            except (KeyError, InvalidIriError, InvalidLiteralError):
+                # an undeclared prefix or a refused term: the step is the scanner's
                 m = None
         if m is None:
             sc.pos = pos

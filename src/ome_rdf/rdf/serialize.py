@@ -27,7 +27,7 @@ from operator import itemgetter
 
 from ..errors import UnknownFormatError
 from ..namespaces import RDF_TYPE, XSD_STRING
-from .model import Graph, Term, checked_term, term_sort_key
+from .model import LOCAL_NAME_PATTERN, Graph, Term, checked_term, term_sort_key
 
 _STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
 
@@ -102,7 +102,7 @@ def _shortener(namespaces: list):
     # conservative Turtle local-name subset: anything outside it is written
     # in full <...> form rather than risking an unparseable prefixed name
     fullmatch = re.compile("|".join(
-        re.escape(ns) + "((?:[A-Za-z_][A-Za-z0-9_-]*)?)" for ns, _ in namespaces)).fullmatch
+        re.escape(ns) + f"((?:{LOCAL_NAME_PATTERN})?)" for ns, _ in namespaces)).fullmatch
     heads = [None] + [prefix + ":" for _, prefix in namespaces]
 
     def shorten(iri: str) -> str:

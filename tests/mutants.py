@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 _FAST_PATHS = "tests/test_rdf_serialize_parse.py::TestFastPathsAgreeWithScanner::"
 _ODD_BODY = _FAST_PATHS + "test_odd_iri_bodies_read_as_the_scanner_reads_them"
+_REFUSED_LITERAL = _FAST_PATHS + "test_refused_literals_read_as_the_scanner_reads_them"
 
 MUTANTS = (
     Mutant(
@@ -50,8 +51,8 @@ MUTANTS = (
     ),
     Mutant(
         "shortener-namespace-unescaped", "src/ome_rdf/rdf/serialize.py",
-        're.escape(ns) + "((?:[A-Za-z_][A-Za-z0-9_-]*)?)"',
-        'ns + "((?:[A-Za-z_][A-Za-z0-9_-]*)?)"',
+        're.escape(ns) + f"((?:{LOCAL_NAME_PATTERN})?)"',
+        'ns + f"((?:{LOCAL_NAME_PATTERN})?)"',
         ("tests/test_rdf_serialize_parse.py::TestIriShortening::test_same_name_as_reference",
          "tests/test_rdf_serialize_parse.py::TestIriShortening::test_written_name"),
     ),
@@ -63,17 +64,24 @@ MUTANTS = (
          "::test_vocabulary_is_shared_when_other_code_interned_it_first",),
     ),
     Mutant(
-        "iri-body-miss-unchecked", "src/ome_rdf/rdf/parse.py",
-        "if _PLAIN_IRI_BODY_RE.fullmatch(value) is None:",
-        "if False:",
+        "iri-miss-built-unchecked", "src/ome_rdf/rdf/parse.py",
+        "iri = iri_text(value)",
+        "iri = value",
         (_ODD_BODY + "[u-escape-subject]", _ODD_BODY + "[quoted-triple-subject]",
-         _FAST_PATHS + "test_escaped_and_raw_iri_are_one_object[parse_ntriples-raw-first]"),
+         _FAST_PATHS + "test_escaped_and_raw_iri_are_one_object[parse_ntriples-escaped-first]"),
     ),
     Mutant(
-        "iri-body-miss-checks-backslash-only", "src/ome_rdf/rdf/parse.py",
-        "if _PLAIN_IRI_BODY_RE.fullmatch(value) is None:",
-        'if "\\\\" in value:',
-        (_ODD_BODY + "[quoted-triple-subject]", _ODD_BODY + "[quoted-triple-object-after-comma]"),
+        "turtle-refusal-escapes-unplaced", "src/ome_rdf/rdf/parse.py",
+        "except (KeyError, InvalidIriError, InvalidLiteralError):",
+        "except KeyError:",
+        (_ODD_BODY + "[x20-object-after-comma]", _REFUSED_LITERAL + "[not-an-integer-object]",
+         _REFUSED_LITERAL + "[surrogate-after-semicolon]"),
+    ),
+    Mutant(
+        "ntriples-literal-refusal-escapes-unplaced", "src/ome_rdf/rdf/parse.py",
+        "except (InvalidIriError, InvalidLiteralError):",
+        "except InvalidIriError:",
+        (_REFUSED_LITERAL + "[byte-range-object]", _REFUSED_LITERAL + "[no-such-day-object]"),
     ),
     Mutant(
         "shared-node-keys-untagged", "src/ome_rdf/mapper.py",

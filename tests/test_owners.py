@@ -5,10 +5,11 @@ and labels resolve against the core only at import, where the OME-XML
 reader takes from the rows' ``min_count`` alone which attributes are
 required; the CURIE prefix grammar and the TSV line rule are stated only
 in ``links``, and the blank node label and language tag grammars, the
-characters an IRI may not hold and the surrogate range only in the RDF
-model, whose ``iri_text`` alone interns; no module imports another's private name; graph comparison
-orders terms by the model's order, not by the writer's text; and the
-Turtle oracle shares no code with the writer it checks."""
+characters an IRI may not hold, the surrogate range and the writer's local
+name grammar only in the RDF model, whose ``iri_text`` alone interns; no
+module imports another's private name; graph comparison orders terms by
+the model's order, not by the writer's text; and the Turtle oracle shares
+no code with the writer it checks."""
 
 import ast
 from pathlib import Path
@@ -82,6 +83,7 @@ def test_curie_prefix_grammar_has_one_owner():
     "[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*",  # language tag
     r'<>"{}|^`\\\x00-\x20',  # the ASCII characters an IRI may not hold
     r"\ud800-\udfff",  # lone surrogates
+    "[A-Za-z_][A-Za-z0-9_-]*",  # the local name of a prefixed name the writer writes
 ])
 def test_term_grammars_have_one_owner(grammar):
     holders = [p.name for p in sorted((ROOT / "src").rglob("*.py")) if grammar in p.read_text()]

@@ -12,7 +12,7 @@ from ome_rdf.errors import (
     InvalidBlankNodeError, InvalidIriError, InvalidLiteralError, OmeRdfError, RdfSyntaxError,
     UnknownFormatError, UnsupportedConstructError,
 )
-from ome_rdf.namespaces import RDF_TYPE, XSD_INTEGER
+from ome_rdf.namespaces import RDF_NS, RDF_TYPE, XSD_INTEGER
 from ome_rdf.rdf import (
     BlankNode,
     Graph,
@@ -839,6 +839,25 @@ _IRI_PLACES = {
 }
 
 
+# literals the model refuses: a lexical form outside its datatype, a value
+# outside its range, a day and hex digits that do not exist, a raw lone
+# surrogate, rdf:langString without a tag and a relative datatype IRI; the
+# last one is valid where its prefix is declared
+_REFUSED_LITERALS = {
+    "not-an-integer": '"abc"^^xsd:integer', "byte-range": '"300"^^xsd:byte',
+    "no-such-day": '"2020-02-30T00:00:00Z"^^xsd:dateTime', "hex": '"zz"^^xsd:hexBinary',
+    "surrogate": '"\ud800"', "untagged-langString": '"x"^^rdf:langString',
+    "relative-datatype": '"1"^^<rel>', "undeclared-prefix": '"1"^^xsd:integer',
+}
+_LITERAL_PREFIXES = {"xsd": _XSD, "rdf": RDF_NS}
+# a statement with the literal t as the object, after ",", after ";" and
+# first in a "," list
+_LITERAL_PLACES = {
+    "object": "{s} {p} {t} .", "after-comma": "{s} {p} {o} , {t} .",
+    "after-semicolon": "{s} {p} {o} ; {p} {t} .", "first-in-list": "{s} {p} {t} , {o} .",
+}
+
+
 class TestFastPathsAgreeWithScanner:
     """The per-triple regexes give what the scanner alone gives: the same
     graph and prefixes, or the same error class, message and place."""
@@ -992,6 +1011,20 @@ class TestFastPathsAgreeWithScanner:
         for parser in (parse_ntriples, parse_turtle):
             assert _outcome(parser, text) == _scanner_only(parser, text)
 
+    @pytest.mark.parametrize("place", _LITERAL_PLACES)
+    @pytest.mark.parametrize("literal", _REFUSED_LITERALS.values(), ids=_REFUSED_LITERALS)
+    def test_refused_literals_read_as_the_scanner_reads_them(self, literal, place):
+        # each datatype written in full, and as a prefixed name both declared
+        # and undeclared
+        statement = _LITERAL_PLACES[place].format(s=_S, p=_P, o=_O, t=literal)
+        full = re.sub(r"(xsd|rdf):(\w+)", lambda m: f"<{_LITERAL_PREFIXES[m[1]]}{m[2]}>",
+                      statement)
+        head = "".join(f"@prefix {name}: <{ns}> .\n" for name, ns in _LITERAL_PREFIXES.items())
+        texts = [(parse_ntriples, _NT + full), (parse_turtle, _NT + full),
+                 (parse_turtle, head + _NT + statement), (parse_turtle, _NT + statement)]
+        for parser, text in texts:
+            assert _outcome(parser, text) == _scanner_only(parser, text)
+
     @pytest.mark.parametrize("first, then", [("\\u0041", "A"), ("A", "\\u0041")],
                              ids=["escaped-first", "raw-first"])
     @pytest.mark.parametrize("parser", [parse_ntriples, parse_turtle])
@@ -1020,23 +1053,21 @@ class TestFastPathsAgreeWithScanner:
                  Literal("y")]
         g = Graph([Triple(Iri(ex + f"s{i % 3}"), Iri(ex + f"p{i % 2}"), terms[i % 4])
                    for i in range(24)], {"ex": ex})
-        calls = {"iri": 0, "iri_body": 0, "literal": 0}
-        scanner = _PARSE_MODULE._Scanner
-        originals = {name: getattr(scanner, name) for name in calls}
+        # count the model's checks as the parser module calls them
+        calls = {"iri_text": 0, "Literal": 0}
+        originals = {name: getattr(_PARSE_MODULE, name) for name in calls}
 
         def counting(name):
-            def method(sc, *args):
+            def build(*args):
                 calls[name] += 1
-                return originals[name](sc, *args)
-            return method
+                return originals[name](*args)
+            return build
 
-        with mock.patch.multiple(scanner, **{name: counting(name) for name in calls}):
+        with mock.patch.multiple(_PARSE_MODULE, **{name: counting(name) for name in calls}):
             assert parse(serialize(g, fmt), fmt) == g
-        # s0-s2, p0-p1, o, xsd:integer and Turtle's namespace of ex:; three
-        # literals; a body is checked the first time only, and Turtle writes
-        # only xsd:integer in full
-        assert calls == {"iri": 7 + (fmt == "turtle"), "iri_body": 7 if fmt == "ntriples" else 1,
-                         "literal": 3}
+        # s0-s2, p0-p1, o, xsd:integer and Turtle's namespace of ex:, and three
+        # literals: each distinct term is built once, and a recurrence never
+        assert calls == {"iri_text": 7 + (fmt == "turtle"), "Literal": 3}
 
     @pytest.mark.parametrize("parser", [parse_ntriples, parse_turtle])
     def test_one_blank_node_per_label(self, parser):
