@@ -21,7 +21,7 @@ from .errors import (
     MalformedCurieError,
     UnknownPrefixError,
 )
-from .rdf import Iri
+from .rdf.model import iri_text
 
 PREFIX_RE = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -36,7 +36,7 @@ def tsv_lines(text: str) -> list:
 @dataclass(frozen=True)
 class LinkEntry:
     prefix: str
-    base_iri: Iri
+    base_iri: str
     id_pattern: str
     id_regex: re.Pattern = field(init=False, compare=False, repr=False)
 
@@ -64,10 +64,10 @@ class LinkRegistry:
             raise LinkRegistryError(f"duplicate prefix {entry.prefix!r}")
         self._entries[entry.prefix] = entry
 
-    def resolve(self, curie: str) -> Iri:
-        """Expand ``prefix:localId`` to ``baseIri + "/" + localId``.  A local
-        id that matches its pattern but gives no valid IRI raises
-        :class:`MalformedCurieError`."""
+    def resolve(self, curie: str) -> str:
+        """Expand ``prefix:localId`` to ``baseIri + "/" + localId``, through
+        :func:`~ome_rdf.rdf.model.iri_text`.  A local id that matches its
+        pattern but gives no valid IRI raises :class:`MalformedCurieError`."""
         if ":" not in curie:
             raise MalformedCurieError(f"{curie!r} has no prefix separator")
         prefix, local = curie.split(":", 1)
@@ -79,7 +79,7 @@ class LinkRegistry:
         if not entry.id_regex.fullmatch(local):
             raise IdPatternMismatchError(curie, entry.id_pattern)
         try:
-            return Iri(entry.base_iri.value + "/" + local)
+            return iri_text(entry.base_iri + "/" + local)
         except InvalidIriError as e:
             raise MalformedCurieError(f"{curie!r} does not give a valid IRI: {e}") from e
 
@@ -97,7 +97,7 @@ class LinkRegistry:
                 raise LinkRegistryError(
                     f"line {lineno}: expected prefix<TAB>baseIri<TAB>idPattern")
             try:
-                registry._add(LinkEntry(cells[0], Iri(cells[1]), cells[2]))
+                registry._add(LinkEntry(cells[0], iri_text(cells[1]), cells[2]))
             except (InvalidIriError, LinkRegistryError) as e:
                 raise LinkRegistryError(f"line {lineno}: {e}") from e
         return registry

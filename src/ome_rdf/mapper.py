@@ -17,12 +17,12 @@ instrument node with its literals, a biosample or container type triple, a
 names it, under a key tagged with its kind, since a reader record equals any
 tuple of its values.  A record that raises takes back everything it
 emitted.  The mapper reads the core ontology once, at import, as the
-readers of :mod:`ome_rdf.ome_xml` do, and takes its class, property,
-range and ``rdf:type`` IRIs from :func:`~ome_rdf.rdf.model.iri_text`
-rather than from the ontology's and namespaces' objects, so that, where that
-interns, a mapped graph holds the same IRI objects as every graph parsed
-or built in the process.  Minted instance IRIs are not interned, and only an
-image's is checked, once per record: ``MappedRecord.image_iri`` is an ``Iri``.
+readers of :mod:`ome_rdf.ome_xml` do.  The rows' IRIs, resolved strain links
+and its ``rdf:type`` all come from :func:`~ome_rdf.rdf.model.iri_text`, so
+that, where that interns, a mapped graph holds the same IRI objects as every
+graph parsed or built in the process.  Minted instance IRIs are not interned,
+and only an image's is checked, once per record: ``MappedRecord.image_iri``
+is an ``Iri``.
 """
 
 from __future__ import annotations
@@ -48,12 +48,11 @@ from .ontology import OntologyRegistry, build_core_ontology
 from .rdf import Graph, Iri, Literal
 from .rdf.model import iri_text
 
-_XSD = Iri(XSD_NS)
 _CORE = build_core_ontology()
 _TYPE = iri_text(RDF_TYPE)
-_CLASS = {c.label: iri_text(c.iri) for c in _CORE.classes}
-_PROPERTY = {p.label: iri_text(p.iri) for p in _CORE.properties}
-_RANGE = {p.label: iri_text(p.range) for p in _CORE.properties}
+_CLASS = {c.label: c.iri for c in _CORE.classes}
+_PROPERTY = {p.label: p.iri for p in _CORE.properties}
+_RANGE = {p.label: p.range for p in _CORE.properties}
 
 
 # One table per node shape: (property IRI, range IRI, getter) rows.  A row
@@ -92,7 +91,7 @@ class MintingPolicy:
     of its own, which is what keeps batch output canonical.
     """
 
-    instance_base: Iri = Iri(DEFAULT_INSTANCE_BASE)
+    instance_base: Iri = DEFAULT_INSTANCE_BASE
 
     def __post_init__(self):
         base = self.instance_base
@@ -154,9 +153,9 @@ class _Emitter:
         if registry is not _CORE and registry != _CORE:
             raise UnknownClassInRegistryError(f"{registry.namespace} is not the core ontology")
         # a node's IRI: instance base + lowercased class label + "/" + encoded id
-        self.bases = {label: policy.instance_base.value + label.lower() + "/" for label in _CLASS}
+        self.bases = {label: policy.instance_base + label.lower() + "/" for label in _CLASS}
         self.links = links
-        self.prefixes = {"mo": _CORE.namespace, "res": policy.instance_base, "xsd": _XSD}
+        self.prefixes = {"mo": _CORE.namespace, "res": policy.instance_base, "xsd": XSD_NS}
         self.triples = []
         self._iris = {}
         self._literals = {}
@@ -217,7 +216,7 @@ class _Emitter:
         iri = self._strains.get(curie)
         if iri is None:
             try:
-                iri = self.links.resolve(curie).value
+                iri = self.links.resolve(curie)
             except LinkRegistryError as e:
                 raise UnresolvableStrainError(curie, str(e)) from e
             self._strains[curie] = iri

@@ -45,7 +45,10 @@ from .errors import (
 from .links import PREFIX_RE, tsv_lines
 from .namespaces import XSD_INTEGER, XSD_STRING
 from .ontology import build_core_ontology
-from .rdf.model import DATETIME_LEXICAL_RE, SURROGATE_RE, datetime_day_exists
+from .rdf.model import (
+    DATETIME_LEXICAL_RE, DECIMAL_PATTERN, EXPONENT_PATTERN, INTEGER_PATTERN, SURROGATE_RE,
+    datetime_day_exists,
+)
 
 SIDECAR_COLUMNS = (
     "image_id", "sample_id", "container_id", "strain_id", "stain",
@@ -61,10 +64,9 @@ DECIMAL_EXPONENT_MAX = 100
 # decimal's fraction and exponent, and space, tab, CR or LF around them.
 # Both would also take underscores, other scripts' digits, any Unicode space
 # and, for Decimal, NaN and Infinity.
-_INTEGER_RE = re.compile(r"[ \t\r\n]*[+-]?[0-9]+[ \t\r\n]*")
-_DECIMAL_RE = re.compile(
-    r"[ \t\r\n]*[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t\r\n]*"
-)
+_SPACE = r"[ \t\r\n]*"
+_INTEGER_RE = re.compile(f"{_SPACE}{INTEGER_PATTERN}{_SPACE}")
+_DECIMAL_RE = re.compile(f"{_SPACE}{DECIMAL_PATTERN}(?:{EXPONENT_PATTERN})?{_SPACE}")
 
 # each element's attributes and their core properties, in its record's field order
 _INSTRUMENT_ATTRS, _EXPERIMENTER_ATTRS, _IMAGE_ATTRS, _PIXELS_ATTRS = (
@@ -79,8 +81,8 @@ _INSTRUMENT_ATTRS, _EXPERIMENTER_ATTRS, _IMAGE_ATTRS, _PIXELS_ATTRS = (
     ])
 _VOLTAGE = build_core_ontology().property_by_label("accelerationVoltage")
 _WAVELENGTH = build_core_ontology().property_by_label("electronWavelength")
-# the children of an <Image> that are read; the schema allows each at most once
-_IMAGE_CHILDREN = frozenset({"Pixels", "AcquisitionDate", "InstrumentRef", "ExperimenterRef"})
+# the children of an <Image> that are read, each a bit; the schema allows each at most once
+_IMAGE_CHILDREN = {"Pixels": 1, "AcquisitionDate": 2, "InstrumentRef": 4, "ExperimenterRef": 8}
 
 
 class InstrumentKind(enum.Enum):
@@ -277,14 +279,15 @@ def parse_ome_document(text: str) -> OmeDocument:
         acq_date = None
         instrument_ref = None
         experimenter_ref = None
-        seen_children = set()
+        seen = 0  # the bits of the children read so far
         for sub in el:
             tag = local_name(sub.tag)
-            if tag not in _IMAGE_CHILDREN:
+            bit = _IMAGE_CHILDREN.get(tag)
+            if bit is None:
                 continue
-            if tag in seen_children:
+            if seen & bit:
                 raise InvalidValueError(f"{path}/{tag}", "appears more than once")
-            seen_children.add(tag)
+            seen |= bit
             if tag == "Pixels":
                 pixels_el = sub
             elif tag == "AcquisitionDate":

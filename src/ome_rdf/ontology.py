@@ -11,6 +11,8 @@ fragments.  The rows below, which only :func:`build_core_ontology` reads,
 are the one source of the core's categories, required values, value ranges
 and value bounds.  The XSD translator reads the registry it returns; the
 OME-XML and sidecar readers and the instance mapper read it once, at import.
+Every IRI a registry holds but its ``namespace`` is an exact ``str`` from
+:func:`~ome_rdf.rdf.model.iri_text`, the object a graph holds for its text.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .namespaces import (
     XSD_STRING,
 )
 from .rdf import Graph, Iri, Literal, Triple
-from .rdf.model import XSD_DATATYPES
+from .rdf.model import XSD_DATATYPES, iri_text
 
 
 class Category(enum.Enum):
@@ -62,11 +64,11 @@ class Origin(enum.Enum):
 
 @dataclass(frozen=True)
 class OntologyClass:
-    iri: Iri
+    iri: str
     label: str
     category: Category
     origin: Origin
-    superclass: Optional[Iri] = None
+    superclass: Optional[str] = None
 
     def __post_init__(self):
         if not self.label:
@@ -83,10 +85,10 @@ class PropertyDef:
     property's ``min_exclusive`` of 0 reads as ``>= 1``.
     """
 
-    iri: Iri
+    iri: str
     label: str
-    domain: Iri
-    range: Iri
+    domain: str
+    range: str
     min_count: int = 0
     max_count: Optional[int] = None
     min_exclusive: Optional[Decimal] = None
@@ -102,7 +104,7 @@ class PropertyDef:
 
     @property
     def is_datatype(self) -> bool:
-        return self.range.value.startswith(XSD_NS) or self.range.value == RDF_LANGSTRING
+        return self.range.startswith(XSD_NS) or self.range == RDF_LANGSTRING
 
 
 @dataclass(frozen=True)
@@ -114,10 +116,10 @@ class ConditionalCardinality:
     ``min_count`` and ``max_count`` values of ``property``.
     """
 
-    subject_class: Iri
-    via_property: Iri
-    trigger_class: Iri
-    property: Iri
+    subject_class: str
+    via_property: str
+    trigger_class: str
+    property: str
     min_count: int
     max_count: Optional[int]
 
@@ -134,7 +136,7 @@ class OntologyRegistry:
         for c in self.classes:
             if c.iri in by_iri:
                 raise ValueError(f"duplicate class IRI {c.iri}")
-            if not c.iri.value.startswith(self.namespace.value):
+            if not c.iri.startswith(self.namespace):
                 raise ValueError(f"class {c.iri} outside namespace {self.namespace}")
             by_iri[c.iri] = c
             by_label.setdefault(c.label, c)
@@ -147,8 +149,8 @@ class OntologyRegistry:
                 raise ValueError(f"duplicate IRI {p.iri}")
             if p.domain not in by_iri:
                 raise ValueError(f"domain {p.domain} of {p.iri} not registered")
-            if p.range.value.startswith(self.namespace.value) and p.range not in by_iri or (
-                    p.range.value.startswith(XSD_NS) and p.range not in XSD_DATATYPES):
+            if p.range.startswith(self.namespace) and p.range not in by_iri or (
+                    p.range.startswith(XSD_NS) and p.range not in XSD_DATATYPES):
                 raise ValueError(f"range {p.range} of {p.iri} not registered")
             p_by_iri[p.iri] = p
             p_by_label.setdefault(p.label, p)
@@ -160,7 +162,7 @@ class OntologyRegistry:
 
     # ---- lookups
 
-    def lookup_class(self, iri: Iri) -> OntologyClass:
+    def lookup_class(self, iri: str) -> OntologyClass:
         try:
             return self._class_by_iri[iri]
         except KeyError:
@@ -169,7 +171,7 @@ class OntologyRegistry:
     def class_by_label(self, label: str) -> Optional[OntologyClass]:
         return self._class_by_label.get(label)
 
-    def lookup_property(self, iri: Iri) -> Optional[PropertyDef]:
+    def lookup_property(self, iri: str) -> Optional[PropertyDef]:
         return self._property_by_iri.get(iri)
 
     def property_by_label(self, label: str) -> Optional[PropertyDef]:
@@ -248,25 +250,23 @@ def build_core_ontology() -> OntologyRegistry:
     nothing enforces that rule yet.
     """
     classes = [
-        OntologyClass(Iri(ONTOLOGY_NS + label), label, cat, Origin.TRANSLATED)
-        for label, cat in _TRANSLATED
-    ] + [
-        OntologyClass(Iri(ONTOLOGY_NS + label), label, cat, Origin.EXTENDED)
-        for label, cat in _EXTENDED
+        OntologyClass(iri_text(ONTOLOGY_NS + label), label, cat, origin)
+        for rows, origin in ((_TRANSLATED, Origin.TRANSLATED), (_EXTENDED, Origin.EXTENDED))
+        for label, cat in rows
     ]
     properties = [
         # a range is a class label or a datatype IRI
-        PropertyDef(Iri(ONTOLOGY_NS + label), label, Iri(ONTOLOGY_NS + domain),
-                    Iri(rng if ":" in rng else ONTOLOGY_NS + rng),
+        PropertyDef(iri_text(ONTOLOGY_NS + label), label, iri_text(ONTOLOGY_NS + domain),
+                    iri_text(rng if ":" in rng else ONTOLOGY_NS + rng),
                     min_count, max_count, lo, hi)
         for label, domain, rng, min_count, max_count, lo, hi in _PROPERTIES
     ]
     rules = (
         ConditionalCardinality(
-            subject_class=Iri(ONTOLOGY_NS + "Image"),
-            via_property=Iri(ONTOLOGY_NS + "acquiredWith"),
-            trigger_class=Iri(ONTOLOGY_NS + "ElectronMicroscope"),
-            property=Iri(ONTOLOGY_NS + "hasImagingCondition"),
+            subject_class=iri_text(ONTOLOGY_NS + "Image"),
+            via_property=iri_text(ONTOLOGY_NS + "acquiredWith"),
+            trigger_class=iri_text(ONTOLOGY_NS + "ElectronMicroscope"),
+            property=iri_text(ONTOLOGY_NS + "hasImagingCondition"),
             min_count=1,
             max_count=1,
         ),
@@ -274,14 +274,14 @@ def build_core_ontology() -> OntologyRegistry:
     return OntologyRegistry(Iri(ONTOLOGY_NS), tuple(classes), tuple(properties), rules)
 
 
-def annotation_iri(registry: OntologyRegistry, name: str) -> Iri:
+def annotation_iri(registry: OntologyRegistry, name: str) -> str:
     """IRI of one of the registry's own annotation predicates
     (category, origin, minCount, maxCount, minExclusive, maxInclusive)."""
-    return Iri(registry.namespace.value + name)
+    return iri_text(registry.namespace + name)
 
 
-def ontology_node(registry: OntologyRegistry) -> Iri:
-    return Iri(registry.namespace.value.rstrip("#/"))
+def ontology_node(registry: OntologyRegistry) -> str:
+    return iri_text(registry.namespace.rstrip("#/"))
 
 
 def registry_to_graph(registry: OntologyRegistry) -> Graph:
@@ -293,45 +293,40 @@ def registry_to_graph(registry: OntologyRegistry) -> Graph:
     triples for any non-default cardinality or value bound.  Two header
     triples identify the ontology itself.
     """
-    ns = registry.namespace.value
     onto = ontology_node(registry)
-    rdf_type = Iri(RDF_TYPE)
-    label_p = Iri(RDFS_LABEL)
     cat_p = annotation_iri(registry, "category")
     origin_p = annotation_iri(registry, "origin")
     triples = [
-        Triple(onto, rdf_type, Iri(OWL_ONTOLOGY)),
-        Triple(onto, label_p, Literal("Microscopy metadata ontology")),
+        Triple(onto, RDF_TYPE, OWL_ONTOLOGY),
+        Triple(onto, RDFS_LABEL, Literal("Microscopy metadata ontology")),
     ]
     for c in registry.classes:
-        triples.append(Triple(c.iri, rdf_type, Iri(OWL_CLASS)))
-        triples.append(Triple(c.iri, label_p, Literal(c.label)))
+        triples.append(Triple(c.iri, RDF_TYPE, OWL_CLASS))
+        triples.append(Triple(c.iri, RDFS_LABEL, Literal(c.label)))
         triples.append(Triple(c.iri, cat_p, Literal(c.category.value)))
         triples.append(Triple(c.iri, origin_p, Literal(c.origin.value)))
         if c.superclass is not None:
-            triples.append(Triple(c.iri, Iri(RDFS_SUBCLASSOF), c.superclass))
-    int_dt = Iri(XSD_INTEGER)
-    dec_dt = Iri(XSD_DECIMAL)
+            triples.append(Triple(c.iri, RDFS_SUBCLASSOF, c.superclass))
     for p in registry.properties:
         kind = OWL_DATATYPE_PROPERTY if p.is_datatype else OWL_OBJECT_PROPERTY
-        triples.append(Triple(p.iri, rdf_type, Iri(kind)))
-        triples.append(Triple(p.iri, label_p, Literal(p.label)))
-        triples.append(Triple(p.iri, Iri(RDFS_DOMAIN), p.domain))
-        triples.append(Triple(p.iri, Iri(RDFS_RANGE), p.range))
+        triples.append(Triple(p.iri, RDF_TYPE, kind))
+        triples.append(Triple(p.iri, RDFS_LABEL, Literal(p.label)))
+        triples.append(Triple(p.iri, RDFS_DOMAIN, p.domain))
+        triples.append(Triple(p.iri, RDFS_RANGE, p.range))
         if p.min_count > 0:
             triples.append(Triple(p.iri, annotation_iri(registry, "minCount"),
-                                  Literal(str(p.min_count), int_dt)))
+                                  Literal(str(p.min_count), XSD_INTEGER)))
         if p.max_count is not None:
             triples.append(Triple(p.iri, annotation_iri(registry, "maxCount"),
-                                  Literal(str(p.max_count), int_dt)))
+                                  Literal(str(p.max_count), XSD_INTEGER)))
         if p.min_exclusive is not None:
             triples.append(Triple(p.iri, annotation_iri(registry, "minExclusive"),
-                                  Literal(format(p.min_exclusive, "f"), dec_dt)))
+                                  Literal(format(p.min_exclusive, "f"), XSD_DECIMAL)))
         if p.max_inclusive is not None:
             triples.append(Triple(p.iri, annotation_iri(registry, "maxInclusive"),
-                                  Literal(format(p.max_inclusive, "f"), dec_dt)))
+                                  Literal(format(p.max_inclusive, "f"), XSD_DECIMAL)))
     prefixes = {
-        "mo": ns,
+        "mo": registry.namespace,
         "owl": OWL_NS,
         "rdf": RDF_NS,
         "rdfs": RDFS_NS,

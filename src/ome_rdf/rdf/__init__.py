@@ -4,7 +4,7 @@ A graph holds exact built-ins only: a ``str`` is an IRI, the 1-tuple
 ``(label,)`` a blank node, the 3-tuple ``(lexical, datatype, language)`` a
 literal and ``(subject, predicate, object)`` a triple.  :func:`BlankNode`,
 :func:`Literal` and :func:`Triple` check their items and return them;
-:class:`Iri` is the typed handle for an IRI outside a graph.
+:class:`Iri` is left only on the three fields :mod:`ome_rdf.rdf.model` names.
 
 :func:`graph_isomorphic` compares graphs read back in; a conversion never
 calls it, so its module is imported on first use.

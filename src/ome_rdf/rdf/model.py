@@ -19,20 +19,20 @@ compare and pickle as themselves.  One function, :func:`checked_term`,
 checks a term by that rule for both :func:`Triple` and the writers'
 :func:`~ome_rdf.rdf.serialize.term_to_ntriples`.
 
-:class:`Iri` is the typed handle for an IRI outside a graph (the ontology
-rows, namespaces, minted image IRIs, resolved links): a checked ``str``
-subclass with ``.value``, equal to its text, which pickles through its
-constructor.  Every IRI a term is built from, an ``Iri`` included, is
-checked and becomes, through :func:`iri_text`, the one exact ``str`` the
-process holds for its text (:func:`sys.intern`), so graphs from every
-producer (the parsers, the mapper, :func:`Triple`) share their IRI objects
-and compare them by pointer.  That holds only where the runtime frees an
-interned string once nothing else holds it; where it keeps them all for
-good (CPython 3.12), the IRIs a reader sees would stay in memory forever,
-so there :func:`iri_text` interns nothing.  Sharing is never needed for a
-correct result, only for a fast one.  An ``Iri`` is checked by the same
-rule but not interned: it holds its own copy of its text.  Every other
-``str`` a term is built from is checked and copied to an exact ``str``.
+Every IRI a term is built from is checked and becomes, through
+:func:`iri_text`, the one exact ``str`` the process holds for its text
+(:func:`sys.intern`), so graphs from every producer (the parsers, the
+mapper, :func:`Triple`), the ontology rows and resolved links share their
+IRI objects and compare them by pointer.  That holds only where the runtime
+frees an interned string once nothing else holds it; where it keeps them
+all for good (CPython 3.12), the IRIs a reader sees would stay in memory
+forever, so there :func:`iri_text` interns nothing.  Sharing is never
+needed for a correct result, only for a fast one.  Every other ``str`` a
+term is built from is checked and copied to an exact ``str``.
+:class:`Iri`, a ``str`` subclass with ``.value``, checked by the same rule
+but not interned, is left on three fields only, because
+``perfbench/run.py`` reads their ``.value``: ``OntologyRegistry.namespace``,
+``MintingPolicy.instance_base`` and ``MappedRecord.image_iri``.
 """
 
 from __future__ import annotations
@@ -58,20 +58,22 @@ _SURROGATES = r"\ud800-\udfff"
 _IRI_FORBIDDEN_RE = re.compile(rf"[\s{IRI_FORBIDDEN_ASCII}{_SURROGATES}]")
 SURROGATE_RE = re.compile(f"[{_SURROGATES}]")
 
-# the grammars of a blank node label, a language tag and the local name the
-# Turtle writer writes (a conservative subset of Turtle's), which the parsers
-# and the writer compose into their own patterns
+# the grammars of a blank node label, a language tag, the local name the
+# Turtle writer writes (a conservative subset of Turtle's), an xsd:integer, an
+# xsd:decimal and an xsd:double's exponent, which the parsers, the writer and
+# the OME-XML reader compose into their own patterns
 BLANK_LABEL_PATTERN = r"[A-Za-z][A-Za-z0-9]*"
 LANG_TAG_PATTERN = r"[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*"
 LOCAL_NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_-]*"
+INTEGER_PATTERN = r"[+-]?[0-9]+"
+DECIMAL_PATTERN = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+EXPONENT_PATTERN = r"[eE][+-]?[0-9]+"
 _BLANK_LABEL_RE = re.compile(BLANK_LABEL_PATTERN)
 _LANG_TAG_RE = re.compile(LANG_TAG_PATTERN)
 _PREFIX_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.-]*[A-Za-z0-9_-]|[A-Za-z])?")
 
-_INTEGER_LEXICAL_RE = re.compile(r"[+-]?[0-9]+")
-_FLOAT_LEXICAL_RE = re.compile(
-    r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?|[+-]?INF|NaN"
-)
+_INTEGER_LEXICAL_RE = re.compile(INTEGER_PATTERN)
+_FLOAT_LEXICAL_RE = re.compile(f"{DECIMAL_PATTERN}(?:{EXPONENT_PATTERN})?|[+-]?INF|NaN")
 # The parts of the xsd:date, xsd:time and xsd:dateTime lexical forms of XSD
 # 1.1, except that an hour is below 24, with the timezone (at most 14:00 from
 # UTC) optional; whether the day exists in its month is checked on the match.
@@ -123,7 +125,7 @@ _LEXICAL_FORMS = {
     XSD_NS + "positiveInteger": (_INTEGER_LEXICAL_RE, _within(1, float("inf"))),
     XSD_NS + "unsignedLong": (_INTEGER_LEXICAL_RE, _within(0, 2**64 - 1)),
     XSD_NS + "unsignedInt": (_INTEGER_LEXICAL_RE, _within(0, 2**32 - 1)),
-    XSD_DECIMAL: (re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)"), None),
+    XSD_DECIMAL: (re.compile(DECIMAL_PATTERN), None),
     XSD_FLOAT: (_FLOAT_LEXICAL_RE, None),
     XSD_DOUBLE: (_FLOAT_LEXICAL_RE, None),
     XSD_DATETIME: (DATETIME_LEXICAL_RE, datetime_day_exists),
@@ -183,8 +185,8 @@ _XSD_STRING, _RDF_LANGSTRING = iri_text(XSD_STRING), iri_text(RDF_LANGSTRING)
 
 class Iri(str):
     """An absolute IRI, validated on construction by the rule of
-    :func:`iri_text` but not interned: the typed handle for an IRI outside
-    a graph.
+    :func:`iri_text` but not interned: the type of the three fields that
+    the module docstring names.
 
     An ``Iri`` is the ``str`` of its text, so it hashes and compares as that
     text: ``Iri(v) == v``.  ``value`` is the text as a plain ``str``.
@@ -215,8 +217,8 @@ def Literal(lexical: str, datatype: Optional[str] = None,
     whose datatype is the text of its IRI.
 
     ``Literal("x")`` is an ``xsd:string``; ``Literal("x", language="en")``
-    is an ``rdf:langString``.  The datatype is an :class:`Iri`, or a
-    ``str`` that is checked as one.  A language tag together with any
+    is an ``rdf:langString``.  The datatype is the text of an IRI, checked
+    by :func:`iri_text`.  A language tag together with any
     other datatype is rejected, as are lexical forms that do not match
     their datatype and integers outside their datatype's range.
     """

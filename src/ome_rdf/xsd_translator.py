@@ -30,7 +30,7 @@ from .ontology import (
     build_core_ontology,
 )
 from .rdf import Iri
-from .rdf.model import XSD_DATATYPES
+from .rdf.model import XSD_DATATYPES, iri_text
 
 _SKIPPED_SILENTLY = {"annotation", "documentation", "unique", "key", "keyref"}
 
@@ -259,11 +259,11 @@ def extract_concepts(model: XsdSubsetModel) -> list:
     return out
 
 
-def _datatype_iri(ref: Optional[str]) -> Iri:
+def _datatype_iri(ref: Optional[str]) -> str:
     # an XSD datatype the RDF model knows passes through as a range
     if ref and XSD_NS + ref in XSD_DATATYPES:
-        return Iri(XSD_NS + ref)
-    return Iri(XSD_STRING)
+        return iri_text(XSD_NS + ref)
+    return iri_text(XSD_STRING)
 
 
 def concepts_to_registry_fragment(concepts, namespace) -> OntologyRegistry:
@@ -283,23 +283,23 @@ def concepts_to_registry_fragment(concepts, namespace) -> OntologyRegistry:
     ordered = sorted(concepts, key=lambda c: (c.kind, c.name, c.source_path))
     for c in ordered:
         if c.kind == "class":
-            iri = Iri(ns.value + c.name)
+            iri = iri_text(ns + c.name)
             classes.setdefault(iri, OntologyClass(
                 iri, c.name, categories.get(c.name, Category.IMAGE),
                 Origin.TRANSLATED))
     for c in ordered:
         if c.kind == "class":
             continue
-        iri = Iri(ns.value + c.name)
+        iri = iri_text(ns + c.name)
         if iri in classes:
             raise NameCollisionError(f"{c.name!r} already minted as a class")
         if iri in properties:
             continue
         if c.kind == "objectProperty":
-            range_iri = Iri(ns.value + c.range_name)
+            range_iri = iri_text(ns + c.range_name)
         else:
             range_iri = _datatype_iri(c.range_name)
         properties[iri] = PropertyDef(
-            iri, c.name, Iri(ns.value + c.domain_name), range_iri,
+            iri, c.name, iri_text(ns + c.domain_name), range_iri,
             min_count=c.min_count, max_count=c.max_count)
     return OntologyRegistry(ns, tuple(classes.values()), tuple(properties.values()))

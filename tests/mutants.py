@@ -98,6 +98,13 @@ MUTANTS = (
         ("tests/test_rdf_model.py::TestSharedIriObjects"
          "::test_reading_fresh_iris_keeps_memory_bounded",),
     ),
+    Mutant(
+        "core-class-iris-as-handles", "src/ome_rdf/ontology.py",
+        "OntologyClass(iri_text(ONTOLOGY_NS + label), label, cat, origin)",
+        "OntologyClass(Iri(ONTOLOGY_NS + label), label, cat, origin)",
+        ("tests/test_rdf_model.py::TestSharedIriObjects"
+         "::test_vocabulary_and_link_iris_are_the_shared_exact_strs",),
+    ),
 )
 
 

@@ -19,7 +19,7 @@ def registry():
 class TestResolve:
     def test_riken_mouse_strain(self, registry):
         iri = registry.resolve("rikenbrc_mouse:RBRC00001")
-        assert iri.value == "http://metadb.riken.jp/metadb/db/rikenbrc_mouse/RBRC00001"
+        assert iri == "http://metadb.riken.jp/metadb/db/rikenbrc_mouse/RBRC00001"
 
     def test_unknown_prefix(self, registry):
         with pytest.raises(UnknownPrefixError):
@@ -36,7 +36,7 @@ class TestResolve:
 
     def test_injective_per_prefix(self, registry):
         ids = [f"RBRC{i:05d}" for i in range(50)]
-        iris = {registry.resolve(f"rikenbrc_mouse:{i}").value for i in ids}
+        iris = {registry.resolve(f"rikenbrc_mouse:{i}") for i in ids}
         assert len(iris) == len(ids)
 
 
@@ -45,7 +45,7 @@ class TestRegistryFile:
         path = tmp_path / "reg.tsv"
         path.write_text("demo\thttp://db.example/demo\t[0-9]{4}\n")
         reg = LinkRegistry.load(path)
-        assert reg.resolve("demo:0042").value == "http://db.example/demo/0042"
+        assert reg.resolve("demo:0042") == "http://db.example/demo/0042"
         with pytest.raises(UnknownPrefixError):
             reg.resolve("rikenbrc_mouse:RBRC00001")
 
@@ -86,7 +86,7 @@ class TestRegistryFile:
 
     def test_leading_byte_order_mark_is_ignored(self):
         reg = LinkRegistry.loads("\ufeffdemo\thttp://db.example/demo\t[0-9]{4}\n")
-        assert reg.resolve("demo:0042").value == "http://db.example/demo/0042"
+        assert reg.resolve("demo:0042") == "http://db.example/demo/0042"
 
     def test_entry_keeps_its_compiled_pattern(self):
         entry = LinkEntry("p", Iri("http://x.example/"), "[0-9]+")
@@ -100,7 +100,7 @@ class TestRegistryFile:
         # the U+0085 stays in the pattern: the id matches it, and only the
         # IRI, where no space may stand, refuses it, so the CURIE is malformed
         reg = LinkRegistry.loads(good)
-        assert reg.resolve("demo:1234").value == "http://db.example/demo/1234"
+        assert reg.resolve("demo:1234") == "http://db.example/demo/1234"
         with pytest.raises(MalformedCurieError, match="demo:1234") as err:
             reg.resolve("demo:1234\x85")
         assert isinstance(err.value.__cause__, InvalidIriError)

@@ -556,7 +556,7 @@ class TestUnionOfOneImageDocuments:
         # a reader record is a tuple, so this experimenter equals the tuple
         # (edge, "S1", target), which must not stand for S1's edge to target
         strain = "rikenbrc_mouse:RBRC00001"
-        target = "C1" if edge == "containedIn" else links.resolve(strain).value
+        target = "C1" if edge == "containedIn" else links.resolve(strain)
         pixels = (1, 1, 1, 1, 1)  # sizeX to sizeT
         pairs = [
             (OmeImage("A", "n", *pixels, experimenter=OmeExperimenter(edge, "S1", target)), None),

@@ -198,15 +198,15 @@ class TestRegistryToGraph:
     def test_roundtrip_keeps_counts(self, core):
         for fmt in ("turtle", "ntriples"):
             g = parse(serialize(registry_to_graph(core), fmt), fmt)
-            origin_p = annotation_iri(core, "origin").value
+            origin_p = annotation_iri(core, "origin")
             origins = [o[0] for _, p, o in g if p == origin_p]
             assert len(origins) == 18
             assert origins.count("extended") == 7
 
     def test_roundtrip_preserves_category_and_origin(self, core):
         g = parse(serialize(registry_to_graph(core), "ntriples"), "ntriples")
-        cat_p = annotation_iri(core, "category").value
-        origin_p = annotation_iri(core, "origin").value
+        cat_p = annotation_iri(core, "category")
+        origin_p = annotation_iri(core, "origin")
         cats = {s: o[0] for s, p, o in g if p == cat_p}
         origins = {s: o[0] for s, p, o in g if p == origin_p}
         for c in core.classes:

@@ -84,6 +84,9 @@ def test_curie_prefix_grammar_has_one_owner():
     r'<>"{}|^`\\\x00-\x20',  # the ASCII characters an IRI may not hold
     r"\ud800-\udfff",  # lone surrogates
     "[A-Za-z_][A-Za-z0-9_-]*",  # the local name of a prefixed name the writer writes
+    "[+-]?[0-9]+",  # an integer
+    r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+",  # a decimal's digits
+    "[eE][+-]?[0-9]+",  # an exponent
 ])
 def test_term_grammars_have_one_owner(grammar):
     holders = [p.name for p in sorted((ROOT / "src").rglob("*.py")) if grammar in p.read_text()]

@@ -20,7 +20,7 @@ from ome_rdf.links import LinkRegistry
 from ome_rdf.mapper import MintingPolicy, map_document
 from ome_rdf.namespaces import RDF_LANGSTRING, RDF_TYPE, XSD_INTEGER, XSD_NS, XSD_STRING
 from ome_rdf.ome_xml import parse_ome_document, parse_sidecar
-from ome_rdf.ontology import build_core_ontology
+from ome_rdf.ontology import annotation_iri, build_core_ontology, ontology_node
 from ome_rdf.rdf import (
     BlankNode,
     Graph,
@@ -34,6 +34,11 @@ from ome_rdf.rdf import (
 from ome_rdf.rdf import model
 from ome_rdf.rdf.model import _IRI_FORBIDDEN_RE, _LEXICAL_FORMS, _SHARED, iri_text
 from ome_rdf.rdf.parse import _Scanner
+from ome_rdf.xsd_translator import (
+    concepts_to_registry_fragment,
+    extract_concepts,
+    parse_xsd_subset,
+)
 
 from genutil import random_graph
 
@@ -605,6 +610,30 @@ class TestSharedIriObjects:
         text = _copy(EX + "a-handle-only")
         Iri(text)
         assert sys.intern(_copy(text)) is not text
+
+    def test_vocabulary_and_link_iris_are_the_shared_exact_strs(self):
+        # the ontology's rows and export IRIs, resolved links and a translated
+        # fragment hold what a graph holds; a mapped graph's class IRIs are
+        # the rows' own objects
+        core = build_core_ontology()
+        fragment = concepts_to_registry_fragment(extract_concepts(parse_xsd_subset(
+            (DATA / "ome_subset.xsd").read_text(encoding="utf-8"))), "http://frag.example/o#")
+        strains = [a.strain_id for a in parse_sidecar(
+            (DATA / "golden.ann.tsv").read_text(encoding="utf-8")) if a.strain_id]
+        assert strains and fragment.properties and core.conditional_rules
+        iris = [ontology_node(core)] + [annotation_iri(core, name) for name in (
+            "category", "origin", "minCount", "maxCount", "minExclusive", "maxInclusive")]
+        iris += [LinkRegistry.default().resolve(curie) for curie in strains]
+        for registry in (core, fragment):
+            iris += [c.iri for c in registry.classes]
+            iris += [x for p in registry.properties for x in (p.iri, p.domain, p.range)]
+            iris += [x for r in registry.conditional_rules
+                     for x in (r.subject_class, r.via_property, r.trigger_class, r.property)]
+        assert [x for x in iris if type(x) is not str] == []
+        if _SHARED:
+            assert [x for x in iris if x is not iri_text(x)] == []
+        types = [o for _, p, o in _mapped_golden().graph if p == RDF_TYPE]
+        assert types and [o for o in types if o is not core.lookup_class(o).iri] == []
 
     @settings(max_examples=200, deadline=None)
     @given(_VALID_IRI, st.sampled_from([str, _Text, Iri]))

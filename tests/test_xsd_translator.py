@@ -316,7 +316,7 @@ class TestFragment:
             '<xs:complexType name="A">'
             + "".join(f'<xs:attribute name="V{i}" type="xs:{t}"/>' for i, t in enumerate(builtins))
             + "</xs:complexType>"))
-        ranges = {p.label: p.range.value for p in
+        ranges = {p.label: p.range for p in
                   concepts_to_registry_fragment(extract_concepts(model), NS).properties}
         assert ranges == {f"v{i}": XSD_NS + t if XSD_NS + t in XSD_DATATYPES else XSD_STRING
                           for i, t in enumerate(builtins)}
