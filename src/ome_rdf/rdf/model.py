@@ -178,9 +178,12 @@ def iri_text(value: str) -> str:
     return sys.intern(text) if _SHARED else text
 
 
-# the datatypes of a literal given none, as iri_text gives them: the namespace
-# constants are not those objects if other code interned the texts first
-_XSD_STRING, _RDF_LANGSTRING = iri_text(XSD_STRING), iri_text(RDF_LANGSTRING)
+# each XSD datatype's text mapped to the object iri_text gives for it, so a
+# literal of a known datatype checks no IRI; and the datatypes of a literal
+# given none: the namespace constants are not those objects if other code
+# interned the texts first
+_XSD_IRIS = {text: iri_text(text) for text in XSD_DATATYPES}
+_XSD_STRING, _RDF_LANGSTRING = _XSD_IRIS[XSD_STRING], iri_text(RDF_LANGSTRING)
 
 
 class Iri(str):
@@ -218,7 +221,8 @@ def Literal(lexical: str, datatype: Optional[str] = None,
 
     ``Literal("x")`` is an ``xsd:string``; ``Literal("x", language="en")``
     is an ``rdf:langString``.  The datatype is the text of an IRI, checked
-    by :func:`iri_text`.  A language tag together with any
+    by :func:`iri_text` unless it is one of :data:`XSD_DATATYPES`, whose
+    checked objects are kept from import.  A language tag together with any
     other datatype is rejected, as are lexical forms that do not match
     their datatype and integers outside their datatype's range.
     """
@@ -234,7 +238,7 @@ def Literal(lexical: str, datatype: Optional[str] = None,
     elif not isinstance(datatype, str):
         raise TypeError(f"literal datatype must be an Iri or its text, not {datatype!r}")
     else:
-        datatype = iri_text(datatype)
+        datatype = _XSD_IRIS.get(datatype) or iri_text(datatype)
         if language is not None:
             if datatype != RDF_LANGSTRING:
                 raise InvalidLiteralError("language tag requires the rdf:langString datatype")

@@ -41,6 +41,11 @@ object the process holds for its text, so a graph read here shares its
 IRIs (and its literals' datatypes) with the graphs of every other producer
 and is compared with them by pointer (see :mod:`ome_rdf.rdf.model`).
 
+Turtle's step regexes capture each term as its source text, which a
+fourth per-call table, cleared at each directive, maps to the term built
+through the three above, so a recurring term costs one lookup and a
+prefixed name or a literal is taken apart once (see :class:`_Scanner`).
+
 Whitespace is what the grammars allow, not what ``str.isspace`` accepts:
 space and tab between the terms of an N-Triples statement; space, tab,
 CR and LF between N-Triples statements and anywhere in Turtle.  A line,
@@ -88,28 +93,26 @@ _STRING_BODY_RE = re.compile(r'[^"\\\r\n]*')
 # as it is built), a string without escapes, and a prefixed name in the
 # writer's form, whose local part has no dot and no "%" and is followed by
 # whitespace, "," or ";" (as the writer always follows it), so the scanner
-# would end the name at the same place.  A prefix group always takes part in
-# a prefixed name, so an empty prefix is "", not None.
+# would end the name at the same place.
 _WS = r"[ \t\r\n]*"
 _IRI = r"<([^>]*)>"
 _STRING = f'"({_STRING_BODY_RE.pattern})"'
-_PNAME = rf"((?:[A-Za-z][A-Za-z0-9_.-]*)?):((?:{LOCAL_NAME_PATTERN})?)(?=[ \t\r\n,;])"
-# groups: IRI, or prefix and local name
-_NAME = rf"(?:{_IRI}|{_PNAME})"
-# groups: the keyword "a", then a name
-_VERB = rf"(?:(a)(?![^ \t\r\n<#])|{_NAME})"
-# groups: a name, lexical form, a name for the datatype, language
-_OBJECT = rf"(?:{_NAME}|{_STRING}(?:\^\^{_NAME}|{_LANG})?)"
 # the whitespace before a statement and the statement up to its line end;
 # groups: subject, predicate, object IRI, lexical form, datatype, language
 _NT_STATEMENT_RE = re.compile(
     rf"{_WS}{_IRI}[ \t]*{_IRI}[ \t]*(?:{_IRI}|{_STRING}(?:\^\^{_IRI}|{_LANG})?)"
     r"[ \t]*\.[ \t]*(?![^\r\n])"
 )
+# Turtle's terms as their source text, one group each: a name (an IRI or a
+# prefixed name), a verb (the keyword "a" or a name), and an object (a name
+# or a whole literal: a string, with its datatype's name or language tag)
+_NAME = rf"<[^>]*>|(?:[A-Za-z][A-Za-z0-9_.-]*)?:(?:{LOCAL_NAME_PATTERN})?(?=[ \t\r\n,;])"
+_VERB = rf"(a(?![^ \t\r\n<#])|{_NAME})"
+_OBJECT = rf'({_NAME}|"{_STRING_BODY_RE.pattern}"(?:\^\^(?:{_NAME})|@{LANG_TAG_PATTERN})?)'
 # One Turtle step each, from the whitespace before its first term to the
 # ",", ";" or "." after its object, which is the last group: a subject, verb
 # and object after a "."; a verb and object after a ";"; an object after a ",".
-_TTL_TRIPLE_RE = re.compile(rf"{_WS}{_NAME}{_WS}{_VERB}{_WS}{_OBJECT}{_WS}([,;.])")
+_TTL_TRIPLE_RE = re.compile(rf"{_WS}({_NAME}){_WS}{_VERB}{_WS}{_OBJECT}{_WS}([,;.])")
 _TTL_VERB_OBJECT_RE = re.compile(rf"{_WS}{_VERB}{_WS}{_OBJECT}{_WS}([,;.])")
 _TTL_OBJECT_RE = re.compile(rf"{_WS}{_OBJECT}{_WS}([,;.])")
 # the predicate the keyword "a" stands for, as iri_text gives it: the
@@ -133,6 +136,15 @@ class _Scanner:
     fast path hands to the scanner, whose :meth:`iri` and :meth:`literal`
     report it where the term occurs.  The scanner reads the text from
     ``pos`` one token at a time, each with one compiled regex.
+
+    Turtle's fast path looks each term up by its source text first:
+    ``tokens`` maps an IRI with its ``<>``, a prefixed name, a whole literal
+    with its datatype's name or language tag, or the keyword ``a`` to the
+    term it stands for.  Only :meth:`new_term` fills it, through the tables
+    above, and a directive clears it, because a prefix declared again gives
+    its names new IRIs.  N-Triples has no such table: it looks its IRIs up
+    in ``iris`` by their body, a key that table holds anyway, where source
+    text keys read no faster and held one more string per IRI.
     """
 
     def __init__(self, text: str):
@@ -141,6 +153,7 @@ class _Scanner:
         self.iris = {}
         self.literals = {}
         self.blanks = {}
+        self.tokens = {}
 
     def position(self, at: int) -> tuple:
         """The 1-based (line, column) of offset ``at``; CRLF is one line end."""
@@ -190,6 +203,32 @@ class _Scanner:
             datatype = self.iris.get(datatype) or self.new_iri(datatype)
         literal = self.literals[lexical, datatype, language] = Literal(lexical, datatype, language)
         return literal
+
+    def new_term(self, token: str, prefixes: dict):
+        """The term of a Turtle fast path's token, which ``tokens`` does not
+        hold yet, added to it; ``KeyError`` if a prefix is undeclared, else
+        the model's own error for an invalid term."""
+        if token[0] == '"':
+            end = token.index('"', 1)
+            datatype = language = None
+            if token.startswith("^^", end + 1):
+                datatype = token[end + 3:]
+                datatype = self.tokens.get(datatype) or self.new_term(datatype, prefixes)
+            elif end + 1 < len(token):
+                language = token[end + 2:]
+            key = (token[1:end], datatype, language)
+            term = self.literals.get(key) or self.new_literal(*key)
+        elif token == "a":
+            term = _A
+        else:
+            if token[0] == "<":
+                value = token[1:-1]
+            else:
+                prefix, _, local = token.partition(":")
+                value = prefixes[prefix] + local
+            term = self.iris.get(value) or self.new_iri(value)
+        self.tokens[token] = term
+        return term
 
     def iri(self, value: str, at: int) -> str:
         """The IRI of the text ``value``; an invalid one is an error at offset ``at``."""
@@ -394,10 +433,8 @@ def parse_turtle(text: str) -> Graph:
     prefixes: dict = {}
     triples = []
     append = triples.append
-    get_iri = sc.iris.get
-    get_literal = sc.literals.get
-    new_iri = sc.new_iri
-    new_literal = sc.new_literal
+    get = sc.tokens.get
+    new_term = sc.new_term
     # indexed by the terms a step reads
     fast = (None, _TTL_OBJECT_RE.match, _TTL_VERB_OBJECT_RE.match, _TTL_TRIPLE_RE.match)
 
@@ -471,6 +508,8 @@ def parse_turtle(text: str) -> Graph:
         if keyword == "@prefix":  # SPARQL's PREFIX takes no dot
             sc.expect(".")
         prefixes[name] = ns
+        # a name read so far may stand for another IRI now
+        sc.tokens.clear()
 
     def scan_step(step, subject, predicate):
         """Read one step at ``sc.pos`` with the scanner; return the next
@@ -508,36 +547,24 @@ def parse_turtle(text: str) -> Graph:
         sc.expect(".")
         return 3, subject, predicate
 
-    def name(g, k):
-        # the IRI of the IRI or prefixed name in a step's groups g[k:k + 3];
-        # KeyError if the prefix is undeclared, InvalidIriError if refused
-        value = g[k]
-        if value is None:
-            value = prefixes[g[k + 1]] + g[k + 2]
-        return get_iri(value) or new_iri(value)
-
     step = 3
     subject = predicate = None
     pos = 0
     while True:
         m = fast[step](text, pos)
         if m is not None:
-            g = m.groups()
-            k = len(g) - 9  # the object's first group: 7, 4 or 0
+            # the source text of each term, and the separator
             try:
-                if k == 7:
-                    subject = name(g, 0)
-                if k:
-                    predicate = _A if g[k - 4] else name(g, k - 3)
-                lexical = g[k + 3]
-                if lexical is None:
-                    obj = name(g, k)
+                if step == 2:
+                    verb, token, separator = m.groups()
+                    predicate = get(verb) or new_term(verb, prefixes)
+                elif step == 3:
+                    name, verb, token, separator = m.groups()
+                    subject = get(name) or new_term(name, prefixes)
+                    predicate = get(verb) or new_term(verb, prefixes)
                 else:
-                    datatype = g[k + 4]
-                    if datatype is None and g[k + 5] is not None:
-                        datatype = prefixes[g[k + 5]] + g[k + 6]
-                    obj = (get_literal((lexical, datatype, g[k + 7]))
-                           or new_literal(lexical, datatype, g[k + 7]))
+                    token, separator = m.groups()
+                obj = get(token) or new_term(token, prefixes)
             except (KeyError, InvalidIriError, InvalidLiteralError):
                 # an undeclared prefix or a refused term: the step is the scanner's
                 m = None
@@ -549,7 +576,7 @@ def parse_turtle(text: str) -> Graph:
             pos = sc.pos
         else:
             append((subject, predicate, obj))
-            step = _NEXT_STEP[g[-1]]
+            step = _NEXT_STEP[separator]
             pos = m.end()
     return Graph(triples, prefixes)
 

@@ -92,6 +92,25 @@ MUTANTS = (
               for edge in ("containedIn", "derivedFrom")),
     ),
     Mutant(
+        "turtle-tokens-outlive-directive", "src/ome_rdf/rdf/parse.py",
+        "sc.tokens.clear()",
+        "pass",
+        (_FAST_PATHS + "test_a_prefix_declared_again_gives_its_names_the_new_namespace",),
+    ),
+    Mutant(
+        "turtle-token-not-kept", "src/ome_rdf/rdf/parse.py",
+        "self.tokens[token] = term",
+        "pass",
+        (_FAST_PATHS + "test_turtle_builds_each_distinct_term_once[golden.ttl]",
+         _FAST_PATHS + "test_turtle_builds_each_distinct_term_once[templated]"),
+    ),
+    Mutant(
+        "known-datatype-checked-again", "src/ome_rdf/rdf/model.py",
+        "datatype = _XSD_IRIS.get(datatype) or iri_text(datatype)",
+        "datatype = iri_text(datatype)",
+        ("tests/test_rdf_model.py::TestLiteral::test_known_datatype_is_not_checked_again",),
+    ),
+    Mutant(
         "iri-text-keeps-every-string", "src/ome_rdf/rdf/model.py",
         "return sys.intern(text) if _SHARED else text",
         'return globals().setdefault("_KEPT", {}).setdefault(text, text)',

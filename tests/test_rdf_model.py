@@ -107,6 +107,25 @@ class TestLiteral:
         with pytest.raises(InvalidLiteralError, match="lone surrogate"):
             Literal(lexical, **kwargs)
 
+    def test_known_datatype_is_not_checked_again(self, monkeypatch):
+        # an XSD datatype's text takes the object kept from import; any other
+        # datatype is checked on each call, and an invalid one is refused
+        checked = []
+
+        def counted(value):
+            checked.append(value)
+            return iri_text(value)
+
+        monkeypatch.setattr(model, "iri_text", counted)
+        for datatype in model.XSD_DATATYPES:
+            lexical = self.LEXICAL_FORMS.get(datatype.rsplit("#", 1)[1], ("x",))[0]
+            assert Literal(lexical, _copy(datatype))[1] is model._XSD_IRIS[datatype]
+        assert checked == []
+        assert Literal("1", _copy(EX + "dt"))[1] == EX + "dt" and checked == [EX + "dt"]
+        for bad in ["no scheme", XSD_NS + "in teger", XSD_NS + "integer>", ""]:
+            with pytest.raises(InvalidIriError):
+                Literal("1", bad)
+
     def test_numeric_lexical_enforced(self):
         Literal("42", Iri(XSD_INTEGER))
         with pytest.raises(InvalidLiteralError):
@@ -582,6 +601,11 @@ class TestSharedIriObjects:
         shared += [o for _, p, o in mapped if p == RDF_TYPE]
         shared += [o[1] for _, _, o in mapped if type(o) is tuple]
         assert all(vocabulary[x] is x for x in shared)
+
+    @_shares
+    def test_a_known_datatype_is_the_shared_object(self):
+        datatype = Literal("1", _copy(XSD_NS + "integer"))[1]
+        assert datatype is iri_text(XSD_NS + "integer")
 
     @_shares
     def test_vocabulary_is_shared_when_other_code_interned_it_first(self):

@@ -1,5 +1,6 @@
 import importlib
 import random
+from collections import Counter
 import re
 from pathlib import Path
 from unittest import mock
@@ -1068,6 +1069,68 @@ class TestFastPathsAgreeWithScanner:
         # s0-s2, p0-p1, o, xsd:integer and Turtle's namespace of ex:, and three
         # literals: each distinct term is built once, and a recurrence never
         assert calls == {"iri_text": 7 + (fmt == "turtle"), "Literal": 3}
+
+    @pytest.mark.parametrize("source", ["golden.ttl", "templated"])
+    def test_turtle_builds_each_distinct_term_once(self, source):
+        # canonical Turtle puts every directive first, so the fast path's
+        # token table builds each token once, and through it each IRI and
+        # literal once
+        if source == "golden.ttl":
+            texts = [(DATA / source).read_text(encoding="utf-8")]
+        else:
+            texts = [serialize(templated_graph(random.Random(seed), max_subjects=120), "turtle")
+                     for seed in range(12)]
+        for text in texts:
+            built = {name: Counter() for name in ("new_term", "new_iri", "new_literal")}
+            originals = {name: getattr(_PARSE_MODULE._Scanner, name) for name in built}
+
+            def counting(name):
+                def build(sc, *args):
+                    built[name][args[0] if name != "new_literal" else args] += 1
+                    return originals[name](sc, *args)
+                return build
+
+            with mock.patch.multiple(_PARSE_MODULE._Scanner,
+                                     **{name: counting(name) for name in built}):
+                g = parse_turtle(text)
+            assert g == _scanner_only(parse_turtle, text)[0]
+            iris = {term for triple in g for term in triple if type(term) is str}
+            literals = {o for _, _, o in g if type(o) is tuple and len(o) == 3}
+            iris |= {literal[1] for literal in literals} | set(g.prefixes.values())
+            assert set(built["new_term"].values()) == ({1} if g else set())
+            # rdf:type may be written only as "a", xsd:string and
+            # rdf:langString only as a plain string and a language tag
+            assert iris - set(built["new_iri"]) <= {RDF_TYPE, _XSD + "string",
+                                                     RDF_NS + "langString"}
+            assert set(built["new_iri"].values()) == {1}
+            assert set(built["new_literal"].values()) == {1}
+            assert len(built["new_literal"]) == len(literals)
+
+    def test_a_prefix_declared_again_gives_its_names_the_new_namespace(self):
+        # the same ex: names under three declarations, the last in SPARQL's
+        # form: as a subject, a verb after ";", an object after "," and a
+        # literal's datatype, each read by the fast path under each one
+        body = 'ex:s ex:p ex:o, "1"^^ex:t ;\n    ex:q ex:s, ex:o .\n'
+        spaces = ["http://one.example/", "http://two.example/", "http://three.example/"]
+        text = "".join(f"{directive} ex: <{ns}>{end}\n" + body for ns, (directive, end) in
+                       zip(spaces, [("@prefix", " ."), ("@prefix", " ."), ("PREFIX", "")]))
+        expected = Graph([triple for ns in spaces for triple in (
+            Triple(ns + "s", ns + "p", ns + "o"),
+            Triple(ns + "s", ns + "p", Literal("1", ns + "t")),
+            Triple(ns + "s", ns + "q", ns + "s"),
+            Triple(ns + "s", ns + "q", ns + "o"))])
+        new_term = _PARSE_MODULE._Scanner.new_term
+        tokens = []
+
+        def counted(sc, token, prefixes):
+            tokens.append(token)
+            return new_term(sc, token, prefixes)
+
+        with mock.patch.object(_PARSE_MODULE._Scanner, "new_term", counted):
+            read = _outcome(parse_turtle, text)
+        assert read == (expected, {"ex": spaces[-1]}) == _scanner_only(parse_turtle, text)
+        assert Counter(tokens) == {token: 3 for token in
+                                   ("ex:s", "ex:p", "ex:o", '"1"^^ex:t', "ex:t", "ex:q")}
 
     @pytest.mark.parametrize("parser", [parse_ntriples, parse_turtle])
     def test_one_blank_node_per_label(self, parser):
