@@ -578,6 +578,8 @@ def parse_turtle(text: str) -> Graph:
             append((subject, predicate, obj))
             step = _NEXT_STEP[separator]
             pos = m.end()
+    # freed before the graph's own table is built, which is the call's peak
+    sc.tokens.clear()
     return Graph(triples, prefixes)
 
 

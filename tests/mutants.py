@@ -93,7 +93,7 @@ MUTANTS = (
     ),
     Mutant(
         "turtle-tokens-outlive-directive", "src/ome_rdf/rdf/parse.py",
-        "sc.tokens.clear()",
+        "# a name read so far may stand for another IRI now\n        sc.tokens.clear()",
         "pass",
         (_FAST_PATHS + "test_a_prefix_declared_again_gives_its_names_the_new_namespace",),
     ),
