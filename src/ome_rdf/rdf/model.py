@@ -178,11 +178,11 @@ def iri_text(value: str) -> str:
     return sys.intern(text) if _SHARED else text
 
 
-# each XSD datatype's text mapped to the object iri_text gives for it, so a
-# literal of a known datatype checks no IRI; and the datatypes of a literal
-# given none: the namespace constants are not those objects if other code
-# interned the texts first
+# each XSD datatype's text mapped to the object iri_text gives for it, which a
+# literal of that datatype takes without checking the IRI again
 _XSD_IRIS = {text: iri_text(text) for text in XSD_DATATYPES}
+# the datatypes of a literal given none, as iri_text gives them: the namespace
+# constants are not those objects if other code interned the texts first
 _XSD_STRING, _RDF_LANGSTRING = _XSD_IRIS[XSD_STRING], iri_text(RDF_LANGSTRING)
 
 

@@ -1,7 +1,7 @@
 import importlib
 import random
-from collections import Counter
 import re
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
